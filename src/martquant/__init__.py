@@ -2,9 +2,10 @@
 
 The package combines primal (nearest-neighbour) and dual (barycentric
 splitting) quantization of 1D laws, closed-form martingale transition
-kernels for ARCH dynamics with centered truncated noise, a dense LP solver
-for martingale-optimal-transport price bounds and convex-order testing, and
-Monte Carlo machinery validating the truncation/quantization error bounds.
+kernels for ARCH dynamics with centered truncated noise, sparse LPs solved
+by HiGHS for martingale-optimal-transport price bounds and convex-order
+testing (closed form in 1D), and Monte Carlo machinery validating the
+truncation/quantization error bounds.
 """
 
 from . import archmc, chain, dual, laws, lp, mot, order, primal, quadrature, rng

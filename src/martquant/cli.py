@@ -228,7 +228,7 @@ def cmd_mot(args) -> int:
         for n, m in levels:
             qa = motmod._quantize_primal(mu0, n)
             qb = motmod._quantize_dual(mu1, m)
-            a, b, _, _, _ = ordermod.coupling_lp(qa, qb)
+            a, b, _ = ordermod.coupling_lp(qa, qb)
             cost = motmod.MotProblem([qa, qb], payoff).cost_tensor().ravel()
             for sense in ("min", "max"):
                 text = export_lp_text(
@@ -241,8 +241,8 @@ def cmd_mot(args) -> int:
     rows = motmod.stability_experiment(mu0, mu1, payoff, levels)
     _write_csv(
         out / "bounds.csv",
-        ["N", "M", "lower", "upper", "runtime_ms"],
-        [(r["N"], r["M"], r["lower"], r["upper"], r["runtime_ms"]) for r in rows],
+        ["N", "M", "lower", "upper"],
+        [(r["N"], r["M"], r["lower"], r["upper"]) for r in rows],
     )
     for r in rows:
         print(f"N={r['N']} M={r['M']} lower {_fmt(r['lower'])} upper {_fmt(r['upper'])}")
@@ -351,22 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--p", default=2.0, type=float)
     q.add_argument("--tol", type=float, default=None)
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)
 
     c = sub.add_parser("chain", help="build a convex-order-preserving chain")
     c.add_argument("--config", required=True)
     c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--threads", type=int, default=None)
     c.set_defaults(func=cmd_chain)
 
     m = sub.add_parser("mot", help="martingale-optimal-transport bounds")
     m.add_argument("--config", required=True)
     m.add_argument("--out", required=True)
     m.add_argument("--export-lp", action="store_true", dest="export_lp")
-    m.add_argument("--threads", type=int, default=None)
     m.set_defaults(func=cmd_mot)
 
     s = sub.add_parser("simulate", help="coupled exact/approximate path simulation")

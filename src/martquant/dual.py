@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _HULL_TOL = 1e-9
+_LOCATE_BLOCK = 1 << 14  # query-triangle pairs per block in Triangulation2D.locate
 
 
 @dataclass(frozen=True)
@@ -542,14 +543,29 @@ class Triangulation2D:
         return np.concatenate([lam12, lam3[..., None]], axis=-1)
 
     def locate(self, queries: np.ndarray, tol: float = _HULL_TOL):
-        """Containing triangle per query and clipped barycentric weights."""
+        """Containing triangle per query and clipped barycentric weights.
+
+        Queries are taken in blocks of about ``_LOCATE_BLOCK / T`` rows, so
+        the ``(block, T, 3)`` temporaries stay a fraction of a MiB however
+        many queries there are; a single ``(Q, T, 3)`` array would be about
+        7.5 MiB for 800 images on 400 triangles and leave a seed-dependent
+        share of malloc's heap resident after it is freed.
+        """
         q = np.atleast_2d(np.asarray(queries, dtype=float))
-        lam = self.barycentric_all(q)
-        worst = lam.min(axis=2)
-        best = np.argmax(worst, axis=1)
-        sel = lam[np.arange(q.shape[0]), best]
+        n_q = q.shape[0]
+        best = np.empty(n_q, dtype=np.intp)
+        sel = np.empty((n_q, 3))
+        margin = np.empty(n_q)
+        step = max(1, _LOCATE_BLOCK // max(1, self.triangles.shape[0]))
+        for lo in range(0, n_q, step):
+            lam = self.barycentric_all(q[lo : lo + step])
+            worst = lam.min(axis=2)
+            rows = np.arange(lam.shape[0])
+            best[lo : lo + step] = np.argmax(worst, axis=1)
+            sel[lo : lo + step] = lam[rows, best[lo : lo + step]]
+            margin[lo : lo + step] = worst[rows, best[lo : lo + step]]
         span = max(1.0, float(np.max(np.abs(self.vertices))))
-        bad = worst[np.arange(q.shape[0]), best] < -tol * span
+        bad = margin < -tol * span
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise OutOfHullError(f"query {q[i]} outside the triangulated hull")

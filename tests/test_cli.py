@@ -154,9 +154,12 @@ def test_mot_command_and_witness_exit(tmp_path, capsys):
     out = tmp_path / "mot_out"
     assert run(["mot", "--config", str(p), "--out", str(out)]) == 0
     lines = (out / "bounds.csv").read_text().splitlines()
-    assert lines[0] == "N,M,lower,upper,runtime_ms"
-    n, m, lower, upper, _ = lines[1].split(",")
+    assert lines[0] == "N,M,lower,upper"
+    n, m, lower, upper = lines[1].split(",")
     assert abs(float(upper) - float(lower)) < 1e-8  # quadratic payoff pins both
+    again = tmp_path / "mot_again"
+    assert run(["mot", "--config", str(p), "--out", str(again)]) == 0
+    assert _read(again / "bounds.csv") == _read(out / "bounds.csv")
 
     bad = dict(good, mu0=good["mu1"], mu1=good["mu0"])
     p2 = tmp_path / "bad.json"
@@ -218,6 +221,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("distortion ")
+
+
+def test_1d_chain_never_imports_the_lp_solver(tmp_path, chain_config):
+    # scipy.optimize costs start-up time and memory; only LPs need it
+    code = (
+        "import sys\n"
+        "import martquant.cli\n"
+        "rc = martquant.cli.run(['chain', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, 'scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(chain_config), str(tmp_path / "c")],
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines.count("step 0: convex order dominated") == 1
+    assert lines[-1] == "0 False", proc.stderr
 
 
 def test_unsupported_dimension_exits_1(tmp_path):

@@ -259,6 +259,26 @@ def test_triangulation_out_of_hull():
         tri.split(np.array([2.0, 2.0]))
 
 
+def test_triangulation_locate_blocks_match_one_block(monkeypatch):
+    gen = make_generator(11)
+    pts = gen.random((30, 2))
+    tri = Triangulation2D.delaunay(pts)
+    w = gen.random((257, 30))
+    queries = (w / w.sum(axis=1, keepdims=True)) @ pts
+    monkeypatch.setattr("martquant.dual._LOCATE_BLOCK", 10**9)
+    idx_one, lam_one = tri.locate(queries)
+    # 7 triangle-query pairs per block: one query per block, then a
+    # block size that does not divide the query count
+    for block in (7, 5 * len(tri.triangles)):
+        monkeypatch.setattr("martquant.dual._LOCATE_BLOCK", block)
+        idx, lam = tri.locate(queries)
+        assert np.array_equal(idx, idx_one)
+        assert np.array_equal(lam, lam_one)
+    outside = np.vstack([queries, [[2.0, 2.0]], queries[:3], [[-3.0, 0.5]]])
+    with pytest.raises(OutOfHullError, match=r"\[2\. 2\.\]"):
+        tri.locate(outside)
+
+
 def test_triangulation_known_barycentric():
     tri = Triangulation2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
     s = tri.split(np.array([0.25, 0.25]))

@@ -135,7 +135,7 @@ def test_stability_rows_structure_and_trend():
     assert [r["N"] for r in rows] == [8, 16]
     assert rows[0]["lower"] >= rows[1]["lower"] - 1e-9  # lower bounds tighten down
     assert rows[0]["upper"] >= rows[1]["upper"] - 1e-9
-    assert all(r["runtime_ms"] >= 0 for r in rows)
+    assert all(set(r) == {"N", "M", "lower", "upper"} for r in rows)
     assert all(r["lower"] <= r["upper"] + 1e-8 for r in rows)
 
 

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from martquant.errors import DimensionMismatch, DivisibilityError, DomainError
 from martquant.laws import Exponential, Normal, PointMass, PowerDensity2x, Uniform
+from martquant.lp import LinearProgram, solve
 from martquant.order import (
     ConvexTestBattery,
     DiscreteDistribution,
@@ -16,6 +17,7 @@ from martquant.order import (
     baker_grid,
     call_payoff,
     convex_order_check,
+    coupling_lp,
     moment_vs_wasserstein_scan,
     path_max_call,
     ramp_law_dominating_family,
@@ -143,6 +145,37 @@ def test_convex_order_check_against_call_price_oracle():
     assert agree > 100  # the generator produced enough valid cases
 
 
+def test_closed_form_1d_agrees_with_coupling_lp():
+    gen = make_generator(818)
+    outcomes = set()
+    for trial in range(90):
+        m = int(gen.integers(3, 10))
+        pts = np.sort(gen.normal(size=m))
+        w = gen.random(m)
+        w /= w.sum()
+        nu = DiscreteDistribution(pts, w)
+        if trial % 3 == 0:
+            mu = _contract(nu, int(gen.integers(1, m)))
+        elif trial % 3 == 1:
+            lam = float(gen.uniform(0.5, 1.5))
+            mu = DiscreteDistribution(nu.mean[0] + lam * (pts - nu.mean[0]), w)
+        else:
+            qts = np.sort(gen.normal(size=int(gen.integers(2, 7))))
+            v = gen.random(qts.size)
+            v /= v.sum()
+            mu = DiscreteDistribution(qts + nu.mean[0] - float(v @ qts), v)
+        a, b, _ = coupling_lp(mu, nu)
+        feasible = solve(LinearProgram(np.zeros(a.shape[1]), a, b)).status == "optimal"
+        res = convex_order_check(mu, nu)
+        assert res.dominated == feasible, (mu.to_json(), nu.to_json())
+        if not res.dominated:
+            assert res.witness_gap > 0.0
+            gap = mu.expectation(res.witness) - nu.expectation(res.witness)
+            assert gap == pytest.approx(res.witness_gap, rel=1e-12)
+        outcomes.add(feasible)
+    assert outcomes == {True, False}
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         convex_order_check(
@@ -154,7 +187,13 @@ def test_convex_order_2d():
     mu = DiscreteDistribution([[0.0, 0.0]], [1.0])
     nu = DiscreteDistribution([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
     assert convex_order_check(mu, nu).dominated
-    assert convex_order_check(nu, mu).status == "not_dominated"
+    res = convex_order_check(nu, mu)
+    assert res.status == "not_dominated"
+    # the Farkas witness separates, re-evaluated on both laws
+    assert res.witness_gap > 0.0
+    gap = nu.expectation(res.witness) - mu.expectation(res.witness)
+    assert gap > 0.0
+    assert gap == pytest.approx(res.witness_gap, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
