@@ -4,8 +4,8 @@ The splitting operator sends a point of the grid hull to grid vertices with
 its barycentric coordinates as probabilities, so the conditional mean of the
 projected point equals the point itself.  This file provides the 1D and 2D
 splitting operators, dual weights and distortion of a fixed 1D grid, the 1D
-fixed-point optimization of the interior points, and an incremental Delaunay
-triangulation for the 2D case.
+fixed-point optimization of the interior points, and for the 2D case a
+Delaunay triangulation and point location by Qhull (``scipy.spatial``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _HULL_TOL = 1e-9
-_LOCATE_BLOCK = 1 << 14  # query-triangle pairs per block in Triangulation2D.locate
 
 
 @dataclass(frozen=True)
@@ -431,65 +430,29 @@ def dual_lloyd_1d(
 
 
 # ---------------------------------------------------------------------------
-# 2D Delaunay triangulation (incremental insertion)
-
-
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _in_circumcircle(a, b, c, d, tol: float) -> bool:
-    """Strictly inside the circumcircle of CCW triangle (a, b, c)."""
-    rows = np.array(
-        [
-            [a[0] - d[0], a[1] - d[1], (a[0] - d[0]) ** 2 + (a[1] - d[1]) ** 2],
-            [b[0] - d[0], b[1] - d[1], (b[0] - d[0]) ** 2 + (b[1] - d[1]) ** 2],
-            [c[0] - d[0], c[1] - d[1], (c[0] - d[0]) ** 2 + (c[1] - d[1]) ** 2],
-        ]
-    )
-    det = float(np.linalg.det(rows))
-    scale = float(np.prod(np.maximum(np.abs(rows).max(axis=1), 1e-30)))
-    return det > tol * max(scale, 1.0)
+# 2D Delaunay triangulation (Qhull)
 
 
 @dataclass(frozen=True)
 class Triangulation2D:
-    """Delaunay triangulation: vertex array (N, 2) and CCW index triples."""
+    """Delaunay triangulation of distinct points in the plane.
+
+    ``vertices`` is the (N, 2) point array and ``triangles`` holds the
+    (T, 3) vertex index triples of Qhull's triangulation; every vertex lies
+    in at least one triangle.  Build it with :meth:`delaunay`.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    _bary_mats: np.ndarray = field(init=False, repr=False)
-    _bary_base: np.ndarray = field(init=False, repr=False)
-
-    def __init__(self, vertices, triangles):
-        vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.intp).reshape(-1, 3)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "triangles", triangles)
-        v = vertices
-        t = triangles
-        # inverse linear maps for barycentric coordinates w.r.t. vertex 3
-        m = np.empty((t.shape[0], 2, 2))
-        m[:, 0, 0] = v[t[:, 0], 0] - v[t[:, 2], 0]
-        m[:, 0, 1] = v[t[:, 1], 0] - v[t[:, 2], 0]
-        m[:, 1, 0] = v[t[:, 0], 1] - v[t[:, 2], 1]
-        m[:, 1, 1] = v[t[:, 1], 1] - v[t[:, 2], 1]
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        inv = np.empty_like(m)
-        inv[:, 0, 0] = m[:, 1, 1] / det
-        inv[:, 0, 1] = -m[:, 0, 1] / det
-        inv[:, 1, 0] = -m[:, 1, 0] / det
-        inv[:, 1, 1] = m[:, 0, 0] / det
-        object.__setattr__(self, "_bary_mats", inv)
-        object.__setattr__(self, "_bary_base", v[t[:, 2]])
+    _qhull: object = field(repr=False, compare=False)
 
     @classmethod
-    def delaunay(cls, points, tol: float = _HULL_TOL) -> "Triangulation2D":
-        """Incremental insertion with a bounding super-triangle.
+    def delaunay(cls, points) -> "Triangulation2D":
+        """Triangulate with ``scipy.spatial.Delaunay`` (Qhull).
 
-        Cocircular configurations count as outside the circumcircle, so the
-        insertion order (vertex index order) fixes the triangulation
-        deterministically.
+        Qhull splits cocircular points into triangles the same way for the
+        same input.  Collinear points, and a point so close to another that
+        Qhull leaves it out of every triangle, raise :class:`DomainError`.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != 2:
@@ -499,79 +462,50 @@ class Triangulation2D:
             raise DomainError("need at least three points")
         if np.unique(pts, axis=0).shape[0] != n:
             raise DomainError("points must be pairwise distinct")
-        center = pts.mean(axis=0)
-        span = max(float(np.max(np.abs(pts - center))), 1e-12)
-        big = 64.0 * span
-        sup = center + big * np.array(
-            [[0.0, 2.0], [-1.7320508075688772, -1.0], [1.7320508075688772, -1.0]]
-        )
-        verts = np.vstack([pts, sup])
-        tris: list[tuple[int, int, int]] = [(n, n + 1, n + 2)]
-        for p in range(n):
-            d = verts[p]
-            bad = []
-            for ti, t in enumerate(tris):
-                if _in_circumcircle(verts[t[0]], verts[t[1]], verts[t[2]], d, 1e-12):
-                    bad.append(ti)
-            edge_count: dict[tuple[int, int], tuple[int, int]] = {}
-            for ti in bad:
-                a, b, c = tris[ti]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (min(u, v), max(u, v))
-                    if key in edge_count:
-                        del edge_count[key]
-                    else:
-                        edge_count[key] = (u, v)
-            for ti in sorted(bad, reverse=True):
-                del tris[ti]
-            for u, v in edge_count.values():
-                if _orient(verts[p], verts[u], verts[v]) > 0.0:
-                    tris.append((p, u, v))
-                else:
-                    tris.append((p, v, u))
-        keep = [t for t in tris if max(t) < n]
-        if not keep:
-            raise DomainError("degenerate point set: no valid triangulation")
-        return cls(verts[:n], np.array(keep, dtype=np.intp))
+        # imported here: at module level it adds 0.14 s and 12 MiB to every start-up
+        from scipy.spatial import Delaunay, QhullError
 
-    def barycentric_all(self, queries: np.ndarray) -> np.ndarray:
-        """Barycentric coordinates of each query in every triangle: (Q, T, 3)."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        rel = q[:, None, :] - self._bary_base[None, :, :]
-        lam12 = np.einsum("tij,qtj->qti", self._bary_mats, rel)
-        lam3 = 1.0 - lam12[..., 0] - lam12[..., 1]
-        return np.concatenate([lam12, lam3[..., None]], axis=-1)
+        try:
+            qhull = Delaunay(pts)
+        except QhullError as exc:
+            raise DomainError("degenerate point set: no valid triangulation") from exc
+        if qhull.coplanar.size:
+            left_out = sorted(set(qhull.coplanar[:, 0].tolist()))
+            raise DomainError(f"points {left_out} are too close to another point to be vertices")
+        return cls(pts, qhull.simplices.astype(np.intp), qhull)
+
+    def _weights(self, queries: np.ndarray, tri: np.ndarray) -> np.ndarray:
+        """Barycentric weights of ``queries`` in triangles ``tri``, broadcast."""
+        m = self._qhull.transform[tri]
+        c = np.einsum("...ij,...j->...i", m[..., :2, :], queries - m[..., 2, :])
+        return np.concatenate([c, 1.0 - c.sum(axis=-1, keepdims=True)], axis=-1)
 
     def locate(self, queries: np.ndarray, tol: float = _HULL_TOL):
         """Containing triangle per query and clipped barycentric weights.
 
-        Queries are taken in blocks of about ``_LOCATE_BLOCK / T`` rows, so
-        the ``(block, T, 3)`` temporaries stay a fraction of a MiB however
-        many queries there are; a single ``(Q, T, 3)`` array would be about
-        7.5 MiB for 800 images on 400 triangles and leave a seed-dependent
-        share of malloc's heap resident after it is freed.
+        Qhull's ``find_simplex`` locates the queries inside the hull.  A query
+        it leaves out goes to the hull triangle in which its least weight is
+        largest.  That weight must be at least ``-tol * span``, where
+        ``span`` is the larger of 1 and the largest absolute vertex
+        coordinate; otherwise :class:`OutOfHullError` names the first such
+        query.  Weights are clipped at 0 and renormalized.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=float))
-        n_q = q.shape[0]
-        best = np.empty(n_q, dtype=np.intp)
-        sel = np.empty((n_q, 3))
-        margin = np.empty(n_q)
-        step = max(1, _LOCATE_BLOCK // max(1, self.triangles.shape[0]))
-        for lo in range(0, n_q, step):
-            lam = self.barycentric_all(q[lo : lo + step])
-            worst = lam.min(axis=2)
-            rows = np.arange(lam.shape[0])
-            best[lo : lo + step] = np.argmax(worst, axis=1)
-            sel[lo : lo + step] = lam[rows, best[lo : lo + step]]
-            margin[lo : lo + step] = worst[rows, best[lo : lo + step]]
+        tri = self._qhull.find_simplex(q).astype(np.intp)
+        out = np.flatnonzero(tri < 0)
+        if out.size:
+            hull = np.flatnonzero((self._qhull.neighbors < 0).any(axis=1))
+            lam = self._weights(q[out, None, :], hull)
+            tri[out] = hull[np.argmax(lam.min(axis=2), axis=1)]
+        lam = self._weights(q, tri)
         span = max(1.0, float(np.max(np.abs(self.vertices))))
-        bad = margin < -tol * span
+        bad = lam.min(axis=1) < -tol * span
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise OutOfHullError(f"query {q[i]} outside the triangulated hull")
-        sel = np.clip(sel, 0.0, None)
-        sel /= sel.sum(axis=1, keepdims=True)
-        return best, sel
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum(axis=1, keepdims=True)
+        return tri, lam
 
     def split(self, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
         tri_idx, lam = self.locate(np.asarray(xi, dtype=float)[None, :], tol=tol)
@@ -579,27 +513,6 @@ class Triangulation2D:
         idx = self.triangles[t]
         order = np.argsort(idx)
         return BarycentricSplit(t, idx[order], lam[0][order])
-
-    def delaunay_residual(self) -> float:
-        """Largest normalized in-circle determinant over simplex/vertex pairs
-        (positive values violate the empty-circumcircle property)."""
-        worst = -np.inf
-        for t in self.triangles:
-            a, b, c = (self.vertices[i] for i in t)
-            others = np.setdiff1d(np.arange(self.vertices.shape[0]), t)
-            for o in others:
-                d = self.vertices[o]
-                rows = np.array(
-                    [
-                        [a[0] - d[0], a[1] - d[1], (a[0] - d[0]) ** 2 + (a[1] - d[1]) ** 2],
-                        [b[0] - d[0], b[1] - d[1], (b[0] - d[0]) ** 2 + (b[1] - d[1]) ** 2],
-                        [c[0] - d[0], c[1] - d[1], (c[0] - d[0]) ** 2 + (c[1] - d[1]) ** 2],
-                    ]
-                )
-                det = float(np.linalg.det(rows))
-                scale = float(np.prod(np.maximum(np.abs(rows).max(axis=1), 1e-30)))
-                worst = max(worst, det / max(scale, 1.0))
-        return worst
 
     def to_json(self) -> dict:
         return {

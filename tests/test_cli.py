@@ -224,12 +224,13 @@ def test_console_entry_point():
 
 
 def test_1d_chain_never_imports_the_lp_solver(tmp_path, chain_config):
-    # scipy.optimize costs start-up time and memory; only LPs need it
+    # scipy.optimize and scipy.spatial cost start-up time and memory; only
+    # LPs and 2D triangulations need them
     code = (
         "import sys\n"
         "import martquant.cli\n"
         "rc = martquant.cli.run(['chain', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(rc, 'scipy.optimize' in sys.modules)\n"
+        "print(rc, 'scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(chain_config), str(tmp_path / "c")],
@@ -238,7 +239,7 @@ def test_1d_chain_never_imports_the_lp_solver(tmp_path, chain_config):
     )
     lines = proc.stdout.splitlines()
     assert lines.count("step 0: convex order dominated") == 1
-    assert lines[-1] == "0 False", proc.stderr
+    assert lines[-1] == "0 False False", proc.stderr
 
 
 def test_unsupported_dimension_exits_1(tmp_path):

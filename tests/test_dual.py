@@ -238,11 +238,66 @@ def test_split_stationarity_1d(seed):
     assert abs(s.point(points) - q) < 1e-10
 
 
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _circumcircle_residual(vertices, triangles):
+    """Largest normalized in-circle determinant over all triangle/vertex
+    pairs; positive means a vertex lies inside a circumcircle."""
+    corners = vertices[triangles]  # (T, 3, 2)
+    rel = corners[:, None, :, :] - vertices[None, :, None, :]  # (T, N, 3, 2)
+    rows = np.concatenate([rel, (rel**2).sum(axis=-1, keepdims=True)], axis=-1)
+    det = np.linalg.det(rows)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    orient = np.sign(_cross(b - a, c - a))
+    scale = np.prod(np.maximum(np.abs(rows).max(axis=-1), 1e-30), axis=-1)
+    return float((orient[:, None] * det / np.maximum(scale, 1.0)).max())
+
+
+def _hull_area(points):
+    """Area of the convex hull by Andrew's monotone chain and the shoelace formula."""
+
+    def half(pts):
+        chain = []
+        for p in pts:
+            while len(chain) >= 2 and _cross(chain[-1] - chain[-2], p - chain[-2]) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    pts = points[np.lexsort((points[:, 1], points[:, 0]))]
+    hull = np.array(half(pts) + half(pts[::-1]))
+    x, y = hull[:, 0], hull[:, 1]
+    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+
+
+def _brute_force_locate(vertices, triangles, queries):
+    """Each query's triangle with the largest least barycentric weight, by
+    testing every triangle: indices, (Q, 3) weights and least weights."""
+    v = vertices[triangles]
+    m = np.stack([v[:, 0] - v[:, 2], v[:, 1] - v[:, 2]], axis=-1)  # (T, 2, 2)
+    rel = queries[:, None, :] - v[None, :, 2]  # (Q, T, 2)
+    lam12 = np.linalg.solve(m[None], rel[..., None])[..., 0]
+    lam = np.concatenate([lam12, 1.0 - lam12.sum(axis=-1, keepdims=True)], axis=-1)
+    worst = lam.min(axis=2)
+    best = np.argmax(worst, axis=1)
+    rows = np.arange(queries.shape[0])
+    return best, lam[rows, best], worst[rows, best]
+
+
+def _vertex_weights(n_vertices, triangles, tri_idx, lam):
+    """(Q, N) weights per vertex, so that shared-edge queries compare equal."""
+    out = np.zeros((len(tri_idx), n_vertices))
+    np.add.at(out, (np.arange(len(tri_idx))[:, None], triangles[tri_idx]), lam)
+    return out
+
+
 def test_triangulation_delaunay_property():
     gen = make_generator(7)
     pts = gen.random((40, 2))
     tri = Triangulation2D.delaunay(pts)
-    assert tri.delaunay_residual() <= 1e-9
+    assert _circumcircle_residual(tri.vertices, tri.triangles) <= 1e-9
     # covers the hull: split any interior convex combination
     for _ in range(50):
         w = gen.random(40)
@@ -253,34 +308,83 @@ def test_triangulation_delaunay_property():
         assert np.abs(s.point(tri.vertices) - q).max() < 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_triangulation_covers_the_hull(seed):
+    # square corners plus a uniform interior, as the 2D chain grids are built
+    gen = make_generator(seed, stream=2)
+    half = 1.5 * seed
+    corners = half * np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    pts = np.vstack([corners, gen.uniform(-half, half, (196, 2))])
+    tri = Triangulation2D.delaunay(pts)
+    a, b, c = (tri.vertices[tri.triangles[:, i]] for i in range(3))
+    areas = 0.5 * np.abs(_cross(b - a, c - a))
+    assert abs(areas.sum() - _hull_area(pts)) <= 1e-12 * _hull_area(pts)
+    assert np.unique(tri.triangles).size == len(pts)
+    assert _circumcircle_residual(tri.vertices, tri.triangles) <= 1e-9
+
+
 def test_triangulation_out_of_hull():
     tri = Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(OutOfHullError):
         tri.split(np.array([2.0, 2.0]))
 
 
-def test_triangulation_locate_blocks_match_one_block(monkeypatch):
+def test_triangulation_locate_matches_brute_force():
     gen = make_generator(11)
     pts = gen.random((30, 2))
     tri = Triangulation2D.delaunay(pts)
     w = gen.random((257, 30))
-    queries = (w / w.sum(axis=1, keepdims=True)) @ pts
-    monkeypatch.setattr("martquant.dual._LOCATE_BLOCK", 10**9)
-    idx_one, lam_one = tri.locate(queries)
-    # 7 triangle-query pairs per block: one query per block, then a
-    # block size that does not divide the query count
-    for block in (7, 5 * len(tri.triangles)):
-        monkeypatch.setattr("martquant.dual._LOCATE_BLOCK", block)
-        idx, lam = tri.locate(queries)
-        assert np.array_equal(idx, idx_one)
-        assert np.array_equal(lam, lam_one)
+    edges = tri.triangles[:, [0, 1]]
+    queries = np.vstack(
+        [
+            (w / w.sum(axis=1, keepdims=True)) @ pts,
+            pts,  # vertices
+            0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]]),  # edge midpoints
+        ]
+    )
+    idx, lam = tri.locate(queries)
+    best, lam_bf, margin = _brute_force_locate(tri.vertices, tri.triangles, queries)
+    rebuilt = np.einsum("qc,qcd->qd", lam, tri.vertices[tri.triangles[idx]])
+    rebuilt_bf = np.einsum("qc,qcd->qd", lam_bf, tri.vertices[tri.triangles[best]])
+    assert np.abs(rebuilt - rebuilt_bf).max() <= 1e-12
+    assert np.abs(rebuilt - queries).max() <= 1e-12
+    n = len(pts)
+    assert np.abs(
+        _vertex_weights(n, tri.triangles, idx, lam)
+        - _vertex_weights(n, tri.triangles, best, lam_bf)
+    ).max() <= 1e-12
+    # a query strictly inside one triangle has only that triangle
+    inside = margin > 1e-12
+    assert inside.sum() >= 250
+    assert np.array_equal(idx[inside], best[inside])
     outside = np.vstack([queries, [[2.0, 2.0]], queries[:3], [[-3.0, 0.5]]])
     with pytest.raises(OutOfHullError, match=r"\[2\. 2\.\]"):
         tri.locate(outside)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_triangulation_locate_hull_tolerance(tol):
+    # on this square span = 4 and each triangle is 4 high over its hull
+    # edges, so a query at depth d beyond an edge has least weight -d/4
+    tri = Triangulation2D.delaunay(4.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    span = 4.0
+    on_edges = np.array([[2.0, 0.0], [4.0, 2.0], [2.0, 4.0], [0.0, 2.0]])
+    outward = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    near = on_edges + 0.5 * tol * span * 4.0 * outward
+    idx, lam = tri.locate(near, tol=tol)
+    assert lam.min() >= 0.0
+    assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-12
+    # clipping moves each query onto its edge, by about its depth
+    rebuilt = np.einsum("qc,qcd->qd", lam, tri.vertices[tri.triangles[idx]])
+    assert np.abs(((rebuilt - on_edges) * outward).sum(axis=1)).max() < 1e-12
+    assert np.abs(rebuilt - near).max() <= tol * span * 4.0
+    for q in on_edges + 2.0 * tol * span * 4.0 * outward:
+        with pytest.raises(OutOfHullError):
+            tri.locate(q[None, :], tol=tol)
+
+
 def test_triangulation_known_barycentric():
-    tri = Triangulation2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    tri = Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     s = tri.split(np.array([0.25, 0.25]))
     assert list(s.vertex_indices) == [0, 1, 2]
     assert np.allclose(s.lambdas, [0.5, 0.25, 0.25], atol=1e-12)
@@ -299,6 +403,15 @@ def test_triangulation_deterministic_and_json():
 def test_triangulation_rejects_degenerate():
     with pytest.raises(DomainError):
         Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+
+
+def test_triangulation_rejects_a_vertex_qhull_leaves_out():
+    # Qhull drops one of two points 1e-14 apart from every triangle, so
+    # that grid vertex could never receive mass
+    pts = make_generator(5).random((30, 2))
+    pts = np.vstack([pts, pts[18] + [1e-14, 0.0]])
+    with pytest.raises(DomainError, match="too close"):
+        Triangulation2D.delaunay(pts)
 
 
 def test_dual_grid_validation():
