@@ -258,6 +258,13 @@ class MixtureTransitionLaw(Law1D):
         hi = float(np.max(self.points + self.theta_values * trunc.beta))
         self._hull = (lo, hi) if hull is None else (float(hull[0]), float(hull[1]))
         self._noise_m2 = trunc.second_moment
+        # per-law constants of the transition closed forms
+        base = trunc.base
+        self._x = self.points[:, None]
+        self._theta = self.theta_values[:, None]
+        self._f_alpha_left = float(base.cdf_left(trunc.alpha))
+        self._tail = 1.0 - float(base.cdf(trunc.beta)) + self._f_alpha_left
+        self._k_alpha = float(base.partial_moment(trunc.alpha))
 
     def _mix(self, fn, u):
         u = np.asarray(u, dtype=float)
@@ -268,7 +275,29 @@ class MixtureTransitionLaw(Law1D):
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        return self._mix(transition_cdf, u)
+        """``weights @ transition_cdf(points, u, theta_values, trunc)``, fused.
+
+        Runs the operations of :func:`transition_cdf` on the same operands,
+        in place on one (sources x queries) buffer; the sums only swap their
+        operands and ``True * tail`` is ``tail``, so the bits are the same.
+        The last step is a BLAS matrix-vector product, which rounds a column
+        differently depending on the batch it sits in: the 1D dual sweep
+        makes one call per solver round, and keeps its batches, so that its
+        grids stay reproducible.
+        """
+        u = np.asarray(u, dtype=float)
+        scalar = u.ndim == 0
+        u = np.atleast_1d(u)
+        trunc = self.trunc
+        vals = np.subtract(u, self._x)
+        vals /= self._theta
+        np.maximum(vals, trunc.alpha, out=vals)
+        np.minimum(vals, trunc.beta, out=vals)
+        vals = trunc.base.cdf(vals)
+        vals += (self._x <= u) * self._tail
+        vals -= self._f_alpha_left
+        out = self.weights @ vals
+        return float(out[0]) if scalar else out
 
     def cdf_left(self, u):
         return self._mix(transition_cdf_left, u)
@@ -279,21 +308,17 @@ class MixtureTransitionLaw(Law1D):
     def cdf_moment_left_batch(self, u):
         """F, K, and F(.-) at once, sharing the clipped-ratio evaluations."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        x = self.points[:, None]
-        th = self.theta_values[:, None]
+        x, th = self._x, self._theta
         base = self.trunc.base
-        alpha, beta = self.trunc.alpha, self.trunc.beta
-        f_alpha_left = float(base.cdf_left(alpha))
-        k_alpha = float(base.partial_moment(alpha))
-        tail = 1.0 - float(base.cdf(beta)) + f_alpha_left
-        ratio = np.clip((u[None, :] - x) / th, alpha, beta)
+        tail, f_alpha_left = self._tail, self._f_alpha_left
+        ratio = np.clip((u[None, :] - x) / th, self.trunc.alpha, self.trunc.beta)
         base_f = np.asarray(base.cdf(ratio))
         base_fl = np.asarray(base.cdf_left(ratio))
         base_k = np.asarray(base.partial_moment(ratio))
         at_or_above = np.where(x <= u[None, :], tail, 0.0)
         f_rows = at_or_above + base_f - f_alpha_left
         fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
-        k_rows = x * f_rows + th * (base_k - k_alpha)
+        k_rows = x * f_rows + th * (base_k - self._k_alpha)
         w = self.weights
         return w @ f_rows, w @ k_rows, w @ fl_rows
 

@@ -179,6 +179,8 @@ def cmd_chain(args) -> int:
     for k, diag in enumerate(built.diagnostics):
         check = ordermod.convex_order_check(built.marginal(k), built.marginal(k + 1))
         print(f"step {k}: convex order {check.status}")
+        if diag.get("dual_converged") is False:
+            print(f"warning: step {k}: dual grid did not reach tolerance", file=sys.stderr)
         rows.append(
             (
                 k,

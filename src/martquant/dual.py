@@ -238,46 +238,48 @@ def _solve_levels(law, levels, lo, hi, xtol):
 
     Secant step with a bisection safeguard; each point retires as soon as
     its bracket shrinks below ``xtol`` or its residual vanishes, so only
-    still-active points are re-evaluated.
+    still-active points are re-evaluated.  Each round makes exactly one
+    ``law.cdf`` call, on the active points in index order: the F of a
+    mixture law ends in a BLAS matrix-vector product whose rounding of a
+    column depends on the batch it sits in, so reusing values across
+    rounds, evaluating every point, or merging rounds would move the
+    solutions in the last bits.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = np.asarray(law.cdf(lo)) - levels
-    fhi = np.asarray(law.cdf(hi)) - levels
+    n = levels.size
+    # lower bracket ends in row 0, upper ends in row 1; a new point replaces
+    # the end on the side of its residual sign, at flat index side * n + i
+    ends = np.stack((lo, hi))
+    fends = np.stack((np.asarray(law.cdf(lo)), np.asarray(law.cdf(hi)))) - levels
+    lo, hi = ends
+    flo, fhi = fends
+    ends_flat, fends_flat = ends.reshape(-1), fends.reshape(-1)
     sol = 0.5 * (lo + hi)
-    active = np.ones(levels.size, dtype=bool)
-    for sweep in range(110):
-        width = hi - lo
-        active &= width > xtol
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        l_, h_ = lo[idx], hi[idx]
-        fl_, fh_ = flo[idx], fhi[idx]
-        w_ = h_ - l_
-        mid = 0.5 * (l_ + h_)
-        if sweep % 2:
-            # unconditional bisection every other round: the bracket halves
-            # even where F jumps and the secant stagnates one-sided
-            x = mid
-        else:
-            den = fh_ - fl_
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sec = (l_ * fh_ - h_ * fl_) / den
-            inside = np.isfinite(sec) & (sec > l_ + 0.01 * w_) & (sec < h_ - 0.01 * w_)
-            x = np.where(inside, sec, mid)
-        fx = np.asarray(law.cdf(x)) - levels[idx]
-        sol[idx] = x
-        done = np.abs(fx) < 1e-15
-        go_hi = fx >= 0.0
-        hi[idx] = np.where(go_hi, x, h_)
-        fhi[idx] = np.where(go_hi, fx, fh_)
-        lo[idx] = np.where(go_hi, l_, x)
-        flo[idx] = np.where(go_hi, fl_, fx)
-        active[idx[done]] = False
-    still = active
-    if np.any(still):
-        sol[still] = 0.5 * (lo[still] + hi[still])
+    active = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(110):
+            active &= hi - lo > xtol
+            idx = active.nonzero()[0]
+            if idx.size == 0:
+                break
+            l_, h_, fl_, fh_ = lo[idx], hi[idx], flo[idx], fhi[idx]
+            mid = 0.5 * (l_ + h_)
+            if sweep % 2:
+                # unconditional bisection every other round: the bracket
+                # halves even where F jumps and the secant stagnates one-sided
+                x = mid
+            else:
+                sec = (l_ * fh_ - h_ * fl_) / (fh_ - fl_)
+                margin = 0.01 * (h_ - l_)
+                # a nan or infinite secant fails one of the two comparisons
+                x = np.where((sec > l_ + margin) & (sec < h_ - margin), sec, mid)
+            fx = np.asarray(law.cdf(x)) - levels[idx]
+            sol[idx] = x
+            at = idx + n * (fx >= 0.0)
+            ends_flat[at] = x
+            fends_flat[at] = fx
+            active[idx[np.abs(fx) < 1e-15]] = False
+    if np.any(active):
+        sol[active] = 0.5 * (lo[active] + hi[active])
     return sol
 
 
@@ -324,10 +326,7 @@ def dual_lloyd_1d(
         if abs(points[0] - lo) > 1e-9 or abs(points[-1] - hi) > 1e-9:
             raise DomainError("init endpoints must sit on the support hull")
         points[0], points[-1] = lo, hi
-    try:
-        law_atoms = np.sort(np.asarray(law.decompose()[2], dtype=float))
-    except Exception:
-        law_atoms = np.empty(0)
+    law_atoms = np.sort(np.asarray(law.decompose()[2], dtype=float))
     snap_tol = 1e-13 * (abs(lo) + abs(hi) + 1.0)
     converged = n_points == 2
     order_violation = False
@@ -339,6 +338,12 @@ def dual_lloyd_1d(
     best_resid = np.inf
     since_best = 0
     fkl = getattr(law, "cdf_moment_left_batch", None)
+    # interior points of each parity, with their left and right neighbours
+    parities = []
+    for parity in (1, 2):
+        idx = np.arange(parity, n_points - 1, 2)
+        if idx.size:
+            parities.append((parity, idx, idx - 1, idx + 1))
     for iterations in range(1, max_iter + 1):
         if fkl is not None:
             f, k, f_left = fkl(points)
@@ -365,20 +370,15 @@ def dual_lloyd_1d(
             # oscillation a simultaneous sweep sustains near kinks
             xtol = max(float_floor, 0.02 * last_move)
             cand = points.copy()
-            for parity in (1, 2):
-                idx = np.arange(parity, n_points - 1, 2)
-                if idx.size == 0:
-                    continue
+            for parity, idx, idx_l, idx_r in parities:
                 if parity == 2 and fkl is not None:
                     f, k, _ = fkl(cand)
                 elif parity == 2:
                     f = np.asarray(law.cdf(cand))
                     k = np.asarray(law.partial_moment(cand))
-                lo_n, hi_n = cand[idx - 1], cand[idx + 1]
-                f_lo, f_hi = f[idx - 1], f[idx + 1]
-                levels = (hi_n * f_hi - lo_n * f_lo - (k[idx + 1] - k[idx - 1])) / (
-                    hi_n - lo_n
-                )
+                lo_n, hi_n = cand[idx_l], cand[idx_r]
+                f_lo, f_hi = f[idx_l], f[idx_r]
+                levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
                 levels = np.clip(levels, f_lo, f_hi)
                 solved = _solve_levels(law, levels, lo_n, hi_n, xtol)
                 if sweep_step != 1.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -159,6 +160,8 @@ class Normal(Law1D):
             raise DomainError("Normal requires s > 0")
 
     def _std(self, z):
+        if self.m == 0.0 and self.s == 1.0:
+            return z  # (z - 0.0) / 1.0 is z bit for bit, signed zeros included
         return (z - self.m) / self.s
 
     def cdf(self, z):
@@ -511,8 +514,10 @@ class TruncatedLaw(Law1D):
     def mean(self):
         return 0.0
 
-    @property
+    @cached_property
     def second_moment(self):
+        # adaptive quadrature over the density: thousands of evaluations,
+        # so computed once per (immutable) law
         density, _, atoms, masses = self.decompose()
         total = float(np.dot(masses, atoms ** 2)) if atoms.size else 0.0
         if density is not None:

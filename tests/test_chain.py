@@ -193,6 +193,35 @@ def test_mixture_transition_law_consistency(trunc_n1):
     assert mix.second_moment == pytest.approx(m2, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "base, alpha",
+    [(Normal(0, 1), -2.0), (Normal(0, 2), -3.0), (Uniform(-1, 1), -0.5)],
+    ids=["normal01", "normal02", "uniform"],
+)
+def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
+    trunc = TruncatedLaw.centered(base, alpha)
+    points = np.array([-0.7, -0.1, 0.0, 0.35, 1.2])
+    weights = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
+    thetas = np.array([0.5, 0.9, 1.0, 1.7, 0.3])
+    mix = MixtureTransitionLaw(points, weights, thetas, trunc)
+    lo, hi = mix.support
+    # the source points (where the clipped mass sits), points outside the
+    # hull on both sides, and a spread of interior points
+    u = np.concatenate((points, [lo - 1.0, lo, hi, hi + 2.5], np.linspace(lo, hi, 41)))
+
+    def oracle(q):
+        q = np.atleast_1d(q)
+        return weights @ transition_cdf(
+            points[:, None], q[None, :], thetas[:, None], trunc
+        )
+
+    assert np.array_equal(mix.cdf(u), oracle(u))
+    for q in (points[2], lo - 1.0, 0.5 * (lo + hi)):
+        value = mix.cdf(q)
+        assert isinstance(value, float)
+        assert value == oracle(q)[0]
+
+
 def test_build_chain_single_step_point_start():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     chain = build_chain(

@@ -96,6 +96,37 @@ def test_chain_command(tmp_path, chain_config, capsys):
     assert len(blob["grids"]) == 3
 
 
+def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, capsys, monkeypatch):
+    import martquant.chain as chainmod
+    from martquant.cli import _arch_from_config, _x0_from_config
+
+    full = tmp_path / "full"
+    assert run(["chain", "--config", str(chain_config), "--out", str(full)]) == 0
+    assert "did not reach tolerance" not in capsys.readouterr().err
+
+    real = chainmod.dual_lloyd_1d
+
+    def two_sweeps(law, n_points, **kwargs):
+        return real(law, n_points, **{**kwargs, "max_iter": 2})
+
+    monkeypatch.setattr(chainmod, "dual_lloyd_1d", two_sweeps)
+    capped = tmp_path / "capped"
+    assert run(["chain", "--config", str(chain_config), "--out", str(capped)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: step 0: dual grid did not reach tolerance" in err
+    assert "warning: step 1: dual grid did not reach tolerance" in err
+    # the warning goes to stderr only: the artifacts are those of the capped
+    # chain, with the same files and columns as a converged run
+    cfg = json.loads(chain_config.read_text())
+    arch, noises = _arch_from_config(cfg)
+    built = chainmod.build_chain(arch, noises, _x0_from_config(cfg), [9, 9, 9])
+    assert not any(d["dual_converged"] for d in built.diagnostics)
+    assert _read(capped / "chain.json") == (json.dumps(built.to_json()) + "\n").encode()
+    assert sorted(p.name for p in capped.iterdir()) == sorted(p.name for p in full.iterdir())
+    header = _read(full / "diagnostics.csv").splitlines()[0]
+    assert _read(capped / "diagnostics.csv").splitlines()[0] == header
+
+
 def test_chain_auto_centering_note(tmp_path, capsys):
     cfg = {
         "steps": 1,

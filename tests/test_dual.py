@@ -419,3 +419,124 @@ def test_dual_grid_validation():
         DualGrid1D([1.0])
     with pytest.raises(DomainError):
         DualGrid1D([1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# _solve_levels against the loop it replaced
+
+
+def _solve_levels_reference(law, levels, lo, hi, xtol):
+    """The bracket solver as it stood before the loop was slimmed, verbatim."""
+    lo = lo.copy()
+    hi = hi.copy()
+    flo = np.asarray(law.cdf(lo)) - levels
+    fhi = np.asarray(law.cdf(hi)) - levels
+    sol = 0.5 * (lo + hi)
+    active = np.ones(levels.size, dtype=bool)
+    for sweep in range(110):
+        width = hi - lo
+        active &= width > xtol
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        l_, h_ = lo[idx], hi[idx]
+        fl_, fh_ = flo[idx], fhi[idx]
+        w_ = h_ - l_
+        mid = 0.5 * (l_ + h_)
+        if sweep % 2:
+            x = mid
+        else:
+            den = fh_ - fl_
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sec = (l_ * fh_ - h_ * fl_) / den
+            inside = np.isfinite(sec) & (sec > l_ + 0.01 * w_) & (sec < h_ - 0.01 * w_)
+            x = np.where(inside, sec, mid)
+        fx = np.asarray(law.cdf(x)) - levels[idx]
+        sol[idx] = x
+        done = np.abs(fx) < 1e-15
+        go_hi = fx >= 0.0
+        hi[idx] = np.where(go_hi, x, h_)
+        fhi[idx] = np.where(go_hi, fx, fh_)
+        lo[idx] = np.where(go_hi, l_, x)
+        flo[idx] = np.where(go_hi, fl_, fx)
+        active[idx[done]] = False
+    still = active
+    if np.any(still):
+        sol[still] = 0.5 * (lo[still] + hi[still])
+    return sol
+
+
+class _RecordingLaw:
+    """Forwards ``cdf`` to a law and keeps a copy of every query batch."""
+
+    def __init__(self, law):
+        self.law = law
+        self.batches = []
+
+    def cdf(self, u):
+        self.batches.append(np.array(u, dtype=float, copy=True))
+        return self.law.cdf(u)
+
+
+def _euler_mixture():
+    from martquant.chain import MixtureTransitionLaw, euler_thetas, theta_affine_abs
+    from martquant.primal import lloyd_1d
+
+    # the first step of configs/euler.json
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    theta = euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 5)[0]
+    start = lloyd_1d(Uniform(0.9, 1.1), 31)
+    return MixtureTransitionLaw(start.grid, start.weights, theta(start.grid), trunc)
+
+
+def _sweep_levels(law, n_points, parity):
+    """Brackets and F-levels of one red-black half-sweep from a uniform grid."""
+    lo, hi = law.support
+    points = np.linspace(lo, hi, n_points)
+    idx = np.arange(parity, n_points - 1, 2)
+    f = np.asarray(law.cdf(points))
+    k = np.asarray(law.partial_moment(points))
+    lo_n, hi_n = points[idx - 1], points[idx + 1]
+    levels = (hi_n * f[idx + 1] - lo_n * f[idx - 1] - (k[idx + 1] - k[idx - 1])) / (hi_n - lo_n)
+    return np.clip(levels, f[idx - 1], f[idx + 1]), lo_n, hi_n
+
+
+_SOLVE_CASES = {
+    "euler-floor": (_euler_mixture, 31, None),
+    "euler-1e-10": (_euler_mixture, 31, 1e-10),
+    "euler-1e-6": (_euler_mixture, 31, 1e-6),
+    "atoms": (lambda: FiniteAtoms([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0],
+                                  [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]), 9, 1e-12),
+    "uniform": (lambda: Uniform(-0.5, 4.0), 12, 1e-13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SOLVE_CASES))
+def test_solve_levels_matches_the_reference_loop_bit_for_bit(case):
+    from martquant.dual import _solve_levels
+
+    make_law, n_points, xtol = _SOLVE_CASES[case]
+    law = make_law()
+    if xtol is None:  # the sweep's float floor, as in dual_lloyd_1d
+        lo, hi = law.support
+        xtol = 2e-16 * (abs(lo) + abs(hi) + 1.0)
+    for parity in (1, 2):
+        levels, lo_n, hi_n = _sweep_levels(law, n_points, parity)
+        ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
+        ref = _solve_levels_reference(ref_law, levels, lo_n, hi_n, xtol)
+        new = _solve_levels(new_law, levels, lo_n.copy(), hi_n.copy(), xtol)
+        assert new.tobytes() == ref.tobytes()
+        # one F call per round on the same points in the same order: a
+        # mixture's F rounds a query differently in another batch
+        assert len(new_law.batches) == len(ref_law.batches) > 2
+        for a, b in zip(new_law.batches, ref_law.batches):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_dual_lloyd_does_not_hide_a_failing_decompose():
+    class Broken(Uniform):
+        def decompose(self):
+            raise ValueError("broken decompose")
+
+    with pytest.raises(ValueError, match="broken decompose"):
+        dual_lloyd_1d(Broken(0.0, 1.0), 5)

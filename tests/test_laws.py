@@ -214,3 +214,40 @@ def test_law_from_json():
     assert isinstance(f, FiniteAtoms)
     with pytest.raises(DomainError):
         law_from_json({"kind": "mystery"})
+
+
+def test_standard_normal_skips_its_affine_map_bit_for_bit():
+    from scipy.special import ndtr
+
+    tiny = np.nextafter(0.0, 1.0)
+    z = np.array(
+        [-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 2.2250738585072014e-308 / 3, -1.5, 38.0]
+    )
+    law = Normal(0.0, 1.0)
+    general = (z - 0.0) / 1.0
+    assert law._std(z).tobytes() == general.tobytes()
+    assert np.asarray(law.cdf(z)).tobytes() == ndtr(general).tobytes()
+    assert law.cdf(-0.0) == ndtr(-0.0)
+    # any other location or scale still goes through the map
+    shifted = Normal(0.0, 2.0)
+    assert np.asarray(shifted.cdf(z)).tobytes() == ndtr((z - 0.0) / 2.0).tobytes()
+
+
+def test_truncated_second_moment_is_computed_once(monkeypatch):
+    import martquant.laws as lawsmod
+
+    calls = []
+    real = lawsmod.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lawsmod, "adaptive_simpson", counting)
+    t = TruncatedLaw.centered(Normal(), -2.0)
+    first = t.second_moment
+    assert t.second_moment == first
+    assert len(calls) == 1
+    # the cached value is what the quadrature gives afresh
+    assert TruncatedLaw.second_moment.func(t) == first
+    assert len(calls) == 2
