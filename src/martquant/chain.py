@@ -206,16 +206,18 @@ def transition_cdf(x, u, theta_val, trunc: TruncatedLaw):
     """P(next <= u | current = x) for next = x + theta * clipped noise.
 
     The clipped mass stays put (term 1{x <= u}); the kept noise contributes
-    F(alpha v (u - x)/theta ^ beta) - F(alpha-).
+    F(alpha v (u - x)/theta ^ beta) - F(alpha-).  This is the hot path of
+    the 1D dual sweep, so it works in place on one buffer.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    theta_val = np.asarray(theta_val, dtype=float)
-    base = trunc.base
-    f_alpha_left = float(base.cdf_left(trunc.alpha))
-    tail = 1.0 - float(base.cdf(trunc.beta)) + f_alpha_left
-    ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
-    return np.where(x <= u, tail, 0.0) + np.asarray(base.cdf(ratio)) - f_alpha_left
+    ratio = np.asarray(np.divide(u - x, theta_val))
+    np.maximum(ratio, trunc.alpha, out=ratio)
+    np.minimum(ratio, trunc.beta, out=ratio)
+    vals = np.asarray(trunc.base.cdf(ratio), dtype=float)
+    vals += (x <= u) * trunc.clipped_mass
+    vals -= trunc.base_f_alpha_left
+    return vals[()]  # a scalar for scalar inputs
 
 
 def transition_cdf_left(x, u, theta_val, trunc: TruncatedLaw):
@@ -223,11 +225,12 @@ def transition_cdf_left(x, u, theta_val, trunc: TruncatedLaw):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta_val = np.asarray(theta_val, dtype=float)
-    base = trunc.base
-    f_alpha_left = float(base.cdf_left(trunc.alpha))
-    tail = 1.0 - float(base.cdf(trunc.beta)) + f_alpha_left
     ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
-    return np.where(x < u, tail, 0.0) + np.asarray(base.cdf_left(ratio)) - f_alpha_left
+    return (
+        np.where(x < u, trunc.clipped_mass, 0.0)
+        + np.asarray(trunc.base.cdf_left(ratio))
+        - trunc.base_f_alpha_left
+    )
 
 
 def transition_partial_moment(x, u, theta_val, trunc: TruncatedLaw):
@@ -235,11 +238,9 @@ def transition_partial_moment(x, u, theta_val, trunc: TruncatedLaw):
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     theta_val = np.asarray(theta_val, dtype=float)
-    base = trunc.base
     ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
-    k_alpha = float(base.partial_moment(trunc.alpha))
     return x * transition_cdf(x, u, theta_val, trunc) + theta_val * (
-        np.asarray(base.partial_moment(ratio)) - k_alpha
+        np.asarray(trunc.base.partial_moment(ratio)) - trunc.base_k_alpha
     )
 
 
@@ -258,46 +259,23 @@ class MixtureTransitionLaw(Law1D):
         hi = float(np.max(self.points + self.theta_values * trunc.beta))
         self._hull = (lo, hi) if hull is None else (float(hull[0]), float(hull[1]))
         self._noise_m2 = trunc.second_moment
-        # per-law constants of the transition closed forms
-        base = trunc.base
-        self._x = self.points[:, None]
-        self._theta = self.theta_values[:, None]
-        self._f_alpha_left = float(base.cdf_left(trunc.alpha))
-        self._tail = 1.0 - float(base.cdf(trunc.beta)) + self._f_alpha_left
-        self._k_alpha = float(base.partial_moment(trunc.alpha))
 
     def _mix(self, fn, u):
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
-        u2 = np.atleast_1d(u)
-        vals = fn(self.points[:, None], u2[None, :], self.theta_values[:, None], self.trunc)
+        vals = fn(self.points[:, None], u.reshape(1, -1), self.theta_values[:, None], self.trunc)
         out = self.weights @ vals
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        """``weights @ transition_cdf(points, u, theta_values, trunc)``, fused.
+        """``weights @ transition_cdf(points, u, theta_values, trunc)``.
 
-        Runs the operations of :func:`transition_cdf` on the same operands,
-        in place on one (sources x queries) buffer; the sums only swap their
-        operands and ``True * tail`` is ``tail``, so the bits are the same.
-        The last step is a BLAS matrix-vector product, which rounds a column
+        The product is a BLAS matrix-vector product, which rounds a column
         differently depending on the batch it sits in: the 1D dual sweep
         makes one call per solver round, and keeps its batches, so that its
         grids stay reproducible.
         """
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        trunc = self.trunc
-        vals = np.subtract(u, self._x)
-        vals /= self._theta
-        np.maximum(vals, trunc.alpha, out=vals)
-        np.minimum(vals, trunc.beta, out=vals)
-        vals = trunc.base.cdf(vals)
-        vals += (self._x <= u) * self._tail
-        vals -= self._f_alpha_left
-        out = self.weights @ vals
-        return float(out[0]) if scalar else out
+        return self._mix(transition_cdf, u)
 
     def cdf_left(self, u):
         return self._mix(transition_cdf_left, u)
@@ -308,17 +286,19 @@ class MixtureTransitionLaw(Law1D):
     def cdf_moment_left_batch(self, u):
         """F, K, and F(.-) at once, sharing the clipped-ratio evaluations."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        x, th = self._x, self._theta
-        base = self.trunc.base
-        tail, f_alpha_left = self._tail, self._f_alpha_left
-        ratio = np.clip((u[None, :] - x) / th, self.trunc.alpha, self.trunc.beta)
+        x = self.points[:, None]
+        th = self.theta_values[:, None]
+        trunc = self.trunc
+        base = trunc.base
+        tail, f_alpha_left = trunc.clipped_mass, trunc.base_f_alpha_left
+        ratio = np.clip((u[None, :] - x) / th, trunc.alpha, trunc.beta)
         base_f = np.asarray(base.cdf(ratio))
         base_fl = np.asarray(base.cdf_left(ratio))
         base_k = np.asarray(base.partial_moment(ratio))
         at_or_above = np.where(x <= u[None, :], tail, 0.0)
         f_rows = at_or_above + base_f - f_alpha_left
         fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
-        k_rows = x * f_rows + th * (base_k - self._k_alpha)
+        k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha)
         w = self.weights
         return w @ f_rows, w @ k_rows, w @ fl_rows
 

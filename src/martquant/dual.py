@@ -245,39 +245,37 @@ def _solve_levels(law, levels, lo, hi, xtol):
     rounds, evaluating every point, or merging rounds would move the
     solutions in the last bits.
     """
-    n = levels.size
-    # lower bracket ends in row 0, upper ends in row 1; a new point replaces
-    # the end on the side of its residual sign, at flat index side * n + i
-    ends = np.stack((lo, hi))
-    fends = np.stack((np.asarray(law.cdf(lo)), np.asarray(law.cdf(hi)))) - levels
-    lo, hi = ends
-    flo, fhi = fends
-    ends_flat, fends_flat = ends.reshape(-1), fends.reshape(-1)
+    lo = lo.copy()
+    hi = hi.copy()
+    flo = np.asarray(law.cdf(lo)) - levels
+    fhi = np.asarray(law.cdf(hi)) - levels
     sol = 0.5 * (lo + hi)
-    active = np.ones(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(110):
-            active &= hi - lo > xtol
-            idx = active.nonzero()[0]
-            if idx.size == 0:
-                break
-            l_, h_, fl_, fh_ = lo[idx], hi[idx], flo[idx], fhi[idx]
-            mid = 0.5 * (l_ + h_)
-            if sweep % 2:
-                # unconditional bisection every other round: the bracket
-                # halves even where F jumps and the secant stagnates one-sided
-                x = mid
-            else:
+    active = np.ones(levels.size, dtype=bool)
+    for sweep in range(110):
+        active &= hi - lo > xtol
+        idx = active.nonzero()[0]
+        if idx.size == 0:
+            break
+        l_, h_, fl_, fh_ = lo[idx], hi[idx], flo[idx], fhi[idx]
+        mid = 0.5 * (l_ + h_)
+        if sweep % 2:
+            # unconditional bisection every other round: the bracket halves
+            # even where F jumps and the secant stagnates one-sided
+            x = mid
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
                 sec = (l_ * fh_ - h_ * fl_) / (fh_ - fl_)
-                margin = 0.01 * (h_ - l_)
-                # a nan or infinite secant fails one of the two comparisons
-                x = np.where((sec > l_ + margin) & (sec < h_ - margin), sec, mid)
-            fx = np.asarray(law.cdf(x)) - levels[idx]
-            sol[idx] = x
-            at = idx + n * (fx >= 0.0)
-            ends_flat[at] = x
-            fends_flat[at] = fx
-            active[idx[np.abs(fx) < 1e-15]] = False
+            margin = 0.01 * (h_ - l_)
+            # a nan or infinite secant fails one of the two comparisons
+            x = np.where((sec > l_ + margin) & (sec < h_ - margin), sec, mid)
+        fx = np.asarray(law.cdf(x)) - levels[idx]
+        sol[idx] = x
+        go_hi = fx >= 0.0
+        go_lo = ~go_hi
+        up, down = idx[go_hi], idx[go_lo]
+        hi[up], fhi[up] = x[go_hi], fx[go_hi]
+        lo[down], flo[down] = x[go_lo], fx[go_lo]
+        active[idx[np.abs(fx) < 1e-15]] = False
     if np.any(active):
         sol[active] = 0.5 * (lo[active] + hi[active])
     return sol

@@ -530,10 +530,22 @@ class TruncatedLaw(Law1D):
     def support(self):
         return (self.alpha, self.beta)
 
-    @property
+    # constants of the closed forms, computed once per (immutable) law
+
+    @cached_property
+    def base_f_alpha_left(self) -> float:
+        """F(alpha-) of the base law."""
+        return float(self.base.cdf_left(self.alpha))
+
+    @cached_property
+    def base_k_alpha(self) -> float:
+        """K(alpha) of the base law."""
+        return float(self.base.partial_moment(self.alpha))
+
+    @cached_property
     def clipped_mass(self) -> float:
         """Mass of the atom at 0: P(Z outside [alpha, beta])."""
-        return 1.0 - self.base.cdf(self.beta) + self.base.cdf_left(self.alpha)
+        return 1.0 - self.base.cdf(self.beta) + self.base_f_alpha_left
 
     def decompose(self):
         density, _, base_atoms, base_masses = self.base.decompose()

@@ -193,11 +193,26 @@ def test_mixture_transition_law_consistency(trunc_n1):
     assert mix.second_moment == pytest.approx(m2, abs=1e-8)
 
 
-@pytest.mark.parametrize(
+def _transition_cdf_reference(x, u, theta_val, trunc):
+    """The closed form before it was rewritten in place, verbatim."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    theta_val = np.asarray(theta_val, dtype=float)
+    base = trunc.base
+    f_alpha_left = float(base.cdf_left(trunc.alpha))
+    tail = 1.0 - float(base.cdf(trunc.beta)) + f_alpha_left
+    ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
+    return np.where(x <= u, tail, 0.0) + np.asarray(base.cdf(ratio)) - f_alpha_left
+
+
+_BASES = pytest.mark.parametrize(
     "base, alpha",
     [(Normal(0, 1), -2.0), (Normal(0, 2), -3.0), (Uniform(-1, 1), -0.5)],
     ids=["normal01", "normal02", "uniform"],
 )
+
+
+@_BASES
 def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
     trunc = TruncatedLaw.centered(base, alpha)
     points = np.array([-0.7, -0.1, 0.0, 0.35, 1.2])
@@ -211,7 +226,7 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
 
     def oracle(q):
         q = np.atleast_1d(q)
-        return weights @ transition_cdf(
+        return weights @ _transition_cdf_reference(
             points[:, None], q[None, :], thetas[:, None], trunc
         )
 
@@ -220,6 +235,29 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
         value = mix.cdf(q)
         assert isinstance(value, float)
         assert value == oracle(q)[0]
+
+
+@_BASES
+def test_transition_cdf_keeps_its_closed_form_bit_for_bit(base, alpha):
+    trunc = TruncatedLaw.centered(base, alpha)
+    xs = np.array([-0.7, 0.0, 0.35])
+    us = np.array([-3.0, -0.7, -0.1, 0.0, 0.2, 0.35, 4.0])
+    thetas = np.array([0.5, 1.0, 1.7])
+    cases = [
+        (xs[:, None], us[None, :], thetas[:, None]),  # sources x queries
+        (xs, np.full_like(xs, 0.1), thetas),  # one query per source
+        (0.0, us, 1.3),  # scalar source and theta
+        (0.0, 0.2, thetas),  # only theta is a vector
+        ([0.35, -0.7], [0.35, 0.0], [1.0, 0.5]),  # plain lists
+    ]
+    for x, u, th in cases:
+        got, ref = transition_cdf(x, u, th, trunc), _transition_cdf_reference(x, u, th, trunc)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    for x, u in ((0.0, 0.0), (0.35, -2.0), (-0.7, 5.0)):
+        got = transition_cdf(x, u, 1.1, trunc)
+        assert isinstance(got, np.float64)
+        assert got == _transition_cdf_reference(x, u, 1.1, trunc)
 
 
 def test_build_chain_single_step_point_start():

@@ -540,3 +540,20 @@ def test_dual_lloyd_does_not_hide_a_failing_decompose():
 
     with pytest.raises(ValueError, match="broken decompose"):
         dual_lloyd_1d(Broken(0.0, 1.0), 5)
+
+
+def test_solve_levels_lets_warnings_from_the_law_through():
+    from martquant.dual import _solve_levels
+
+    class Noisy(Uniform):
+        """Warns from inside F once the solver loop runs."""
+
+        def cdf(self, z):
+            if np.ndim(z) and 0.0 < np.min(z) and np.max(z) < 1.0:
+                np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
+            return super().cdf(z)
+
+    levels = np.array([0.3, 0.6])
+    lo, hi = np.zeros(2), np.ones(2)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        _solve_levels(Noisy(0.0, 1.0), levels, lo, hi, 1e-12)

@@ -251,3 +251,26 @@ def test_truncated_second_moment_is_computed_once(monkeypatch):
     # the cached value is what the quadrature gives afresh
     assert TruncatedLaw.second_moment.func(t) == first
     assert len(calls) == 2
+
+
+def test_truncated_constants_are_computed_once(monkeypatch):
+    t = TruncatedLaw.centered(Normal(), -2.0)
+    calls = []
+    for name in ("cdf", "cdf_left", "partial_moment"):
+        real = getattr(Normal, name)
+
+        def counting(self, z, real=real, name=name):
+            calls.append(name)
+            return real(self, z)
+
+        monkeypatch.setattr(Normal, name, counting)
+    values = (t.base_f_alpha_left, t.base_k_alpha, t.clipped_mass)
+    # F(alpha-) of a continuous law goes through its F
+    assert calls == ["cdf_left", "cdf", "partial_moment", "cdf"]
+    assert (t.base_f_alpha_left, t.base_k_alpha, t.clipped_mass) == values
+    assert len(calls) == 4
+    # the cached values are the closed forms, bit for bit
+    n = Normal()
+    assert values[0] == n.cdf_left(-2.0)
+    assert values[1] == n.partial_moment(-2.0)
+    assert values[2] == 1.0 - n.cdf(2.0) + n.cdf_left(-2.0)
