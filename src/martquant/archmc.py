@@ -25,7 +25,9 @@ from .rng import make_generator
 __all__ = [
     "CoupledPathSample",
     "ErrorBoundReport",
+    "GapStatistics",
     "simulate_coupled",
+    "coupled_gap_statistics",
     "simulate_chain_marginals",
     "truncation_error_bound",
     "compare_truncation_bound",
@@ -37,8 +39,9 @@ __all__ = [
     "batch_standard_error",
 ]
 
-_BLOCK = 250_000
+_BLOCK = 250_000  # paths per block; the block index keys the Philox streams
 _BATCHES = 30
+_PAIRWISE_LEAF = 128  # numpy sums at most this many entries in one loop
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,72 @@ def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
     return np.where(u < lam_left, points[j], points[j + 1])
 
 
+def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
+    """One step's draws of the exact innovation and of its approximation."""
+    if spec.base is not None:
+        u = np.maximum(gen.random(count), 1e-300)
+        z = np.asarray(spec.base.quantile(u), dtype=float)
+        return z, _project_noise(z, spec)
+    # atoms without a base law: both paths ride the atoms
+    u = gen.random(count)
+    cum = np.cumsum(spec.atoms.weights)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), spec.atoms.n_atoms - 1)
+    z = spec.atoms.points_1d[idx]
+    return z, z
+
+
+def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
+    """Yield ``(exact, approx, dual)``, the states of one block of paths at
+    k = 0, ..., n_steps, one step at a time (``dual`` is None without a
+    chain).
+
+    Block b of an n-step run draws x0 from Philox stream b(2n+1), the
+    step-k innovations from stream b(2n+1)+1+k and the step-k split
+    uniforms from stream b(2n+1)+1+n+k, so every draw depends only on
+    ``(seed, block)``.  The yielded vectors are read-only: at k = 0
+    ``exact`` and ``approx`` are one array.
+    """
+    b, lo, hi = block
+    count = hi - lo
+    n = arch.n_steps
+    base = b * (2 * n + 1)
+    x = _sample_x0(x0, count, make_generator(seed, base))
+    xb = x
+    xh = None if chain is None else chain.grids[0][_nn_assign(chain.grids[0], x)]
+    yield x, xb, xh
+    for k in range(n):
+        z, zb = _innovations(noise_specs[k], count, make_generator(seed, base + 1 + k))
+        theta = arch.thetas[k]
+        x = x + theta(x) * z
+        xb = xb + theta(xb) * zb
+        if chain is not None:
+            uu = make_generator(seed, base + 1 + n + k).random(count)
+            tilde = xh + theta(xh) * zb
+            xh = _split_sample(np.asarray(chain.grids[k + 1], dtype=float), tilde, uu)
+        yield x, xb, xh
+
+
+def _map_blocks(fn, n_paths: int, threads: int) -> list:
+    """``fn(block)`` for every ``(index, lo, hi)`` block of paths, in block
+    order.  With ``threads > 1`` up to ``threads`` blocks run at once; the
+    results still come back in block order."""
+    blocks = [(b, lo, min(lo + _BLOCK, n_paths))
+              for b, lo in enumerate(range(0, n_paths, _BLOCK))]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(block) for block in blocks]
+
+
+def _checked_specs(arch: ArchSpec, noise_specs, n_paths: int) -> list:
+    if n_paths < 1:
+        raise DomainError("need at least one path")
+    noise_specs = list(noise_specs)
+    if len(noise_specs) != arch.n_steps:
+        raise DomainError("need one noise spec per step")
+    return noise_specs
+
+
 def simulate_coupled(
     arch: ArchSpec,
     noise_specs,
@@ -110,75 +179,32 @@ def simulate_coupled(
     seed: int,
     chain: ChainApproximation | None = None,
     threads: int = 1,
-    block_size: int = _BLOCK,
 ) -> CoupledPathSample:
     """Simulate the exact chain and its truncated/quantized companion.
 
     Blocks of paths draw from independent counter-based streams keyed by
     ``(seed, block)``, so results are reproducible for any thread count.
     When ``chain`` is given, the dually projected path is simulated as well
-    (same innovations plus the chain's own split uniforms).
+    (same innovations plus the chain's own split uniforms).  The arrays
+    hold every path and step; ``coupled_gap_statistics``,
+    ``simulate_chain_marginals`` and ``domination_test`` reduce the same
+    paths one block at a time instead.
     """
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    noise_specs = list(noise_specs)
-    if len(noise_specs) != arch.n_steps:
-        raise DomainError("need one noise spec per step")
+    noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
     exact = np.empty((n + 1, n_paths))
     approx = np.empty((n + 1, n_paths))
     dual = np.empty((n + 1, n_paths)) if chain is not None else None
-    streams_per_block = 2 * n + 1
-    blocks = [(b, lo, min(lo + block_size, n_paths))
-              for b, lo in enumerate(range(0, n_paths, block_size))]
 
-    def run_block(block):
-        b, lo, hi = block
-        count = hi - lo
-        base = b * streams_per_block
-        gen0 = make_generator(seed, base)
-        x = _sample_x0(x0, count, gen0)
-        exact[0, lo:hi] = x
-        approx[0, lo:hi] = x
-        xb = x.copy()
-        if dual is not None:
-            xh = chain.grids[0][_nn_assign(chain.grids[0], x)]
-            dual[0, lo:hi] = xh
-        for k in range(n):
-            spec = noise_specs[k]
-            gen_z = make_generator(seed, base + 1 + k)
-            if spec.base is not None:
-                u = np.maximum(gen_z.random(count), 1e-300)
-                z = np.asarray(spec.base.quantile(u), dtype=float)
-                zb = _project_noise(z, spec)
-            else:
-                # atoms without a base law: both paths ride the atoms
-                u = gen_z.random(count)
-                cum = np.cumsum(spec.atoms.weights)
-                idx = np.minimum(
-                    np.searchsorted(cum, u, side="right"), spec.atoms.n_atoms - 1
-                )
-                z = spec.atoms.points_1d[idx]
-                zb = z
-            theta = arch.thetas[k]
-            x = exact[k, lo:hi] + theta(exact[k, lo:hi]) * z
-            xb = approx[k, lo:hi] + theta(approx[k, lo:hi]) * zb
-            exact[k + 1, lo:hi] = x
-            approx[k + 1, lo:hi] = xb
+    def fill(block):
+        _, lo, hi = block
+        for k, (x, xb, xh) in enumerate(_block_steps(arch, noise_specs, x0, seed, block, chain)):
+            exact[k, lo:hi] = x
+            approx[k, lo:hi] = xb
             if dual is not None:
-                gen_u = make_generator(seed, base + 1 + n + k)
-                uu = gen_u.random(count)
-                tilde = dual[k, lo:hi] + theta(dual[k, lo:hi]) * zb
-                dual[k + 1, lo:hi] = _split_sample(
-                    np.asarray(chain.grids[k + 1], dtype=float), tilde, uu
-                )
+                dual[k, lo:hi] = xh
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for block in blocks:
-            run_block(block)
+    _map_blocks(fill, n_paths, threads)
     return CoupledPathSample(exact=exact, approx=approx, dual=dual, seed=seed)
 
 
@@ -197,23 +223,165 @@ def simulate_chain_marginals(
     seed: int,
     threads: int = 1,
 ) -> list[np.ndarray]:
-    """Monte Carlo marginal weights of the dually projected chain."""
-    sample = simulate_coupled(
-        arch, noise_specs, x0, n_paths, seed, chain=chain, threads=threads
-    )
-    out = []
-    for k in range(chain.n_steps + 1):
-        grid = np.asarray(chain.grids[k], dtype=float)
-        idx = _nn_assign(grid, sample.dual[k])
-        out.append(np.bincount(idx, minlength=grid.size) / n_paths)
-    return out
+    """Monte Carlo marginal weights of the dually projected chain, counted
+    one block of paths at a time."""
+    noise_specs = _checked_specs(arch, noise_specs, n_paths)
+    grids = [np.asarray(g, dtype=float) for g in chain.grids]
+
+    def count_block(block):
+        return [
+            np.bincount(_nn_assign(grids[k], xh), minlength=grids[k].size)
+            for k, (_, _, xh) in enumerate(
+                _block_steps(arch, noise_specs, x0, seed, block, chain)
+            )
+        ]
+
+    counts = _map_blocks(count_block, n_paths, threads)
+    return [sum(c[k] for c in counts) / n_paths for k in range(chain.n_steps + 1)]
+
+
+def _pairwise_half(size: int) -> int:
+    half = size // 2
+    return half - half % 8
+
+
+class _PairwiseSums:
+    """Sums over index ranges of long float sequences that arrive in ordered
+    chunks, each bit for bit the ``np.add.reduce`` of the whole range.
+
+    numpy sums a contiguous array pairwise: it halves a range at a multiple
+    of 8 until at most 128 entries are left, and sums those in one leaf
+    loop.  A chunk therefore contributes the sums of the tree nodes it
+    covers whole (``np.add.reduce`` of a node runs the node's own tree) and
+    a copy of its share of each leaf it cuts.  ``total`` walks the tree.
+    """
+
+    def __init__(self):
+        self.nodes = {}   # (key, start, size) -> sum of a tree node covered whole
+        self.leaves = {}  # (key, start, size) -> {offset: entries of a cut leaf}
+
+    def add(self, key, values: np.ndarray, offset: int, ranges) -> None:
+        """Record ``values``, entries ``offset, offset + 1, ...`` of sequence
+        ``key``, for the sums over each ``(start, size)`` range."""
+        for start, size in ranges:
+            self._add(key, values, offset, start, size)
+
+    def _add(self, key, values, offset, start, size):
+        lo = max(start, offset)
+        hi = min(start + size, offset + values.size)
+        if lo >= hi:
+            return
+        if lo == start and hi == start + size:
+            self.nodes[key, start, size] = np.add.reduce(values[lo - offset : hi - offset])
+        elif size <= _PAIRWISE_LEAF:
+            piece = values[lo - offset : hi - offset].copy()
+            self.leaves.setdefault((key, start, size), {})[lo] = piece
+        else:
+            half = _pairwise_half(size)
+            self._add(key, values, offset, start, half)
+            self._add(key, values, offset, start + half, size - half)
+
+    def merge(self, other: "_PairwiseSums") -> None:
+        self.nodes.update(other.nodes)
+        for node, pieces in other.leaves.items():
+            self.leaves.setdefault(node, {}).update(pieces)
+
+    def total(self, key, start: int, size: int):
+        node = (key, start, size)
+        if node in self.nodes:
+            return self.nodes[node]
+        if size <= _PAIRWISE_LEAF:
+            pieces = self.leaves[node]
+            return np.add.reduce(np.concatenate([pieces[o] for o in sorted(pieces)]))
+        half = _pairwise_half(size)
+        return self.total(key, start, half) + self.total(key, start + half, size - half)
+
+    def mean(self, key, n: int):
+        return self.total(key, 0, n) / n
+
+    def batch_standard_error(self, key, n: int) -> float:
+        """``batch_standard_error`` of entries 0..n-1 of sequence ``key``."""
+        return _batch_se(
+            np.array([self.total(key, start, size) / size for start, size in _batch_ranges(n)])
+        )
+
+
+def _stream_sums(reduce_block, n_paths: int, threads: int) -> _PairwiseSums:
+    sums = _PairwiseSums()
+    for part in _map_blocks(reduce_block, n_paths, threads):
+        sums.merge(part)
+    return sums
+
+
+def _batch_ranges(n: int) -> list[tuple[int, int]]:
+    """The non-empty ``(start, size)`` batches of ``np.array_split`` of n
+    entries into ``_BATCHES``."""
+    small, extra = divmod(n, _BATCHES)
+    sizes = [small + 1] * extra + [small] * (_BATCHES - extra)
+    starts = np.cumsum([0] + sizes[:-1])
+    return [(int(s), m) for s, m in zip(starts, sizes) if m]
+
+
+def _batch_se(means: np.ndarray) -> float:
+    if means.size < 2:
+        raise DomainError("a batch-means standard error needs at least 2 values")
+    return float(means.std(ddof=1) / math.sqrt(means.size))
 
 
 def batch_standard_error(values: np.ndarray, n_batches: int = _BATCHES) -> float:
     """Standard error of the mean by batch means."""
     batches = np.array_split(np.asarray(values, dtype=float), n_batches)
-    means = np.array([b.mean() for b in batches if b.size])
-    return float(means.std(ddof=1) / math.sqrt(means.size))
+    return _batch_se(np.array([b.mean() for b in batches if b.size]))
+
+
+@dataclass(frozen=True)
+class GapStatistics:
+    """Monte Carlo gaps between the exact and approximate coupled paths."""
+
+    empirical: np.ndarray       # ||X_k - approx_k||_2 per k
+    standard_error: np.ndarray  # batch-means SE of the mean of |X_k - approx_k|^2 per k
+    doob_empirical: float       # || sup_k |X_k - approx_k| ||_2
+
+
+def coupled_gap_statistics(
+    arch: ArchSpec,
+    noise_specs,
+    x0,
+    n_paths: int,
+    seed: int,
+    threads: int = 1,
+) -> GapStatistics:
+    """L2 gaps between the exact and approximate paths of
+    ``simulate_coupled``, streamed one step of one block at a time.
+
+    The numbers are those of the formulas on the full arrays, bit for bit:
+    ``sqrt(mean((exact[k] - approx[k]) ** 2))``, ``batch_standard_error``
+    of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``.
+    Memory holds one block of paths per thread, whatever ``n_paths``.
+    """
+    if n_paths < 2:
+        raise DomainError("a batch-means standard error needs at least 2 paths")
+    noise_specs = _checked_specs(arch, noise_specs, n_paths)
+    whole = [(0, n_paths)]
+    whole_and_batches = whole + _batch_ranges(n_paths)
+
+    def reduce_block(block):
+        lo = block[1]
+        sums = _PairwiseSums()
+        for k, (x, xb, _) in enumerate(_block_steps(arch, noise_specs, x0, seed, block)):
+            gap = np.abs(x - xb)
+            sup = gap.copy() if k == 0 else np.maximum(sup, gap, out=sup)
+            sums.add(k, np.square(gap, out=gap), lo, whole_and_batches)
+        sums.add("sup", np.square(sup, out=sup), lo, whole)
+        return sums
+
+    sums = _stream_sums(reduce_block, n_paths, threads)
+    steps = range(arch.n_steps + 1)
+    return GapStatistics(
+        empirical=np.array([math.sqrt(float(sums.mean(k, n_paths))) for k in steps]),
+        standard_error=np.array([sums.batch_standard_error(k, n_paths) for k in steps]),
+        doob_empirical=math.sqrt(float(sums.mean("sup", n_paths))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +437,13 @@ def compare_truncation_bound(
         0.0,
         gaps,
     )
-    sample = simulate_coupled(arch, noise_specs, x0, n_paths, seed, threads=threads)
-    empirical = np.empty(arch.n_steps + 1)
-    ses = np.empty(arch.n_steps + 1)
-    for k in range(arch.n_steps + 1):
-        gap_sq = (sample.exact[k] - sample.approx[k]) ** 2
-        empirical[k] = math.sqrt(float(gap_sq.mean()))
-        ses[k] = batch_standard_error(gap_sq)
-    sup_sq = (np.abs(sample.exact - sample.approx).max(axis=0)) ** 2
+    stats = coupled_gap_statistics(arch, noise_specs, x0, n_paths, seed, threads=threads)
     return ErrorBoundReport(
-        empirical=empirical,
+        empirical=stats.empirical,
         bound=refined,
         bound_product=product,
-        standard_error=ses,
-        doob_empirical=math.sqrt(float(sup_sq.mean())),
+        standard_error=stats.standard_error,
+        doob_empirical=stats.doob_empirical,
         doob_bound=2.0 * float(refined[-1]),
     )
 
@@ -427,22 +588,42 @@ def domination_test(
 ) -> list[DominationRow]:
     """Statistical check that the approximate paths are dominated in the
     convex order: for every battery member, E phi(approx) <= E phi(exact)
-    within 3 paired standard errors."""
-    sample = simulate_coupled(arch, noise_specs, x0, n_paths, seed, threads=threads)
-    paths_exact = sample.exact.T
-    paths_approx = sample.approx.T
+    within 3 paired standard errors.
+
+    The battery sees one block's ``(n_paths_in_block, n_steps + 1)`` paths
+    at a time; the means and standard errors are those of the full arrays.
+    """
+    if n_paths < 2:
+        raise DomainError("a batch-means standard error needs at least 2 paths")
+    noise_specs = _checked_specs(arch, noise_specs, n_paths)
+    whole = [(0, n_paths)]
+    whole_and_batches = whole + _batch_ranges(n_paths)
+
+    def reduce_block(block):
+        _, lo, hi = block
+        paths = np.empty((2, arch.n_steps + 1, hi - lo))
+        for k, (x, xb, _) in enumerate(_block_steps(arch, noise_specs, x0, seed, block)):
+            paths[0, k] = x
+            paths[1, k] = xb
+        sums = _PairwiseSums()
+        for i, fn in enumerate(battery.members):
+            v_exact = fn(paths[0].T)
+            v_approx = fn(paths[1].T)
+            sums.add((i, "exact"), v_exact, lo, whole)
+            sums.add((i, "approx"), v_approx, lo, whole)
+            sums.add((i, "gap"), v_approx - v_exact, lo, whole_and_batches)
+        return sums
+
+    sums = _stream_sums(reduce_block, n_paths, threads)
     rows = []
-    for i, fn in enumerate(battery.members):
-        v_exact = fn(paths_exact)
-        v_approx = fn(paths_approx)
-        gap = v_approx - v_exact
-        se = batch_standard_error(gap)
-        mean_gap = float(gap.mean())
+    for i in range(len(battery.members)):
+        mean_gap = float(sums.mean((i, "gap"), n_paths))
+        se = sums.batch_standard_error((i, "gap"), n_paths)
         rows.append(
             DominationRow(
                 index=i,
-                mean_approx=float(v_approx.mean()),
-                mean_exact=float(v_exact.mean()),
+                mean_approx=float(sums.mean((i, "approx"), n_paths)),
+                mean_exact=float(sums.mean((i, "exact"), n_paths)),
                 mean_gap=mean_gap,
                 standard_error=se,
                 passed=mean_gap <= 3.0 * se,

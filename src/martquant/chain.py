@@ -293,7 +293,11 @@ class MixtureTransitionLaw(Law1D):
         tail, f_alpha_left = trunc.clipped_mass, trunc.base_f_alpha_left
         ratio = np.clip((u[None, :] - x) / th, trunc.alpha, trunc.beta)
         base_f = np.asarray(base.cdf(ratio))
-        base_fl = np.asarray(base.cdf_left(ratio))
+        # a continuous base inherits F(z-) = F(z): skip the second evaluation
+        if type(base).cdf_left is Law1D.cdf_left:
+            base_fl = base_f
+        else:
+            base_fl = np.asarray(base.cdf_left(ratio))
         base_k = np.asarray(base.partial_moment(ratio))
         at_or_above = np.where(x <= u[None, :], tail, 0.0)
         f_rows = at_or_above + base_f - f_alpha_left

@@ -176,10 +176,12 @@ def cmd_chain(args) -> int:
             zip(built.grids[k], built.marginal_weights[k]),
         )
     rows = []
+    unconverged = False
     for k, diag in enumerate(built.diagnostics):
         check = ordermod.convex_order_check(built.marginal(k), built.marginal(k + 1))
         print(f"step {k}: convex order {check.status}")
         if diag.get("dual_converged") is False:
+            unconverged = True
             print(f"warning: step {k}: dual grid did not reach tolerance", file=sys.stderr)
         rows.append(
             (
@@ -207,7 +209,7 @@ def cmd_chain(args) -> int:
         ],
         rows,
     )
-    return 0
+    return 2 if args.strict and unconverged else 0
 
 
 _PAYOFFS = {
@@ -257,28 +259,22 @@ def cmd_simulate(args) -> int:
     x0 = _x0_from_config(cfg)
     n_paths = int(cfg.get("paths", 100000))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    sample = archmc.simulate_coupled(
+    stats = archmc.coupled_gap_statistics(
         arch, noises, x0, n_paths, seed, threads=_threads(args, cfg)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k in range(sample.n_steps + 1):
-        gap_sq = (sample.exact[k] - sample.approx[k]) ** 2
-        rows.append(
-            (
-                k,
-                float(np.sqrt(gap_sq.mean())),
-                archmc.batch_standard_error(gap_sq),
-            )
-        )
+    rows = [
+        (k, float(stats.empirical[k]), float(stats.standard_error[k]))
+        for k in range(arch.n_steps + 1)
+    ]
     _write_csv(out / "coupled.csv", ["k", "empirical_gap_l2", "se_gap_sq"], rows)
     with open(out / "coupled.json", "w") as fh:
         json.dump(
             [{"k": k, "empirical_gap_l2": e, "se_gap_sq": s} for k, e, s in rows], fh
         )
         fh.write("\n")
-    print(f"simulated {n_paths} coupled paths over {sample.n_steps} steps")
+    print(f"simulated {n_paths} coupled paths over {arch.n_steps} steps")
     return 0
 
 
@@ -359,6 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chain", help="build a convex-order-preserving chain")
     c.add_argument("--config", required=True)
     c.add_argument("--out", required=True)
+    c.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit 2 when a dual grid did not reach tolerance (artifacts are still written)",
+    )
     c.set_defaults(func=cmd_chain)
 
     m = sub.add_parser("mot", help="martingale-optimal-transport bounds")

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from martquant.archmc import (
+    _PairwiseSums,
     batch_standard_error,
+    coupled_gap_statistics,
     domination_test,
     gaussian_tail_bound,
     quantized_innovation_bound,
@@ -25,7 +28,12 @@ from martquant.chain import (
 )
 from martquant.errors import DomainError
 from martquant.laws import Normal, PointMass, TruncatedLaw, Uniform
-from martquant.order import ConvexTestBattery, convex_order_check, path_max_call
+from martquant.order import (
+    ConvexTestBattery,
+    DiscreteDistribution,
+    convex_order_check,
+    path_max_call,
+)
 
 TRUNC15 = TruncatedLaw.centered(Normal(0, 1), -1.5)
 
@@ -315,3 +323,149 @@ def test_simulate_chain_marginals_matches_exact_small():
         got = mc[k]
         se = np.sqrt(np.maximum(exact * (1 - exact), 1e-12) / 300_000)
         assert np.all(np.abs(got - exact) <= 4 * se + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# streamed statistics against the formulas on the full path arrays
+
+# three blocks of 250_000 paths, the last holding one path; batch-means
+# batches straddle both block edges
+RAGGED_PATHS = 500_001
+
+_NOISES = pytest.mark.parametrize(
+    "make_spec",
+    [
+        lambda: NoiseSpec.truncated(TRUNC15),
+        lambda: NoiseSpec.quantized_from(Normal(0, 1), 7),
+        lambda: NoiseSpec.quantized(DiscreteDistribution([[-1.0], [0.0], [2.0]], [0.4, 0.4, 0.2])),
+    ],
+    ids=["truncated", "quantized_with_base", "atoms_only"],
+)
+
+
+def _gap_oracle(sample):
+    empirical, ses = [], []
+    for k in range(sample.n_steps + 1):
+        gap_sq = (sample.exact[k] - sample.approx[k]) ** 2
+        empirical.append(math.sqrt(float(gap_sq.mean())))
+        ses.append(batch_standard_error(gap_sq))
+    sup_sq = np.abs(sample.exact - sample.approx).max(axis=0) ** 2
+    return np.array(empirical), np.array(ses), math.sqrt(float(sup_sq.mean()))
+
+
+def _domination_oracle(sample, battery):
+    rows = []
+    for fn in battery.members:
+        v_exact = fn(sample.exact.T)
+        v_approx = fn(sample.approx.T)
+        gap = v_approx - v_exact
+        rows.append(
+            (float(v_approx.mean()), float(v_exact.mean()), float(gap.mean()), batch_standard_error(gap))
+        )
+    return np.array(rows)
+
+
+def _rows(rows):
+    return np.array([(r.mean_approx, r.mean_exact, r.mean_gap, r.standard_error) for r in rows])
+
+
+@_NOISES
+def test_streamed_gap_statistics_match_the_full_arrays(make_spec):
+    spec = make_spec()
+    # the atoms-only step rides the atoms on both paths; the other steps
+    # open a gap for it to carry
+    specs = [NoiseSpec.truncated(TRUNC15), spec, spec]
+    arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
+    x0 = Uniform(0.9, 1.1)
+    sample = simulate_coupled(arch, specs, x0, RAGGED_PATHS, seed=43)
+    empirical, ses, doob = _gap_oracle(sample)
+    del sample
+    stats = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43)
+    # the streamed sums run numpy's pairwise summation tree, so the numbers
+    # are the same bits, not merely close
+    assert np.array_equal(stats.empirical, empirical)
+    assert np.array_equal(stats.standard_error, ses)
+    assert stats.doob_empirical == doob
+    assert stats.empirical[-1] > 0.0
+    again = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43, threads=2)
+    assert np.array_equal(again.empirical, stats.empirical)
+    assert np.array_equal(again.standard_error, stats.standard_error)
+    assert again.doob_empirical == stats.doob_empirical
+
+
+@_NOISES
+def test_streamed_domination_rows_match_the_full_arrays(make_spec):
+    spec = make_spec()
+    specs = [NoiseSpec.truncated(TRUNC15), spec]
+    arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 2)
+    x0 = DiscreteDistribution([[0.8], [1.0], [1.3]], [0.3, 0.4, 0.3])
+    battery = ConvexTestBattery(
+        (path_max_call(3, 1.0),) + ConvexTestBattery.random_max_affine(3, count=3, seed=2).members
+    )
+    want = _domination_oracle(simulate_coupled(arch, specs, x0, RAGGED_PATHS, seed=47), battery)
+    rows = domination_test(arch, specs, x0, battery, RAGGED_PATHS, seed=47)
+    # the battery's matrix products run on one block of paths at a time,
+    # and BLAS may round a row differently in a shorter matrix
+    np.testing.assert_allclose(_rows(rows), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert [r.index for r in rows] == list(range(len(battery)))
+    assert all(r.passed == (r.mean_gap <= 3.0 * r.standard_error) for r in rows)
+    threaded = domination_test(arch, specs, x0, battery, RAGGED_PATHS, seed=47, threads=2)
+    assert threaded == rows
+
+
+def test_streamed_chain_marginals_equal_the_full_arrays():
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    spec = NoiseSpec.quantized_from(trunc, 5)
+    arch = ArchSpec([theta_affine_abs(0.3, 0.2)] * 2)
+    chain = build_chain(arch, [spec] * 2, PointMass(0.0), [1, 9, 9])
+    x0 = Uniform(-0.05, 0.05)
+    sample = simulate_coupled(arch, [spec] * 2, x0, RAGGED_PATHS, seed=53, chain=chain)
+    mc = simulate_chain_marginals(chain, arch, [spec] * 2, x0, RAGGED_PATHS, seed=53)
+    threaded = simulate_chain_marginals(chain, arch, [spec] * 2, x0, RAGGED_PATHS, seed=53, threads=2)
+    for k, grid in enumerate(chain.grids):
+        grid = np.asarray(grid, dtype=float)
+        # the dual path sits on the grid points, so the nearest point is
+        # the point itself
+        want = np.bincount(np.searchsorted(grid, sample.dual[k]), minlength=grid.size) / RAGGED_PATHS
+        assert np.array_equal(mc[k], want)
+        assert np.array_equal(threaded[k], want)
+
+
+def test_pairwise_sums_are_numpys_bit_for_bit():
+    gen = np.random.default_rng(3)
+    for n in (1, 7, 8, 129, 1000, 40_003):
+        values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
+        cuts = np.unique(np.concatenate(([0, n], gen.integers(0, n, 6))))
+        ranges = [(0, n), (n // 3, n - n // 3), (n - 1, 1)]
+        sums = _PairwiseSums()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = _PairwiseSums()
+            part.add("x", values[lo:hi], int(lo), ranges)
+            sums.merge(part)
+        for start, size in ranges:
+            if size:
+                assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
+
+
+def test_gap_statistics_memory_stays_at_one_block():
+    # the full arrays of 10^6 paths x 6 time indices are 2 x 48 MB
+    arch = ArchSpec(euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 5))
+    specs = [NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -2.0))] * 5
+    tracemalloc.start()
+    try:
+        coupled_gap_statistics(arch, specs, Uniform(0.9, 1.1), 1_000_000, seed=59)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_streamed_statistics_need_two_paths():
+    arch = ArchSpec([theta_constant(0.5)])
+    specs = [NoiseSpec.truncated(TRUNC15)]
+    with pytest.raises(DomainError):
+        coupled_gap_statistics(arch, specs, 0.0, 1, seed=61)
+    with pytest.raises(DomainError):
+        domination_test(arch, specs, 0.0, ConvexTestBattery.random_max_affine(2, count=2), 1, seed=61)
+    with pytest.raises(DomainError):
+        batch_standard_error(np.ones(1))

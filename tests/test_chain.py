@@ -20,7 +20,7 @@ from martquant.chain import (
 )
 from martquant.dual import Triangulation2D
 from martquant.errors import DomainError, HullViolation
-from martquant.laws import Normal, PointMass, TruncatedLaw, Uniform
+from martquant.laws import FiniteAtoms, Normal, PointMass, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 
 
@@ -235,6 +235,52 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
         value = mix.cdf(q)
         assert isinstance(value, float)
         assert value == oracle(q)[0]
+
+
+def _cdf_moment_left_batch_reference(mix, u):
+    """``MixtureTransitionLaw.cdf_moment_left_batch`` before it reused the
+    base F for continuous bases, verbatim."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x = mix.points[:, None]
+    th = mix.theta_values[:, None]
+    trunc = mix.trunc
+    base = trunc.base
+    tail, f_alpha_left = trunc.clipped_mass, trunc.base_f_alpha_left
+    ratio = np.clip((u[None, :] - x) / th, trunc.alpha, trunc.beta)
+    base_f = np.asarray(base.cdf(ratio))
+    base_fl = np.asarray(base.cdf_left(ratio))
+    base_k = np.asarray(base.partial_moment(ratio))
+    at_or_above = np.where(x <= u[None, :], tail, 0.0)
+    f_rows = at_or_above + base_f - f_alpha_left
+    fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
+    k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha)
+    w = mix.weights
+    return w @ f_rows, w @ k_rows, w @ fl_rows
+
+
+@pytest.mark.parametrize(
+    "base, alpha",
+    [
+        (Normal(0, 1), -2.0),
+        # an atom at alpha: F(alpha-) < F(alpha), so F(.-) must be its own call
+        (FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
+    ],
+    ids=["normal", "atoms"],
+)
+def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
+    trunc = TruncatedLaw.centered(base, alpha)
+    points = np.array([-0.7, -0.1, 0.0, 0.35, 1.2])
+    weights = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
+    thetas = np.array([0.5, 0.9, 1.0, 1.7, 0.3])
+    mix = MixtureTransitionLaw(points, weights, thetas, trunc)
+    lo, hi = mix.support
+    u = np.concatenate((points, points + thetas * alpha, [lo - 1.0, lo, hi, hi + 2.5], np.linspace(lo, hi, 41)))
+    got = mix.cdf_moment_left_batch(u)
+    ref = _cdf_moment_left_batch_reference(mix, u)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+    if isinstance(base, FiniteAtoms):
+        assert not np.array_equal(got[0], got[2])  # the left limits differ
 
 
 @_BASES

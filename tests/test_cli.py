@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import martquant
 from martquant.cli import run
 
 
@@ -103,6 +107,10 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
     full = tmp_path / "full"
     assert run(["chain", "--config", str(chain_config), "--out", str(full)]) == 0
     assert "did not reach tolerance" not in capsys.readouterr().err
+    # --strict changes nothing when every grid converges
+    full_strict = tmp_path / "full_strict"
+    assert run(["chain", "--config", str(chain_config), "--out", str(full_strict), "--strict"]) == 0
+    assert "did not reach tolerance" not in capsys.readouterr().err
 
     real = chainmod.dual_lloyd_1d
 
@@ -125,6 +133,14 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
     assert sorted(p.name for p in capped.iterdir()) == sorted(p.name for p in full.iterdir())
     header = _read(full / "diagnostics.csv").splitlines()[0]
     assert _read(capped / "diagnostics.csv").splitlines()[0] == header
+    # --strict turns the warning into exit code 2 and still writes the same
+    # artifacts
+    strict = tmp_path / "strict"
+    assert run(["chain", "--config", str(chain_config), "--out", str(strict), "--strict"]) == 2
+    assert "warning: step 1: dual grid did not reach tolerance" in capsys.readouterr().err
+    assert sorted(p.name for p in strict.iterdir()) == sorted(p.name for p in capped.iterdir())
+    for name in (p.name for p in capped.iterdir()):
+        assert _read(strict / name) == _read(capped / name)
 
 
 def test_chain_auto_centering_note(tmp_path, capsys):
@@ -234,6 +250,22 @@ def test_simulate_and_bounds_commands(tmp_path, chain_config):
         assert parts[1] <= parts[2] + 3 * parts[5] + 1e-12  # empirical <= bound + 3 SE
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_one_path_is_a_configuration_error(tmp_path, chain_config, capsys, command):
+    # a batch-means standard error needs at least two paths; with one the
+    # commands used to exit 0 and write se = nan
+    cfg = json.loads(chain_config.read_text())
+    cfg["paths"] = 1
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", str(one), "--out", str(out), "--seed", "3"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_counterexample_command(tmp_path, capsys):
     out = tmp_path / "ce"
     assert run(["counterexample", "--resolution", "0.001", "--out", str(out)]) == 0
@@ -243,12 +275,24 @@ def test_counterexample_command(tmp_path, capsys):
     assert blob["derivative_sign_at_third"] == 1
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "martquant.cli", "quantize", "primal", "--law",
-         "uniform01", "--n", "2", "--out", "/tmp/martquant_cli_entry_test"],
+def _run_python(*args):
+    """The interpreter on ``args``, with this martquant importable also
+    when it is not installed (pytest's ``pythonpath`` reaches only its own
+    process)."""
+    src = str(Path(martquant.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_console_entry_point():
+    proc = _run_python(
+        "-m", "martquant.cli", "quantize", "primal", "--law",
+        "uniform01", "--n", "2", "--out", "/tmp/martquant_cli_entry_test",
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("distortion ")
@@ -263,11 +307,7 @@ def test_1d_chain_never_imports_the_lp_solver(tmp_path, chain_config):
         "rc = martquant.cli.run(['chain', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(rc, 'scipy.optimize' in sys.modules, 'scipy.spatial' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(chain_config), str(tmp_path / "c")],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_python("-c", code, str(chain_config), str(tmp_path / "c"))
     lines = proc.stdout.splitlines()
     assert lines.count("step 0: convex order dominated") == 1
     assert lines[-1] == "0 False False", proc.stderr
