@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import ArchSpec, ChainApproximation, NoiseSpec
-from .errors import DomainError
+from .dual import locate_1d
+from .errors import DomainError, OutOfHullError
 from .laws import Law1D, PointMass
 from .order import ConvexTestBattery, DiscreteDistribution
+from .primal import _assign_1d
 from .rng import make_generator
 
 __all__ = [
@@ -66,16 +68,21 @@ class CoupledPathSample:
         return self.exact.shape[1]
 
 
+def _draw_atoms(atoms: DiscreteDistribution, n: int, gen) -> np.ndarray:
+    """``n`` draws of a finite 1D law by inversion of its cumulative weights."""
+    u = gen.random(n)
+    cum = np.cumsum(atoms.weights)
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), atoms.n_atoms - 1)
+    return atoms.points_1d[idx]
+
+
 def _sample_x0(x0, n, gen) -> np.ndarray:
     if isinstance(x0, (int, float)):
         return np.full(n, float(x0))
     if isinstance(x0, PointMass):
         return np.full(n, x0.x)
     if isinstance(x0, DiscreteDistribution):
-        u = gen.random(n)
-        cum = np.cumsum(x0.weights)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), x0.n_atoms - 1)
-        return x0.points_1d[idx]
+        return _draw_atoms(x0, n, gen)
     if isinstance(x0, Law1D):
         u = np.maximum(gen.random(n), 1e-300)
         return np.asarray(x0.quantile(u), dtype=float)
@@ -89,20 +96,16 @@ def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
         t = spec.truncation
         return z * ((z >= t.alpha) & (z <= t.beta))
     atoms = spec.atoms.points_1d
-    mids = 0.5 * (atoms[:-1] + atoms[1:])
-    return atoms[np.searchsorted(mids, z, side="left")]
+    return atoms[_assign_1d(atoms, z)]
 
 
 def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Randomized dual projection of a sample onto a 1D grid."""
-    lo, hi = points[0], points[-1]
-    scale = max(1.0, abs(lo), abs(hi))
-    if np.any(x < lo - 1e-9 * scale) or np.any(x > hi + 1e-9 * scale):
-        raise DomainError("simulated state left the dual grid hull")
-    xc = np.clip(x, lo, hi)
-    j = np.clip(np.searchsorted(points, xc, side="right") - 1, 0, points.size - 2)
-    lam_left = (points[j + 1] - xc) / (points[j + 1] - points[j])
-    return np.where(u < lam_left, points[j], points[j + 1])
+    try:
+        j, lam_right = locate_1d(points, x)
+    except OutOfHullError as exc:
+        raise DomainError(f"simulated state left the dual grid hull: {exc}") from exc
+    return np.where(u < 1.0 - lam_right, points[j], points[j + 1])
 
 
 def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +115,7 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
         z = np.asarray(spec.base.quantile(u), dtype=float)
         return z, _project_noise(z, spec)
     # atoms without a base law: both paths ride the atoms
-    u = gen.random(count)
-    cum = np.cumsum(spec.atoms.weights)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), spec.atoms.n_atoms - 1)
-    z = spec.atoms.points_1d[idx]
+    z = _draw_atoms(spec.atoms, count, gen)
     return z, z
 
 
@@ -136,7 +136,7 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     base = b * (2 * n + 1)
     x = _sample_x0(x0, count, make_generator(seed, base))
     xb = x
-    xh = None if chain is None else chain.grids[0][_nn_assign(chain.grids[0], x)]
+    xh = None if chain is None else chain.grids[0][_assign_1d(chain.grids[0], x)]
     yield x, xb, xh
     for k in range(n):
         z, zb = _innovations(noise_specs[k], count, make_generator(seed, base + 1 + k))
@@ -208,12 +208,6 @@ def simulate_coupled(
     return CoupledPathSample(exact=exact, approx=approx, dual=dual, seed=seed)
 
 
-def _nn_assign(points, xs):
-    points = np.asarray(points, dtype=float)
-    mids = 0.5 * (points[:-1] + points[1:])
-    return np.searchsorted(mids, xs, side="left")
-
-
 def simulate_chain_marginals(
     chain: ChainApproximation,
     arch: ArchSpec,
@@ -230,7 +224,7 @@ def simulate_chain_marginals(
 
     def count_block(block):
         return [
-            np.bincount(_nn_assign(grids[k], xh), minlength=grids[k].size)
+            np.bincount(_assign_1d(grids[k], xh), minlength=grids[k].size)
             for k, (_, _, xh) in enumerate(
                 _block_steps(arch, noise_specs, x0, seed, block, chain)
             )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Triangulation2D, dual_distortion, dual_lloyd_1d
+from .dual import Triangulation2D, dual_distortion, dual_lloyd_1d, locate_1d
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
 from .laws import FiniteAtoms, Law1D, TruncatedLaw
 from .order import DiscreteDistribution
@@ -248,16 +248,18 @@ class MixtureTransitionLaw(Law1D):
     """Law of the one-step image of a finitely supported state: the mixture
     over source atoms of the closed-form transition law."""
 
-    def __init__(self, points, weights, theta_values, trunc: TruncatedLaw, hull=None):
+    def __init__(self, points, weights, theta_values, trunc: TruncatedLaw):
         self.points = np.asarray(points, dtype=float).reshape(-1)
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
         self.theta_values = np.asarray(theta_values, dtype=float).reshape(-1)
         if np.any(self.theta_values <= 0.0):
             raise DomainError("closed-form transitions require strictly positive theta")
         self.trunc = trunc
+        # the same float expressions as the image intervals that
+        # ``dual_transition_weights`` checks against the target hull
         lo = float(np.min(self.points + self.theta_values * trunc.alpha))
         hi = float(np.max(self.points + self.theta_values * trunc.beta))
-        self._hull = (lo, hi) if hull is None else (float(hull[0]), float(hull[1]))
+        self._hull = (lo, hi)
         self._noise_m2 = trunc.second_moment
 
     def _mix(self, fn, u):
@@ -378,24 +380,6 @@ def dual_transition_weights(
     return MartingaleKernel(xs, ts, _clamp_rows(pi))
 
 
-def _split_weights_1d(points: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
-    """Dense (Q, N) barycentric split weights on a 1D grid."""
-    lo, hi = points[0], points[-1]
-    scale = max(1.0, abs(lo), abs(hi))
-    if np.any(queries < lo - tol * scale) or np.any(queries > hi + tol * scale):
-        bad = queries[(queries < lo - tol * scale) | (queries > hi + tol * scale)][0]
-        raise OutOfHullError(f"image point {bad} outside the target hull")
-    q = np.clip(queries, lo, hi)
-    j = np.clip(np.searchsorted(points, q, side="right") - 1, 0, points.size - 2)
-    h = points[j + 1] - points[j]
-    lam_right = (q - points[j]) / h
-    out = np.zeros((queries.size, points.size))
-    rows = np.arange(queries.size)
-    np.add.at(out, (rows, j), 1.0 - lam_right)
-    np.add.at(out, (rows, j + 1), lam_right)
-    return out
-
-
 def finite_noise_transition(
     source: DiscreteDistribution,
     noise: DiscreteDistribution,
@@ -419,15 +403,14 @@ def finite_noise_transition(
             np.asarray(theta, dtype=float), xs.shape
         ).astype(float)
         images = xs[:, None] + theta_vals[:, None] * zs[None, :]
-        ts = np.asarray(target, dtype=float).reshape(-1)
+        target_points = np.asarray(target, dtype=float).reshape(-1)
         try:
-            splits = _split_weights_1d(ts, images.ravel(), hull_tol)
+            j, lam_right = locate_1d(target_points, images.ravel(), hull_tol)
         except OutOfHullError as exc:
             raise HullViolation(str(exc)) from exc
-        splits = splits.reshape(xs.size, zs.size, ts.size)
-        pi = np.einsum("j,ijt->it", noise.weights, splits)
-        return MartingaleKernel(xs, ts, _clamp_rows(pi))
-    if source.dim == 2:
+        verts = np.stack([j, j + 1], axis=1)
+        lam = np.stack([1.0 - lam_right, lam_right], axis=1)
+    elif source.dim == 2:
         if not isinstance(target, Triangulation2D):
             raise DomainError("2D targets must be a Triangulation2D")
         xs = source.points
@@ -438,20 +421,22 @@ def finite_noise_transition(
                 np.asarray(theta, dtype=float), (xs.shape[0], 2, noise.dim)
             )
         images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
-        flat = images.reshape(-1, 2)
         try:
-            tri_idx, lam = target.locate(flat, tol=hull_tol)
+            tri_idx, lam = target.locate(images.reshape(-1, 2), tol=hull_tol)
         except OutOfHullError as exc:
             raise HullViolation(str(exc)) from exc
-        n_tgt = target.vertices.shape[0]
-        pi = np.zeros((xs.shape[0], n_tgt))
-        w_rep = np.repeat(np.arange(xs.shape[0]), noise.n_atoms)
-        q_rep = np.tile(noise.weights, xs.shape[0])
-        verts = target.triangles[tri_idx]  # (Q, 3)
-        for corner in range(3):
-            np.add.at(pi, (w_rep, verts[:, corner]), q_rep * lam[:, corner])
-        return MartingaleKernel(xs, target.vertices, _clamp_rows(pi))
-    raise OutOfScopeError("finite-noise transitions support d = 1 and d = 2")
+        target_points = target.vertices
+        verts = target.triangles[tri_idx]
+    else:
+        raise OutOfScopeError("finite-noise transitions support d = 1 and d = 2")
+    # image i * n_atoms + j of source i carries noise weight j; each corner
+    # of its simplex receives that weight times the corner's barycentric one
+    pi = np.zeros((xs.shape[0], target_points.shape[0]))
+    w_rep = np.repeat(np.arange(xs.shape[0]), noise.n_atoms)
+    q_rep = np.tile(noise.weights, xs.shape[0])
+    for corner in range(verts.shape[1]):
+        np.add.at(pi, (w_rep, verts[:, corner]), q_rep * lam[:, corner])
+    return MartingaleKernel(xs, target_points, _clamp_rows(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -672,20 +657,9 @@ def _truncated_step(
             mixture, n_next, init=init, tol=dual_tol, max_iter=dual_max_iter
         )
         target = dual_res.grid
-    try:
-        kernel = dual_transition_weights(source_grid, target, theta_vals, trunc)
-    except HullViolation:
-        if grid_mode == "fixed":
-            raise
-        lo, hi = mixture.support
-        width = hi - lo
-        widened = MixtureTransitionLaw(
-            mixture.points, mixture.weights, mixture.theta_values, trunc,
-            hull=(lo - 1e-9 * width, hi + 1e-9 * width),
-        )
-        dual_res = dual_lloyd_1d(widened, n_next, tol=dual_tol, max_iter=dual_max_iter)
-        target = dual_res.grid
-        kernel = dual_transition_weights(source_grid, target, theta_vals, trunc)
+    # embedded grids end exactly on the mixture support, the hull this
+    # checks, so only a fixed grid can raise HullViolation here
+    kernel = dual_transition_weights(source_grid, target, theta_vals, trunc)
     diag = {
         "mode": "truncated",
         "dual_distortion": dual_res.distortion if dual_res is not None

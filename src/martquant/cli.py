@@ -132,16 +132,18 @@ def cmd_quantize(args) -> int:
     n = int(args.n)
     if n < 1:
         raise DomainError("--n must be >= 1")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "primal":
-        res = lloyd_1d(law, n, tol=args.tol or 1e-12)
+        res = lloyd_1d(law, n, tol=args.tol)
         grid, weights = res.grid, res.weights
         err = distortion(grid, law, p=float(args.p))
     else:
         if n < 2:
             raise DomainError("dual quantization needs --n >= 2")
-        res = dual_lloyd_1d(law, n, tol=args.tol or 1e-12)
+        res = dual_lloyd_1d(law, n, tol=args.tol)
         grid, weights = res.grid, res.weights
         err = dual_distortion(grid, law)
     with open(out / "grid.json", "w") as fh:
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--law", required=True, help="law name, JSON string, or JSON file")
     q.add_argument("--n", required=True, type=int)
     q.add_argument("--p", default=2.0, type=float)
-    q.add_argument("--tol", type=float, default=None)
+    q.add_argument("--tol", type=float, default=1e-12)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)
 

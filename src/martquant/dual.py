@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EmptyCellError,
     OutOfHullError,
     OutOfScopeError,
     SupportError,
@@ -28,6 +27,7 @@ __all__ = [
     "BarycentricSplit",
     "Triangulation2D",
     "DualQuantization",
+    "locate_1d",
     "split",
     "split_randomized",
     "dual_weights",
@@ -92,11 +92,32 @@ def _grid_points(grid) -> np.ndarray:
 # splitting operators
 
 
+def locate_1d(points: np.ndarray, queries, tol: float = _HULL_TOL):
+    """Interval and right barycentric weight of each query on a 1D grid.
+
+    Returns ``(j, lam_right)`` with ``x_j <= q <= x_{j+1}`` and
+    ``q = (1 - lam_right) x_j + lam_right x_{j+1}``.  A query outside the
+    hull ``[x_0, x_N]`` by at most ``tol * max(1, |x_0|, |x_N|)`` is clipped
+    onto it; one farther out raises :class:`OutOfHullError`, which names the
+    first such query.
+    """
+    q = np.asarray(queries, dtype=float)
+    lo, hi = points[0], points[-1]
+    slack = tol * max(1.0, abs(lo), abs(hi))
+    bad = (q < lo - slack) | (q > hi + slack)
+    if np.any(bad):
+        raise OutOfHullError(f"query {q[bad][0]} outside hull [{lo}, {hi}]")
+    q = np.clip(q, lo, hi)
+    j = np.clip(np.searchsorted(points, q, side="right") - 1, 0, points.size - 2)
+    return j, (q - points[j]) / (points[j + 1] - points[j])
+
+
 def split(grid, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
     """Barycentric split of ``xi`` on a 1D dual grid or a 2D triangulation.
 
     Raises :class:`OutOfHullError` when ``xi`` lies outside the hull beyond
-    ``tol`` (the upstream hull-containment condition failed).
+    ``tol`` (the upstream hull-containment condition failed).  A 1D query
+    on a grid point splits onto that point alone.
     """
     if isinstance(grid, Triangulation2D):
         return grid.split(np.asarray(xi, dtype=float), tol=tol)
@@ -106,21 +127,14 @@ def split(grid, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
     if arr.ndim > 0 and arr.size >= 3:
         raise OutOfScopeError("splitting is implemented for d = 1 and d = 2 only")
     points = _grid_points(grid)
-    x = float(arr)
-    lo, hi = points[0], points[-1]
-    scale = max(1.0, abs(lo), abs(hi))
-    if x < lo - tol * scale or x > hi + tol * scale:
-        raise OutOfHullError(f"query {x} outside hull [{lo}, {hi}]")
-    x = min(max(x, lo), hi)
-    j = int(np.searchsorted(points, x, side="right")) - 1
-    j = min(max(j, 0), points.size - 2)
+    j, lam_right = locate_1d(points, arr.reshape(1), tol)
+    j, lam_right = int(j[0]), float(lam_right[0])
+    x = min(max(float(arr), points[0]), points[-1])
     if x == points[j]:
         return BarycentricSplit(j, np.array([j]), np.array([1.0]))
     if x == points[j + 1]:
         return BarycentricSplit(j, np.array([j + 1]), np.array([1.0]))
-    h = points[j + 1] - points[j]
-    lam = np.array([(points[j + 1] - x) / h, (x - points[j]) / h])
-    return BarycentricSplit(j, np.array([j, j + 1]), lam)
+    return BarycentricSplit(j, np.array([j, j + 1]), np.array([1.0 - lam_right, lam_right]))
 
 
 def split_randomized(bary: BarycentricSplit, u: float) -> int:
@@ -190,27 +204,6 @@ def dual_distortion(grid, law: Law1D) -> float:
 
 # ---------------------------------------------------------------------------
 # 1D dual grid optimization
-
-
-def _dual_map(points: np.ndarray, f: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Interior update whose fixed points zero the distortion gradient.
-
-    With D_i = F(x_{i+1}) - F(x_{i-1}), the map satisfies
-    d(d2)/dx_i = D_i (T_i(x) - x_i), so moving *against* T - x descends the
-    squared distortion.
-    """
-    num = (
-        k[2:]
-        - k[1:-1]
-        - (points[2:] - points[1:-1]) * (f[2:] - f[1:-1])
-        + k[1:-1]
-        - k[:-2]
-        + (points[1:-1] - points[:-2]) * (f[1:-1] - f[:-2])
-    )
-    den = f[2:] - f[:-2]
-    if np.any(den <= 0.0):
-        raise EmptyCellError("two consecutive intervals carry zero mass")
-    return num / den
 
 
 def _map_residual(points, f, k, f_left) -> float:
@@ -287,25 +280,20 @@ def dual_lloyd_1d(
     init=None,
     tol: float = 1e-12,
     max_iter: int = 100000,
-    relaxation="auto",
 ) -> DualQuantization:
     """Optimize the interior points of a dual grid on the support hull.
 
     The endpoints stay pinned to the hull.  The fixed points of the update
     map T are exactly the stationary points of the squared distortion
     (``T - id`` is the distortion gradient rescaled by the positive interval
-    masses), and convergence means ``||T(x) - x||_inf < tol``.
-
-    ``relaxation`` selects the update:
-
-    * ``"auto"`` (default): each sweep re-solves every stationarity equation
-      in its F-level form ``F(x_i) = [x_{i+1} F(x_{i+1}) - x_{i-1} F(x_{i-1})
-      - K(x_{i+1}) + K(x_{i-1})] / (x_{i+1} - x_{i-1})``, whose level always
-      lies between the neighbour F values.  This is robust where cell masses
-      differ by orders of magnitude (law tails).
-    * a float ``w``: the bare iteration ``x <- (1-w) x + w T(x)``.  Note
-      ``w = +1`` is distortion *ascent* and diverges even for the uniform
-      law; ``w = -1`` descends but can oscillate in thin-mass regions.
+    masses), and convergence means ``||T(x) - x||_inf < tol``.  The bare
+    iteration ``x <- T(x)`` therefore *ascends* the distortion (it diverges
+    even for the uniform law), so each sweep instead re-solves every
+    stationarity equation in its F-level form ``F(x_i) = [x_{i+1}
+    F(x_{i+1}) - x_{i-1} F(x_{i-1}) - K(x_{i+1}) + K(x_{i-1})] / (x_{i+1} -
+    x_{i-1})``, whose level always lies between the neighbour F values.
+    This is robust where cell masses differ by orders of magnitude (law
+    tails).
 
     Iterates leaving the ordered simplex stop the run; the last valid grid
     is returned with ``order_violation = True``.
@@ -335,7 +323,6 @@ def dual_lloyd_1d(
     sweep_step = 1.0
     best_resid = np.inf
     since_best = 0
-    fkl = getattr(law, "cdf_moment_left_batch", None)
     # interior points of each parity, with their left and right neighbours
     parities = []
     for parity in (1, 2):
@@ -343,12 +330,7 @@ def dual_lloyd_1d(
         if idx.size:
             parities.append((parity, idx, idx - 1, idx + 1))
     for iterations in range(1, max_iter + 1):
-        if fkl is not None:
-            f, k, f_left = fkl(points)
-        else:
-            f = np.asarray(law.cdf(points))
-            k = np.asarray(law.partial_moment(points))
-            f_left = np.asarray(law.cdf_left(points))
+        f, k, f_left = law.cdf_moment_left_batch(points)
         resid = _map_residual(points, f, k, f_left)
         if resid < tol:
             converged = True
@@ -361,62 +343,44 @@ def dual_lloyd_1d(
             if since_best > 400:
                 sweep_step = 0.5  # stagnation: damp the sweep against cycling
                 since_best = 0
-        if relaxation == "auto":
-            # red-black Gauss-Seidel: each stationarity equation couples a
-            # point to its two neighbours only, so same-parity points update
-            # independently; alternating parities kills the antiphase
-            # oscillation a simultaneous sweep sustains near kinks
-            xtol = max(float_floor, 0.02 * last_move)
-            cand = points.copy()
-            for parity, idx, idx_l, idx_r in parities:
-                if parity == 2 and fkl is not None:
-                    f, k, _ = fkl(cand)
-                elif parity == 2:
-                    f = np.asarray(law.cdf(cand))
-                    k = np.asarray(law.partial_moment(cand))
-                lo_n, hi_n = cand[idx_l], cand[idx_r]
-                f_lo, f_hi = f[idx_l], f[idx_r]
-                levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
-                levels = np.clip(levels, f_lo, f_hi)
-                solved = _solve_levels(law, levels, lo_n, hi_n, xtol)
-                if sweep_step != 1.0:
-                    solved = cand[idx] + sweep_step * (solved - cand[idx])
-                if law_atoms.size:
-                    # a point placed within the solve tolerance of an atom
-                    # belongs on the atom (kink optima live there); the
-                    # tolerance shrinks with the sweeps, so transient snaps
-                    # release as the iteration refines
-                    snap = max(snap_tol, 2.0 * xtol)
-                    near = np.clip(np.searchsorted(law_atoms, solved), 1, law_atoms.size) - 1
-                    right = np.minimum(near + 1, law_atoms.size - 1)
-                    for cand_idx in (near, right):
-                        close = np.abs(solved - law_atoms[cand_idx]) <= snap
-                        solved = np.where(close, law_atoms[cand_idx], solved)
-                keep_order = (solved > lo_n) & (solved < hi_n)
-                cand[idx] = np.where(keep_order, solved, cand[idx])
-            if np.any(np.diff(cand) <= 0.0):
-                order_violation = True
-                break
-            last_move = float(np.max(np.abs(cand - points)))
-            if last_move < 0.5 * float_floor:
-                points = cand
-                if fkl is not None:
-                    f, k, f_left = fkl(points)
-                else:
-                    f = np.asarray(law.cdf(points))
-                    k = np.asarray(law.partial_moment(points))
-                    f_left = np.asarray(law.cdf_left(points))
-                converged = _map_residual(points, f, k, f_left) < tol
-                break
-            points = cand
-        else:
-            w = float(relaxation)
-            mapped = _dual_map(points, f, k)
-            cand = np.concatenate(([lo], (1.0 - w) * points[1:-1] + w * mapped, [hi]))
-            if np.any(np.diff(cand) <= 0.0):
-                order_violation = True
-                break
-            points = cand
+        # red-black Gauss-Seidel: each stationarity equation couples a point
+        # to its two neighbours only, so same-parity points update
+        # independently; alternating parities kills the antiphase
+        # oscillation a simultaneous sweep sustains near kinks
+        xtol = max(float_floor, 0.02 * last_move)
+        cand = points.copy()
+        for parity, idx, idx_l, idx_r in parities:
+            if parity == 2:
+                f, k, _ = law.cdf_moment_left_batch(cand)
+            lo_n, hi_n = cand[idx_l], cand[idx_r]
+            f_lo, f_hi = f[idx_l], f[idx_r]
+            levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
+            levels = np.clip(levels, f_lo, f_hi)
+            solved = _solve_levels(law, levels, lo_n, hi_n, xtol)
+            if sweep_step != 1.0:
+                solved = cand[idx] + sweep_step * (solved - cand[idx])
+            if law_atoms.size:
+                # a point placed within the solve tolerance of an atom
+                # belongs on the atom (kink optima live there); the
+                # tolerance shrinks with the sweeps, so transient snaps
+                # release as the iteration refines
+                snap = max(snap_tol, 2.0 * xtol)
+                near = np.clip(np.searchsorted(law_atoms, solved), 1, law_atoms.size) - 1
+                right = np.minimum(near + 1, law_atoms.size - 1)
+                for cand_idx in (near, right):
+                    close = np.abs(solved - law_atoms[cand_idx]) <= snap
+                    solved = np.where(close, law_atoms[cand_idx], solved)
+            keep_order = (solved > lo_n) & (solved < hi_n)
+            cand[idx] = np.where(keep_order, solved, cand[idx])
+        if np.any(np.diff(cand) <= 0.0):
+            order_violation = True
+            break
+        last_move = float(np.max(np.abs(cand - points)))
+        points = cand
+        if last_move < 0.5 * float_floor:
+            f, k, f_left = law.cdf_moment_left_batch(points)
+            converged = _map_residual(points, f, k, f_left) < tol
+            break
     return DualQuantization(
         grid=points,
         weights=dual_weights(points, law),

@@ -48,8 +48,7 @@ class BudgetExceeded(MartquantError):
 class HullViolation(MartquantError):
     """A one-step image of a grid point escapes the next grid's hull.
 
-    Carries which source point violated and by how much, so a pipeline can
-    widen the target hull and retry.
+    Carries which source point violated and by how much.
     """
 
     def __init__(self, message, source_index=None, overshoot=0.0):

@@ -58,6 +58,15 @@ class Law1D:
     def partial_moment(self, z):
         raise NotImplementedError
 
+    def cdf_moment_left_batch(self, z):
+        """``(F(z), K(z), F(z-))`` as arrays; laws that can share work
+        between the three override it."""
+        return (
+            np.asarray(self.cdf(z)),
+            np.asarray(self.partial_moment(z)),
+            np.asarray(self.cdf_left(z)),
+        )
+
     def quantile(self, u):
         raise NotImplementedError
 

@@ -344,12 +344,11 @@ def baker_grid(law: Law1D, n_atoms: int) -> DiscreteDistribution:
     return merged_atoms(atoms, np.full(n_atoms, 1.0 / n_atoms))
 
 
-def baker_chain_check(laws, sizes, on_violation: str = "reject") -> bool:
+def baker_chain_check(laws, sizes) -> bool:
     """Verify the convex-order ladder of Baker grids along a law sequence.
 
     Sizes must satisfy the integer-ratio condition ``N_{k+1} % N_k == 0``;
-    with ``on_violation="warn"`` a violation is tolerated and only reported
-    in the result of the underlying checks.
+    a violation raises :class:`DivisibilityError`.
     """
     laws = list(laws)
     sizes = [int(n) for n in sizes]
@@ -357,10 +356,9 @@ def baker_chain_check(laws, sizes, on_violation: str = "reject") -> bool:
         raise DomainError("need one size per law and at least two laws")
     for k in range(len(sizes) - 1):
         if sizes[k + 1] % sizes[k] != 0:
-            if on_violation == "reject":
-                raise DivisibilityError(
-                    f"size ratio N_{k + 1}/N_{k} = {sizes[k + 1]}/{sizes[k]} is not an integer"
-                )
+            raise DivisibilityError(
+                f"size ratio N_{k + 1}/N_{k} = {sizes[k + 1]}/{sizes[k]} is not an integer"
+            )
     grids = [baker_grid(law, n) for law, n in zip(laws, sizes)]
     return all(
         convex_order_check(grids[k], grids[k + 1]).dominated for k in range(len(grids) - 1)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +332,42 @@ def test_build_chain_second_moments_nondecreasing():
     for k in range(3):
         assert chain.diagnostics[k]["martingale_residual"] < 1e-9
         assert abs(chain.mean(k + 1) - chain.mean(0)) < 1e-9
+
+
+def _euler_config_chain():
+    from martquant.cli import _arch_from_config, _x0_from_config
+
+    cfg = json.loads((Path(__file__).parent.parent / "configs" / "euler.json").read_text())
+    arch, noises = _arch_from_config(cfg)
+    sizes = [cfg["sizes"]["n0"]] + [cfg["sizes"]["n"]] * arch.n_steps
+    return arch, noises, _x0_from_config(cfg), sizes
+
+
+def _seeded_chain():
+    gen = np.random.default_rng(2024)
+    n0 = 9
+    x0 = DiscreteDistribution(np.sort(gen.uniform(-1.0, 1.0, n0)), gen.dirichlet(np.ones(n0)))
+    theta = theta_abs_shifted(float(gen.uniform(0.2, 0.5)), float(gen.uniform(-0.5, 0.5)), 0.05)
+    trunc = TruncatedLaw.centered(Normal(0, 1), -float(gen.uniform(1.0, 2.5)))
+    return ArchSpec([theta] * 3), [NoiseSpec.truncated(trunc)] * 3, x0, [n0, 13, 13, 13]
+
+
+@pytest.mark.parametrize("make", [_euler_config_chain, _seeded_chain], ids=["euler", "seeded"])
+def test_embedded_grid_ends_are_the_image_hull_bit_for_bit(make):
+    """Each embedded grid ends exactly on the hull of the one-step images,
+    the hull ``dual_transition_weights`` checks, so that check passes even
+    with no tolerance.  The ends are pinned before the first sweep, so
+    capping the sweeps keeps what is checked and keeps the build short."""
+    arch, noises, x0, sizes = make()
+    chain = build_chain(arch, noises, x0, sizes, dual_max_iter=50)
+    for k in range(arch.n_steps):
+        source, target = chain.grids[k], chain.grids[k + 1]
+        theta_vals = arch.thetas[k](source)
+        trunc = noises[k].truncation
+        assert target[0] == np.min(source + theta_vals * trunc.alpha)
+        assert target[-1] == np.max(source + theta_vals * trunc.beta)
+        exact = dual_transition_weights(source, target, theta_vals, trunc, hull_tol=0.0)
+        assert exact.matrix.tobytes() == chain.kernels[k].matrix.tobytes()
 
 
 def test_build_chain_degenerate_noise_keeps_marginal():

@@ -39,6 +39,16 @@ def test_quantize_bad_n_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("mode", ["primal", "dual"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_quantize_bad_tol_exits_1(tmp_path, capsys, mode, tol):
+    out = tmp_path / "q"
+    argv = ["quantize", mode, "--law", "uniform01", "--n", "4", "--tol", tol, "--out", str(out)]
+    assert run(argv) == 1
+    assert "configuration error: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quantize_inline_json_law(tmp_path):
     law = json.dumps({"kind": "uniform", "a": -1, "b": 1})
     out = tmp_path / "j"

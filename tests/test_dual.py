@@ -12,6 +12,7 @@ from martquant.dual import (
     dual_distortion,
     dual_lloyd_1d,
     dual_weights,
+    locate_1d,
     split,
     split_randomized,
 )
@@ -109,10 +110,17 @@ def test_dual_distortion_zero_when_grid_covers_atoms():
 
 def test_dual_lloyd_uniform_reference():
     u = Uniform(0, 1)
+    inits = []
     for n in (3, 5, 9):
         init = np.linspace(0, 1, n)
         init[1:-1] += 0.25 / n * np.sin(np.arange(1, n - 1) + 1.0)
-        res = dual_lloyd_1d(u, n, init=np.sort(init), tol=1e-13)
+        inits.append(np.sort(init))
+    # uneven gaps: from here the bare map x <- T(x) leaves the ordered
+    # simplex within four steps
+    inits.append(np.array([0.0, 0.2, 0.45, 0.75, 1.0]))
+    for init in inits:
+        n = init.size
+        res = dual_lloyd_1d(u, n, init=init, tol=1e-13)
         assert res.converged
         assert np.abs(res.grid - np.linspace(0, 1, n)).max() < 1e-10
         assert (n - 1) * res.distortion == pytest.approx(1 / math.sqrt(6), abs=1e-10)
@@ -130,9 +138,10 @@ def test_dual_lloyd_needs_compact_support():
 
 
 def test_dual_lloyd_map_is_scaled_gradient():
-    """Finite differences of the closed-form squared distortion agree with
-    (F(x_{i+1}) - F(x_{i-1})) * (T_i(x) - x_i)."""
-    from martquant.dual import _dual_map
+    """Finite differences of the closed-form squared distortion, divided by
+    the interval masses F(x_{i+1}) - F(x_{i-1}), are the stationarity
+    residual |T_i(x) - x_i| of each interior point."""
+    from martquant.dual import _map_residual
 
     law = Uniform(0, 1)
     gen = make_generator(2)
@@ -144,26 +153,18 @@ def test_dual_lloyd_map_is_scaled_gradient():
 
     f = np.asarray(law.cdf(x))
     k = np.asarray(law.partial_moment(x))
-    mapped = _dual_map(x, f, k)
     h = 1e-7
+    scaled = []
     for i in range(1, 4):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
         fd = (d2(xp) - d2(xm)) / (2 * h)
-        analytic = (f[i + 1] - f[i - 1]) * (mapped[i - 1] - x[i])
-        assert fd == pytest.approx(analytic, abs=5e-7)
-
-
-def test_dual_lloyd_full_step_is_distortion_ascent():
-    """The bare unit-relaxation iteration increases distortion and escapes
-    the simplex; the default solver converges instead."""
-    u = Uniform(0, 1)
-    init = np.array([0.0, 0.2, 0.45, 0.75, 1.0])
-    bare = dual_lloyd_1d(u, 5, init=init, relaxation=1.0, max_iter=50)
-    assert bare.order_violation or not bare.converged
-    good = dual_lloyd_1d(u, 5, init=init)
-    assert good.converged
+        scaled.append(abs(fd) / (f[i + 1] - f[i - 1]))
+        window = slice(i - 1, i + 2)
+        resid = _map_residual(x[window], f[window], k[window], f[window])
+        assert scaled[-1] == pytest.approx(resid, abs=5e-7)
+    assert max(scaled) == pytest.approx(_map_residual(x, f, k, f), abs=5e-7)
 
 
 def test_dual_lloyd_truncated_normal_vs_bruteforce_oracle():
@@ -221,6 +222,35 @@ def test_dual_quantization_raises_convex_order():
     mu = DiscreteDistribution(np.asarray(law.points), law.weights)
     nu = DiscreteDistribution(grid, w)
     assert convex_order_check(mu, nu).dominated
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_locate_1d_matches_bruteforce(tol):
+    gen = make_generator(71)
+    points = np.sort(np.unique(np.round(gen.normal(size=12) * 0.5 + 20.0, 6)))
+    lo, hi = points[0], points[-1]
+    queries = np.concatenate(
+        (points, 0.5 * (points[:-1] + points[1:]), gen.uniform(lo, hi, size=200))
+    )
+    j, lam_right = locate_1d(points, queries, tol)
+    for q, jq, lq in zip(queries, j, lam_right):
+        # the last interval whose left end is at or below q, closed at hi
+        want = max(i for i in range(points.size - 1) if points[i] <= q)
+        assert jq == want
+        assert lq == (q - points[want]) / (points[want + 1] - points[want])
+        assert 0.0 <= lq <= 1.0
+        assert (1.0 - lq) * points[jq] + lq * points[jq + 1] == pytest.approx(q, abs=1e-12)
+    # the slack scales with the largest absolute endpoint, which on this
+    # grid far from 0 is several times its width
+    span = max(1.0, abs(lo), abs(hi))
+    assert span > 4.0 * (hi - lo)
+    j, lam_right = locate_1d(points, [lo - 0.5 * tol * span, hi + 0.5 * tol * span], tol)
+    assert list(j) == [0, points.size - 2]
+    assert list(lam_right) == [0.0, 1.0]
+    bad = np.array([0.5 * (lo + hi), hi + 2.0 * tol * span, lo - 2.0 * tol * span])
+    with pytest.raises(OutOfHullError) as err:
+        locate_1d(points, bad, tol)
+    assert str(err.value).startswith(f"query {bad[1]} ")
 
 
 @given(st.integers(min_value=0, max_value=10**6))

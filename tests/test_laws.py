@@ -233,6 +233,24 @@ def test_standard_normal_skips_its_affine_map_bit_for_bit():
     assert np.asarray(shifted.cdf(z)).tobytes() == ndtr((z - 0.0) / 2.0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        Uniform(-1.5, 2.0),
+        FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+        TruncatedLaw.centered(Normal(0.0, 1.0), -1.5),
+    ],
+    ids=["uniform", "atoms", "truncated"],
+)
+def test_default_cdf_moment_left_batch_is_the_three_methods_bit_for_bit(law):
+    lo, hi = law.support
+    z = np.concatenate(([lo - 1.0, lo, hi, hi + 1.0, 0.0, 0.25], np.linspace(lo, hi, 17)))
+    f, k, f_left = law.cdf_moment_left_batch(z)
+    assert f.tobytes() == np.asarray(law.cdf(z)).tobytes()
+    assert k.tobytes() == np.asarray(law.partial_moment(z)).tobytes()
+    assert f_left.tobytes() == np.asarray(law.cdf_left(z)).tobytes()
+
+
 def test_truncated_second_moment_is_computed_once(monkeypatch):
     import martquant.laws as lawsmod
 

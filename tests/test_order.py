@@ -242,10 +242,8 @@ def test_baker_chain_check():
     assert baker_chain_check([Uniform(-1, 2), Uniform(0, 1)], [2, 4]) is False
     with pytest.raises(DivisibilityError):
         baker_chain_check([Uniform(0, 1), Uniform(-1, 2)], [3, 4])
-    # warn mode tolerates the ratio violation
-    assert baker_chain_check(
-        [Uniform(0, 1), Uniform(-1, 2)], [3, 4], on_violation="warn"
-    ) in (True, False)
+    with pytest.raises(DivisibilityError):
+        baker_chain_check([Uniform(0, 1), Uniform(-1, 2), Uniform(-2, 3)], [2, 4, 6])
 
 
 # ---------------------------------------------------------------------------
