@@ -11,6 +11,7 @@ convex-order domination of truncated dynamics.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _BLOCK = 250_000  # paths per block; the block index keys the Philox streams
+_CHUNK = 16_384  # paths stepped at once inside a block; changes no draw
 _BATCHES = 30
 _PAIRWISE_LEAF = 128  # numpy sums at most this many entries in one loop
 
@@ -84,8 +86,8 @@ def _sample_x0(x0, n, gen) -> np.ndarray:
     if isinstance(x0, DiscreteDistribution):
         return _draw_atoms(x0, n, gen)
     if isinstance(x0, Law1D):
-        u = np.maximum(gen.random(n), 1e-300)
-        return np.asarray(x0.quantile(u), dtype=float)
+        u = gen.random(n)
+        return np.asarray(x0.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
     raise DomainError("x0 must be a number, a 1D law, or a DiscreteDistribution")
 
 
@@ -111,8 +113,8 @@ def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
 def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
     """One step's draws of the exact innovation and of its approximation."""
     if spec.base is not None:
-        u = np.maximum(gen.random(count), 1e-300)
-        z = np.asarray(spec.base.quantile(u), dtype=float)
+        u = gen.random(count)
+        z = np.asarray(spec.base.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
         return z, _project_noise(z, spec)
     # atoms without a base law: both paths ride the atoms
     z = _draw_atoms(spec.atoms, count, gen)
@@ -120,34 +122,41 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
 
 
 def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
-    """Yield ``(exact, approx, dual)``, the states of one block of paths at
-    k = 0, ..., n_steps, one step at a time (``dual`` is None without a
-    chain).
+    """Yield ``(lo, k, exact, approx, dual)`` for one block of paths, chunk
+    by chunk: the states at k = 0, ..., n_steps of the at most ``_CHUNK``
+    paths that start at path ``lo`` (``dual`` is None without a chain).
 
     Block b of an n-step run draws x0 from Philox stream b(2n+1), the
     step-k innovations from stream b(2n+1)+1+k and the step-k split
     uniforms from stream b(2n+1)+1+n+k, so every draw depends only on
-    ``(seed, block)``.  The yielded vectors are read-only: at k = 0
-    ``exact`` and ``approx`` are one array.
+    ``(seed, block)``.  Each chunk takes the next draws of every stream,
+    and Philox returns the same values however a stream is sliced, so the
+    chunk size changes no draw.  The yielded vectors are read-only: at
+    k = 0 ``exact`` and ``approx`` are one array.
     """
     b, lo, hi = block
-    count = hi - lo
     n = arch.n_steps
     base = b * (2 * n + 1)
-    x = _sample_x0(x0, count, make_generator(seed, base))
-    xb = x
-    xh = None if chain is None else chain.grids[0][_assign_1d(chain.grids[0], x)]
-    yield x, xb, xh
-    for k in range(n):
-        z, zb = _innovations(noise_specs[k], count, make_generator(seed, base + 1 + k))
-        theta = arch.thetas[k]
-        x = x + theta(x) * z
-        xb = xb + theta(xb) * zb
-        if chain is not None:
-            uu = make_generator(seed, base + 1 + n + k).random(count)
-            tilde = xh + theta(xh) * zb
-            xh = _split_sample(np.asarray(chain.grids[k + 1], dtype=float), tilde, uu)
-        yield x, xb, xh
+    x0_gen = make_generator(seed, base)
+    noise_gens = [make_generator(seed, base + 1 + k) for k in range(n)]
+    if chain is not None:
+        split_gens = [make_generator(seed, base + 1 + n + k) for k in range(n)]
+        grids = [np.asarray(g, dtype=float) for g in chain.grids]
+    for start in range(lo, hi, _CHUNK):
+        count = min(_CHUNK, hi - start)
+        x = _sample_x0(x0, count, x0_gen)
+        xb = x
+        xh = None if chain is None else grids[0][_assign_1d(grids[0], x)]
+        yield start, 0, x, xb, xh
+        for k in range(n):
+            z, zb = _innovations(noise_specs[k], count, noise_gens[k])
+            theta = arch.thetas[k]
+            x = x + theta(x) * z
+            xb = xb + theta(xb) * zb
+            if chain is not None:
+                tilde = xh + theta(xh) * zb
+                xh = _split_sample(grids[k + 1], tilde, split_gens[k].random(count))
+            yield start, k + 1, x, xb, xh
 
 
 def _map_blocks(fn, n_paths: int, threads: int) -> list:
@@ -188,7 +197,8 @@ def simulate_coupled(
     (same innovations plus the chain's own split uniforms).  The arrays
     hold every path and step; ``coupled_gap_statistics``,
     ``simulate_chain_marginals`` and ``domination_test`` reduce the same
-    paths one block at a time instead.
+    paths one chunk of ``_CHUNK`` paths at a time instead, so their memory
+    does not grow with ``n_paths``.
     """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
@@ -197,8 +207,8 @@ def simulate_coupled(
     dual = np.empty((n + 1, n_paths)) if chain is not None else None
 
     def fill(block):
-        _, lo, hi = block
-        for k, (x, xb, xh) in enumerate(_block_steps(arch, noise_specs, x0, seed, block, chain)):
+        for lo, k, x, xb, xh in _block_steps(arch, noise_specs, x0, seed, block, chain):
+            hi = lo + x.size
             exact[k, lo:hi] = x
             approx[k, lo:hi] = xb
             if dual is not None:
@@ -218,17 +228,15 @@ def simulate_chain_marginals(
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Monte Carlo marginal weights of the dually projected chain, counted
-    one block of paths at a time."""
+    one chunk of paths at a time."""
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     grids = [np.asarray(g, dtype=float) for g in chain.grids]
 
     def count_block(block):
-        return [
-            np.bincount(_assign_1d(grids[k], xh), minlength=grids[k].size)
-            for k, (_, _, xh) in enumerate(
-                _block_steps(arch, noise_specs, x0, seed, block, chain)
-            )
-        ]
+        counts = [np.zeros(g.size, dtype=np.intp) for g in grids]
+        for _, k, _, _, xh in _block_steps(arch, noise_specs, x0, seed, block, chain):
+            counts[k] += np.bincount(_assign_1d(grids[k], xh), minlength=grids[k].size)
+        return counts
 
     counts = _map_blocks(count_block, n_paths, threads)
     return [sum(c[k] for c in counts) / n_paths for k in range(chain.n_steps + 1)]
@@ -240,55 +248,67 @@ def _pairwise_half(size: int) -> int:
 
 
 class _PairwiseSums:
-    """Sums over index ranges of long float sequences that arrive in ordered
-    chunks, each bit for bit the ``np.add.reduce`` of the whole range.
+    """Sums over index ranges of long float sequences that arrive in chunks,
+    each bit for bit the ``np.add.reduce`` of the whole range.
 
     numpy sums a contiguous array pairwise: it halves a range at a multiple
     of 8 until at most 128 entries are left, and sums those in one leaf
     loop.  A chunk therefore contributes the sums of the tree nodes it
     covers whole (``np.add.reduce`` of a node runs the node's own tree) and
-    a copy of its share of each leaf it cuts.  ``total`` walks the tree.
+    a copy of its share of each leaf it cuts.  Finished work is folded as
+    it arrives: a leaf whose pieces cover it becomes the ``np.add.reduce``
+    of their concatenation, and two sibling sums become their parent's,
+    ``left + right``, as numpy combines them.  So each range holds a few
+    nodes per tree level whatever the number of chunks, the chunks may
+    arrive in any order and from several threads, and a range's sum is its
+    root node once every entry has arrived.
     """
 
     def __init__(self):
-        self.nodes = {}   # (key, start, size) -> sum of a tree node covered whole
-        self.leaves = {}  # (key, start, size) -> {offset: entries of a cut leaf}
+        self.nodes = {}   # (tree, start, size) -> sum of a finished tree node
+        self.leaves = {}  # (tree, start, size) -> {offset: entries of a cut leaf}
+        self._lock = threading.Lock()
 
     def add(self, key, values: np.ndarray, offset: int, ranges) -> None:
         """Record ``values``, entries ``offset, offset + 1, ...`` of sequence
         ``key``, for the sums over each ``(start, size)`` range."""
-        for start, size in ranges:
-            self._add(key, values, offset, start, size)
+        with self._lock:
+            for start, size in ranges:
+                self._add((key, start, size), values, offset, start, size)
 
-    def _add(self, key, values, offset, start, size):
+    def _add(self, tree, values, offset, start, size) -> bool:
+        """Record the entries of ``values`` that fall in node ``(start,
+        size)`` of ``tree``; True once the node's sum is finished."""
+        node = (tree, start, size)
+        if node in self.nodes:
+            return True
         lo = max(start, offset)
         hi = min(start + size, offset + values.size)
         if lo >= hi:
-            return
+            return False
         if lo == start and hi == start + size:
-            self.nodes[key, start, size] = np.add.reduce(values[lo - offset : hi - offset])
-        elif size <= _PAIRWISE_LEAF:
-            piece = values[lo - offset : hi - offset].copy()
-            self.leaves.setdefault((key, start, size), {})[lo] = piece
-        else:
-            half = _pairwise_half(size)
-            self._add(key, values, offset, start, half)
-            self._add(key, values, offset, start + half, size - half)
-
-    def merge(self, other: "_PairwiseSums") -> None:
-        self.nodes.update(other.nodes)
-        for node, pieces in other.leaves.items():
-            self.leaves.setdefault(node, {}).update(pieces)
+            self.nodes[node] = np.add.reduce(values[lo - offset : hi - offset])
+            return True
+        if size <= _PAIRWISE_LEAF:
+            pieces = self.leaves.setdefault(node, {})
+            pieces[lo] = values[lo - offset : hi - offset].copy()
+            if sum(piece.size for piece in pieces.values()) < size:
+                return False
+            del self.leaves[node]
+            self.nodes[node] = np.add.reduce(np.concatenate([pieces[o] for o in sorted(pieces)]))
+            return True
+        half = _pairwise_half(size)
+        left = self._add(tree, values, offset, start, half)
+        right = self._add(tree, values, offset, start + half, size - half)
+        if not (left and right):
+            return False
+        self.nodes[node] = self.nodes.pop((tree, start, half)) + self.nodes.pop(
+            (tree, start + half, size - half)
+        )
+        return True
 
     def total(self, key, start: int, size: int):
-        node = (key, start, size)
-        if node in self.nodes:
-            return self.nodes[node]
-        if size <= _PAIRWISE_LEAF:
-            pieces = self.leaves[node]
-            return np.add.reduce(np.concatenate([pieces[o] for o in sorted(pieces)]))
-        half = _pairwise_half(size)
-        return self.total(key, start, half) + self.total(key, start + half, size - half)
+        return self.nodes[(key, start, size), start, size]
 
     def mean(self, key, n: int):
         return self.total(key, 0, n) / n
@@ -298,13 +318,6 @@ class _PairwiseSums:
         return _batch_se(
             np.array([self.total(key, start, size) / size for start, size in _batch_ranges(n)])
         )
-
-
-def _stream_sums(reduce_block, n_paths: int, threads: int) -> _PairwiseSums:
-    sums = _PairwiseSums()
-    for part in _map_blocks(reduce_block, n_paths, threads):
-        sums.merge(part)
-    return sums
 
 
 def _batch_ranges(n: int) -> list[tuple[int, int]]:
@@ -351,26 +364,27 @@ def coupled_gap_statistics(
     The numbers are those of the formulas on the full arrays, bit for bit:
     ``sqrt(mean((exact[k] - approx[k]) ** 2))``, ``batch_standard_error``
     of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``.
-    Memory holds one block of paths per thread, whatever ``n_paths``.
+    Memory holds one chunk of ``_CHUNK`` paths per thread and is flat in
+    ``n_paths``.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
+    n = arch.n_steps
     whole = [(0, n_paths)]
     whole_and_batches = whole + _batch_ranges(n_paths)
+    sums = _PairwiseSums()
 
     def reduce_block(block):
-        lo = block[1]
-        sums = _PairwiseSums()
-        for k, (x, xb, _) in enumerate(_block_steps(arch, noise_specs, x0, seed, block)):
+        for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
             gap = np.abs(x - xb)
             sup = gap.copy() if k == 0 else np.maximum(sup, gap, out=sup)
             sums.add(k, np.square(gap, out=gap), lo, whole_and_batches)
-        sums.add("sup", np.square(sup, out=sup), lo, whole)
-        return sums
+            if k == n:
+                sums.add("sup", np.square(sup, out=sup), lo, whole)
 
-    sums = _stream_sums(reduce_block, n_paths, threads)
-    steps = range(arch.n_steps + 1)
+    _map_blocks(reduce_block, n_paths, threads)
+    steps = range(n + 1)
     return GapStatistics(
         empirical=np.array([math.sqrt(float(sums.mean(k, n_paths))) for k in steps]),
         standard_error=np.array([sums.batch_standard_error(k, n_paths) for k in steps]),
@@ -584,31 +598,34 @@ def domination_test(
     convex order: for every battery member, E phi(approx) <= E phi(exact)
     within 3 paired standard errors.
 
-    The battery sees one block's ``(n_paths_in_block, n_steps + 1)`` paths
-    at a time; the means and standard errors are those of the full arrays.
+    The battery sees one chunk's ``(n_paths_in_chunk, n_steps + 1)`` paths
+    at a time, so memory is flat in ``n_paths``; the means and standard
+    errors are those of the full arrays.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
+    n = arch.n_steps
     whole = [(0, n_paths)]
     whole_and_batches = whole + _batch_ranges(n_paths)
+    sums = _PairwiseSums()
 
     def reduce_block(block):
-        _, lo, hi = block
-        paths = np.empty((2, arch.n_steps + 1, hi - lo))
-        for k, (x, xb, _) in enumerate(_block_steps(arch, noise_specs, x0, seed, block)):
+        for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
+            if k == 0:
+                paths = np.empty((2, n + 1, x.size))
             paths[0, k] = x
             paths[1, k] = xb
-        sums = _PairwiseSums()
-        for i, fn in enumerate(battery.members):
-            v_exact = fn(paths[0].T)
-            v_approx = fn(paths[1].T)
-            sums.add((i, "exact"), v_exact, lo, whole)
-            sums.add((i, "approx"), v_approx, lo, whole)
-            sums.add((i, "gap"), v_approx - v_exact, lo, whole_and_batches)
-        return sums
+            if k < n:
+                continue
+            for i, fn in enumerate(battery.members):
+                v_exact = fn(paths[0].T)
+                v_approx = fn(paths[1].T)
+                sums.add((i, "exact"), v_exact, lo, whole)
+                sums.add((i, "approx"), v_approx, lo, whole)
+                sums.add((i, "gap"), v_approx - v_exact, lo, whole_and_batches)
 
-    sums = _stream_sums(reduce_block, n_paths, threads)
+    _map_blocks(reduce_block, n_paths, threads)
     rows = []
     for i in range(len(battery.members)):
         mean_gap = float(sums.mean((i, "gap"), n_paths))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Triangulation2D, dual_distortion, dual_lloyd_1d, locate_1d
+from .dual import Triangulation2D, dual_distortion, dual_lloyd_1d, hull_slack_1d, locate_1d
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
 from .laws import FiniteAtoms, Law1D, TruncatedLaw
 from .order import DiscreteDistribution
@@ -344,7 +344,8 @@ def dual_transition_weights(
     Row i applies the dual-weight formula to the conditional law of the next
     state given source point i, using the transition F and K closed forms at
     the target points.  Requires every one-step image interval
-    ``[x_i + theta_i alpha, x_i + theta_i beta]`` inside the target hull.
+    ``[x_i + theta_i alpha, x_i + theta_i beta]`` inside the target hull,
+    up to the slack ``hull_slack_1d`` that ``locate_1d`` allows as well.
     """
     xs = np.asarray(source_grid, dtype=float).reshape(-1)
     ts = np.asarray(target_grid, dtype=float).reshape(-1)
@@ -355,9 +356,9 @@ def dual_transition_weights(
         raise DomainError("closed-form transitions require strictly positive theta")
     lo_img = xs + theta_vals * trunc.alpha
     hi_img = xs + theta_vals * trunc.beta
-    span = max(1.0, float(ts[-1] - ts[0]))
-    low_bad = lo_img < ts[0] - hull_tol * span
-    high_bad = hi_img > ts[-1] + hull_tol * span
+    slack = hull_slack_1d(ts[0], ts[-1], hull_tol)
+    low_bad = lo_img < ts[0] - slack
+    high_bad = hi_img > ts[-1] + slack
     if np.any(low_bad) or np.any(high_bad):
         i = int(np.flatnonzero(low_bad | high_bad)[0])
         overshoot = max(float(ts[0] - lo_img[i]), float(hi_img[i] - ts[-1]))

@@ -70,11 +70,21 @@ def _load_config(args) -> dict:
 
 
 def _threads(args, cfg) -> int:
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    if "threads" in cfg:
-        return int(cfg["threads"])
-    return int(os.environ.get("MARTQUANT_THREADS", "1"))
+    """Worker threads from ``--threads``, else the config, else
+    ``MARTQUANT_THREADS``, else 1; each must be an integer >= 1."""
+    if getattr(args, "threads", None) is not None:
+        value, source = args.threads, "--threads"
+    elif "threads" in cfg:
+        value, source = cfg["threads"], "config key 'threads'"
+    else:
+        value, source = os.environ.get("MARTQUANT_THREADS", "1"), "MARTQUANT_THREADS"
+    try:
+        threads = int(value) if isinstance(value, (int, str)) and not isinstance(value, bool) else 0
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"{source} must be an integer >= 1, got {value!r}")
+    return threads
 
 
 def _theta_from_json(obj) -> chainmod.ThetaFn:

@@ -92,6 +92,12 @@ def _grid_points(grid) -> np.ndarray:
 # splitting operators
 
 
+def hull_slack_1d(lo: float, hi: float, tol: float) -> float:
+    """How far outside the 1D hull ``[lo, hi]`` a point may lie and still
+    count as inside: ``tol * max(1, |lo|, |hi|)``."""
+    return tol * max(1.0, abs(lo), abs(hi))
+
+
 def locate_1d(points: np.ndarray, queries, tol: float = _HULL_TOL):
     """Interval and right barycentric weight of each query on a 1D grid.
 
@@ -103,7 +109,7 @@ def locate_1d(points: np.ndarray, queries, tol: float = _HULL_TOL):
     """
     q = np.asarray(queries, dtype=float)
     lo, hi = points[0], points[-1]
-    slack = tol * max(1.0, abs(lo), abs(hi))
+    slack = hull_slack_1d(lo, hi, tol)
     bad = (q < lo - slack) | (q > hi + slack)
     if np.any(bad):
         raise OutOfHullError(f"query {q[bad][0]} outside hull [{lo}, {hi}]")

@@ -185,6 +185,8 @@ class Normal(Law1D):
 
     def quantile(self, u):
         u, scalar = self._check_u(u)
+        if self.m == 0.0 and self.s == 1.0:
+            return _ret(ndtri(u), scalar)  # 0.0 + 1.0 * z is z, as in _std
         return _ret(self.m + self.s * ndtri(u), scalar)
 
     def density(self, z):

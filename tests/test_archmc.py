@@ -1,10 +1,13 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from martquant import archmc
 from martquant.archmc import (
     _PairwiseSums,
     batch_standard_error,
@@ -436,28 +439,129 @@ def test_pairwise_sums_are_numpys_bit_for_bit():
     for n in (1, 7, 8, 129, 1000, 40_003):
         values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
         cuts = np.unique(np.concatenate(([0, n], gen.integers(0, n, 6))))
-        ranges = [(0, n), (n // 3, n - n // 3), (n - 1, 1)]
+        ranges = sorted({(0, n), (n // 3, n - n // 3), (n - 1, 1)})
         sums = _PairwiseSums()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            part = _PairwiseSums()
-            part.add("x", values[lo:hi], int(lo), ranges)
-            sums.merge(part)
+        # chunks arrive out of order, as blocks do from several threads
+        for i in gen.permutation(cuts.size - 1):
+            lo, hi = int(cuts[i]), int(cuts[i + 1])
+            sums.add("x", values[lo:hi], lo, ranges)
         for start, size in ranges:
-            if size:
-                assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
+            assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
+        # every finished node was folded into its range's root
+        assert sums.leaves == {}
+        assert len(sums.nodes) == len(ranges)
+
+
+def test_pairwise_sums_fold_chunks_of_every_size():
+    gen = np.random.default_rng(5)
+    n = 5_003
+    values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
+    ranges = [(0, n)] + archmc._batch_ranges(n)
+    for chunk in (1, 3, 8, 127, 128, 129, 4096):
+        sums = _PairwiseSums()
+        stored = 0
+        for lo in range(0, n, chunk):
+            sums.add("x", values[lo : lo + chunk], lo, ranges)
+            stored = max(stored, len(sums.nodes) + len(sums.leaves))
+        for start, size in ranges:
+            assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
+        # the bookkeeping holds about one node per range, not one per chunk
+        assert stored < len(ranges) + 16
+
+
+def test_pairwise_sums_from_many_threads():
+    gen = np.random.default_rng(7)
+    n = 40_003
+    values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
+    ranges = [(0, n)] + archmc._batch_ranges(n)
+    cuts = np.unique(np.concatenate(([0, n], gen.integers(0, n, 400))))
+    sums = _PairwiseSums()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(sums.add, "x", values[lo:hi], int(lo), ranges)
+                for lo, hi in zip(cuts[:-1], cuts[1:])
+            ]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for start, size in ranges:
+        assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
+    assert sums.leaves == {}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _euler_gaps(n_paths):
+    arch = ArchSpec(euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 5))
+    specs = [NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -2.0))] * 5
+    return coupled_gap_statistics(arch, specs, Uniform(0.9, 1.1), n_paths, seed=59)
 
 
 def test_gap_statistics_memory_stays_at_one_block():
-    # the full arrays of 10^6 paths x 6 time indices are 2 x 48 MB
-    arch = ArchSpec(euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 5))
-    specs = [NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -2.0))] * 5
-    tracemalloc.start()
-    try:
-        coupled_gap_statistics(arch, specs, Uniform(0.9, 1.1), 1_000_000, seed=59)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    # the full arrays of 10^6 paths x 6 time indices are 2 x 48 MB, one
+    # block of 250 000 paths about 2 MB per array, one chunk 128 KiB
+    peak = _traced_peak(lambda: _euler_gaps(1_000_000))
+    assert peak < 8 * 2 ** 20
+    # four times the paths: the pairwise bookkeeping does not grow with them
+    assert _traced_peak(lambda: _euler_gaps(4_000_000)) < peak + 2 ** 20
+
+
+# blocks of 300, 300 and 1 path with ``_BLOCK`` patched to 300
+CHUNKED_PATHS = 601
+
+
+def _chunked_outputs(arch, specs, x0, chain, battery, threads):
+    run = dict(n_paths=CHUNKED_PATHS, seed=67, threads=threads)
+    sample = simulate_coupled(arch, specs, x0, chain=chain, **run)
+    gaps = coupled_gap_statistics(arch, specs, x0, **run)
+    rows = _rows(domination_test(arch, specs, x0, battery, **run))
+    marginals = simulate_chain_marginals(chain, arch, specs, x0, **run)
+    return sample, gaps, rows, marginals
+
+
+@_NOISES
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
+    monkeypatch.setattr(archmc, "_BLOCK", 300)
+    spec = make_spec()
+    specs = [NoiseSpec.truncated(TRUNC15), spec, spec]
+    arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
+    chain = build_chain(arch, specs, PointMass(1.0), [1, 9, 9, 9])
+    battery = ConvexTestBattery(
+        (path_max_call(4, 1.0),) + ConvexTestBattery.random_max_affine(4, count=3, seed=2).members
+    )
+    x0 = Uniform(0.9, 1.1)
+    # the default chunk holds a whole block: one chunk per block
+    want = _chunked_outputs(arch, specs, x0, chain, battery, threads)
+    assert want[1].empirical[-1] > 0.0
+    for chunk in (1, 7, 128):
+        monkeypatch.setattr(archmc, "_CHUNK", chunk)
+        sample, gaps, rows, marginals = _chunked_outputs(arch, specs, x0, chain, battery, threads)
+        assert np.array_equal(sample.exact, want[0].exact)
+        assert np.array_equal(sample.approx, want[0].approx)
+        assert np.array_equal(sample.dual, want[0].dual)
+        assert np.array_equal(gaps.empirical, want[1].empirical)
+        assert np.array_equal(gaps.standard_error, want[1].standard_error)
+        assert gaps.doob_empirical == want[1].doob_empirical
+        if chunk == 1:
+            # a one-row battery product goes through BLAS gemv, which may
+            # round differently from the gemm of a longer chunk
+            np.testing.assert_allclose(rows, want[2], rtol=1e-13, atol=1e-13 * np.abs(want[2]).max())
+        else:
+            assert np.array_equal(rows, want[2])
+        for got, expected in zip(marginals, want[3]):
+            assert np.array_equal(got, expected)
 
 
 def test_streamed_statistics_need_two_paths():

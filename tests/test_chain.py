@@ -20,8 +20,8 @@ from martquant.chain import (
     transition_cdf,
     transition_partial_moment,
 )
-from martquant.dual import Triangulation2D
-from martquant.errors import DomainError, HullViolation
+from martquant.dual import Triangulation2D, locate_1d
+from martquant.errors import DomainError, HullViolation, OutOfHullError
 from martquant.laws import FiniteAtoms, Normal, PointMass, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 
@@ -135,6 +135,39 @@ def test_dual_transition_hull_violation(trunc_n1):
     with pytest.raises(HullViolation) as err:
         dual_transition_weights(np.array([0.0]), np.array([-0.5, 0.5]), np.array([1.0]), trunc_n1)
     assert err.value.overshoot > 0
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize(
+    "grid", [[100.0, 100.5, 101.0], [-5.0, 0.0, 5.0]], ids=["narrow_far", "wide_centred"]
+)
+def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
+    """The closed-form kernel and ``locate_1d`` take one hull slack,
+    ``tol * max(1, |x_0|, |x_N|)``: 1.01e-7 on [100, 101], 5e-9 on [-5, 5]."""
+    ts = np.array(grid)
+    tol, theta = 1e-9, 0.25
+    slack = tol * max(1.0, abs(ts[0]), abs(ts[-1]))
+    for factor, inside in ((0.5, True), (1.5, False)):
+        if side == "high":
+            edge = ts[-1] + factor * slack
+            x = edge - theta * trunc_n1.beta
+        else:
+            edge = ts[0] - factor * slack
+            x = edge - theta * trunc_n1.alpha
+        image = x + theta * (trunc_n1.beta if side == "high" else trunc_n1.alpha)
+        assert abs(image - edge) < 1e-3 * slack
+        kernel = lambda: dual_transition_weights(
+            np.array([x]), ts, np.array([theta]), trunc_n1, hull_tol=tol
+        )
+        locate = lambda: locate_1d(ts, [image], tol)
+        if inside:
+            kernel()
+            locate()
+        else:
+            with pytest.raises(HullViolation):
+                kernel()
+            with pytest.raises(OutOfHullError):
+                locate()
 
 
 def test_finite_noise_transition_rademacher():

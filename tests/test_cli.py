@@ -276,6 +276,32 @@ def test_one_path_is_a_configuration_error(tmp_path, chain_config, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+@pytest.mark.parametrize("source", ["flag_0", "flag_-1", "config_0", "env_0"])
+def test_threads_below_one_are_a_configuration_error(
+    tmp_path, chain_config, capsys, monkeypatch, command, source
+):
+    # a count below 1 names no thread count: 0 is falsy, so it must not
+    # fall through to the next source, and -1 must not run serially
+    monkeypatch.delenv("MARTQUANT_THREADS", raising=False)
+    cfg = json.loads(chain_config.read_text())
+    extra = []
+    if source.startswith("flag"):
+        extra = ["--threads", source.split("_")[1]]
+    elif source == "config_0":
+        cfg["threads"] = 0
+    else:
+        monkeypatch.setenv("MARTQUANT_THREADS", "0")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    args = [command, "--config", str(path), "--out", str(out), "--seed", "3", *extra]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "threads" in err.lower()
+    assert not out.exists()
+
+
 def test_counterexample_command(tmp_path, capsys):
     out = tmp_path / "ce"
     assert run(["counterexample", "--resolution", "0.001", "--out", str(out)]) == 0

@@ -63,6 +63,16 @@ def test_quantile_examples():
     assert FiniteAtoms([0.0, 1.0], [0.5, 0.5]).quantile(0.5) == 0.0
 
 
+def test_standard_normal_quantile_is_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+
+    u = np.array([0.5, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53])
+    want = 0.0 + 1.0 * ndtri(u)
+    got = Normal(0, 1).quantile(u)
+    assert got.tobytes() == want.tobytes()
+    assert [Normal(0, 1).quantile(float(v)) for v in u] == list(want)
+
+
 def test_quantile_domain_error():
     with pytest.raises(DomainError):
         Uniform(0, 1).quantile(0.0)
