@@ -123,8 +123,12 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
 
 def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     """Yield ``(lo, k, exact, approx, dual)`` for one block of paths, chunk
-    by chunk: the states at k = 0, ..., n_steps of the at most ``_CHUNK``
-    paths that start at path ``lo`` (``dual`` is None without a chain).
+    by chunk: the states at k = 0, ..., n_steps of the chunk's paths, which
+    start at path ``lo`` (``dual`` is None without a chain).  A block is cut
+    into the fewest chunks of at most ``_CHUNK`` paths, equal to within one
+    path, so a chunk holds one path only when its block does: a one-row
+    matrix product, as a ``domination_test`` battery makes, goes through
+    BLAS gemv, which may round differently from gemm.
 
     Block b of an n-step run draws x0 from Philox stream b(2n+1), the
     step-k innovations from stream b(2n+1)+1+k and the step-k split
@@ -142,8 +146,10 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     if chain is not None:
         split_gens = [make_generator(seed, base + 1 + n + k) for k in range(n)]
         grids = [np.asarray(g, dtype=float) for g in chain.grids]
-    for start in range(lo, hi, _CHUNK):
-        count = min(_CHUNK, hi - start)
+    n_chunks = -(-(hi - lo) // _CHUNK)
+    edges = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        count = stop - start
         x = _sample_x0(x0, count, x0_gen)
         xb = x
         xh = None if chain is None else grids[0][_assign_1d(grids[0], x)]

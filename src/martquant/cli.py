@@ -79,10 +79,10 @@ def _threads(args, cfg) -> int:
     else:
         value, source = os.environ.get("MARTQUANT_THREADS", "1"), "MARTQUANT_THREADS"
     try:
-        threads = int(value) if isinstance(value, (int, str)) and not isinstance(value, bool) else 0
+        threads = int(value) if isinstance(value, str) else value
     except ValueError:
-        threads = 0
-    if threads < 1:
+        threads = None
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise DomainError(f"{source} must be an integer >= 1, got {value!r}")
     return threads
 
