@@ -42,7 +42,7 @@ __all__ = [
     "batch_standard_error",
 ]
 
-_BLOCK = 250_000  # paths per block; the block index keys the Philox streams
+_BLOCK = 250_000  # paths per block, a multiple of 8; the block index keys the Philox streams
 _CHUNK = 16_384  # paths stepped at once inside a block; changes no draw
 _BATCHES = 30
 _PAIRWISE_LEAF = 128  # numpy sums at most this many entries in one loop
@@ -86,8 +86,7 @@ def _sample_x0(x0, n, gen) -> np.ndarray:
     if isinstance(x0, DiscreteDistribution):
         return _draw_atoms(x0, n, gen)
     if isinstance(x0, Law1D):
-        u = gen.random(n)
-        return np.asarray(x0.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
+        return x0.draw(gen, n)
     raise DomainError("x0 must be a number, a 1D law, or a DiscreteDistribution")
 
 
@@ -113,32 +112,63 @@ def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
 def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
     """One step's draws of the exact innovation and of its approximation."""
     if spec.base is not None:
-        u = gen.random(count)
-        z = np.asarray(spec.base.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
+        z = spec.base.draw(gen, count)
         return z, _project_noise(z, spec)
     # atoms without a base law: both paths ride the atoms
     z = _draw_atoms(spec.atoms, count, gen)
     return z, z
 
 
+def _chunk_edges(lo: int, hi: int, n_paths: int) -> list[int]:
+    """Edges of the chunks of the block of paths ``lo, ..., hi - 1`` in a
+    run of ``n_paths``.
+
+    The chunks are the largest nodes of the pairwise tree of the whole
+    range (see ``_PairwiseSums``) that lie in the block and hold at most
+    ``_CHUNK`` paths, so a chunk's share of each whole-range sum is one
+    ``np.add.reduce``.  A leaf cut by a block edge gives a piece, and a
+    piece of more than ``_CHUNK`` paths is cut in the fewest equal parts.
+    Nodes start at multiples of 8 and end at one or at ``n_paths``, and
+    so do blocks, so a cut leaf leaves at least 8 paths on each side of a
+    block edge, bar a last block of one path.  With ``_CHUNK >= 3`` the
+    equal parts of two or more paths hold two or more, so a chunk holds
+    one path only when its block does: a one-row matrix product, as a
+    ``domination_test`` battery makes, goes through BLAS gemv, which may
+    round differently from gemm.
+    """
+    edges = [lo]
+
+    def walk(start, size):
+        a, b = max(start, lo), min(start + size, hi)
+        if a >= b:
+            return
+        if size > _PAIRWISE_LEAF and (size > _CHUNK or b - a < size):
+            half = _pairwise_half(size)
+            walk(start, half)
+            walk(start + half, size - half)
+        else:
+            parts = -(-(b - a) // _CHUNK)
+            edges.extend(a + (b - a) * i // parts for i in range(1, parts + 1))
+
+    walk(0, n_paths)
+    return edges
+
+
 def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
-    """Yield ``(lo, k, exact, approx, dual)`` for one block of paths, chunk
-    by chunk: the states at k = 0, ..., n_steps of the chunk's paths, which
-    start at path ``lo`` (``dual`` is None without a chain).  A block is cut
-    into the fewest chunks of at most ``_CHUNK`` paths, equal to within one
-    path, so a chunk holds one path only when its block does: a one-row
-    matrix product, as a ``domination_test`` battery makes, goes through
-    BLAS gemv, which may round differently from gemm.
+    """Yield ``(lo, k, exact, approx, dual)`` for one ``(index, chunk
+    edges)`` block of paths, chunk by chunk: the states at k = 0, ...,
+    n_steps of the chunk's paths, which start at path ``lo`` (``dual`` is
+    None without a chain).
 
     Block b of an n-step run draws x0 from Philox stream b(2n+1), the
     step-k innovations from stream b(2n+1)+1+k and the step-k split
     uniforms from stream b(2n+1)+1+n+k, so every draw depends only on
     ``(seed, block)``.  Each chunk takes the next draws of every stream,
-    and Philox returns the same values however a stream is sliced, so the
-    chunk size changes no draw.  The yielded vectors are read-only: at
-    k = 0 ``exact`` and ``approx`` are one array.
+    and the uniforms and ``standard_normal`` of a stream are the same
+    however it is sliced, so the chunks change no draw.  The yielded
+    vectors are read-only: at k = 0 ``exact`` and ``approx`` are one array.
     """
-    b, lo, hi = block
+    b, edges = block
     n = arch.n_steps
     base = b * (2 * n + 1)
     x0_gen = make_generator(seed, base)
@@ -146,8 +176,6 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     if chain is not None:
         split_gens = [make_generator(seed, base + 1 + n + k) for k in range(n)]
         grids = [np.asarray(g, dtype=float) for g in chain.grids]
-    n_chunks = -(-(hi - lo) // _CHUNK)
-    edges = [lo + (hi - lo) * i // n_chunks for i in range(n_chunks + 1)]
     for start, stop in zip(edges[:-1], edges[1:]):
         count = stop - start
         x = _sample_x0(x0, count, x0_gen)
@@ -166,10 +194,11 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
 
 
 def _map_blocks(fn, n_paths: int, threads: int) -> list:
-    """``fn(block)`` for every ``(index, lo, hi)`` block of paths, in block
-    order.  With ``threads > 1`` up to ``threads`` blocks run at once; the
-    results still come back in block order."""
-    blocks = [(b, lo, min(lo + _BLOCK, n_paths))
+    """``fn(block)`` for every ``(index, chunk edges)`` block of at most
+    ``_BLOCK`` paths, in block order.  With ``threads > 1`` up to
+    ``threads`` blocks run at once; the results still come back in block
+    order."""
+    blocks = [(b, _chunk_edges(lo, min(lo + _BLOCK, n_paths), n_paths))
               for b, lo in enumerate(range(0, n_paths, _BLOCK))]
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -203,8 +232,8 @@ def simulate_coupled(
     (same innovations plus the chain's own split uniforms).  The arrays
     hold every path and step; ``coupled_gap_statistics``,
     ``simulate_chain_marginals`` and ``domination_test`` reduce the same
-    paths one chunk of ``_CHUNK`` paths at a time instead, so their memory
-    does not grow with ``n_paths``.
+    paths one chunk of at most ``_CHUNK`` paths at a time instead, so
+    their memory does not grow with ``n_paths``.
     """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
@@ -278,9 +307,11 @@ class _PairwiseSums:
     def add(self, key, values: np.ndarray, offset: int, ranges) -> None:
         """Record ``values``, entries ``offset, offset + 1, ...`` of sequence
         ``key``, for the sums over each ``(start, size)`` range."""
+        stop = offset + values.size
         with self._lock:
             for start, size in ranges:
-                self._add((key, start, size), values, offset, start, size)
+                if start < stop and offset < start + size:
+                    self._add((key, start, size), values, offset, start, size)
 
     def _add(self, tree, values, offset, start, size) -> bool:
         """Record the entries of ``values`` that fall in node ``(start,
@@ -370,8 +401,8 @@ def coupled_gap_statistics(
     The numbers are those of the formulas on the full arrays, bit for bit:
     ``sqrt(mean((exact[k] - approx[k]) ** 2))``, ``batch_standard_error``
     of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``.
-    Memory holds one chunk of ``_CHUNK`` paths per thread and is flat in
-    ``n_paths``.
+    Memory holds one chunk of at most ``_CHUNK`` paths per thread and is
+    flat in ``n_paths``.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")

@@ -69,22 +69,35 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _whole(value, source: str, minimum: int) -> int:
+    """``value`` as an integer >= ``minimum``: an int or a string of digits,
+    never a bool or a float.  ``source`` names the flag or key in the error."""
+    try:
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if isinstance(number, bool) or not isinstance(number, int) or number < minimum:
+        raise DomainError(f"{source} must be an integer >= {minimum}, got {value!r}")
+    return number
+
+
 def _threads(args, cfg) -> int:
     """Worker threads from ``--threads``, else the config, else
-    ``MARTQUANT_THREADS``, else 1; each must be an integer >= 1."""
+    ``MARTQUANT_THREADS``, else 1."""
     if getattr(args, "threads", None) is not None:
-        value, source = args.threads, "--threads"
-    elif "threads" in cfg:
-        value, source = cfg["threads"], "config key 'threads'"
-    else:
-        value, source = os.environ.get("MARTQUANT_THREADS", "1"), "MARTQUANT_THREADS"
-    try:
-        threads = int(value) if isinstance(value, str) else value
-    except ValueError:
-        threads = None
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise DomainError(f"{source} must be an integer >= 1, got {value!r}")
-    return threads
+        return _whole(args.threads, "--threads", 1)
+    if "threads" in cfg:
+        return _whole(cfg["threads"], "config key 'threads'", 1)
+    return _whole(os.environ.get("MARTQUANT_THREADS", "1"), "MARTQUANT_THREADS", 1)
+
+
+def _paths_and_seed(args, cfg) -> tuple[int, int]:
+    """Path count from the config (default 100 000) and seed from ``--seed``,
+    else the config (default 0)."""
+    n_paths = _whole(cfg.get("paths", 100000), "config key 'paths'", 1)
+    if args.seed is not None:
+        return n_paths, _whole(args.seed, "--seed", 0)
+    return n_paths, _whole(cfg.get("seed", 0), "config key 'seed'", 0)
 
 
 def _theta_from_json(obj) -> chainmod.ThetaFn:
@@ -101,7 +114,7 @@ def _theta_from_json(obj) -> chainmod.ThetaFn:
 
 
 def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
-    n_steps = int(cfg["steps"])
+    n_steps = _whole(cfg["steps"], "config key 'steps'", 1)
     dim = int(cfg.get("dim", 1))
     base = _theta_from_json(cfg["theta"])
     if "euler" in cfg:
@@ -269,8 +282,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
     x0 = _x0_from_config(cfg)
-    n_paths = int(cfg.get("paths", 100000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    n_paths, seed = _paths_and_seed(args, cfg)
     stats = archmc.coupled_gap_statistics(
         arch, noises, x0, n_paths, seed, threads=_threads(args, cfg)
     )
@@ -294,8 +306,7 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
     x0 = _x0_from_config(cfg)
-    n_paths = int(cfg.get("paths", 100000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    n_paths, seed = _paths_and_seed(args, cfg)
     report = archmc.compare_truncation_bound(
         arch, noises, x0, n_paths, seed, threads=_threads(args, cfg)
     )

@@ -98,13 +98,17 @@ class Law1D:
         """
         return self.density, self.integration_bounds(), np.empty(0), np.empty(0)
 
+    def draw(self, gen, n: int) -> np.ndarray:
+        """``n`` draws from the generator ``gen`` by the inverse transform;
+        laws with an exact sampler of their own override it."""
+        u = gen.random(n)
+        return np.asarray(self.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
+
     def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """Inverse-transform sample of size ``n``, reproducible by seed."""
+        """``draw`` of size ``n`` from stream ``stream`` of ``seed``."""
         if n < 1:
             raise DomainError("sample size must be >= 1")
-        u = make_generator(seed, stream).random(n)
-        np.maximum(u, 1e-300, out=u)
-        return np.asarray(self.quantile(u), dtype=float).reshape(n)
+        return self.draw(make_generator(seed, stream), n)
 
     def _check_u(self, u):
         arr, scalar = _as_array(u)
@@ -188,6 +192,14 @@ class Normal(Law1D):
         if self.m == 0.0 and self.s == 1.0:
             return _ret(ndtri(u), scalar)  # 0.0 + 1.0 * z is z, as in _std
         return _ret(self.m + self.s * ndtri(u), scalar)
+
+    def draw(self, gen, n: int) -> np.ndarray:
+        """``gen.standard_normal(n)``, numpy's ziggurat (Marsaglia & Tsang
+        2000), mapped to ``m + s z`` unless the law is N(0, 1)."""
+        z = gen.standard_normal(n)
+        if self.m == 0.0 and self.s == 1.0:
+            return z
+        return self.m + self.s * z
 
     def density(self, z):
         z, scalar = _as_array(z)

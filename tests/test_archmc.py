@@ -517,6 +517,50 @@ def test_gap_statistics_memory_stays_at_one_block():
     assert _traced_peak(lambda: _euler_gaps(4_000_000)) < peak + 2 ** 20
 
 
+def _tree_nodes(n):
+    """Every ``(start, size)`` node of numpy's pairwise tree over n entries."""
+    nodes, todo = set(), [(0, n)]
+    while todo:
+        start, size = todo.pop()
+        nodes.add((start, size))
+        if size > archmc._PAIRWISE_LEAF:
+            half = archmc._pairwise_half(size)
+            todo += [(start, half), (start + half, size - half)]
+    return nodes
+
+
+@pytest.mark.parametrize("n_paths", [2, 3, 129, 250_001, 1_000_007])
+@pytest.mark.parametrize("block", [296, 4_096, archmc._BLOCK])
+def test_chunks_tile_each_block(n_paths, block, monkeypatch):
+    # block edges at multiples of 8 cut no leaf into a one-path piece
+    assert block % 8 == 0
+    monkeypatch.setattr(archmc, "_BLOCK", block)
+    for chunk in (1, 7, 128, 16_384):
+        monkeypatch.setattr(archmc, "_CHUNK", chunk)
+        blocks = archmc._map_blocks(lambda b: b, n_paths, 1)
+        assert [b for b, _ in blocks] == list(range(len(blocks)))
+        for b, edges in blocks:
+            lo, hi = b * block, min((b + 1) * block, n_paths)
+            sizes = np.diff(edges)
+            assert edges[0] == lo and edges[-1] == hi
+            assert sizes.min() >= 1 and sizes.max() <= chunk
+            if chunk >= 2 and hi - lo > 1:
+                # a one-row battery product would go through BLAS gemv
+                assert sizes.min() >= 2
+
+
+@pytest.mark.parametrize("chunk", [128, 16_384])
+def test_chunks_are_nodes_of_the_whole_range_tree(chunk, monkeypatch):
+    monkeypatch.setattr(archmc, "_CHUNK", chunk)
+    n = 1_000_000
+    nodes = _tree_nodes(n)
+    blocks = archmc._map_blocks(lambda b: b, n, 1)
+    chunks = [(a, b - a) for _, edges in blocks for a, b in zip(edges[:-1], edges[1:])]
+    assert all(c in nodes for c in chunks)
+    # each 250 000-path block halves four times to nodes of about 15 625
+    assert len(chunks) == (64 if chunk == 16_384 else 8_192)
+
+
 # blocks of 300, 300 and 1 path with ``_BLOCK`` patched to 300
 CHUNKED_PATHS = 601
 
@@ -542,7 +586,7 @@ def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
         (path_max_call(4, 1.0),) + ConvexTestBattery.random_max_affine(4, count=3, seed=2).members
     )
     x0 = Uniform(0.9, 1.1)
-    # the default chunk holds a whole block: one chunk per block
+    # the default chunks are the largest tree nodes in each block
     want = _chunked_outputs(arch, specs, x0, chain, battery, threads)
     assert want[1].empirical[-1] > 0.0
     for chunk in (1, 7, 128):

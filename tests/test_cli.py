@@ -302,6 +302,57 @@ def test_threads_below_one_are_a_configuration_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "paths", 2.5),
+        ("simulate", "paths", True),
+        ("simulate", "paths", 0),
+        ("simulate", "seed", 7.9),
+        ("simulate", "seed", -1),
+        ("simulate", "steps", 2.5),
+        ("bounds", "paths", "2.5"),
+        ("bounds", "seed", 7.0),
+        ("bounds", "steps", 0),
+        ("chain", "steps", 2.5),
+        ("chain", "steps", False),
+    ],
+)
+def test_whole_number_keys_reject_other_values(tmp_path, chain_config, capsys, command, key, value):
+    # int(...) used to run 2.5 paths as 2, seed 7.9 as 7 and 2.5 steps as 2
+    cfg = json.loads(chain_config.read_text())
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_configuration_error(tmp_path, chain_config, capsys):
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(chain_config), "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--seed" in err
+    assert not out.exists()
+
+
+def test_whole_number_keys_accept_digit_strings(tmp_path, chain_config):
+    cfg = json.loads(chain_config.read_text())
+    cfg.update(paths=400, seed=5)
+    outputs = []
+    for name, values in (("ints", {}), ("strings", {"paths": "400", "seed": "5", "steps": "2"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**cfg, **values}))
+        out = tmp_path / name
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        outputs.append(_read(out / "coupled.csv"))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 4
+
+
 def test_counterexample_command(tmp_path, capsys):
     out = tmp_path / "ce"
     assert run(["counterexample", "--resolution", "0.001", "--out", str(out)]) == 0

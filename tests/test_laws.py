@@ -17,6 +17,7 @@ from martquant.laws import (
     Uniform,
     law_from_json,
 )
+from martquant.rng import make_generator
 
 ALL_LAWS = [
     Uniform(0.0, 1.0),
@@ -128,6 +129,45 @@ def test_sampler_reproducible_and_clt():
     # CLT oracle: 3 sigma / sqrt(n) with sigma = 1/sqrt(12)
     assert abs(s1.mean() - 0.5) < 3.0 / math.sqrt(12.0) / math.sqrt(100_000)
     assert abs(s1.mean() - 0.5) < 0.01
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        Uniform(-1.5, 2.0),
+        FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+        TruncatedLaw.centered(Uniform(-1.0, 1.0), -0.5),
+    ],
+    ids=["uniform", "atoms", "truncated_uniform"],
+)
+def test_default_draw_is_the_inverse_transform_bit_for_bit(law):
+    # x0 laws and noise without a normal base keep their draws
+    got = law.draw(make_generator(11, 3), 1_000)
+    want = law.quantile(np.maximum(make_generator(11, 3).random(1_000), 1e-300))
+    assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_normal_draw_is_numpys_standard_normal():
+    want = make_generator(12, 4).standard_normal(1_000)
+    assert Normal(0.0, 1.0).draw(make_generator(12, 4), 1_000).tobytes() == want.tobytes()
+    shifted = Normal(0.4, 2.5).draw(make_generator(12, 4), 1_000)
+    assert shifted.tobytes() == (0.4 + 2.5 * want).tobytes()
+    assert Normal(0.4, 2.5).sample(1_000, seed=12, stream=4).tobytes() == shifted.tobytes()
+
+
+def test_normal_draws_do_not_depend_on_how_a_stream_is_sliced():
+    pieces = (1, 127, 16_384, 7, 3)
+    gen = make_generator(13, 5)
+    sliced = np.concatenate([Normal().draw(gen, m) for m in pieces])
+    assert sliced.tobytes() == Normal().draw(make_generator(13, 5), sum(pieces)).tobytes()
+
+
+@pytest.mark.parametrize("law", [Normal(0.0, 1.0), Normal(0.4, 2.5)], ids=["standard", "shifted"])
+def test_normal_draws_pass_a_ks_test(law):
+    from scipy.stats import kstest
+
+    z = law.draw(make_generator(14, 0), 100_000)
+    assert kstest(z, law.cdf).pvalue > 1e-3
 
 
 def test_radial_law_covariance():
