@@ -115,7 +115,7 @@ def _theta_from_json(obj) -> chainmod.ThetaFn:
 
 def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
     n_steps = _whole(cfg["steps"], "config key 'steps'", 1)
-    dim = int(cfg.get("dim", 1))
+    dim = _whole(cfg.get("dim", 1), "config key 'dim'", 1)
     base = _theta_from_json(cfg["theta"])
     if "euler" in cfg:
         thetas = chainmod.euler_thetas(base, float(cfg["euler"]["horizon"]), n_steps)
@@ -131,12 +131,26 @@ def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
                 file=sys.stderr,
             )
     if "quantized" in noise_cfg:
-        spec = chainmod.NoiseSpec.quantized_from(law, int(noise_cfg["quantized"]))
+        n_atoms = _whole(noise_cfg["quantized"], "config key 'noise.quantized'", 1)
+        spec = chainmod.NoiseSpec.quantized_from(law, n_atoms)
     elif isinstance(law, TruncatedLaw):
         spec = chainmod.NoiseSpec.truncated(law)
     else:
         raise DomainError("chain noise needs a truncation block or a 'quantized' atom count")
-    return chainmod.ArchSpec(thetas, dim=dim, noise_dim=int(cfg.get("noise_dim", dim))), [spec] * n_steps
+    noise_dim = _whole(cfg.get("noise_dim", dim), "config key 'noise_dim'", 1)
+    return chainmod.ArchSpec(thetas, dim=dim, noise_dim=noise_dim), [spec] * n_steps
+
+
+def _sizes_from_config(cfg, n_steps: int) -> list:
+    """Grid sizes per time index: ``sizes[0] >= 1`` points for the initial
+    law, then ``>= 2`` for each dual grid."""
+    sizes = cfg["sizes"]
+    if isinstance(sizes, dict):
+        n0 = _whole(sizes["n0"], "config key 'sizes.n0'", 1)
+        return [n0] + [_whole(sizes["n"], "config key 'sizes.n'", 2)] * n_steps
+    if not isinstance(sizes, list):
+        raise DomainError("config key 'sizes' must be a list or an object with 'n0' and 'n'")
+    return [_whole(v, f"config key 'sizes[{k}]'", 1 if k == 0 else 2) for k, v in enumerate(sizes)]
 
 
 def _x0_from_config(cfg):
@@ -183,9 +197,7 @@ def cmd_chain(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
     x0 = _x0_from_config(cfg)
-    sizes = cfg["sizes"]
-    if isinstance(sizes, dict):
-        sizes = [int(sizes["n0"])] + [int(sizes["n"])] * arch.n_steps
+    sizes = _sizes_from_config(cfg, arch.n_steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     built = chainmod.build_chain(
@@ -250,7 +262,13 @@ def cmd_mot(args) -> int:
     mu1 = _x0_from_config({"x0": cfg["mu1"]})
     payoff_cfg = cfg.get("payoff", {"kind": "quadratic"})
     payoff = _PAYOFFS[payoff_cfg["kind"]](payoff_cfg)
-    levels = [(int(a), int(b)) for a, b in cfg["levels"]]
+    levels = [
+        (
+            _whole(n, f"config key 'levels[{i}]' N", 1),
+            _whole(m, f"config key 'levels[{i}]' M", 2),
+        )
+        for i, (n, m) in enumerate(cfg["levels"])
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.export_lp:

@@ -2,11 +2,14 @@
 
 Standard form: optimize ``c.x`` subject to ``A x = b``, ``x >= 0``, with
 ``A`` held as a ``scipy.sparse`` CSR matrix (the coupling and MOT LPs have
-3 or 4 nonzeros per column).  :func:`solve` hands the problem to the dual
-revised simplex of HiGHS (Huangfu & Hall 2018) through
-``scipy.optimize.linprog`` and returns a vertex, the equality duals and, on
-infeasibility, a Farkas certificate ``y`` with ``y.A <= 0`` and
-``y.b > 0``.
+3 or 4 nonzeros per column).  :func:`solve` passes an LP with a nonzero
+objective to the interior point method of HiGHS, IPX with crossover
+(Schork & Gondzio 2020), on its dual ``max b.y`` over ``{A^T y <= c}``,
+and reads the primal vertex off the multipliers of the dual rows.  A
+feasibility LP (zero objective) goes to the dual revised simplex of HiGHS
+(Huangfu & Hall 2018) on the primal.  Either way ``solve`` returns a
+vertex, the equality duals and, on infeasibility, a Farkas certificate
+``y`` with ``y.A <= 0`` and ``y.b > 0``.
 """
 
 from __future__ import annotations
@@ -93,7 +96,13 @@ class LpSolution:
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS.  Returns duals at optimality and a Farkas
-    certificate on infeasibility; any other solver outcome raises."""
+    certificate on infeasibility; any other solver outcome raises.
+
+    A nonzero objective is solved through the dual LP by interior point
+    with crossover, so ``iterations`` counts IPM iterations; a zero
+    objective is solved on the primal by dual simplex, and ``iterations``
+    counts simplex iterations.
+    """
     # Imported here and not at module level: importing scipy.optimize after
     # martquant.cli costs about 0.25 s and 23 MiB of resident memory (scipy
     # 1.17, Python 3.11, 2-vCPU Xeon), which every CLI command would pay at
@@ -104,34 +113,50 @@ def solve(lp: LinearProgram) -> LpSolution:
     c = lp.objective if minimize else -lp.objective
     a, b = lp.constraint_matrix, lp.rhs
     b_scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-    if res.status == 2:
+    # On the degenerate MOT transport polytopes IPX takes 9-23 iterations
+    # where the dual simplex takes up to thousands; a feasibility LP has no
+    # objective to gain from, and the simplex on the primal is faster there.
+    via_dual = bool(c.any())
+    if via_dual:
+        res = linprog(-b, A_ub=a.T, b_ub=c, bounds=(None, None), method="highs-ipm")
+    else:
+        res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    if res.status in (2, 3):
         # the bounded auxiliary LP max b.y over {A^T y <= 0, -1 <= y <= 1}
         # has a positive optimum exactly when A x = b, x >= 0 is infeasible
         aux = linprog(
             -b, A_ub=a.T, b_ub=np.zeros(lp.n_vars), bounds=(-1.0, 1.0), method="highs"
         )
-        if aux.status != 0 or -aux.fun <= _FEAS_TOL * b_scale:
-            raise DomainError(
-                f"HiGHS reported infeasibility but found no Farkas certificate: {aux.message}"
+        if aux.status != 0:
+            raise DomainError(f"HiGHS found no Farkas certificate: {aux.message}")
+        if -aux.fun > _FEAS_TOL * b_scale:
+            return LpSolution(
+                "infeasible", None, None, None, np.inf, np.inf, int(res.nit), farkas=aux.x
             )
-        return LpSolution(
-            "infeasible", None, None, None, np.inf, np.inf, int(res.nit), farkas=aux.x
-        )
-    if res.status == 3:
+        if not via_dual:
+            raise DomainError(
+                "HiGHS reported infeasibility but found no Farkas certificate"
+            )
+        # the primal is feasible and its dual is not
         return LpSolution("unbounded", None, None, None, np.inf, np.inf, int(res.nit))
     if res.status != 0:
         raise DomainError(f"HiGHS ended with status {res.status}: {res.message}")
-    x = np.maximum(res.x, 0.0)
-    duals = res.eqlin.marginals if minimize else -res.eqlin.marginals
+    if via_dual:
+        # the multipliers of A^T y <= c are -x; the slacks are the reduced
+        # costs c - A^T y of the bounds x >= 0
+        x = np.maximum(-res.ineqlin.marginals, 0.0)
+        y, reduced_costs = res.x, res.ineqlin.residual
+    else:
+        x = np.maximum(res.x, 0.0)
+        y, reduced_costs = res.eqlin.marginals, res.lower.marginals
+    duals = y if minimize else -y
     primal_residual = float(np.abs(a @ x - b).max(initial=0.0))
     if primal_residual > 100.0 * _FEAS_TOL * b_scale:
         raise DomainError(
             f"HiGHS returned a point with primal residual {primal_residual:.3e}; "
             "the instance is too ill-conditioned"
         )
-    # lower.marginals are the reduced costs of the bounds x >= 0
-    slackness = float(np.abs(x * res.lower.marginals).max(initial=0.0))
+    slackness = float(np.abs(x * reduced_costs).max(initial=0.0))
     return LpSolution(
         "optimal", x, float(lp.objective @ x), duals, primal_residual, slackness, int(res.nit)
     )

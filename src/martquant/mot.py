@@ -107,6 +107,8 @@ class MotResult:
     coupling_upper: list
     marginal_residual: float
     martingale_residual: float
+    # iterations of the (min, max) LPs: IPM iterations unless the payoff
+    # is zero, see :func:`lp.solve`
     iterations: tuple = field(default=(0, 0))
 
 
@@ -170,7 +172,10 @@ def mot_bounds(problem: MotProblem) -> MotResult:
     Marginals are verified to be in convex order first (otherwise the LP is
     infeasible and :class:`NotInConvexOrder` carries the witness).  The LPs
     are the discretization of Guo & Obloj 2019 (*Computational methods for
-    martingale optimal transport problems*), solved by :func:`lp.solve`.
+    martingale optimal transport problems*), solved by :func:`lp.solve`
+    through their duals by interior point with crossover (a zero payoff by
+    simplex), so the couplings are vertices and ``iterations`` counts IPM
+    iterations of the min and the max LP.
     """
     sizes = problem.sizes
     nvar = int(np.prod(sizes))

@@ -353,6 +353,68 @@ def test_whole_number_keys_accept_digit_strings(tmp_path, chain_config):
     assert len(outputs[0].splitlines()) == 4
 
 
+_NORMAL = {"kind": "normal", "mean": 0, "sd": 1}
+_MOT_CONFIG = {
+    "mu0": {"kind": "uniform", "a": -1, "b": 1},
+    "mu1": {"kind": "uniform", "a": -2, "b": 2},
+    "payoff": {"kind": "spread"},
+    "levels": [[6, 6]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, edit, key",
+    [
+        ("chain", {"sizes": {"n0": 9.9, "n": 9}}, "sizes.n0"),
+        ("chain", {"sizes": {"n0": 9, "n": 9.7}}, "sizes.n"),
+        ("chain", {"sizes": {"n0": 9, "n": 1}}, "sizes.n"),
+        ("chain", {"sizes": [9, 9.5, 9]}, "sizes[1]"),
+        ("chain", {"sizes": [0, 9, 9]}, "sizes[0]"),
+        ("chain", {"dim": 1.0}, "dim"),
+        ("simulate", {"dim": "1.5"}, "dim"),
+        ("chain", {"noise_dim": True}, "noise_dim"),
+        ("chain", {"noise": {"law": _NORMAL, "quantized": 7.5}}, "noise.quantized"),
+        ("bounds", {"noise": {"law": _NORMAL, "quantized": 0}}, "noise.quantized"),
+        ("mot", {"levels": [[8.5, 8]]}, "levels[0]"),
+        ("mot", {"levels": [[8, 8], [0, 8]]}, "levels[1]"),
+        ("mot", {"levels": [[8, 1]]}, "levels[0]"),
+        ("mot --export-lp", {"levels": [[4, "4.5"]]}, "levels[0]"),
+    ],
+)
+def test_nested_whole_number_keys_reject_other_values(
+    tmp_path, chain_config, capsys, command, edit, key
+):
+    # int(...) used to build 9-point grids from "n0": 9.9 and run level 8
+    # from [8.5, 8]
+    base = _MOT_CONFIG if command.startswith("mot") else json.loads(chain_config.read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **edit}))
+    out = tmp_path / "out"
+    name, *flags = command.split()
+    assert run([name, "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'{key}'" in err
+    assert not out.exists()
+
+
+def test_nested_whole_number_keys_accept_digit_strings(tmp_path, chain_config):
+    cfg = json.loads(chain_config.read_text())
+    runs = [
+        ("chain", "chain.json", cfg, {"sizes": {"n0": "9", "n": "9"}, "dim": "1"}),
+        ("chain", "chain.json", {**cfg, "sizes": [9, 9, 9]}, {"sizes": ["9", 9, "9"]}),
+        ("mot", "bounds.csv", _MOT_CONFIG, {"levels": [["6", "6"]]}),
+    ]
+    for command, artifact, base, strings in runs:
+        outputs = []
+        for name, values in (("ints", {}), ("strings", strings)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**base, **values}))
+            out = tmp_path / command / name
+            assert run([command, "--config", str(path), "--out", str(out)]) == 0
+            outputs.append(_read(out / artifact))
+        assert outputs[0] == outputs[1]
+
+
 def test_counterexample_command(tmp_path, capsys):
     out = tmp_path / "ce"
     assert run(["counterexample", "--resolution", "0.001", "--out", str(out)]) == 0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from martquant.errors import DomainError
 from martquant.lp import LinearProgram, LpSolution, export_lp_text, solve
+from martquant.mot import MotProblem, _multi_marginal_lp, forward_start_payoff, spread_payoff
+from martquant.order import DiscreteDistribution, coupling_lp
 from martquant.rng import make_generator
 
 
@@ -130,3 +133,108 @@ def test_solution_dataclass_shape():
     sol = solve(LinearProgram([1.0], [[1.0]], [2.0]))
     assert isinstance(sol, LpSolution)
     assert sol.farkas is None
+
+
+def _coarsen(nu, n_groups):
+    # barycenters of consecutive groups of atoms are dominated by nu in
+    # convex order, so a martingale coupling exists
+    groups = np.array_split(np.arange(nu.n_atoms), n_groups)
+    w = nu.weights
+    return DiscreteDistribution(
+        [float(np.average(nu.points_1d[g], weights=w[g])) for g in groups],
+        [float(w[g].sum()) for g in groups],
+    )
+
+
+def _random_marginal(gen, n):
+    w = gen.random(n) + 0.1
+    return DiscreteDistribution(np.sort(gen.normal(size=n)), w / w.sum())
+
+
+def _mot_instances():
+    gen = make_generator(11)
+    for n_nu in (8, 13, 21, 32):
+        nu = _random_marginal(gen, n_nu)
+        mu = _coarsen(nu, int(gen.integers(2, n_nu // 2 + 1)))
+        a, b, _ = coupling_lp(mu, nu)
+        for payoff in (spread_payoff, forward_start_payoff(0.3), gen.normal(size=(mu.n_atoms, n_nu))):
+            cost = MotProblem([mu, nu], payoff).cost_tensor().ravel()
+            yield f"two-{n_nu}", cost, a, b
+    x2 = _random_marginal(gen, 9)
+    x1 = _coarsen(x2, 5)
+    x0 = _coarsen(x1, 2)
+    problem = MotProblem([x0, x1, x2], lambda u, v, w: np.abs(w - u) + (v - u) ** 2)
+    a, b, _ = _multi_marginal_lp(problem)
+    yield "three", problem.cost_tensor().ravel(), a, b
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_dual_ipm_matches_primal_simplex_on_mot_instances(sense):
+    sign = 1.0 if sense == "min" else -1.0
+    for name, cost, a, b in _mot_instances():
+        lp = LinearProgram(cost, a, b, sense=sense)
+        sol = solve(lp)
+        ref = linprog(sign * cost, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert sol.status == "optimal" and ref.status == 0, name
+        v = sign * ref.fun
+        assert abs(sol.objective_value - v) <= 1e-9 * max(1.0, abs(v)), name
+        # a vertex of {A x = b, x >= 0} has at most n_rows positive entries
+        assert np.count_nonzero(sol.x > 1e-12) <= lp.n_rows, name
+        assert sol.duals @ b == pytest.approx(sol.objective_value, abs=1e-7), name
+        assert sol.primal_residual <= 1e-6, name
+        assert sol.slackness_residual < 1e-7, name
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+@pytest.mark.parametrize(
+    "objective, a, b",
+    [
+        # x1 + x2 = 1 and x1 - x2 = 3 force x2 = -1 < 0; the dual is unbounded
+        ([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 3.0]),
+        # x2 = -1 < 0; for the min the dual row 0 y <= -1 is infeasible too
+        ([-1.0, 0.0], [[0.0, 1.0]], [-1.0]),
+    ],
+)
+def test_infeasible_with_objective_gives_farkas(objective, a, b, sense):
+    lp = LinearProgram(objective, a, b, sense=sense)
+    sol = solve(lp)
+    assert sol.status == "infeasible"
+    assert sol.x is None and sol.duals is None
+    y = sol.farkas
+    assert y @ lp.rhs > 1e-9
+    assert np.all(y @ lp.constraint_matrix <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "objective, a, b, sense",
+    [
+        # x1 - x2 = 1 lets x1 and x2 grow together
+        ([-1.0, 0.0], [[1.0, -1.0]], [1.0], "min"),
+        ([1.0, 0.0], [[1.0, -1.0]], [1.0], "max"),
+        ([-1.0, 0.0, 1.0], [[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 2.0], "min"),
+    ],
+)
+def test_unbounded_with_objective(objective, a, b, sense):
+    sol = solve(LinearProgram(objective, a, b, sense=sense))
+    assert sol.status == "unbounded"
+    assert sol.x is None and sol.farkas is None
+
+
+def test_objective_selects_the_highs_method(monkeypatch):
+    import scipy.optimize
+
+    methods = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    a, b = [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0]
+    assert solve(LinearProgram([0.0, 0.0], a, b)).status == "optimal"
+    assert methods == ["highs"]
+    methods.clear()
+    for sense in ("min", "max"):
+        assert solve(LinearProgram([1.0, 2.0], a, b, sense=sense)).status == "optimal"
+    assert methods == ["highs-ipm", "highs-ipm"]
