@@ -11,7 +11,6 @@ convex-order domination of truncated dynamics.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,10 +41,9 @@ __all__ = [
     "batch_standard_error",
 ]
 
-_BLOCK = 250_000  # paths per block, a multiple of 8; the block index keys the Philox streams
-_CHUNK = 16_384  # paths stepped at once inside a block; changes no draw
+_BLOCK = 250_000  # paths per block; the block index keys the Philox streams
+_CHUNK = 15_625  # divides _BLOCK; chunks break at its multiples, which changes no draw
 _BATCHES = 30
-_PAIRWISE_LEAF = 128  # numpy sums at most this many entries in one loop
 
 
 @dataclass(frozen=True)
@@ -121,37 +119,17 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
 
 def _chunk_edges(lo: int, hi: int, n_paths: int) -> list[int]:
     """Edges of the chunks of the block of paths ``lo, ..., hi - 1`` in a
-    run of ``n_paths``.
+    run of ``n_paths``: the block ends, and every multiple of ``_CHUNK`` and
+    every ``_batch_ranges(n_paths)`` edge inside the block.
 
-    The chunks are the largest nodes of the pairwise tree of the whole
-    range (see ``_PairwiseSums``) that lie in the block and hold at most
-    ``_CHUNK`` paths, so a chunk's share of each whole-range sum is one
-    ``np.add.reduce``.  A leaf cut by a block edge gives a piece, and a
-    piece of more than ``_CHUNK`` paths is cut in the fewest equal parts.
-    Nodes start at multiples of 8 and end at one or at ``n_paths``, and
-    so do blocks, so a cut leaf leaves at least 8 paths on each side of a
-    block edge, bar a last block of one path.  With ``_CHUNK >= 3`` the
-    equal parts of two or more paths hold two or more, so a chunk holds
-    one path only when its block does: a one-row matrix product, as a
-    ``domination_test`` battery makes, goes through BLAS gemv, which may
-    round differently from gemm.
+    So each chunk lies in one batch.  Block ends are multiples of
+    ``_CHUNK``, which divides ``_BLOCK``, or ``n_paths``, so the edges
+    depend only on the path index and ``n_paths``: a chunk's sum is the
+    same whichever thread, and in whichever order, the chunk is stepped.
     """
-    edges = [lo]
-
-    def walk(start, size):
-        a, b = max(start, lo), min(start + size, hi)
-        if a >= b:
-            return
-        if size > _PAIRWISE_LEAF and (size > _CHUNK or b - a < size):
-            half = _pairwise_half(size)
-            walk(start, half)
-            walk(start + half, size - half)
-        else:
-            parts = -(-(b - a) // _CHUNK)
-            edges.extend(a + (b - a) * i // parts for i in range(1, parts + 1))
-
-    walk(0, n_paths)
-    return edges
+    inner = set(range(lo + _CHUNK - lo % _CHUNK, hi, _CHUNK))
+    inner.update(start for start, _ in _batch_ranges(n_paths) if lo < start < hi)
+    return [lo, *sorted(inner), hi]
 
 
 def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
@@ -165,8 +143,9 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     uniforms from stream b(2n+1)+1+n+k, so every draw depends only on
     ``(seed, block)``.  Each chunk takes the next draws of every stream,
     and the uniforms and ``standard_normal`` of a stream are the same
-    however it is sliced, so the chunks change no draw.  The yielded
-    vectors are read-only: at k = 0 ``exact`` and ``approx`` are one array.
+    however it is sliced, so the chunks change no draw; they only set the
+    partition of the streamed sums.  The yielded vectors are read-only: at
+    k = 0 ``exact`` and ``approx`` are one array.
     """
     b, edges = block
     n = arch.n_steps
@@ -233,7 +212,8 @@ def simulate_coupled(
     hold every path and step; ``coupled_gap_statistics``,
     ``simulate_chain_marginals`` and ``domination_test`` reduce the same
     paths one chunk of at most ``_CHUNK`` paths at a time instead, so
-    their memory does not grow with ``n_paths``.
+    their memory does not grow with ``n_paths``, and their means agree with
+    those of these arrays to rounding, not bit for bit.
     """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
@@ -277,105 +257,49 @@ def simulate_chain_marginals(
     return [sum(c[k] for c in counts) / n_paths for k in range(chain.n_steps + 1)]
 
 
-def _pairwise_half(size: int) -> int:
-    half = size // 2
-    return half - half % 8
+class _ChunkSums:
+    """Range sums of sequences given as ``(key, offset, sum)`` parts, one
+    per chunk of sequence ``key`` starting at path ``offset``.  A range's
+    sum is the ``math.fsum`` of the parts that start in it, correctly
+    rounded, so it does not depend on the order of the parts."""
 
+    def __init__(self, blocks):
+        self.parts = {}
+        for parts in blocks:
+            for key, offset, value in parts:
+                self.parts.setdefault(key, []).append((offset, value))
 
-class _PairwiseSums:
-    """Sums over index ranges of long float sequences that arrive in chunks,
-    each bit for bit the ``np.add.reduce`` of the whole range.
+    def total(self, key, start: int, stop: int) -> float:
+        return math.fsum(v for offset, v in self.parts[key] if start <= offset < stop)
 
-    numpy sums a contiguous array pairwise: it halves a range at a multiple
-    of 8 until at most 128 entries are left, and sums those in one leaf
-    loop.  A chunk therefore contributes the sums of the tree nodes it
-    covers whole (``np.add.reduce`` of a node runs the node's own tree) and
-    a copy of its share of each leaf it cuts.  Finished work is folded as
-    it arrives: a leaf whose pieces cover it becomes the ``np.add.reduce``
-    of their concatenation, and two sibling sums become their parent's,
-    ``left + right``, as numpy combines them.  So each range holds a few
-    nodes per tree level whatever the number of chunks, the chunks may
-    arrive in any order and from several threads, and a range's sum is its
-    root node once every entry has arrived.
-    """
-
-    def __init__(self):
-        self.nodes = {}   # (tree, start, size) -> sum of a finished tree node
-        self.leaves = {}  # (tree, start, size) -> {offset: entries of a cut leaf}
-        self._lock = threading.Lock()
-
-    def add(self, key, values: np.ndarray, offset: int, ranges) -> None:
-        """Record ``values``, entries ``offset, offset + 1, ...`` of sequence
-        ``key``, for the sums over each ``(start, size)`` range."""
-        stop = offset + values.size
-        with self._lock:
-            for start, size in ranges:
-                if start < stop and offset < start + size:
-                    self._add((key, start, size), values, offset, start, size)
-
-    def _add(self, tree, values, offset, start, size) -> bool:
-        """Record the entries of ``values`` that fall in node ``(start,
-        size)`` of ``tree``; True once the node's sum is finished."""
-        node = (tree, start, size)
-        if node in self.nodes:
-            return True
-        lo = max(start, offset)
-        hi = min(start + size, offset + values.size)
-        if lo >= hi:
-            return False
-        if lo == start and hi == start + size:
-            self.nodes[node] = np.add.reduce(values[lo - offset : hi - offset])
-            return True
-        if size <= _PAIRWISE_LEAF:
-            pieces = self.leaves.setdefault(node, {})
-            pieces[lo] = values[lo - offset : hi - offset].copy()
-            if sum(piece.size for piece in pieces.values()) < size:
-                return False
-            del self.leaves[node]
-            self.nodes[node] = np.add.reduce(np.concatenate([pieces[o] for o in sorted(pieces)]))
-            return True
-        half = _pairwise_half(size)
-        left = self._add(tree, values, offset, start, half)
-        right = self._add(tree, values, offset, start + half, size - half)
-        if not (left and right):
-            return False
-        self.nodes[node] = self.nodes.pop((tree, start, half)) + self.nodes.pop(
-            (tree, start + half, size - half)
-        )
-        return True
-
-    def total(self, key, start: int, size: int):
-        return self.nodes[(key, start, size), start, size]
-
-    def mean(self, key, n: int):
+    def mean(self, key, n: int) -> float:
         return self.total(key, 0, n) / n
 
     def batch_standard_error(self, key, n: int) -> float:
         """``batch_standard_error`` of entries 0..n-1 of sequence ``key``."""
-        return _batch_se(
-            np.array([self.total(key, start, size) / size for start, size in _batch_ranges(n)])
-        )
+        return _batch_se(lambda start, size: self.total(key, start, start + size) / size, n)
 
 
 def _batch_ranges(n: int) -> list[tuple[int, int]]:
     """The non-empty ``(start, size)`` batches of ``np.array_split`` of n
     entries into ``_BATCHES``."""
     small, extra = divmod(n, _BATCHES)
-    sizes = [small + 1] * extra + [small] * (_BATCHES - extra)
-    starts = np.cumsum([0] + sizes[:-1])
-    return [(int(s), m) for s, m in zip(starts, sizes) if m]
+    return [(i * small + min(i, extra), small + (i < extra)) for i in range(min(n, _BATCHES))]
 
 
-def _batch_se(means: np.ndarray) -> float:
+def _batch_se(batch_mean, n: int) -> float:
+    """Batch-means standard error over ``_batch_ranges(n)``, with
+    ``batch_mean(start, size)`` the mean of a batch."""
+    means = np.array([batch_mean(start, size) for start, size in _batch_ranges(n)])
     if means.size < 2:
         raise DomainError("a batch-means standard error needs at least 2 values")
     return float(means.std(ddof=1) / math.sqrt(means.size))
 
 
-def batch_standard_error(values: np.ndarray, n_batches: int = _BATCHES) -> float:
-    """Standard error of the mean by batch means."""
-    batches = np.array_split(np.asarray(values, dtype=float), n_batches)
-    return _batch_se(np.array([b.mean() for b in batches if b.size]))
+def batch_standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean by the means of ``_BATCHES`` batches."""
+    values = np.asarray(values, dtype=float)
+    return _batch_se(lambda start, size: values[start : start + size].mean(), values.size)
 
 
 @dataclass(frozen=True)
@@ -398,34 +322,35 @@ def coupled_gap_statistics(
     """L2 gaps between the exact and approximate paths of
     ``simulate_coupled``, streamed one step of one block at a time.
 
-    The numbers are those of the formulas on the full arrays, bit for bit:
+    The numbers are those of the formulas on the full arrays,
     ``sqrt(mean((exact[k] - approx[k]) ** 2))``, ``batch_standard_error``
-    of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``.
-    Memory holds one chunk of at most ``_CHUNK`` paths per thread and is
-    flat in ``n_paths``.
+    of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``,
+    to rounding: each chunk adds one ``np.add.reduce``, and ``math.fsum``
+    combines them, so the bits are the same at any thread count.  Memory
+    holds one chunk of at most ``_CHUNK`` paths per thread and is flat in
+    ``n_paths``.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
-    whole = [(0, n_paths)]
-    whole_and_batches = whole + _batch_ranges(n_paths)
-    sums = _PairwiseSums()
 
     def reduce_block(block):
+        parts = []
         for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
             gap = np.abs(x - xb)
             sup = gap.copy() if k == 0 else np.maximum(sup, gap, out=sup)
-            sums.add(k, np.square(gap, out=gap), lo, whole_and_batches)
+            parts.append((k, lo, np.add.reduce(np.square(gap, out=gap))))
             if k == n:
-                sums.add("sup", np.square(sup, out=sup), lo, whole)
+                parts.append(("sup", lo, np.add.reduce(np.square(sup, out=sup))))
+        return parts
 
-    _map_blocks(reduce_block, n_paths, threads)
+    sums = _ChunkSums(_map_blocks(reduce_block, n_paths, threads))
     steps = range(n + 1)
     return GapStatistics(
-        empirical=np.array([math.sqrt(float(sums.mean(k, n_paths))) for k in steps]),
+        empirical=np.array([math.sqrt(sums.mean(k, n_paths)) for k in steps]),
         standard_error=np.array([sums.batch_standard_error(k, n_paths) for k in steps]),
-        doob_empirical=math.sqrt(float(sums.mean("sup", n_paths))),
+        doob_empirical=math.sqrt(sums.mean("sup", n_paths)),
     )
 
 
@@ -637,17 +562,16 @@ def domination_test(
 
     The battery sees one chunk's ``(n_paths_in_chunk, n_steps + 1)`` paths
     at a time, so memory is flat in ``n_paths``; the means and standard
-    errors are those of the full arrays.
+    errors are those of the full arrays to rounding, combined as in
+    ``coupled_gap_statistics``.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
-    whole = [(0, n_paths)]
-    whole_and_batches = whole + _batch_ranges(n_paths)
-    sums = _PairwiseSums()
 
     def reduce_block(block):
+        parts = []
         for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
             if k == 0:
                 paths = np.empty((2, n + 1, x.size))
@@ -658,20 +582,21 @@ def domination_test(
             for i, fn in enumerate(battery.members):
                 v_exact = fn(paths[0].T)
                 v_approx = fn(paths[1].T)
-                sums.add((i, "exact"), v_exact, lo, whole)
-                sums.add((i, "approx"), v_approx, lo, whole)
-                sums.add((i, "gap"), v_approx - v_exact, lo, whole_and_batches)
+                parts.append(((i, "exact"), lo, np.add.reduce(v_exact)))
+                parts.append(((i, "approx"), lo, np.add.reduce(v_approx)))
+                parts.append(((i, "gap"), lo, np.add.reduce(v_approx - v_exact)))
+        return parts
 
-    _map_blocks(reduce_block, n_paths, threads)
+    sums = _ChunkSums(_map_blocks(reduce_block, n_paths, threads))
     rows = []
     for i in range(len(battery.members)):
-        mean_gap = float(sums.mean((i, "gap"), n_paths))
+        mean_gap = sums.mean((i, "gap"), n_paths)
         se = sums.batch_standard_error((i, "gap"), n_paths)
         rows.append(
             DominationRow(
                 index=i,
-                mean_approx=float(sums.mean((i, "approx"), n_paths)),
-                mean_exact=float(sums.mean((i, "exact"), n_paths)),
+                mean_approx=sums.mean((i, "approx"), n_paths),
+                mean_exact=sums.mean((i, "exact"), n_paths),
                 mean_gap=mean_gap,
                 standard_error=se,
                 passed=mean_gap <= 3.0 * se,

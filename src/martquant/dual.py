@@ -29,7 +29,6 @@ __all__ = [
     "DualQuantization",
     "locate_1d",
     "split",
-    "split_randomized",
     "dual_weights",
     "dual_distortion",
     "dual_lloyd_1d",
@@ -141,16 +140,6 @@ def split(grid, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
     if x == points[j + 1]:
         return BarycentricSplit(j, np.array([j + 1]), np.array([1.0]))
     return BarycentricSplit(j, np.array([j, j + 1]), np.array([1.0 - lam_right, lam_right]))
-
-
-def split_randomized(bary: BarycentricSplit, u: float) -> int:
-    """Vertex index drawn from the split: vertex i on the half-open interval
-    ``[sum_{j<i} lambda_j, sum_{j<=i} lambda_j)`` of the unit uniform ``u``."""
-    if not 0.0 <= u < 1.0:
-        raise DomainError("u must lie in [0, 1)")
-    cum = np.cumsum(bary.lambdas)
-    j = int(np.searchsorted(cum, u, side="right"))
-    return int(bary.vertex_indices[min(j, bary.vertex_indices.size - 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "PointMass",
     "FiniteAtoms",
     "TruncatedLaw",
-    "RadialLaw",
     "law_from_json",
 ]
 
@@ -587,44 +586,6 @@ class TruncatedLaw(Law1D):
 def _partial_moment_left(law: Law1D, z: float) -> float:
     """K(z-) = K(z) - z * (F(z) - F(z-))."""
     return law.partial_moment(z) - z * (law.cdf(z) - law.cdf_left(z))
-
-
-@dataclass(frozen=True)
-class RadialLaw:
-    """Radially symmetric law on R^q: standard Gaussian or a uniform ball.
-
-    ``sample`` returns an ``(n, q)`` array; the covariance is
-    ``(E|Z|^2 / q) I_q``.
-    """
-
-    q: int
-    kind: str = "gaussian"
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise DomainError("dimension must be >= 1")
-        if self.kind not in ("gaussian", "uniform_ball"):
-            raise DomainError(f"unknown radial kind {self.kind!r}")
-
-    @property
-    def second_moment(self) -> float:
-        if self.kind == "gaussian":
-            return float(self.q)
-        return self.radius ** 2 * self.q / (self.q + 2.0)
-
-    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
-        gen = make_generator(seed, stream)
-        u = np.maximum(gen.random((n, self.q)), 1e-300)
-        g = ndtri(u)
-        if self.kind == "gaussian":
-            return g
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        radii = self.radius * np.maximum(gen.random((n, 1)), 1e-300) ** (1.0 / self.q)
-        return g / norms * radii
 
 
 _TRIVIAL_KINDS = {

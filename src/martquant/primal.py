@@ -21,7 +21,6 @@ __all__ = [
     "Grid1D",
     "GridD",
     "VoronoiQuantization",
-    "nn_project",
     "distortion",
     "lloyd_1d",
     "kmeans",
@@ -99,21 +98,6 @@ def _points_nd(grid) -> np.ndarray:
     if arr.ndim <= 1:
         return Grid1D(arr).points[:, None]
     return GridD(arr).points
-
-
-def nn_project(grid, xi):
-    """Index of the nearest grid point.
-
-    1D ties at cell midpoints go to the lower index; in d >= 2 exact ties
-    also resolve to the lowest index.
-    """
-    if isinstance(grid, Grid1D) or np.asarray(getattr(grid, "points", grid)).ndim == 1:
-        points = _points_1d(grid)
-        mids = 0.5 * (points[:-1] + points[1:])
-        return int(np.searchsorted(mids, float(xi), side="left"))
-    points = _points_nd(grid)
-    diff = points - np.asarray(xi, dtype=float)[None, :]
-    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 
 
 def _assign_1d(points: np.ndarray, xs: np.ndarray) -> np.ndarray:

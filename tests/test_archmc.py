@@ -1,7 +1,5 @@
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from scipy.integrate import quad
 
 from martquant import archmc
 from martquant.archmc import (
-    _PairwiseSums,
     batch_standard_error,
     coupled_gap_statistics,
     domination_test,
@@ -356,6 +353,32 @@ def _gap_oracle(sample):
     return np.array(empirical), np.array(ses), math.sqrt(float(sup_sq.mean()))
 
 
+def _fsum_gap_oracle(sample):
+    """The gap statistics as the streamed reduction forms them: one
+    ``np.add.reduce`` per chunk of ``_map_blocks``, combined by
+    ``math.fsum`` over the whole run and over each of 30 batches."""
+    n = sample.n_paths
+    edges = sorted({e for _, block in archmc._map_blocks(lambda b: b, n, 1) for e in block})
+    batches = np.cumsum([0] + [b.size for b in np.array_split(np.empty(n), 30)])
+
+    def mean_and_se(values):
+        parts = [(a, np.add.reduce(values[a:b])) for a, b in zip(edges[:-1], edges[1:])]
+
+        def mean(lo, hi):
+            return math.fsum(v for a, v in parts if lo <= a < hi) / (hi - lo)
+
+        means = np.array([mean(lo, hi) for lo, hi in zip(batches[:-1], batches[1:]) if hi > lo])
+        return mean(0, n), float(means.std(ddof=1) / math.sqrt(means.size))
+
+    stats = [mean_and_se((sample.exact[k] - sample.approx[k]) ** 2) for k in range(sample.n_steps + 1)]
+    sup_sq = np.abs(sample.exact - sample.approx).max(axis=0) ** 2
+    return (
+        np.array([math.sqrt(m) for m, _ in stats]),
+        np.array([se for _, se in stats]),
+        math.sqrt(mean_and_se(sup_sq)[0]),
+    )
+
+
 def _domination_oracle(sample, battery):
     rows = []
     for fn in battery.members:
@@ -381,14 +404,20 @@ def test_streamed_gap_statistics_match_the_full_arrays(make_spec):
     arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
     x0 = Uniform(0.9, 1.1)
     sample = simulate_coupled(arch, specs, x0, RAGGED_PATHS, seed=43)
-    empirical, ses, doob = _gap_oracle(sample)
+    summed = _fsum_gap_oracle(sample)
+    formulas = _gap_oracle(sample)
     del sample
     stats = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43)
-    # the streamed sums run numpy's pairwise summation tree, so the numbers
-    # are the same bits, not merely close
-    assert np.array_equal(stats.empirical, empirical)
-    assert np.array_equal(stats.standard_error, ses)
-    assert stats.doob_empirical == doob
+    # the streamed statistics are math.fsum of one np.add.reduce per chunk,
+    # bit for bit
+    assert np.array_equal(stats.empirical, summed[0])
+    assert np.array_equal(stats.standard_error, summed[1])
+    assert stats.doob_empirical == summed[2]
+    # and the formulas on the full arrays to rounding
+    empirical, ses, doob = formulas
+    np.testing.assert_allclose(stats.empirical, empirical, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(stats.standard_error, ses, rtol=1e-13, atol=0)
+    assert stats.doob_empirical == pytest.approx(doob, rel=1e-13)
     assert stats.empirical[-1] > 0.0
     again = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43, threads=2)
     assert np.array_equal(again.empirical, stats.empirical)
@@ -434,65 +463,6 @@ def test_streamed_chain_marginals_equal_the_full_arrays():
         assert np.array_equal(threaded[k], want)
 
 
-def test_pairwise_sums_are_numpys_bit_for_bit():
-    gen = np.random.default_rng(3)
-    for n in (1, 7, 8, 129, 1000, 40_003):
-        values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
-        cuts = np.unique(np.concatenate(([0, n], gen.integers(0, n, 6))))
-        ranges = sorted({(0, n), (n // 3, n - n // 3), (n - 1, 1)})
-        sums = _PairwiseSums()
-        # chunks arrive out of order, as blocks do from several threads
-        for i in gen.permutation(cuts.size - 1):
-            lo, hi = int(cuts[i]), int(cuts[i + 1])
-            sums.add("x", values[lo:hi], lo, ranges)
-        for start, size in ranges:
-            assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
-        # every finished node was folded into its range's root
-        assert sums.leaves == {}
-        assert len(sums.nodes) == len(ranges)
-
-
-def test_pairwise_sums_fold_chunks_of_every_size():
-    gen = np.random.default_rng(5)
-    n = 5_003
-    values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
-    ranges = [(0, n)] + archmc._batch_ranges(n)
-    for chunk in (1, 3, 8, 127, 128, 129, 4096):
-        sums = _PairwiseSums()
-        stored = 0
-        for lo in range(0, n, chunk):
-            sums.add("x", values[lo : lo + chunk], lo, ranges)
-            stored = max(stored, len(sums.nodes) + len(sums.leaves))
-        for start, size in ranges:
-            assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
-        # the bookkeeping holds about one node per range, not one per chunk
-        assert stored < len(ranges) + 16
-
-
-def test_pairwise_sums_from_many_threads():
-    gen = np.random.default_rng(7)
-    n = 40_003
-    values = gen.standard_normal(n) * 10.0 ** gen.integers(-8, 8, n)
-    ranges = [(0, n)] + archmc._batch_ranges(n)
-    cuts = np.unique(np.concatenate(([0, n], gen.integers(0, n, 400))))
-    sums = _PairwiseSums()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [
-                pool.submit(sums.add, "x", values[lo:hi], int(lo), ranges)
-                for lo, hi in zip(cuts[:-1], cuts[1:])
-            ]
-            for future in futures:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    for start, size in ranges:
-        assert sums.total("x", start, size) == np.add.reduce(values[start : start + size])
-    assert sums.leaves == {}
-
-
 def _traced_peak(fn):
     tracemalloc.start()
     try:
@@ -513,52 +483,33 @@ def test_gap_statistics_memory_stays_at_one_block():
     # block of 250 000 paths about 2 MB per array, one chunk 128 KiB
     peak = _traced_peak(lambda: _euler_gaps(1_000_000))
     assert peak < 8 * 2 ** 20
-    # four times the paths: the pairwise bookkeeping does not grow with them
+    # four times the paths: only the few chunk sums kept for the end grow
     assert _traced_peak(lambda: _euler_gaps(4_000_000)) < peak + 2 ** 20
-
-
-def _tree_nodes(n):
-    """Every ``(start, size)`` node of numpy's pairwise tree over n entries."""
-    nodes, todo = set(), [(0, n)]
-    while todo:
-        start, size = todo.pop()
-        nodes.add((start, size))
-        if size > archmc._PAIRWISE_LEAF:
-            half = archmc._pairwise_half(size)
-            todo += [(start, half), (start + half, size - half)]
-    return nodes
 
 
 @pytest.mark.parametrize("n_paths", [2, 3, 129, 250_001, 1_000_007])
 @pytest.mark.parametrize("block", [296, 4_096, archmc._BLOCK])
 def test_chunks_tile_each_block(n_paths, block, monkeypatch):
-    # block edges at multiples of 8 cut no leaf into a one-path piece
-    assert block % 8 == 0
     monkeypatch.setattr(archmc, "_BLOCK", block)
-    for chunk in (1, 7, 128, 16_384):
+    batch_edges = {int(e) for e in np.cumsum([b.size for b in np.array_split(np.empty(n_paths), 30)])}
+    for chunk in (1, 7, 128, archmc._CHUNK):
         monkeypatch.setattr(archmc, "_CHUNK", chunk)
         blocks = archmc._map_blocks(lambda b: b, n_paths, 1)
         assert [b for b, _ in blocks] == list(range(len(blocks)))
+        seen, ends = set(), set()
         for b, edges in blocks:
             lo, hi = b * block, min((b + 1) * block, n_paths)
             sizes = np.diff(edges)
             assert edges[0] == lo and edges[-1] == hi
             assert sizes.min() >= 1 and sizes.max() <= chunk
-            if chunk >= 2 and hi - lo > 1:
-                # a one-row battery product would go through BLAS gemv
-                assert sizes.min() >= 2
-
-
-@pytest.mark.parametrize("chunk", [128, 16_384])
-def test_chunks_are_nodes_of_the_whole_range_tree(chunk, monkeypatch):
-    monkeypatch.setattr(archmc, "_CHUNK", chunk)
-    n = 1_000_000
-    nodes = _tree_nodes(n)
-    blocks = archmc._map_blocks(lambda b: b, n, 1)
-    chunks = [(a, b - a) for _, edges in blocks for a, b in zip(edges[:-1], edges[1:])]
-    assert all(c in nodes for c in chunks)
-    # each 250 000-path block halves four times to nodes of about 15 625
-    assert len(chunks) == (64 if chunk == 16_384 else 8_192)
+            seen.update(edges)
+            ends.update((lo, hi))
+        # every batch edge and every multiple of the chunk size is an edge,
+        # and apart from the block ends nothing else is: so the edges, and
+        # the partition of the streamed sums, do not depend on the block size
+        fixed = batch_edges | set(range(0, n_paths, chunk))
+        assert fixed <= seen
+        assert seen - ends == fixed - ends
 
 
 # blocks of 300, 300 and 1 path with ``_BLOCK`` patched to 300
@@ -586,26 +537,31 @@ def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
         (path_max_call(4, 1.0),) + ConvexTestBattery.random_max_affine(4, count=3, seed=2).members
     )
     x0 = Uniform(0.9, 1.1)
-    # the default chunks are the largest tree nodes in each block
-    want = _chunked_outputs(arch, specs, x0, chain, battery, threads)
+    want = _chunked_outputs(arch, specs, x0, chain, battery, 1)
     assert want[1].empirical[-1] > 0.0
-    for chunk in (1, 7, 128):
+    for chunk in (archmc._CHUNK, 1, 7, 128):
         monkeypatch.setattr(archmc, "_CHUNK", chunk)
-        sample, gaps, rows, marginals = _chunked_outputs(arch, specs, x0, chain, battery, threads)
+        one = _chunked_outputs(arch, specs, x0, chain, battery, 1)
+        sample, gaps, rows, marginals = (
+            one if threads == 1 else _chunked_outputs(arch, specs, x0, chain, battery, threads)
+        )
+        # the chunks change no draw
         assert np.array_equal(sample.exact, want[0].exact)
         assert np.array_equal(sample.approx, want[0].approx)
         assert np.array_equal(sample.dual, want[0].dual)
-        assert np.array_equal(gaps.empirical, want[1].empirical)
-        assert np.array_equal(gaps.standard_error, want[1].standard_error)
-        assert gaps.doob_empirical == want[1].doob_empirical
-        if chunk == 1:
-            # a one-row battery product goes through BLAS gemv, which may
-            # round differently from the gemm of a longer chunk
-            np.testing.assert_allclose(rows, want[2], rtol=1e-13, atol=1e-13 * np.abs(want[2]).max())
-        else:
-            assert np.array_equal(rows, want[2])
         for got, expected in zip(marginals, want[3]):
             assert np.array_equal(got, expected)
+        # the thread count changes no bit of the statistics
+        assert np.array_equal(gaps.empirical, one[1].empirical)
+        assert np.array_equal(gaps.standard_error, one[1].standard_error)
+        assert gaps.doob_empirical == one[1].doob_empirical
+        assert np.array_equal(rows, one[2])
+        # the chunk size sets the partition of the sums, so the statistics
+        # move by rounding only
+        np.testing.assert_allclose(gaps.empirical, want[1].empirical, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(gaps.standard_error, want[1].standard_error, rtol=1e-13, atol=0)
+        assert gaps.doob_empirical == pytest.approx(want[1].doob_empirical, rel=1e-13)
+        np.testing.assert_allclose(rows, want[2], rtol=1e-13, atol=1e-13 * np.abs(want[2]).max())
 
 
 def test_streamed_statistics_need_two_paths():

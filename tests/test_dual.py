@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from martquant.archmc import _split_sample
 from martquant.dual import (
-    BarycentricSplit,
     DualGrid1D,
     Triangulation2D,
     dual_distortion,
@@ -14,7 +14,6 @@ from martquant.dual import (
     dual_weights,
     locate_1d,
     split,
-    split_randomized,
 )
 from martquant.errors import DomainError, OutOfHullError, OutOfScopeError, SupportError
 from martquant.laws import FiniteAtoms, Normal, PointMass, TruncatedLaw, Uniform
@@ -42,12 +41,13 @@ def test_split_out_of_hull():
 
 
 def test_split_randomized_boundary_goes_right():
-    s = BarycentricSplit(0, np.array([0, 1]), np.array([0.75, 0.25]))
-    assert split_randomized(s, 0.5) == 0
-    assert split_randomized(s, 0.75) == 1  # boundary is half-open to the right
-    single = BarycentricSplit(0, np.array([3]), np.array([1.0]))
-    assert split_randomized(single, 0.0) == 3
-    assert split_randomized(single, 0.999999) == 3
+    # 0.25 splits 0.75 / 0.25 onto 0 and 1: u in [0, 0.75) picks 0
+    points = np.array([0.0, 1.0, 2.0, 3.0])
+    got = _split_sample(points, np.full(2, 0.25), np.array([0.5, 0.75]))
+    assert list(got) == [0.0, 1.0]  # boundary is half-open to the right
+    # a grid point splits onto itself for every u in [0, 1)
+    for x in (1.0, 3.0):
+        assert list(_split_sample(points, np.full(2, x), np.array([0.0, 0.999999]))) == [x, x]
 
 
 def test_dual_weights_uniform():

@@ -12,7 +12,6 @@ from martquant.laws import (
     Normal,
     PointMass,
     PowerDensity2x,
-    RadialLaw,
     TruncatedLaw,
     Uniform,
     law_from_json,
@@ -168,20 +167,6 @@ def test_normal_draws_pass_a_ks_test(law):
 
     z = law.draw(make_generator(14, 0), 100_000)
     assert kstest(z, law.cdf).pvalue > 1e-3
-
-
-def test_radial_law_covariance():
-    law = RadialLaw(2, "gaussian")
-    z = law.sample(100_000, seed=1)
-    cov = z.T @ z / z.shape[0]
-    assert np.abs(cov - np.eye(2)).max() < 0.02
-    assert np.abs(z.mean(axis=0)).max() < 0.02
-    ball = RadialLaw(3, "uniform_ball", radius=2.0)
-    z2 = ball.sample(80_000, seed=5)
-    assert np.all(np.linalg.norm(z2, axis=1) <= 2.0 + 1e-12)
-    expected = ball.second_moment / 3.0
-    cov2 = z2.T @ z2 / z2.shape[0]
-    assert np.abs(cov2 - expected * np.eye(3)).max() < 0.02
 
 
 def test_truncation_centering_auto_beta():

@@ -9,11 +9,12 @@ from martquant.laws import FiniteAtoms, Normal, PowerDensity2x, Uniform
 from martquant.primal import (
     Grid1D,
     GridD,
+    _assign_1d,
+    _assign_nd,
     _lloyd_step,
     distortion,
     kmeans,
     lloyd_1d,
-    nn_project,
     voronoi_weights,
 )
 from martquant.rng import make_generator
@@ -21,15 +22,15 @@ from martquant.rng import make_generator
 
 def test_nn_project_tie_break():
     # midpoint belongs to the left cell: cells are (x_{i-1/2}, x_{i+1/2}]
-    assert nn_project(np.array([0.0, 1.0]), 0.5) == 0
-    assert nn_project(np.array([0.0, 1.0]), 0.9) == 1
-    assert nn_project(GridD([[0.0, 0.0], [1.0, 1.0]]), np.array([0.2, 0.1])) == 0
+    assert list(_assign_1d(np.array([0.0, 1.0]), np.array([0.5, 0.9]))) == [0, 1]
+    # in 2D an exact tie goes to the lowest index
+    points = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert list(_assign_nd(points, np.array([[0.2, 0.1], [0.5, 0.5], [1.0, 0.0]]))) == [0, 0, 0]
 
 
 def test_projection_idempotent():
     grid = np.array([-1.0, 0.3, 2.0, 5.5])
-    for i, x in enumerate(grid):
-        assert nn_project(grid, x) == i
+    assert list(_assign_1d(grid, grid)) == [0, 1, 2, 3]
 
 
 def test_distortion_uniform_closed_forms():
