@@ -1,14 +1,16 @@
 """Convex-order-preserving finite approximations of martingale dynamics.
 
 The package combines primal (nearest-neighbour) and dual (barycentric
-splitting) quantization of 1D laws, closed-form martingale transition
+splitting) quantization of 1D laws given by closed-form F, K and partial
+second moment M, so that quadratic distortions are exact finite sums with
+no numerical integration, closed-form martingale transition
 kernels for ARCH dynamics with centered truncated noise, sparse LPs solved
 by HiGHS for martingale-optimal-transport price bounds and convex-order
 testing (closed form in 1D), and Monte Carlo machinery validating the
 truncation/quantization error bounds.
 """
 
-from . import archmc, chain, dual, laws, lp, mot, order, primal, quadrature, rng
+from . import archmc, chain, dual, laws, lp, mot, order, primal, rng
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -20,7 +22,6 @@ from .errors import (
     NotInConvexOrder,
     OutOfHullError,
     OutOfScopeError,
-    QuadratureError,
     SupportError,
 )
 
@@ -35,7 +36,6 @@ __all__ = [
     "mot",
     "order",
     "primal",
-    "quadrature",
     "rng",
     "BudgetExceeded",
     "DimensionMismatch",
@@ -47,7 +47,6 @@ __all__ = [
     "NotInConvexOrder",
     "OutOfHullError",
     "OutOfScopeError",
-    "QuadratureError",
     "SupportError",
     "__version__",
 ]

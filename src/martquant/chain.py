@@ -322,18 +322,9 @@ class MixtureTransitionLaw(Law1D):
     def support(self):
         return self._hull
 
-    def decompose(self):
-        clipped = self.trunc.clipped_mass
-
-        def density(u):
-            arr = np.atleast_1d(np.asarray(u, dtype=float))
-            z = (arr[None, :] - self.points[:, None]) / self.theta_values[:, None]
-            inside = (z >= self.trunc.alpha) & (z <= self.trunc.beta)
-            f = np.where(inside, np.asarray(self.trunc.base.density(z)), 0.0)
-            out = self.weights @ (f / self.theta_values[:, None])
-            return float(out[0]) if np.asarray(u).ndim == 0 else out
-
-        return density, self._hull, self.points.copy(), self.weights * clipped
+    def atoms(self):
+        # the clipped noise mass stays on each source point
+        return self.points.copy(), self.weights * self.trunc.clipped_mass
 
 
 def dual_transition_weights(

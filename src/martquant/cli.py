@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import archmc, chain as chainmod, mot as motmod, order as ordermod
-from .dual import dual_distortion, dual_lloyd_1d
+from .dual import dual_lloyd_1d
 from .errors import (
     DomainError,
     DivisibilityError,
@@ -31,7 +31,7 @@ from .errors import (
 from .laws import TruncatedLaw, law_from_json
 from .lp import LinearProgram, export_lp_text
 from .order import DiscreteDistribution
-from .primal import distortion, lloyd_1d
+from .primal import lloyd_1d
 
 _CONFIG_ERRORS = (DomainError, DivisibilityError, OutOfScopeError, KeyError, ValueError)
 
@@ -175,19 +175,15 @@ def cmd_quantize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.mode == "primal":
         res = lloyd_1d(law, n, tol=args.tol)
-        grid, weights = res.grid, res.weights
-        err = distortion(grid, law, p=float(args.p))
     else:
         if n < 2:
             raise DomainError("dual quantization needs --n >= 2")
         res = dual_lloyd_1d(law, n, tol=args.tol)
-        grid, weights = res.grid, res.weights
-        err = dual_distortion(grid, law)
     with open(out / "grid.json", "w") as fh:
-        json.dump([float(_fmt(g)) for g in grid], fh)
+        json.dump([float(_fmt(g)) for g in res.grid], fh)
         fh.write("\n")
-    _write_csv(out / "quantization.csv", ["point", "weight"], zip(grid, weights))
-    print(f"distortion {_fmt(err)}")
+    _write_csv(out / "quantization.csv", ["point", "weight"], zip(res.grid, res.weights))
+    print(f"distortion {_fmt(res.distortion)}")
     if not res.converged:
         print("warning: fixed-point iteration did not reach tolerance", file=sys.stderr)
     return 0
@@ -388,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("mode", choices=["primal", "dual"])
     q.add_argument("--law", required=True, help="law name, JSON string, or JSON file")
     q.add_argument("--n", required=True, type=int)
-    q.add_argument("--p", default=2.0, type=float)
     q.add_argument("--tol", type=float, default=1e-12)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_quantize)

@@ -307,7 +307,7 @@ def dual_lloyd_1d(
         if abs(points[0] - lo) > 1e-9 or abs(points[-1] - hi) > 1e-9:
             raise DomainError("init endpoints must sit on the support hull")
         points[0], points[-1] = lo, hi
-    law_atoms = np.sort(np.asarray(law.decompose()[2], dtype=float))
+    law_atoms = np.sort(np.asarray(law.atoms()[0], dtype=float))
     snap_tol = 1e-13 * (abs(lo) + abs(hi) + 1.0)
     converged = n_points == 2
     order_violation = False
@@ -390,6 +390,25 @@ def dual_lloyd_1d(
 # 2D Delaunay triangulation (Qhull)
 
 
+def _barycentric_transforms(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """``Delaunay.transform`` of a 2D triangulation: per triangle the inverse
+    of the edge matrix ``[v0 - v2, v1 - v2]`` stacked on ``v2``, so that
+    ``T[:2] @ (x - T[2])`` are the first two barycentric coordinates.  As in
+    Qhull, a triangle whose 1-norm reciprocal condition number is below
+    ``1000 eps`` is degenerate and gets ``nan``."""
+    v = points[simplices]
+    r = v[:, 2, :]
+    (ax, ay), (bx, by) = (v[:, 0, :] - r).T, (v[:, 1, :] - r).T
+    det = ax * by - bx * ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.stack([by, -bx, -ay, ax], axis=-1).reshape(-1, 2, 2) / det[:, None, None]
+    out = np.concatenate([inv, r[:, None, :]], axis=1)
+    ax, ay, bx, by = map(np.abs, (ax, ay, bx, by))
+    norms = np.maximum(ax + ay, bx + by) * np.maximum(by + ay, bx + ax)
+    out[~(np.abs(det) >= 1000.0 * np.finfo(float).eps * norms)] = np.nan
+    return out
+
+
 @dataclass(frozen=True)
 class Triangulation2D:
     """Delaunay triangulation of distinct points in the plane.
@@ -429,6 +448,10 @@ class Triangulation2D:
         if qhull.coplanar.size:
             left_out = sorted(set(qhull.coplanar[:, 0].tolist()))
             raise DomainError(f"points {left_out} are too close to another point to be vertices")
+        # Qhull fills its transform cache on the first ``find_simplex`` by
+        # LAPACK in scipy's threaded OpenBLAS, which can take a second on a
+        # busy two-core host; the 2x2 inverses are cheaper in closed form
+        qhull._transform = _barycentric_transforms(pts, qhull.simplices)
         return cls(pts, qhull.simplices.astype(np.intp), qhull)
 
     def _weights(self, queries: np.ndarray, tri: np.ndarray) -> np.ndarray:

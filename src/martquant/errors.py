@@ -9,10 +9,6 @@ class DomainError(MartquantError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class QuadratureError(MartquantError):
-    """Adaptive integration failed to reach the requested tolerance."""
-
-
 class EmptyCellError(MartquantError):
     """A quantization cell received zero mass (bad initial grid)."""
 

@@ -1,10 +1,12 @@
-"""Analytic one-dimensional laws with closed-form F and K.
+"""Analytic one-dimensional laws with closed-form F, K and M.
 
-Every law exposes the cumulative distribution function ``F(z) = P(Z <= z)``
-and the partial first moment ``K(z) = E[Z 1{Z <= z}]``.  These two closed
-forms are all the 1D quantization and transition-kernel machinery needs.
-``cdf_left`` gives the left limit ``F(z-)``, which differs from ``F`` only
-for laws with atoms.
+Every law exposes the cumulative distribution function ``F(z) = P(Z <= z)``,
+the partial first moment ``K(z) = E[Z 1{Z <= z}]`` and the partial second
+moment ``M(z) = E[Z^2 1{Z <= z}]``, all right-continuous and finite at
+``z = +-inf``.  ``cdf_left`` gives the left limit ``F(z-)``, which differs
+from ``F`` only for laws with atoms.  The 1D quantizers and transition
+kernels need F and K; quadratic distortions and truncated second moments
+are exact sums of F, K and M.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
-from .quadrature import adaptive_simpson
 from .rng import make_generator
 
 __all__ = [
@@ -45,7 +46,7 @@ def _ret(values, scalar):
 
 
 class Law1D:
-    """Base class: a 1D probability law with closed-form F and K."""
+    """Base class: a 1D probability law with closed-form F, K and M."""
 
     def cdf(self, z):
         raise NotImplementedError
@@ -55,6 +56,9 @@ class Law1D:
         return self.cdf(z)
 
     def partial_moment(self, z):
+        raise NotImplementedError
+
+    def partial_second_moment(self, z):
         raise NotImplementedError
 
     def cdf_moment_left_batch(self, z):
@@ -69,9 +73,6 @@ class Law1D:
     def quantile(self, u):
         raise NotImplementedError
 
-    def density(self, z):
-        raise DomainError(f"{type(self).__name__} has no density")
-
     @property
     def mean(self) -> float:
         raise NotImplementedError
@@ -84,18 +85,10 @@ class Law1D:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def integration_bounds(self) -> tuple[float, float]:
-        """Finite interval carrying all but a negligible share of E Z^2."""
-        return self.support
-
-    def decompose(self):
-        """Split the law into a density part and an atomic part.
-
-        Returns ``(density_fn_or_None, bounds, atom_points, atom_masses)``;
-        pure continuous laws have empty atom arrays, purely atomic laws a
-        ``None`` density.
-        """
-        return self.density, self.integration_bounds(), np.empty(0), np.empty(0)
+    def atoms(self):
+        """``(points, masses)`` of the atoms of the law; empty for
+        continuous laws."""
+        return np.empty(0), np.empty(0)
 
     def draw(self, gen, n: int) -> np.ndarray:
         """``n`` draws from the generator ``gen`` by the inverse transform;
@@ -134,14 +127,14 @@ class Uniform(Law1D):
         zc = np.clip(z, self.a, self.b)
         return _ret((zc * zc - self.a * self.a) / (2.0 * (self.b - self.a)), scalar)
 
+    def partial_second_moment(self, z):
+        z, scalar = _as_array(z)
+        zc = np.clip(z, self.a, self.b)
+        return _ret((zc ** 3 - self.a ** 3) / (3.0 * (self.b - self.a)), scalar)
+
     def quantile(self, u):
         u, scalar = self._check_u(u)
         return _ret(self.a + (self.b - self.a) * u, scalar)
-
-    def density(self, z):
-        z, scalar = _as_array(z)
-        inside = (z >= self.a) & (z <= self.b)
-        return _ret(np.where(inside, 1.0 / (self.b - self.a), 0.0), scalar)
 
     @property
     def mean(self):
@@ -160,8 +153,9 @@ class Uniform(Law1D):
 class Normal(Law1D):
     """Gaussian law; F via the erf-based ``scipy.special.ndtr`` (|err| < 1e-15).
 
-    The partial moment uses the identity K(z) = m F(z) - s phi((z-m)/s) with
-    phi the standard normal density.
+    With ``u = (z - m)/s`` and phi the standard normal density, the partial
+    moments are ``K(z) = m F(z) - s phi(u)`` and ``M(z) = (m^2 + s^2) F(z) -
+    s (m + z) phi(u)`` (Pages & Printems 2003).
     """
 
     m: float = 0.0
@@ -186,6 +180,14 @@ class Normal(Law1D):
         phi = np.exp(-0.5 * u * u) / _SQRT2PI
         return _ret(self.m * ndtr(u) - self.s * phi, scalar)
 
+    def partial_second_moment(self, z):
+        z, scalar = _as_array(z)
+        u = self._std(z)
+        phi = np.exp(-0.5 * u * u) / _SQRT2PI
+        # phi vanishes at z = +-inf, where (m + z) phi would be inf * 0
+        tail = self.s * (self.m + np.where(phi > 0.0, z, 0.0)) * phi
+        return _ret(self.second_moment * ndtr(u) - tail, scalar)
+
     def quantile(self, u):
         u, scalar = self._check_u(u)
         if self.m == 0.0 and self.s == 1.0:
@@ -200,11 +202,6 @@ class Normal(Law1D):
             return z
         return self.m + self.s * z
 
-    def density(self, z):
-        z, scalar = _as_array(z)
-        u = self._std(z)
-        return _ret(np.exp(-0.5 * u * u) / (_SQRT2PI * self.s), scalar)
-
     @property
     def mean(self):
         return self.m
@@ -216,9 +213,6 @@ class Normal(Law1D):
     @property
     def support(self):
         return (-math.inf, math.inf)
-
-    def integration_bounds(self):
-        return (self.m - 14.0 * self.s, self.m + 14.0 * self.s)
 
 
 @dataclass(frozen=True)
@@ -240,13 +234,17 @@ class Exponential(Law1D):
         val = -np.expm1(-self.rate * zp) / self.rate - zp * ez
         return _ret(np.where(z > 0.0, val, 0.0), scalar)
 
+    def partial_second_moment(self, z):
+        z, scalar = _as_array(z)
+        zp = np.minimum(np.maximum(z, 0.0), 1e306)
+        ez = np.exp(-self.rate * zp)
+        # (zp ez) first: it is 0, not inf * 0, once ez underflows
+        val = self.second_moment * -np.expm1(-self.rate * zp) - zp * ez * (zp + 2.0 / self.rate)
+        return _ret(np.where(z > 0.0, val, 0.0), scalar)
+
     def quantile(self, u):
         u, scalar = self._check_u(u)
         return _ret(-np.log1p(-u) / self.rate, scalar)
-
-    def density(self, z):
-        z, scalar = _as_array(z)
-        return _ret(np.where(z >= 0.0, self.rate * np.exp(-self.rate * np.maximum(z, 0.0)), 0.0), scalar)
 
     @property
     def mean(self):
@@ -260,13 +258,11 @@ class Exponential(Law1D):
     def support(self):
         return (0.0, math.inf)
 
-    def integration_bounds(self):
-        return (0.0, 50.0 / self.rate)
-
 
 @dataclass(frozen=True)
 class PowerDensity2x(Law1D):
-    """Law with density 2x on [0, 1]; F(z) = z^2, K(z) = 2 z^3 / 3."""
+    """Law with density 2x on [0, 1]; F(z) = z^2, K(z) = 2 z^3 / 3,
+    M(z) = z^4 / 2."""
 
     def cdf(self, z):
         z, scalar = _as_array(z)
@@ -278,14 +274,14 @@ class PowerDensity2x(Law1D):
         zc = np.clip(z, 0.0, 1.0)
         return _ret(2.0 * zc ** 3 / 3.0, scalar)
 
+    def partial_second_moment(self, z):
+        z, scalar = _as_array(z)
+        zc = np.clip(z, 0.0, 1.0)
+        return _ret(zc ** 4 / 2.0, scalar)
+
     def quantile(self, u):
         u, scalar = self._check_u(u)
         return _ret(np.sqrt(u), scalar)
-
-    def density(self, z):
-        z, scalar = _as_array(z)
-        inside = (z >= 0.0) & (z <= 1.0)
-        return _ret(np.where(inside, 2.0 * z, 0.0), scalar)
 
     @property
     def mean(self):
@@ -316,6 +312,10 @@ class PointMass(Law1D):
         z, scalar = _as_array(z)
         return _ret(np.where(z >= self.x, self.x, 0.0), scalar)
 
+    def partial_second_moment(self, z):
+        z, scalar = _as_array(z)
+        return _ret(np.where(z >= self.x, self.x * self.x, 0.0), scalar)
+
     def quantile(self, u):
         u, scalar = self._check_u(u)
         return _ret(np.full_like(u, self.x), scalar)
@@ -332,8 +332,8 @@ class PointMass(Law1D):
     def support(self):
         return (self.x, self.x)
 
-    def decompose(self):
-        return None, self.support, np.array([self.x]), np.array([1.0])
+    def atoms(self):
+        return np.array([self.x]), np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -348,6 +348,7 @@ class FiniteAtoms(Law1D):
     weights: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False)
     _cum_xw: np.ndarray = field(init=False, repr=False)
+    _cum_x2w: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float).reshape(-1)
@@ -365,6 +366,7 @@ class FiniteAtoms(Law1D):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_cum", np.cumsum(weights))
         object.__setattr__(self, "_cum_xw", np.cumsum(points * weights))
+        object.__setattr__(self, "_cum_x2w", np.cumsum(points * points * weights))
 
     def _partial(self, cum, z, side):
         z, scalar = _as_array(z)
@@ -380,6 +382,9 @@ class FiniteAtoms(Law1D):
 
     def partial_moment(self, z):
         return self._partial(self._cum_xw, z, "right")
+
+    def partial_second_moment(self, z):
+        return self._partial(self._cum_x2w, z, "right")
 
     def quantile(self, u):
         u, scalar = self._check_u(u)
@@ -398,8 +403,8 @@ class FiniteAtoms(Law1D):
     def support(self):
         return (float(self.points[0]), float(self.points[-1]))
 
-    def decompose(self):
-        return None, self.support, self.points, self.weights
+    def atoms(self):
+        return self.points, self.weights
 
 
 def _is_symmetric_about_zero(law: Law1D) -> bool:
@@ -503,15 +508,19 @@ class TruncatedLaw(Law1D):
         )
         return _ret(np.clip(inside, 0.0, 1.0), scalar)
 
-    def partial_moment(self, z):
+    def _kept(self, base_fn, at_alpha_left, z):
+        """``base_fn(clip(z)) - base_fn(alpha-)`` from alpha on: the clipped
+        atom sits at 0, where it adds nothing to either partial moment."""
         z, scalar = _as_array(z)
-        ka = _partial_moment_left(self.base, self.alpha)
-        val = np.where(
-            z >= self.alpha,
-            self.base.partial_moment(np.clip(z, self.alpha, self.beta)) - ka,
-            0.0,
-        )
-        return _ret(val, scalar)
+        inside = base_fn(np.clip(z, self.alpha, self.beta)) - at_alpha_left
+        return _ret(np.where(z >= self.alpha, inside, 0.0), scalar)
+
+    def partial_moment(self, z):
+        return self._kept(self.base.partial_moment, _partial_moment_left(self.base, self.alpha), z)
+
+    def partial_second_moment(self, z):
+        left = _partial_second_moment_left(self.base, self.alpha)
+        return self._kept(self.base.partial_second_moment, left, z)
 
     def quantile(self, u):
         u, scalar = self._check_u(u)
@@ -536,17 +545,9 @@ class TruncatedLaw(Law1D):
     def mean(self):
         return 0.0
 
-    @cached_property
+    @property
     def second_moment(self):
-        # adaptive quadrature over the density: thousands of evaluations,
-        # so computed once per (immutable) law
-        density, _, atoms, masses = self.decompose()
-        total = float(np.dot(masses, atoms ** 2)) if atoms.size else 0.0
-        if density is not None:
-            total += adaptive_simpson(
-                lambda t: t * t * density(t), self.alpha, self.beta, tol=1e-12
-            )
-        return total
+        return self.partial_second_moment(self.beta)  # M(beta) - M(alpha-) of the base
 
     @property
     def support(self):
@@ -569,23 +570,22 @@ class TruncatedLaw(Law1D):
         """Mass of the atom at 0: P(Z outside [alpha, beta])."""
         return 1.0 - self.base.cdf(self.beta) + self.base_f_alpha_left
 
-    def decompose(self):
-        density, _, base_atoms, base_masses = self.base.decompose()
-        keep = (base_atoms >= self.alpha) & (base_atoms <= self.beta)
-        atoms = np.concatenate((base_atoms[keep], [0.0]))
-        masses = np.concatenate((base_masses[keep], [self.clipped_mass]))
-        if 0.0 in base_atoms[keep]:
-            # merge the kept base atom at 0 with the clipped mass
-            at_zero = atoms == 0.0
-            merged = masses[at_zero].sum()
-            atoms = np.concatenate((atoms[~at_zero], [0.0]))
-            masses = np.concatenate((masses[~at_zero], [merged]))
-        return density, (self.alpha, self.beta), atoms, masses
+    def atoms(self):
+        base_atoms, base_masses = self.base.atoms()
+        keep = (base_atoms >= self.alpha) & (base_atoms <= self.beta) & (base_atoms != 0.0)
+        # a base atom at 0 merges with the clipped mass
+        at_zero = base_masses[base_atoms == 0.0].sum() + self.clipped_mass
+        return np.append(base_atoms[keep], 0.0), np.append(base_masses[keep], at_zero)
 
 
 def _partial_moment_left(law: Law1D, z: float) -> float:
     """K(z-) = K(z) - z * (F(z) - F(z-))."""
     return law.partial_moment(z) - z * (law.cdf(z) - law.cdf_left(z))
+
+
+def _partial_second_moment_left(law: Law1D, z: float) -> float:
+    """M(z-) = M(z) - z^2 * (F(z) - F(z-))."""
+    return law.partial_second_moment(z) - z * z * (law.cdf(z) - law.cdf_left(z))
 
 
 _TRIVIAL_KINDS = {

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
-from .dual import dual_distortion, dual_lloyd_1d
+from .dual import dual_lloyd_1d
 from .errors import BudgetExceeded, DomainError, NotInConvexOrder
 from .laws import FiniteAtoms, Law1D
 from .order import DiscreteDistribution, convex_order_check, coupling_lp
-from .primal import distortion, lloyd_1d
+from .primal import lloyd_1d
 
 __all__ = [
     "MotProblem",
@@ -269,14 +269,6 @@ def stability_experiment(mu0, mu1, payoff, levels) -> list[dict]:
 def w2_coupling_bound(mu0: Law1D, mu1: Law1D, n: int, m: int) -> float:
     """Quadratic-Wasserstein accuracy of the quantized marginal pair:
     sqrt of (primal distortion of mu0 at N)^2 + (dual distortion of mu1 at M)^2."""
-    if mu0.support[0] == mu0.support[1]:
-        e = 0.0
-    else:
-        primal = lloyd_1d(mu0, n)
-        e = distortion(primal.grid, mu0, p=2.0)
-    if mu1.support[0] == mu1.support[1]:
-        d = 0.0
-    else:
-        dual_res = dual_lloyd_1d(mu1, m)
-        d = dual_distortion(dual_res.grid, mu1)
+    e = 0.0 if mu0.support[0] == mu0.support[1] else lloyd_1d(mu0, n).distortion
+    d = 0.0 if mu1.support[0] == mu1.support[1] else dual_lloyd_1d(mu1, m).distortion
     return float(np.hypot(e, d))

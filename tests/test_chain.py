@@ -221,9 +221,19 @@ def test_mixture_transition_law_consistency(trunc_n1):
     assert np.allclose(bf, mix.cdf(us), atol=1e-14)
     assert np.allclose(bk, mix.partial_moment(us), atol=1e-14)
     assert np.allclose(bfl, mix.cdf_left(us), atol=1e-14)
-    # second moment against quadrature + atoms
-    density, (lo, hi), atoms, masses = mix.decompose()
-    m2 = quad(lambda t: t * t * density(np.array([t]))[0], lo, hi, limit=200)[0]
+    # second moment against quadrature of the mixture density plus the
+    # clipped atoms, which stay on the source points
+    def density(t):
+        z = (t - points) / thetas
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        kept = (z >= trunc_n1.alpha) & (z <= trunc_n1.beta)
+        return float(weights @ np.where(kept, phi / thetas, 0.0))
+
+    lo, hi = mix.support
+    m2 = quad(lambda t: t * t * density(t), lo, hi, points=points, limit=200)[0]
+    atoms, masses = mix.atoms()
+    assert np.array_equal(atoms, points)
+    assert np.allclose(masses, weights * trunc_n1.clipped_mass, rtol=0, atol=1e-16)
     m2 += float(masses @ atoms ** 2)
     assert mix.second_moment == pytest.approx(m2, abs=1e-8)
 
@@ -365,6 +375,23 @@ def test_build_chain_second_moments_nondecreasing():
     for k in range(3):
         assert chain.diagnostics[k]["martingale_residual"] < 1e-9
         assert abs(chain.mean(k + 1) - chain.mean(0)) < 1e-9
+
+
+def test_chain_second_moment_identity():
+    """A dual split is a martingale step, so each chain step adds the noise
+    variance and the squared dual distortion to the second moment:
+    E X_{k+1}^2 = E X_k^2 + E theta(X_k)^2 E Zbar^2 + D_{k+1}^2.  This ties
+    the closed-form E Zbar^2, the kernel and ``dual_distortion`` together."""
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    thetas = euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 3)
+    chain = build_chain(
+        ArchSpec(thetas), [NoiseSpec.truncated(trunc)] * 3, Uniform(0.9, 1.1), [9, 9, 9, 9]
+    )
+    for k in range(3):
+        theta_sq = float(chain.marginal_weights[k] @ thetas[k](chain.grids[k]) ** 2)
+        d2 = chain.diagnostics[k]["dual_distortion"] ** 2
+        expected = chain.second_moment(k) + theta_sq * trunc.second_moment + d2
+        assert chain.second_moment(k + 1) == pytest.approx(expected, abs=1e-13)
 
 
 def _euler_config_chain():

@@ -413,6 +413,38 @@ def test_triangulation_locate_hull_tolerance(tol):
             tri.locate(q[None, :], tol=tol)
 
 
+def test_triangulation_fills_qhulls_transform_cache():
+    """``delaunay`` stores closed-form 2x2 inverses in Qhull's private
+    ``_transform`` cache, so that ``find_simplex`` never runs LAPACK.  Pin
+    that the installed scipy reads the cache, that the transforms agree with
+    Qhull's own, and that the located simplices are Qhull's."""
+    from scipy.spatial import Delaunay
+
+    gen = make_generator(17)
+    for _ in range(40):
+        n = int(gen.integers(3, 120))
+        pts = gen.standard_normal((n, 2)) * 10.0 ** gen.uniform(-2, 2)
+        tri = Triangulation2D.delaunay(pts)
+        ours = tri._qhull._transform
+        assert tri._qhull.transform is ours
+        reference = Delaunay(pts)
+        assert np.array_equal(np.isnan(ours), np.isnan(reference.transform))
+        assert np.allclose(ours, reference.transform, rtol=1e-9, atol=1e-12, equal_nan=True)
+        queries = 1.5 * pts.std() * gen.standard_normal((300, 2)) + pts.mean(axis=0)
+        assert np.array_equal(
+            tri._qhull.find_simplex(queries), reference.find_simplex(queries)
+        )
+    # find_simplex reads the cache: all-nan transforms locate nothing
+    tri._qhull._transform = np.full_like(ours, np.nan)
+    assert (tri._qhull.find_simplex(queries) == -1).all()
+    # a degenerate triangle gets nan, as in Qhull
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13], [0.5, 1.0]])
+    ours = Triangulation2D.delaunay(flat)._qhull._transform
+    qhull = Delaunay(flat).transform
+    assert np.isnan(ours).any()
+    assert np.array_equal(np.isnan(ours), np.isnan(qhull))
+
+
 def test_triangulation_known_barycentric():
     tri = Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     s = tri.split(np.array([0.25, 0.25]))
@@ -563,12 +595,12 @@ def test_solve_levels_matches_the_reference_loop_bit_for_bit(case):
             assert a.tobytes() == b.tobytes()
 
 
-def test_dual_lloyd_does_not_hide_a_failing_decompose():
+def test_dual_lloyd_does_not_hide_failing_atoms():
     class Broken(Uniform):
-        def decompose(self):
-            raise ValueError("broken decompose")
+        def atoms(self):
+            raise ValueError("broken atoms")
 
-    with pytest.raises(ValueError, match="broken decompose"):
+    with pytest.raises(ValueError, match="broken atoms"):
         dual_lloyd_1d(Broken(0.0, 1.0), 5)
 
 

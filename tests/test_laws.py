@@ -90,13 +90,18 @@ def test_cdf_limits_and_mean(law):
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: type(l).__name__ + repr(l.support))
 def test_mean_value_bracketing(law):
-    zs = np.linspace(law.integration_bounds()[0] - 0.5, law.integration_bounds()[1] + 0.5, 37)
+    zs = np.linspace(law.quantile(1e-9) - 0.5, law.quantile(1 - 1e-9) + 0.5, 37)
     for z1, z2 in zip(zs[:-1], zs[1:]):
         f1, f2 = law.cdf(z1), law.cdf(z2)
         dk = law.partial_moment(z2) - law.partial_moment(z1)
+        dm = law.partial_second_moment(z2) - law.partial_second_moment(z1)
         assert f1 <= f2 + 1e-15
         assert dk >= z1 * (f2 - f1) - 1e-12
         assert dk <= z2 * (f2 - f1) + 1e-12
+        # t^2 on (z1, z2] lies between 0 (or the smaller square) and the larger
+        low = 0.0 if z1 < 0.0 < z2 else min(z1 * z1, z2 * z2)
+        assert dm >= low * (f2 - f1) - 1e-12
+        assert dm <= max(z1 * z1, z2 * z2) * (f2 - f1) + 1e-12
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
@@ -286,24 +291,16 @@ def test_default_cdf_moment_left_batch_is_the_three_methods_bit_for_bit(law):
     assert f_left.tobytes() == np.asarray(law.cdf_left(z)).tobytes()
 
 
-def test_truncated_second_moment_is_computed_once(monkeypatch):
-    import martquant.laws as lawsmod
-
-    calls = []
-    real = lawsmod.adaptive_simpson
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(lawsmod, "adaptive_simpson", counting)
-    t = TruncatedLaw.centered(Normal(), -2.0)
-    first = t.second_moment
-    assert t.second_moment == first
-    assert len(calls) == 1
-    # the cached value is what the quadrature gives afresh
-    assert TruncatedLaw.second_moment.func(t) == first
-    assert len(calls) == 2
+def test_truncated_second_moment_is_the_closed_form():
+    n = Normal()
+    t = TruncatedLaw.centered(n, -2.0)
+    # M(beta) - M(alpha-) of the base: no quadrature, nothing to cache
+    assert t.second_moment == n.partial_second_moment(2.0) - n.partial_second_moment(-2.0)
+    oracle = quad(lambda z: z * z * math.exp(-z * z / 2) / math.sqrt(2 * math.pi), -2, 2)[0]
+    assert t.second_moment == pytest.approx(oracle, rel=1e-15)
+    # an atomic base keeps its atoms at the truncation ends
+    atoms = FiniteAtoms([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+    assert TruncatedLaw.centered(atoms, -1.0).second_moment == pytest.approx(0.4, abs=1e-15)
 
 
 def test_truncated_constants_are_computed_once(monkeypatch):
@@ -327,3 +324,83 @@ def test_truncated_constants_are_computed_once(monkeypatch):
     assert values[0] == n.cdf_left(-2.0)
     assert values[1] == n.partial_moment(-2.0)
     assert values[2] == 1.0 - n.cdf(2.0) + n.cdf_left(-2.0)
+
+
+def _phi(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+
+
+_ATOMS = FiniteAtoms([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+
+# (law, density or None, interval carrying the density, atoms, masses)
+_M_CASES = [
+    (law_from_json({"kind": "uniform", "a": -1, "b": 2}), lambda t: 1 / 3, (-1, 2), [], []),
+    (
+        law_from_json({"kind": "normal", "mean": 0.4, "sd": 2.5}),
+        lambda t: _phi((t - 0.4) / 2.5) / 2.5,
+        (-np.inf, np.inf),
+        [],
+        [],
+    ),
+    (law_from_json("normal01"), _phi, (-np.inf, np.inf), [], []),
+    (
+        law_from_json({"kind": "exponential", "rate": 1.3}),
+        lambda t: 1.3 * math.exp(-1.3 * t),
+        (0, np.inf),
+        [],
+        [],
+    ),
+    (law_from_json({"kind": "power2x"}), lambda t: 2 * t, (0, 1), [], []),
+    (law_from_json({"kind": "pointmass", "x": 2}), None, None, [2.0], [1.0]),
+    (
+        law_from_json({"kind": "atoms", "points": [-1, 0.25, 2], "weights": [0.3, 0.5, 0.2]}),
+        None,
+        None,
+        [-1.0, 0.25, 2.0],
+        [0.3, 0.5, 0.2],
+    ),
+    (_ATOMS, None, None, list(_ATOMS.points), list(_ATOMS.weights)),
+    (
+        law_from_json({"kind": "normal", "truncation": {"alpha": -2}}),
+        _phi,
+        (-2, 2),
+        [0.0],
+        [2 * Normal().cdf(-2.0)],
+    ),
+    # the base atoms at the ends -1 and 1 are kept, the clipped ones join 0
+    (TruncatedLaw.centered(_ATOMS, -1.0), None, None, [-1.0, 0.0, 1.0], [0.2, 0.6, 0.2]),
+]
+
+
+@pytest.mark.parametrize(
+    "law, density, interval, atoms, masses",
+    _M_CASES,
+    ids=["uniform", "normal", "normal01", "exponential", "power2x", "pointmass", "atoms",
+         "atoms-symmetric", "truncated-normal", "truncated-atoms"],
+)
+def test_partial_second_moment_against_quadrature(law, density, interval, atoms, masses):
+    """M(z) = E[X^2 1{X <= z}] against quad over the density plus the
+    atoms at or below z; right-continuous at the atoms, finite at +-inf."""
+
+    def oracle(z):
+        val = math.fsum(w * x * x for x, w in zip(atoms, masses) if x <= z)
+        if density is not None and z > interval[0]:
+            top = min(z, interval[1])
+            val += quad(lambda t: t * t * density(t), interval[0], top, epsabs=1e-15, limit=200)[0]
+        return val
+
+    # the law's own atoms are the oracle's, a base atom at 0 merged into the clipped one
+    points, weights = law.atoms()
+    order = np.argsort(points)
+    assert points[order] == pytest.approx(atoms, abs=0)
+    assert weights[order] == pytest.approx(masses, abs=1e-15)
+    assert law.partial_second_moment(-np.inf) == 0.0
+    assert law.partial_second_moment(np.inf) == pytest.approx(law.second_moment, rel=1e-14)
+    assert law.partial_second_moment(np.inf) == pytest.approx(oracle(np.inf), abs=1e-12)
+    zs = [-4.0, -2.0, -0.7, 0.0, 0.3, 1.0, 1.7, 2.0, 5.0]
+    for x in atoms:  # exactly at each atom and just below it
+        zs += [x, float(np.nextafter(x, -np.inf))]
+    for z in zs:
+        assert law.partial_second_moment(z) == pytest.approx(oracle(z), abs=1e-12), z
+    batch = law.partial_second_moment(np.array(zs))
+    assert batch == pytest.approx([law.partial_second_moment(z) for z in zs], rel=1e-15, abs=0)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from martquant.errors import DomainError, EmptyCellError
-from martquant.laws import FiniteAtoms, Normal, PowerDensity2x, Uniform
+from martquant.laws import FiniteAtoms, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.primal import (
     Grid1D,
     GridD,
@@ -42,7 +42,7 @@ def test_distortion_uniform_closed_forms():
 def test_distortion_atoms_on_grid_is_zero():
     law = FiniteAtoms([0.0, 0.5, 2.0], [0.25, 0.5, 0.25])
     assert distortion([0.0, 0.5, 2.0], law, p=2) == 0.0
-    assert distortion([0.0, 0.5, 2.0], law, p=3.5) == 0.0
+    assert distortion([0.0, 0.5, 2.0], law.points, p=3.5) == 0.0
 
 
 def test_distortion_decreases_when_point_added():
@@ -197,7 +197,42 @@ def test_uniform_optimal_invariant_rate():
         assert n * res.distortion == pytest.approx(1 / (2 * math.sqrt(3)), abs=1e-10)
 
 
-def test_distortion_p_not_2_quadrature():
-    u = Uniform(0, 1)
-    oracle = (2 * quad(lambda x: abs(x - 0.5) ** 3, 0, 0.5)[0]) ** (1 / 3)
-    assert distortion([0.5], u, p=3) == pytest.approx(oracle, abs=1e-10)
+def test_distortion_p_not_2_needs_a_sample():
+    # the distortion of a law is the quadratic closed form only
+    with pytest.raises(DomainError, match="p must be 2"):
+        distortion([0.5], Uniform(0, 1), p=3)
+    # a sample takes any p >= 1: on the midpoint grid of [0, 1] its cube
+    # root mean cube distance is (1/32)^(1/3) = 2^(-5/3)
+    sample = (np.arange(4096) + 0.5) / 4096
+    assert distortion([0.5], sample, p=3) == pytest.approx(2 ** (-5 / 3), rel=1e-6)
+
+
+def _phi(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "law, n, density, lo, hi",
+    [
+        (Normal(), 8, _phi, -np.inf, np.inf),
+        (Normal(), 31, _phi, -np.inf, np.inf),
+        (Normal(), 128, _phi, -np.inf, np.inf),
+        (Uniform(0.9, 1.1), 31, lambda t: 5.0, 0.9, 1.1),
+        (TruncatedLaw.centered(Normal(), -2.0), 31, _phi, -2.0, 2.0),
+    ],
+    ids=["normal-8", "normal-31", "normal-128", "uniform-31", "truncated-31"],
+)
+def test_distortion_matches_per_cell_quadrature(law, n, density, lo, hi):
+    """The closed form sum dM - 2x dK + x^2 dF against per-cell quadrature
+    of (t - x)^2 over the density, plus the atoms, summed exactly."""
+    grid = lloyd_1d(law, n, tol=1e-9).grid
+    cuts = np.clip(np.concatenate(([lo], 0.5 * (grid[:-1] + grid[1:]), [hi])), lo, hi)
+    parts = [
+        quad(lambda t, x=x: (t - x) ** 2 * density(t), a, b, epsabs=1e-17, epsrel=1e-13)[0]
+        for x, a, b in zip(grid, cuts[:-1], cuts[1:])
+        if b > a
+    ]
+    atoms, masses = law.atoms()
+    parts += [w * (z - grid[_assign_1d(grid, z)]) ** 2 for z, w in zip(atoms, masses)]
+    d2 = distortion(grid, law) ** 2
+    assert abs(d2 - math.fsum(parts)) <= 1e-14 * max(1.0, law.second_moment)
