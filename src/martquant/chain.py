@@ -7,12 +7,16 @@ projection.  Both operations preserve the martingale property exactly, so
 consecutive marginals stay in convex order while the support size stays
 under control.
 
-In 1D with a centered truncated noise the one-step conditional CDF and
-partial first moment have closed forms, so transition kernels and the grids
-themselves (via the dual fixed point on the mixture transition law) are
-computed without sampling.  With a finitely supported noise the transition
-is propagated exactly in any supported dimension by splitting every image
-point.
+In 1D with a centered truncated noise the one-step conditional law given
+``x`` is the noise law mapped by ``x + theta z``: with ``r = (u - x) /
+theta``, ``F(u|x) = F(r)``, ``F(u-|x) = F(r-)`` and ``K(u|x) = x F(r) +
+theta K(r)``, where F and K are the :class:`TruncatedLaw`'s own (``F = K =
+0`` below alpha, ``F(-) = 1`` above beta, K measured from ``K(alpha-)`` of
+the base).  So transition kernels and the grids themselves (via the dual
+fixed point on the mixture transition law) are computed without sampling,
+also when alpha or beta is an atom of the base.  With a finitely supported
+noise the transition is propagated exactly in any supported dimension by
+splitting every image point.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import Triangulation2D, dual_distortion, dual_lloyd_1d, hull_slack_1d, locate_1d
+from .dual import (
+    Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
+)
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
 from .laws import FiniteAtoms, Law1D, TruncatedLaw
 from .order import DiscreteDistribution
@@ -202,46 +208,32 @@ def _clamp_rows(matrix: np.ndarray) -> np.ndarray:
 # 1D closed-form transitions for centered truncated noise
 
 
+def _noise_level(x, u, theta_val):
+    """The noise value ``r = (u - x) / theta`` that the step ``x + theta r``
+    sends onto ``u``."""
+    return np.divide(np.subtract(u, x, dtype=float), theta_val)
+
+
 def transition_cdf(x, u, theta_val, trunc: TruncatedLaw):
-    """P(next <= u | current = x) for next = x + theta * clipped noise.
-
-    The clipped mass stays put (term 1{x <= u}); the kept noise contributes
-    F(alpha v (u - x)/theta ^ beta) - F(alpha-).  This is the hot path of
-    the 1D dual sweep, so it works in place on one buffer.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    ratio = np.asarray(np.divide(u - x, theta_val))
-    np.maximum(ratio, trunc.alpha, out=ratio)
-    np.minimum(ratio, trunc.beta, out=ratio)
-    vals = np.asarray(trunc.base.cdf(ratio), dtype=float)
-    vals += (x <= u) * trunc.clipped_mass
-    vals -= trunc.base_f_alpha_left
-    return vals[()]  # a scalar for scalar inputs
-
-
-def transition_cdf_left(x, u, theta_val, trunc: TruncatedLaw):
-    """Left limit in u of the transition CDF (the only atom sits at u = x)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    theta_val = np.asarray(theta_val, dtype=float)
-    ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
-    return (
-        np.where(x < u, trunc.clipped_mass, 0.0)
-        + np.asarray(trunc.base.cdf_left(ratio))
-        - trunc.base_f_alpha_left
-    )
+    """P(next <= u | current = x) for next = x + theta * clipped noise: the
+    noise's F at ``(u - x) / theta``.  This is the hot path of the 1D dual
+    sweep."""
+    return np.asarray(trunc.cdf(_noise_level(x, u, theta_val)))[()]
 
 
 def transition_partial_moment(x, u, theta_val, trunc: TruncatedLaw):
-    """E(next 1{next <= u} | current = x); tends to x as u grows (martingale)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    theta_val = np.asarray(theta_val, dtype=float)
-    ratio = np.clip((u - x) / theta_val, trunc.alpha, trunc.beta)
-    return x * transition_cdf(x, u, theta_val, trunc) + theta_val * (
-        np.asarray(trunc.base.partial_moment(ratio)) - trunc.base_k_alpha
-    )
+    """E(next 1{next <= u} | current = x) = x F(r) + theta K(r) of the noise
+    at ``r = (u - x) / theta``; tends to x as u grows (martingale)."""
+    r = _noise_level(x, u, theta_val)
+    return np.multiply(x, trunc.cdf(r)) + np.multiply(theta_val, trunc.partial_moment(r))
+
+
+def _transition_batch(xs, us, theta_vals, trunc: TruncatedLaw):
+    """F(u|x), K(u|x) and F(u-|x), one row per source and one column per
+    query, from one batch evaluation of the noise law."""
+    x, th = xs[:, None], theta_vals[:, None]
+    f, k, f_left = trunc.cdf_moment_left_batch(_noise_level(x, us[None, :], th))
+    return f, x * f + th * k, f_left
 
 
 class MixtureTransitionLaw(Law1D):
@@ -280,33 +272,17 @@ class MixtureTransitionLaw(Law1D):
         return self._mix(transition_cdf, u)
 
     def cdf_left(self, u):
-        return self._mix(transition_cdf_left, u)
+        return self._mix(lambda x, u, th, trunc: trunc.cdf_left(_noise_level(x, u, th)), u)
 
     def partial_moment(self, u):
         return self._mix(transition_partial_moment, u)
 
     def cdf_moment_left_batch(self, u):
-        """F, K, and F(.-) at once, sharing the clipped-ratio evaluations."""
+        """F, K and F(.-) at once, from one batch evaluation of the noise law."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        x = self.points[:, None]
-        th = self.theta_values[:, None]
-        trunc = self.trunc
-        base = trunc.base
-        tail, f_alpha_left = trunc.clipped_mass, trunc.base_f_alpha_left
-        ratio = np.clip((u[None, :] - x) / th, trunc.alpha, trunc.beta)
-        base_f = np.asarray(base.cdf(ratio))
-        # a continuous base inherits F(z-) = F(z): skip the second evaluation
-        if type(base).cdf_left is Law1D.cdf_left:
-            base_fl = base_f
-        else:
-            base_fl = np.asarray(base.cdf_left(ratio))
-        base_k = np.asarray(base.partial_moment(ratio))
-        at_or_above = np.where(x <= u[None, :], tail, 0.0)
-        f_rows = at_or_above + base_f - f_alpha_left
-        fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
-        k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha)
+        f, k, f_left = _transition_batch(self.points, u, self.theta_values, self.trunc)
         w = self.weights
-        return w @ f_rows, w @ k_rows, w @ fl_rows
+        return w @ f, w @ k, w @ f_left
 
     @property
     def mean(self):
@@ -358,18 +334,8 @@ def dual_transition_weights(
             source_index=i,
             overshoot=overshoot,
         )
-    f = transition_cdf(xs[:, None], ts[None, :], theta_vals[:, None], trunc)
-    k = transition_partial_moment(xs[:, None], ts[None, :], theta_vals[:, None], trunc)
-    df = np.diff(f, axis=1)
-    dk = np.diff(k, axis=1)
-    dx = np.diff(ts)
-    pi = np.zeros((xs.size, ts.size))
-    pi[:, 1:] += (dk - ts[:-1] * df) / dx
-    pi[:, :-1] += (ts[1:] * df - dk) / dx
-    # an atom exactly on the left hull endpoint belongs to it
-    f_left_end = transition_cdf_left(xs, np.full_like(xs, ts[0]), theta_vals, trunc)
-    pi[:, 0] += f[:, 0] - f_left_end
-    return MartingaleKernel(xs, ts, _clamp_rows(pi))
+    f, k, f_left = _transition_batch(xs, ts, theta_vals, trunc)
+    return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f, k, f_left[:, 0])))
 
 
 def finite_noise_transition(

@@ -165,15 +165,21 @@ def dual_weights(grid, law: Law1D) -> np.ndarray:
     _check_support(points, law)
     f = np.asarray(law.cdf(points))
     k = np.asarray(law.partial_moment(points))
+    return np.clip(hat_split(points, f, k, float(law.cdf_left(points[0]))), 0.0, None)
+
+
+def hat_split(points: np.ndarray, f, k, f_left_first):
+    """Unclipped masses the hat functions of a 1D grid take from a law, from
+    its F and K at the points (last axis) and its F(-) at the first point."""
     dx = np.diff(points)
-    df = np.diff(f)
-    dk = np.diff(k)
-    p = np.zeros(points.size)
-    p[1:] += (dk - points[:-1] * df) / dx
-    p[:-1] += (points[1:] * df - dk) / dx
+    df = np.diff(f, axis=-1)
+    dk = np.diff(k, axis=-1)
+    p = np.zeros(np.shape(f))
+    p[..., 1:] += (dk - points[:-1] * df) / dx
+    p[..., :-1] += (points[1:] * df - dk) / dx
     # an atom sitting exactly on the left endpoint belongs wholly to it
-    p[0] += f[0] - float(law.cdf_left(points[0]))
-    return np.clip(p, 0.0, None)
+    p[..., 0] += f[..., 0] - f_left_first
+    return p
 
 
 def dual_distortion(grid, law: Law1D) -> float:

@@ -427,6 +427,12 @@ class TruncatedLaw(Law1D):
     The pair must satisfy ``E Z 1{Z in [alpha, beta]} = 0``, i.e.
     ``K(beta) - K(alpha-) = 0`` within 1e-10.  Use :meth:`centered` to solve
     for ``beta`` given ``alpha``.
+
+    F, F(-), K and M are the base's at ``z`` clipped to ``[alpha, beta]``,
+    less the base's at ``alpha-``; F adds the clipped mass from ``z = 0``
+    on and F(-) from ``z > 0`` on.  At the ends ``F = K = M = 0`` below
+    ``alpha`` and ``F(-) = 1`` above ``beta``, so an atom of the base at
+    ``alpha`` or ``beta`` is kept whole.
     """
 
     base: Law1D
@@ -444,7 +450,7 @@ class TruncatedLaw(Law1D):
 
     @property
     def centering_residual(self) -> float:
-        return self.base.partial_moment(self.beta) - _partial_moment_left(self.base, self.alpha)
+        return self.base.partial_moment(self.beta) - self.base_k_alpha_left
 
     @classmethod
     def centered(cls, base: Law1D, alpha: float, beta="auto") -> "TruncatedLaw":
@@ -486,47 +492,57 @@ class TruncatedLaw(Law1D):
                 break
         return cls(base, alpha, 0.5 * (lo + hi))
 
+    def _clip(self, z):
+        # np.clip is slower on the small arrays of the 1D dual sweep
+        return np.minimum(np.maximum(z, self.alpha), self.beta)
+
+    def _kept(self, base_value, at_alpha_left, z):
+        vals = base_value - at_alpha_left
+        return vals if self._continuous_base else np.where(z < self.alpha, 0.0, vals)
+
+    def _cdf_from(self, base_f, z):
+        # only F counts the clipped atom at 0: it adds nothing to K or M
+        return self._kept(base_f + (z >= 0.0) * self.clipped_mass, self.base_f_alpha_left, z)
+
+    def _cdf_left_from(self, base_f_left, z):
+        # z = beta keeps an atom of the base at beta, which truncation keeps
+        vals = self._kept(base_f_left + (z > 0.0) * self.clipped_mass, self.base_f_alpha_left, z)
+        return vals if self._continuous_base else np.where(z > self.beta, 1.0, vals)
+
     def cdf(self, z):
         z, scalar = _as_array(z)
-        f = self.base.cdf
-        fa = self.base.cdf_left(self.alpha)
-        fb = f(self.beta)
-        below = np.where(z >= self.alpha, f(np.minimum(z, self.beta)) - fa, 0.0)
-        out = np.where(z >= 0.0, below + 1.0 - fb + fa, below)
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
+        return _ret(self._cdf_from(self.base.cdf(self._clip(z)), z), scalar)
 
     def cdf_left(self, z):
         z, scalar = _as_array(z)
-        fl = self.base.cdf_left
-        fa = fl(self.alpha)
-        fb = self.base.cdf(self.beta)
-        below = np.where(z > self.alpha, fl(np.minimum(z, self.beta)) - fa, 0.0)
-        # z = beta stays in the continuous branch: F(beta-) excludes only an
-        # atom of the base at beta, which truncation keeps.
-        inside = np.where(
-            z > self.beta, 1.0, np.where(z > 0.0, below + 1.0 - fb + fa, below)
-        )
-        return _ret(np.clip(inside, 0.0, 1.0), scalar)
-
-    def _kept(self, base_fn, at_alpha_left, z):
-        """``base_fn(clip(z)) - base_fn(alpha-)`` from alpha on: the clipped
-        atom sits at 0, where it adds nothing to either partial moment."""
-        z, scalar = _as_array(z)
-        inside = base_fn(np.clip(z, self.alpha, self.beta)) - at_alpha_left
-        return _ret(np.where(z >= self.alpha, inside, 0.0), scalar)
+        return _ret(self._cdf_left_from(self.base.cdf_left(self._clip(z)), z), scalar)
 
     def partial_moment(self, z):
-        return self._kept(self.base.partial_moment, _partial_moment_left(self.base, self.alpha), z)
+        z, scalar = _as_array(z)
+        base_k = self.base.partial_moment(self._clip(z))
+        return _ret(self._kept(base_k, self.base_k_alpha_left, z), scalar)
 
     def partial_second_moment(self, z):
-        left = _partial_second_moment_left(self.base, self.alpha)
-        return self._kept(self.base.partial_second_moment, left, z)
+        z, scalar = _as_array(z)
+        base_m = self.base.partial_second_moment(self._clip(z))
+        return _ret(self._kept(base_m, self.base_m_alpha_left, z), scalar)
+
+    def cdf_moment_left_batch(self, z):
+        """F, K and F(-) on one clip of ``z``, with one base F if it is continuous."""
+        z = np.asarray(z, dtype=float)
+        zc = self._clip(z)
+        base_f = self.base.cdf(zc)
+        base_f_left = base_f if self._continuous_base else self.base.cdf_left(zc)
+        return (
+            self._cdf_from(base_f, z),
+            self._kept(self.base.partial_moment(zc), self.base_k_alpha_left, z),
+            self._cdf_left_from(base_f_left, z),
+        )
 
     def quantile(self, u):
         u, scalar = self._check_u(u)
-        fa = self.base.cdf_left(self.alpha)
-        fb = self.base.cdf(self.beta)
-        atom = 1.0 - fb + fa
+        fa = self.base_f_alpha_left
+        atom = self.clipped_mass
         f0 = self.base.cdf_left(0.0) - fa     # mass strictly below the atom at 0
         below = u <= f0
         above = u > f0 + atom
@@ -537,8 +553,9 @@ class TruncatedLaw(Law1D):
             out[above] = self.base.quantile(np.clip(u[above] - atom + fa, 1e-16, 1.0 - 1e-16))
         return _ret(np.clip(out, self.alpha, self.beta), scalar)
 
-    def sample(self, n, seed, stream=0):
-        z = self.base.sample(n, seed, stream)
+    def draw(self, gen, n: int) -> np.ndarray:
+        """Draws of the base from ``gen``, set to 0 outside ``[alpha, beta]``."""
+        z = self.base.draw(gen, n)
         return z * ((z >= self.alpha) & (z <= self.beta))
 
     @property
@@ -556,14 +573,26 @@ class TruncatedLaw(Law1D):
     # constants of the closed forms, computed once per (immutable) law
 
     @cached_property
+    def _continuous_base(self) -> bool:
+        """A base with ``F(z-) = F(z)`` has ``F(alpha) - F(alpha-)`` exactly 0,
+        and K's and M's too, so the ends need no mask."""
+        return type(self.base).cdf_left is Law1D.cdf_left
+
+    @cached_property
     def base_f_alpha_left(self) -> float:
         """F(alpha-) of the base law."""
         return float(self.base.cdf_left(self.alpha))
 
     @cached_property
-    def base_k_alpha(self) -> float:
-        """K(alpha) of the base law."""
-        return float(self.base.partial_moment(self.alpha))
+    def base_k_alpha_left(self) -> float:
+        """K(alpha-) of the base law."""
+        return float(_partial_moment_left(self.base, self.alpha))
+
+    @cached_property
+    def base_m_alpha_left(self) -> float:
+        """M(alpha-) = M(alpha) - alpha^2 (F(alpha) - F(alpha-)) of the base law."""
+        atom = self.base.cdf(self.alpha) - self.base_f_alpha_left
+        return float(self.base.partial_second_moment(self.alpha) - self.alpha * self.alpha * atom)
 
     @cached_property
     def clipped_mass(self) -> float:
@@ -581,11 +610,6 @@ class TruncatedLaw(Law1D):
 def _partial_moment_left(law: Law1D, z: float) -> float:
     """K(z-) = K(z) - z * (F(z) - F(z-))."""
     return law.partial_moment(z) - z * (law.cdf(z) - law.cdf_left(z))
-
-
-def _partial_second_moment_left(law: Law1D, z: float) -> float:
-    """M(z-) = M(z) - z^2 * (F(z) - F(z-))."""
-    return law.partial_second_moment(z) - z * z * (law.cdf(z) - law.cdf_left(z))
 
 
 _TRIVIAL_KINDS = {

@@ -298,20 +298,13 @@ def _cdf_moment_left_batch_reference(mix, u):
     at_or_above = np.where(x <= u[None, :], tail, 0.0)
     f_rows = at_or_above + base_f - f_alpha_left
     fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
-    k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha)
+    k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha_left)
     w = mix.weights
     return w @ f_rows, w @ k_rows, w @ fl_rows
 
 
-@pytest.mark.parametrize(
-    "base, alpha",
-    [
-        (Normal(0, 1), -2.0),
-        # an atom at alpha: F(alpha-) < F(alpha), so F(.-) must be its own call
-        (FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
-    ],
-    ids=["normal", "atoms"],
-)
+# an atomic base is checked against the exact law of the images instead
+@pytest.mark.parametrize("base, alpha", [(Normal(0, 1), -2.0)], ids=["normal"])
 def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
     trunc = TruncatedLaw.centered(base, alpha)
     points = np.array([-0.7, -0.1, 0.0, 0.35, 1.2])
@@ -324,8 +317,72 @@ def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
     ref = _cdf_moment_left_batch_reference(mix, u)
     for g, r in zip(got, ref):
         assert g.tobytes() == r.tobytes()
-    if isinstance(base, FiniteAtoms):
-        assert not np.array_equal(got[0], got[2])  # the left limits differ
+
+
+# a noise with atoms at both truncation ends (alpha = -1, beta = 1), and
+# sources and coefficients in small dyadic fractions, so that every image
+# x_i + theta_i z_j and every noise level (u - x_i) / theta_i at an image is
+# exact in floating point
+@pytest.fixture(scope="module")
+def atoms_trunc():
+    return TruncatedLaw.centered(
+        FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
+    )
+
+
+_ATOMS_POINTS = np.array([-0.75, -0.25, 0.0, 0.5, 1.25])
+_ATOMS_WEIGHTS = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
+_ATOMS_THETAS = np.array([0.5, 0.25, 1.0, 0.75, 0.375])
+
+
+def _exact_image_law(trunc):
+    """The law of x_i + theta_i zbar_j with masses w_i q_j, as finite atoms."""
+    z, q = trunc.atoms()
+    images = _ATOMS_POINTS[:, None] + _ATOMS_THETAS[:, None] * z[None, :]
+    uniq, inverse = np.unique(images.ravel(), return_inverse=True)
+    masses = np.zeros(uniq.size)
+    np.add.at(masses, inverse, np.outer(_ATOMS_WEIGHTS, q).ravel())
+    return FiniteAtoms(uniq, masses)
+
+
+def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_trunc):
+    assert (atoms_trunc.alpha, atoms_trunc.beta) == (-1.0, 1.0)
+    mix = MixtureTransitionLaw(_ATOMS_POINTS, _ATOMS_WEIGHTS, _ATOMS_THETAS, atoms_trunc)
+    exact = _exact_image_law(atoms_trunc)
+    lo, hi = mix.support
+    assert (lo, hi) == exact.support
+    # the source points, the image ends, every image, and outside the hull
+    u = np.concatenate((
+        _ATOMS_POINTS,
+        _ATOMS_POINTS - _ATOMS_THETAS,
+        _ATOMS_POINTS + _ATOMS_THETAS,
+        exact.points,
+        [lo - 1.0, hi + 1.0, -np.inf, np.inf],
+        np.linspace(lo, hi, 17),
+    ))
+    want = (exact.cdf(u), exact.partial_moment(u), exact.cdf_left(u))
+    one_by_one = (mix.cdf(u), mix.partial_moment(u), mix.cdf_left(u))
+    for got in (one_by_one, mix.cdf_moment_left_batch(u)):
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-15
+
+
+def test_kernel_with_atoms_at_the_truncation_ends_is_a_martingale(atoms_trunc):
+    exact = _exact_image_law(atoms_trunc)
+    # every other image is a target point, where its mass must stay whole
+    target = np.union1d(exact.points[::2], np.linspace(*exact.support, 7))
+    kernel = dual_transition_weights(_ATOMS_POINTS, target, _ATOMS_THETAS, atoms_trunc)
+    assert kernel.martingale_residual() < 1e-12
+    assert kernel.row_sum_residual() < 1e-12
+    # the same split as the exact finite-noise propagation of the kept atoms
+    z, q = atoms_trunc.atoms()
+    finite = finite_noise_transition(
+        DiscreteDistribution(_ATOMS_POINTS, _ATOMS_WEIGHTS),
+        DiscreteDistribution(z, q),
+        _ATOMS_THETAS,
+        target,
+    )
+    assert np.abs(kernel.matrix - finite.matrix).max() < 1e-14
 
 
 @_BASES

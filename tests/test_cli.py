@@ -153,6 +153,36 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
         assert _read(strict / name) == _read(capped / name)
 
 
+def test_chain_with_atoms_at_the_truncation_ends_stays_a_martingale(tmp_path):
+    # alpha = -1 and the auto-centered beta = 1 are both atoms of the noise
+    cfg = {
+        "steps": 3,
+        "theta": {"kind": "affine_abs", "a": 0.4, "b": 0.4},
+        "euler": {"horizon": 1.0},
+        "noise": {
+            "law": {
+                "kind": "atoms",
+                "points": [-2, -1, 0, 1, 2],
+                "weights": [0.1, 0.2, 0.4, 0.2, 0.1],
+                "truncation": {"alpha": -1},
+            }
+        },
+        "x0": {"kind": "uniform", "a": 0.9, "b": 1.1},
+        "sizes": {"n0": 9, "n": 9},
+    }
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["chain", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["martingale_residual"]) <= 1e-9
+        assert row["convex_order"] == "dominated"
+
+
 def test_chain_auto_centering_note(tmp_path, capsys):
     cfg = {
         "steps": 1,

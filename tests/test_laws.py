@@ -140,15 +140,23 @@ def test_sampler_reproducible_and_clt():
     [
         Uniform(-1.5, 2.0),
         FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
-        TruncatedLaw.centered(Uniform(-1.0, 1.0), -0.5),
     ],
-    ids=["uniform", "atoms", "truncated_uniform"],
+    ids=["uniform", "atoms"],
 )
 def test_default_draw_is_the_inverse_transform_bit_for_bit(law):
     # x0 laws and noise without a normal base keep their draws
     got = law.draw(make_generator(11, 3), 1_000)
     want = law.quantile(np.maximum(make_generator(11, 3).random(1_000), 1e-300))
     assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("base", [Normal(0.0, 1.0), Uniform(-1.0, 1.0)], ids=["normal", "uniform"])
+def test_truncated_draw_is_its_sample_bit_for_bit(base):
+    t = TruncatedLaw.centered(base, -0.5)
+    z = base.draw(make_generator(5, 3), 1_000)
+    want = z * ((z >= t.alpha) & (z <= t.beta))
+    assert t.draw(make_generator(5, 3), 1_000).tobytes() == want.tobytes()
+    assert t.sample(1_000, seed=5, stream=3).tobytes() == want.tobytes()
 
 
 def test_normal_draw_is_numpys_standard_normal():
@@ -304,9 +312,9 @@ def test_truncated_second_moment_is_the_closed_form():
 
 
 def test_truncated_constants_are_computed_once(monkeypatch):
-    t = TruncatedLaw.centered(Normal(), -2.0)
+    t = TruncatedLaw.centered(Normal(), -2.0)  # checks K(beta) - K(alpha-)
     calls = []
-    for name in ("cdf", "cdf_left", "partial_moment"):
+    for name in ("cdf", "cdf_left", "partial_moment", "partial_second_moment"):
         real = getattr(Normal, name)
 
         def counting(self, z, real=real, name=name):
@@ -314,16 +322,24 @@ def test_truncated_constants_are_computed_once(monkeypatch):
             return real(self, z)
 
         monkeypatch.setattr(Normal, name, counting)
-    values = (t.base_f_alpha_left, t.base_k_alpha, t.clipped_mass)
-    # F(alpha-) of a continuous law goes through its F
-    assert calls == ["cdf_left", "cdf", "partial_moment", "cdf"]
-    assert (t.base_f_alpha_left, t.base_k_alpha, t.clipped_mass) == values
-    assert len(calls) == 4
-    # the cached values are the closed forms, bit for bit
+    names = ("base_f_alpha_left", "base_k_alpha_left", "base_m_alpha_left", "clipped_mass")
+    values = tuple(getattr(t, name) for name in names)
+    # K(alpha-) was cached by the centering check; F(alpha-) of a continuous
+    # law goes through its F, and M(alpha-) = M(alpha) - alpha^2 (F - F(-))
+    assert calls == ["cdf_left", "cdf", "cdf", "partial_second_moment", "cdf"]
+    assert tuple(getattr(t, name) for name in names) == values
+    assert len(calls) == 5
+    # each closed form then evaluates the base once
+    calls.clear()
+    t.cdf(0.5), t.cdf_left(0.5), t.partial_moment(0.5), t.partial_second_moment(0.5)
+    assert calls == ["cdf", "cdf_left", "cdf", "partial_moment", "partial_second_moment"]
+    # the cached values are the closed forms, bit for bit; a continuous base
+    # has K(alpha-) = K(alpha) and M(alpha-) = M(alpha)
     n = Normal()
     assert values[0] == n.cdf_left(-2.0)
     assert values[1] == n.partial_moment(-2.0)
-    assert values[2] == 1.0 - n.cdf(2.0) + n.cdf_left(-2.0)
+    assert values[2] == n.partial_second_moment(-2.0)
+    assert values[3] == 1.0 - n.cdf(2.0) + n.cdf_left(-2.0)
 
 
 def _phi(t):
