@@ -41,7 +41,7 @@ __all__ = [
     "batch_standard_error",
 ]
 
-_BLOCK = 250_000  # paths per block; the block index keys the Philox streams
+_BLOCK = 250_000  # paths per block; the block index picks the SFC64 streams
 _CHUNK = 15_625  # divides _BLOCK; chunks break at its multiples, which changes no draw
 _BATCHES = 30
 
@@ -92,8 +92,7 @@ def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     if spec.mode == "exact":
         return z
     if spec.mode == "truncated":
-        t = spec.truncation
-        return z * ((z >= t.alpha) & (z <= t.beta))
+        return spec.truncation.zero_outside(z)
     atoms = spec.atoms.points_1d
     return atoms[_assign_1d(atoms, z)]
 
@@ -117,6 +116,15 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
     return z, z
 
 
+def _step(theta, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x + theta(x) * z``, with the sum taken in place into the product.
+    ``theta(x)`` is not written over: a coefficient may return its
+    argument, a stored array or a scalar."""
+    out = theta(x) * z
+    out += x
+    return out
+
+
 def _chunk_edges(lo: int, hi: int, n_paths: int) -> list[int]:
     """Edges of the chunks of the block of paths ``lo, ..., hi - 1`` in a
     run of ``n_paths``: the block ends, and every multiple of ``_CHUNK`` and
@@ -138,14 +146,15 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     n_steps of the chunk's paths, which start at path ``lo`` (``dual`` is
     None without a chain).
 
-    Block b of an n-step run draws x0 from Philox stream b(2n+1), the
-    step-k innovations from stream b(2n+1)+1+k and the step-k split
-    uniforms from stream b(2n+1)+1+n+k, so every draw depends only on
-    ``(seed, block)``.  Each chunk takes the next draws of every stream,
-    and the uniforms and ``standard_normal`` of a stream are the same
-    however it is sliced, so the chunks change no draw; they only set the
-    partition of the streamed sums.  The yielded vectors are read-only: at
-    k = 0 ``exact`` and ``approx`` are one array.
+    Block b of an n-step run draws x0 from the SFC64 stream b(2n+1) of
+    ``make_generator(seed, .)``, the step-k innovations from stream
+    b(2n+1)+1+k and the step-k split uniforms from stream b(2n+1)+1+n+k,
+    so every draw depends only on ``(seed, block)``.  Each chunk takes the
+    next draws of every stream, and the uniforms and ``standard_normal``
+    of a stream are the same however it is sliced, so the chunks change
+    no draw; they only set the partition of the streamed sums.  The
+    yielded vectors are read-only: at k = 0 ``exact`` and ``approx`` are
+    one array.
     """
     b, edges = block
     n = arch.n_steps
@@ -164,10 +173,10 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
         for k in range(n):
             z, zb = _innovations(noise_specs[k], count, noise_gens[k])
             theta = arch.thetas[k]
-            x = x + theta(x) * z
-            xb = xb + theta(xb) * zb
+            x = _step(theta, x, z)
+            xb = _step(theta, xb, zb)
             if chain is not None:
-                tilde = xh + theta(xh) * zb
+                tilde = _step(theta, xh, zb)
                 xh = _split_sample(grids[k + 1], tilde, split_gens[k].random(count))
             yield start, k + 1, x, xb, xh
 
@@ -205,7 +214,7 @@ def simulate_coupled(
 ) -> CoupledPathSample:
     """Simulate the exact chain and its truncated/quantized companion.
 
-    Blocks of paths draw from independent counter-based streams keyed by
+    Blocks of paths draw from independent SFC64 streams seeded by
     ``(seed, block)``, so results are reproducible for any thread count.
     When ``chain`` is given, the dually projected path is simulated as well
     (same innovations plus the chain's own split uniforms).  The arrays
@@ -338,7 +347,8 @@ def coupled_gap_statistics(
     def reduce_block(block):
         parts = []
         for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
-            gap = np.abs(x - xb)
+            gap = np.subtract(x, xb)
+            np.abs(gap, out=gap)
             sup = gap.copy() if k == 0 else np.maximum(sup, gap, out=sup)
             parts.append((k, lo, np.add.reduce(np.square(gap, out=gap))))
             if k == n:

@@ -553,10 +553,14 @@ class TruncatedLaw(Law1D):
             out[above] = self.base.quantile(np.clip(u[above] - atom + fa, 1e-16, 1.0 - 1e-16))
         return _ret(np.clip(out, self.alpha, self.beta), scalar)
 
+    def zero_outside(self, z: np.ndarray) -> np.ndarray:
+        """``z`` set to 0 outside ``[alpha, beta]``: the truncation of
+        draws ``z`` of the base."""
+        return z * ((z >= self.alpha) & (z <= self.beta))
+
     def draw(self, gen, n: int) -> np.ndarray:
         """Draws of the base from ``gen``, set to 0 outside ``[alpha, beta]``."""
-        z = self.base.draw(gen, n)
-        return z * ((z >= self.alpha) & (z <= self.beta))
+        return self.zero_outside(self.base.draw(gen, n))
 
     @property
     def mean(self):

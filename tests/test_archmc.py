@@ -21,6 +21,7 @@ from martquant.archmc import (
 from martquant.chain import (
     ArchSpec,
     NoiseSpec,
+    ThetaFn,
     build_chain,
     euler_thetas,
     theta_affine_abs,
@@ -71,6 +72,25 @@ def test_simulation_deterministic_across_threads():
     b = simulate_coupled(arch, specs, Uniform(0.9, 1.1), 600_000, seed=5, threads=4)
     assert np.array_equal(a.exact, b.exact)
     assert np.array_equal(a.approx, b.approx)
+
+
+def test_steps_never_write_over_what_a_coefficient_returns():
+    # a coefficient may return its argument, a view of a stored array or
+    # a scalar, and the paths must still be x + theta(x) z
+    n = 1_000
+    stored = np.full(n, 0.3)
+    cases = [
+        (ThetaFn(lambda x: x, 1.0, 1.0, 1.0), ThetaFn(lambda x: x * 1.0, 1.0, 1.0, 1.0)),
+        (ThetaFn(lambda x: stored[: x.size], 0.0, 0.09, 0.09), theta_constant(0.3)),
+        (ThetaFn(lambda x: 0.3, 0.0, 0.09, 0.09), theta_constant(0.3)),
+    ]
+    specs = [NoiseSpec.truncated(TRUNC15)] * 3
+    for theta, fresh in cases:
+        got = simulate_coupled(ArchSpec([theta] * 3), specs, Uniform(0.5, 1.5), n, seed=4)
+        want = simulate_coupled(ArchSpec([fresh] * 3), specs, Uniform(0.5, 1.5), n, seed=4)
+        assert got.exact.tobytes() == want.exact.tobytes()
+        assert got.approx.tobytes() == want.approx.tobytes()
+    assert np.all(stored == 0.3)
 
 
 def test_common_random_numbers_monotone_in_radius():

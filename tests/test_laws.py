@@ -174,6 +174,36 @@ def test_normal_draws_do_not_depend_on_how_a_stream_is_sliced():
     assert sliced.tobytes() == Normal().draw(make_generator(13, 5), sum(pieces)).tobytes()
 
 
+def test_uniform_draws_do_not_depend_on_how_a_stream_is_sliced():
+    # x0 laws drawn by the inverse transform and the split uniforms of the
+    # dual projection take their stream in chunks too
+    pieces = (1, 127, 16_384, 7, 3)
+    gen = make_generator(13, 5)
+    sliced = np.concatenate([gen.random(m) for m in pieces])
+    assert sliced.tobytes() == make_generator(13, 5).random(sum(pieces)).tobytes()
+
+
+def test_same_seed_and_stream_give_the_same_bytes():
+    for seed, stream in [(0, 0), (7, 3), (2**40, 12_345)]:
+        a, b = make_generator(seed, stream), make_generator(seed, stream)
+        assert a.random(1_000).tobytes() == b.random(1_000).tobytes()
+        assert a.standard_normal(1_000).tobytes() == b.standard_normal(1_000).tobytes()
+
+
+def test_different_streams_give_different_values():
+    draws = [make_generator(seed, stream).random(64) for seed in (0, 1) for stream in (0, 1, 2)]
+    for i in range(len(draws)):
+        for j in range(i):
+            assert not np.any(draws[i] == draws[j])
+
+
+def test_generator_rejects_negative_seed_or_stream():
+    with pytest.raises(ValueError):
+        make_generator(-1)
+    with pytest.raises(ValueError):
+        make_generator(0, -1)
+
+
 @pytest.mark.parametrize("law", [Normal(0.0, 1.0), Normal(0.4, 2.5)], ids=["standard", "shifted"])
 def test_normal_draws_pass_a_ks_test(law):
     from scipy.stats import kstest
