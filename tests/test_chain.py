@@ -257,7 +257,17 @@ _BASES = pytest.mark.parametrize(
 )
 
 
-@_BASES
+@pytest.mark.parametrize(
+    "base, alpha",
+    [
+        (Normal(0, 1), -2.0),
+        (Normal(0, 2), -3.0),
+        (Uniform(-1, 1), -0.5),
+        # atoms at both truncation ends: F must vanish below alpha
+        (FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
+    ],
+    ids=["normal01", "normal02", "uniform", "atoms"],
+)
 def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
     trunc = TruncatedLaw.centered(base, alpha)
     points = np.array([-0.7, -0.1, 0.0, 0.35, 1.2])
@@ -265,17 +275,25 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
     thetas = np.array([0.5, 0.9, 1.0, 1.7, 0.3])
     mix = MixtureTransitionLaw(points, weights, thetas, trunc)
     lo, hi = mix.support
-    # the source points (where the clipped mass sits), points outside the
-    # hull on both sides, and a spread of interior points
-    u = np.concatenate((points, [lo - 1.0, lo, hi, hi + 2.5], np.linspace(lo, hi, 41)))
+    # the source points (where the clipped mass sits), the image ends,
+    # points outside the hull on both sides, and a spread of interior points
+    u = np.concatenate((
+        points,
+        points + thetas * trunc.alpha,
+        points + thetas * trunc.beta,
+        [lo - 1.0, lo, hi, hi + 2.5],
+        np.linspace(lo, hi, 41),
+    ))
 
     def oracle(q):
         q = np.atleast_1d(q)
-        return weights @ _transition_cdf_reference(
-            points[:, None], q[None, :], thetas[:, None], trunc
-        )
+        x, th = points[:, None], thetas[:, None]
+        # the closed form leaves F(alpha) - F(alpha-) of the base below the
+        # image; that is exactly 0 for a continuous base
+        below = (q[None, :] - x) / th < trunc.alpha
+        return weights @ np.where(below, 0.0, _transition_cdf_reference(x, q[None, :], th, trunc))
 
-    assert np.array_equal(mix.cdf(u), oracle(u))
+    assert mix.cdf(u).tobytes() == oracle(u).tobytes()
     for q in (points[2], lo - 1.0, 0.5 * (lo + hi)):
         value = mix.cdf(q)
         assert isinstance(value, float)
@@ -313,10 +331,10 @@ def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
     mix = MixtureTransitionLaw(points, weights, thetas, trunc)
     lo, hi = mix.support
     u = np.concatenate((points, points + thetas * alpha, [lo - 1.0, lo, hi, hi + 2.5], np.linspace(lo, hi, 41)))
-    got = mix.cdf_moment_left_batch(u)
     ref = _cdf_moment_left_batch_reference(mix, u)
-    for g, r in zip(got, ref):
-        assert g.tobytes() == r.tobytes()
+    for got in (mix.cdf_moment_left_batch(u), mix.cdf_moment_batch(u)):
+        for g, r in zip(got, ref):
+            assert g.tobytes() == r.tobytes()
 
 
 # a noise with atoms at both truncation ends (alpha = -1, beta = 1), and
@@ -362,7 +380,7 @@ def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_
     ))
     want = (exact.cdf(u), exact.partial_moment(u), exact.cdf_left(u))
     one_by_one = (mix.cdf(u), mix.partial_moment(u), mix.cdf_left(u))
-    for got in (one_by_one, mix.cdf_moment_left_batch(u)):
+    for got in (one_by_one, mix.cdf_moment_left_batch(u), mix.cdf_moment_batch(u)):
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-15
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from scipy.integrate import quad
 from martquant.archmc import _split_sample
 from martquant.dual import (
     DualGrid1D,
+    DualQuantization,
     Triangulation2D,
+    _grid_points,
+    _map_residual,
     dual_distortion,
     dual_lloyd_1d,
     dual_weights,
@@ -16,7 +20,7 @@ from martquant.dual import (
     split,
 )
 from martquant.errors import DomainError, OutOfHullError, OutOfScopeError, SupportError
-from martquant.laws import FiniteAtoms, Normal, PointMass, TruncatedLaw, Uniform
+from martquant.laws import FiniteAtoms, Law1D, Normal, PointMass, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 from martquant.rng import make_generator
 
@@ -529,15 +533,28 @@ def _solve_levels_reference(law, levels, lo, hi, xtol):
 
 
 class _RecordingLaw:
-    """Forwards ``cdf`` to a law and keeps a copy of every query batch."""
+    """Forwards to a law and keeps a copy of every ``cdf`` query batch and of
+    every grid handed to a sweep batch (F and K, with or without F(-))."""
 
     def __init__(self, law):
         self.law = law
         self.batches = []
+        self.sweep_batches = []
+
+    def __getattr__(self, name):
+        return getattr(self.law, name)
 
     def cdf(self, u):
         self.batches.append(np.array(u, dtype=float, copy=True))
         return self.law.cdf(u)
+
+    def cdf_moment_batch(self, u):
+        self.sweep_batches.append(np.array(u, dtype=float, copy=True))
+        return self.law.cdf_moment_batch(u)
+
+    def cdf_moment_left_batch(self, u):
+        self.sweep_batches.append(np.array(u, dtype=float, copy=True))
+        return self.law.cdf_moment_left_batch(u)
 
 
 def _euler_mixture():
@@ -619,3 +636,243 @@ def test_solve_levels_lets_warnings_from_the_law_through():
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         _solve_levels(Noisy(0.0, 1.0), levels, lo, hi, 1e-12)
+
+
+def _jump_law():
+    """F is flat between atoms: 0.6 on [0.2, 0.25) and 0.7 on [0.25, 0.9)."""
+    return FiniteAtoms([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0], [0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+
+
+def _assert_same_solve(law, levels, lo, hi, xtol):
+    from martquant.dual import _solve_levels
+
+    ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
+    ref = _solve_levels_reference(ref_law, levels, lo, hi, xtol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 or x/0 warning escapes either
+        new = _solve_levels(new_law, levels, lo.copy(), hi.copy(), xtol)
+    assert new.tobytes() == ref.tobytes()
+    assert len(new_law.batches) == len(ref_law.batches)
+    for a, b in zip(new_law.batches, ref_law.batches):
+        assert a.tobytes() == b.tobytes()
+    return new, len(new_law.batches)
+
+
+def test_solve_levels_flat_f_takes_the_midpoint_bit_for_bit():
+    # on [0.3, 0.8] F is 0.7 at both ends, so the secant denominator is 0:
+    # level 0.7 gives 0/0 and a residual of 0 at once, level 0.6 gives
+    # x/0 and bisects down to xtol; the last two brackets straddle jumps
+    levels = np.array([0.7, 0.6, 0.65, 0.5])
+    lo = np.array([0.3, 0.3, 0.21, -0.5])
+    hi = np.array([0.8, 0.8, 0.26, 1.5])
+    sol, _ = _assert_same_solve(_jump_law(), levels, lo, hi, 1e-12)
+    assert sol[0] == 0.55  # the first midpoint solves F = 0.7 exactly
+    assert np.abs(sol[1:] - [0.3, 0.25, 0.2]).max() < 1e-12
+
+
+def test_solve_levels_round_cap_takes_the_bracket_midpoint_bit_for_bit():
+    # with xtol = 0 no bracket around a jump of F retires: at 0.25 it stalls
+    # at two neighbouring floats, at 1e-200 it is still about 1e-33 wide
+    # after the 110 rounds, and each takes its bracket midpoint then
+    law = FiniteAtoms([-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2])
+    levels = np.array([0.65, 0.35, 0.8, 0.3])
+    lo = np.array([0.21, -0.5, 0.3, -0.9])
+    hi = np.array([0.26, 0.5, 0.8, -0.1])
+    sol, calls = _assert_same_solve(law, levels, lo, hi, 0.0)
+    assert calls == 2 + 110
+    assert sol[2] == 0.55  # F = 0.8 on [0.25, 1): solved, and retired, at once
+    assert np.abs(sol[[0, 1, 3]] - [0.25, 1e-200, -0.1]).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# dual_lloyd_1d against the sweep as it stood before the lean round
+
+
+def _solve_levels_uncompressed(law, levels, lo, hi, xtol):
+    """``_solve_levels`` before its working arrays were compressed, verbatim."""
+    lo = lo.copy()
+    hi = hi.copy()
+    flo = np.asarray(law.cdf(lo)) - levels
+    fhi = np.asarray(law.cdf(hi)) - levels
+    sol = 0.5 * (lo + hi)
+    active = np.ones(levels.size, dtype=bool)
+    for sweep in range(110):
+        active &= hi - lo > xtol
+        idx = active.nonzero()[0]
+        if idx.size == 0:
+            break
+        l_, h_, fl_, fh_ = lo[idx], hi[idx], flo[idx], fhi[idx]
+        mid = 0.5 * (l_ + h_)
+        if sweep % 2:
+            # unconditional bisection every other round: the bracket halves
+            # even where F jumps and the secant stagnates one-sided
+            x = mid
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sec = (l_ * fh_ - h_ * fl_) / (fh_ - fl_)
+            margin = 0.01 * (h_ - l_)
+            # a nan or infinite secant fails one of the two comparisons
+            x = np.where((sec > l_ + margin) & (sec < h_ - margin), sec, mid)
+        fx = np.asarray(law.cdf(x)) - levels[idx]
+        sol[idx] = x
+        go_hi = fx >= 0.0
+        go_lo = ~go_hi
+        up, down = idx[go_hi], idx[go_lo]
+        hi[up], fhi[up] = x[go_hi], fx[go_hi]
+        lo[down], flo[down] = x[go_lo], fx[go_lo]
+        active[idx[np.abs(fx) < 1e-15]] = False
+    if np.any(active):
+        sol[active] = 0.5 * (lo[active] + hi[active])
+    return sol
+
+
+def _dual_lloyd_1d_reference(
+    law: Law1D,
+    n_points: int,
+    init=None,
+    tol: float = 1e-12,
+    max_iter: int = 100000,
+) -> DualQuantization:
+    """``dual_lloyd_1d`` before the parity-2 half-sweep took F and K only,
+    verbatim but for the names of the two functions."""
+    lo, hi = law.support
+    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
+        raise SupportError("dual quantization needs a compact support hull")
+    if n_points < 2:
+        raise DomainError("a dual grid needs at least two points")
+    if init is None:
+        points = np.linspace(lo, hi, n_points)
+    else:
+        points = _grid_points(init).copy()
+        if points.size != n_points:
+            raise DomainError("init size must match n_points")
+        if abs(points[0] - lo) > 1e-9 or abs(points[-1] - hi) > 1e-9:
+            raise DomainError("init endpoints must sit on the support hull")
+        points[0], points[-1] = lo, hi
+    law_atoms = np.sort(np.asarray(law.atoms()[0], dtype=float))
+    snap_tol = 1e-13 * (abs(lo) + abs(hi) + 1.0)
+    converged = n_points == 2
+    order_violation = False
+    iterations = 0
+    max_iter = 0 if n_points == 2 else max_iter
+    float_floor = 2e-16 * (abs(lo) + abs(hi) + 1.0)
+    last_move = 0.0  # first sweep solves at full precision
+    sweep_step = 1.0
+    best_resid = np.inf
+    since_best = 0
+    # interior points of each parity, with their left and right neighbours
+    parities = []
+    for parity in (1, 2):
+        idx = np.arange(parity, n_points - 1, 2)
+        if idx.size:
+            parities.append((parity, idx, idx - 1, idx + 1))
+    for iterations in range(1, max_iter + 1):
+        f, k, f_left = law.cdf_moment_left_batch(points)
+        resid = _map_residual(points, f, k, f_left)
+        if resid < tol:
+            converged = True
+            break
+        if resid < 0.9 * best_resid:
+            best_resid = resid
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > 400:
+                sweep_step = 0.5  # stagnation: damp the sweep against cycling
+                since_best = 0
+        # red-black Gauss-Seidel: each stationarity equation couples a point
+        # to its two neighbours only, so same-parity points update
+        # independently; alternating parities kills the antiphase
+        # oscillation a simultaneous sweep sustains near kinks
+        xtol = max(float_floor, 0.02 * last_move)
+        cand = points.copy()
+        for parity, idx, idx_l, idx_r in parities:
+            if parity == 2:
+                f, k, _ = law.cdf_moment_left_batch(cand)
+            lo_n, hi_n = cand[idx_l], cand[idx_r]
+            f_lo, f_hi = f[idx_l], f[idx_r]
+            levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
+            levels = np.clip(levels, f_lo, f_hi)
+            solved = _solve_levels_uncompressed(law, levels, lo_n, hi_n, xtol)
+            if sweep_step != 1.0:
+                solved = cand[idx] + sweep_step * (solved - cand[idx])
+            if law_atoms.size:
+                # a point placed within the solve tolerance of an atom
+                # belongs on the atom (kink optima live there); the
+                # tolerance shrinks with the sweeps, so transient snaps
+                # release as the iteration refines
+                snap = max(snap_tol, 2.0 * xtol)
+                near = np.clip(np.searchsorted(law_atoms, solved), 1, law_atoms.size) - 1
+                right = np.minimum(near + 1, law_atoms.size - 1)
+                for cand_idx in (near, right):
+                    close = np.abs(solved - law_atoms[cand_idx]) <= snap
+                    solved = np.where(close, law_atoms[cand_idx], solved)
+            keep_order = (solved > lo_n) & (solved < hi_n)
+            cand[idx] = np.where(keep_order, solved, cand[idx])
+        if np.any(np.diff(cand) <= 0.0):
+            order_violation = True
+            break
+        last_move = float(np.max(np.abs(cand - points)))
+        points = cand
+        if last_move < 0.5 * float_floor:
+            f, k, f_left = law.cdf_moment_left_batch(points)
+            converged = _map_residual(points, f, k, f_left) < tol
+            break
+    return DualQuantization(
+        grid=points,
+        weights=dual_weights(points, law),
+        distortion=dual_distortion(points, law),
+        converged=converged,
+        iterations=iterations,
+        order_violation=order_violation,
+    )
+
+
+
+def _atoms_at_the_ends_mixture():
+    """An Euler-like step whose noise is truncated at atoms of its base."""
+    from martquant.chain import MixtureTransitionLaw
+
+    trunc = TruncatedLaw.centered(
+        FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
+    )
+    points = np.array([-0.75, -0.25, 0.0, 0.5, 1.25])
+    weights = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
+    return MixtureTransitionLaw(points, weights, 0.2 + 0.3 * np.abs(points), trunc)
+
+
+def _many_atoms():
+    gen = make_generator(3, 0)
+    points = np.sort(gen.standard_normal(200))
+    weights = gen.random(200)
+    return FiniteAtoms(points, weights / weights.sum())
+
+
+# law, grid size, sweep cap: the Euler mixture is cut after 25 sweeps; the
+# atomic laws run to their end, through the atom snap
+_RUN_CASES = {
+    "euler": (_euler_mixture, 31, 25),
+    "atoms": (_many_atoms, 9, 100000),
+    "atoms-at-the-truncation-ends": (_atoms_at_the_ends_mixture, 9, 100000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_dual_lloyd_matches_the_sweep_before_the_lean_round_bit_for_bit(case):
+    make_law, n_points, max_iter = _RUN_CASES[case]
+    law = make_law()
+    ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
+    ref = _dual_lloyd_1d_reference(ref_law, n_points, tol=1e-9, max_iter=max_iter)
+    new = dual_lloyd_1d(new_law, n_points, tol=1e-9, max_iter=max_iter)
+    assert new.grid.tobytes() == ref.grid.tobytes()
+    assert new.weights.tobytes() == ref.weights.tobytes()
+    assert new.distortion == ref.distortion
+    assert (new.iterations, new.converged, new.order_violation) == (
+        ref.iterations, ref.converged, ref.order_violation
+    )
+    assert new.iterations > 5
+    for recorded in ("batches", "sweep_batches"):
+        got, want = getattr(new_law, recorded), getattr(ref_law, recorded)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
