@@ -14,7 +14,6 @@ from . import archmc, chain, dual, laws, lp, mot, order, primal, rng
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    DivisibilityError,
     DomainError,
     EmptyCellError,
     HullViolation,
@@ -39,7 +38,6 @@ __all__ = [
     "rng",
     "BudgetExceeded",
     "DimensionMismatch",
-    "DivisibilityError",
     "DomainError",
     "EmptyCellError",
     "HullViolation",
@@ -48,5 +46,4 @@ __all__ = [
     "OutOfHullError",
     "OutOfScopeError",
     "SupportError",
-    "__version__",
 ]

@@ -25,20 +25,15 @@ from .primal import _assign_1d
 from .rng import make_generator
 
 __all__ = [
-    "CoupledPathSample",
     "ErrorBoundReport",
     "GapStatistics",
-    "simulate_coupled",
     "coupled_gap_statistics",
-    "simulate_chain_marginals",
     "truncation_error_bound",
     "compare_truncation_bound",
     "gaussian_tail_bound",
     "select_truncation",
-    "domination_test",
     "quantized_innovation_bound",
     "theta_norm_envelope",
-    "batch_standard_error",
 ]
 
 _BLOCK = 250_000  # paths per block; the block index picks the SFC64 streams
@@ -52,6 +47,7 @@ class CoupledPathSample:
 
     Arrays are (n_steps + 1, n_paths); ``approx`` uses the clipped or
     projected innovations computed from the same normal draws as ``exact``.
+    The result of the ``simulate_coupled`` test oracle.
     """
 
     exact: np.ndarray
@@ -223,6 +219,9 @@ def simulate_coupled(
     paths one chunk of at most ``_CHUNK`` paths at a time instead, so
     their memory does not grow with ``n_paths``, and their means agree with
     those of these arrays to rounding, not bit for bit.
+
+    A test oracle, kept out of ``__all__``: its arrays pin those streamed
+    reducers and the truncation bound, at test sizes.
     """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
@@ -252,7 +251,11 @@ def simulate_chain_marginals(
     threads: int = 1,
 ) -> list[np.ndarray]:
     """Monte Carlo marginal weights of the dually projected chain, counted
-    one chunk of paths at a time."""
+    one chunk of paths at a time.
+
+    A test oracle, kept out of ``__all__``: it pins the chain's exactly
+    propagated marginal weights (acceptance criterion 7).
+    """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     grids = [np.asarray(g, dtype=float) for g in chain.grids]
 
@@ -306,7 +309,11 @@ def _batch_se(batch_mean, n: int) -> float:
 
 
 def batch_standard_error(values: np.ndarray) -> float:
-    """Standard error of the mean by the means of ``_BATCHES`` batches."""
+    """Standard error of the mean by the means of ``_BATCHES`` batches.
+
+    Kept out of ``__all__``: only the tests call it, on the arrays of the
+    ``simulate_coupled`` oracle.
+    """
     values = np.asarray(values, dtype=float)
     return _batch_se(lambda start, size: values[start : start + size].mean(), values.size)
 
@@ -574,6 +581,10 @@ def domination_test(
     at a time, so memory is flat in ``n_paths``; the means and standard
     errors are those of the full arrays to rounding, combined as in
     ``coupled_gap_statistics``.
+
+    A test oracle, kept out of ``__all__``: it checks the paper's path-level
+    domination of the truncated model statistically (acceptance criterion
+    10), where no finite LP can.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")

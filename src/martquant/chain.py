@@ -45,8 +45,6 @@ __all__ = [
     "MartingaleKernel",
     "ChainApproximation",
     "MixtureTransitionLaw",
-    "transition_cdf",
-    "transition_partial_moment",
     "dual_transition_weights",
     "finite_noise_transition",
     "build_chain",
@@ -214,20 +212,6 @@ def _noise_level(x, u, theta_val):
     return np.divide(np.subtract(u, x, dtype=float), theta_val)
 
 
-def transition_cdf(x, u, theta_val, trunc: TruncatedLaw):
-    """P(next <= u | current = x) for next = x + theta * clipped noise: the
-    noise's F at ``(u - x) / theta``.  This is the hot path of the 1D dual
-    sweep."""
-    return np.asarray(trunc.cdf(_noise_level(x, u, theta_val)))[()]
-
-
-def transition_partial_moment(x, u, theta_val, trunc: TruncatedLaw):
-    """E(next 1{next <= u} | current = x) = x F(r) + theta K(r) of the noise
-    at ``r = (u - x) / theta``; tends to x as u grows (martingale)."""
-    r = _noise_level(x, u, theta_val)
-    return np.multiply(x, trunc.cdf(r)) + np.multiply(theta_val, trunc.partial_moment(r))
-
-
 def _transition_batch(xs, us, theta_vals, trunc: TruncatedLaw):
     """F(u|x), K(u|x) and F(u-|x), one row per source and one column per
     query, from one batch evaluation of the noise law."""
@@ -257,16 +241,9 @@ class MixtureTransitionLaw(Law1D):
         self._hull = (lo, hi)
         self._noise_m2 = trunc.second_moment
 
-    def _mix(self, fn, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        vals = fn(self._x_col, u.reshape(1, -1), self._th_col, self.trunc)
-        out = self.weights @ vals
-        return float(out[0]) if scalar else out
-
     def cdf(self, u):
-        """``weights @ transition_cdf(points, u, theta_values, trunc)``, with
-        the noise levels computed and clipped in place.
+        """``weights @ F(u|points)``, with the noise levels computed and
+        clipped in place.
 
         The product is a BLAS matrix-vector product, which rounds a column
         differently depending on the batch it sits in.  That is measurable:
@@ -282,17 +259,14 @@ class MixtureTransitionLaw(Law1D):
         return float(out[0]) if u.ndim == 0 else out
 
     def cdf_left(self, u):
-        return self._mix(lambda x, u, th, trunc: trunc.cdf_left(_noise_level(x, u, th)), u)
+        out = self.cdf_moment_left_batch(u)[2]
+        return float(out[0]) if np.ndim(u) == 0 else out
 
     def partial_moment(self, u):
-        return self._mix(transition_partial_moment, u)
-
-    def cdf_moment_batch(self, u):
-        """F and K at once, from one batch evaluation of the noise law."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        f, k = self.trunc.cdf_moment_batch(_noise_level(self._x_col, u[None, :], self._th_col))
-        w = self.weights
-        return w @ f, w @ (self._x_col * f + self._th_col * k)
+        """``weights @ K(u|points)``, which tends to the mean as u grows
+        (each transition is a martingale step)."""
+        out = self.cdf_moment_left_batch(u)[1]
+        return float(out[0]) if np.ndim(u) == 0 else out
 
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""
@@ -449,6 +423,11 @@ class ChainApproximation:
         }
 
 
+# atoms of the quantized innovation that replaces a truncated noise on a step
+# whose coefficient is not strictly positive on the current grid
+_FALLBACK_NOISE_ATOMS = 15
+
+
 def _initial_state(x0, n0: int):
     if isinstance(x0, DiscreteDistribution):
         dd = x0.sorted_1d()
@@ -471,7 +450,6 @@ def build_chain(
     grids=None,
     dual_tol: float = 1e-9,
     dual_max_iter: int = 20000,
-    fallback_noise_atoms: int = 15,
 ) -> ChainApproximation:
     """Build grids, marginal weights, and martingale kernels for all steps.
 
@@ -480,7 +458,8 @@ def build_chain(
     fixed point of the mixture transition law; ``fixed`` mode takes grids
     from ``grids`` and verifies hull containment.  A coefficient that is not
     strictly positive on the current grid switches that step to the exact
-    finite-noise path with a quantized innovation.
+    finite-noise path with a 15-point quantized innovation
+    (``_FALLBACK_NOISE_ATOMS``).
 
     In two dimensions only the fixed-grid finite-noise path is available:
     ``grids`` must hold one :class:`Triangulation2D` per step and the noise
@@ -513,7 +492,7 @@ def build_chain(
         theta_vals = theta(all_grids[k])
         step_noise = noise
         if noise.mode == "truncated" and np.any(theta_vals <= 0.0):
-            step_noise = NoiseSpec.quantized_from(noise.truncation, fallback_noise_atoms)
+            step_noise = NoiseSpec.quantized_from(noise.truncation, _FALLBACK_NOISE_ATOMS)
         if noise.mode == "exact":
             raise DomainError(
                 "exact (unbounded) noise cannot be dually projected; truncate or quantize it"

@@ -22,7 +22,6 @@ from . import archmc, chain as chainmod, mot as motmod, order as ordermod
 from .dual import dual_lloyd_1d
 from .errors import (
     DomainError,
-    DivisibilityError,
     HullViolation,
     MartquantError,
     NotInConvexOrder,
@@ -33,7 +32,7 @@ from .lp import LinearProgram, export_lp_text
 from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
-_CONFIG_ERRORS = (DomainError, DivisibilityError, OutOfScopeError, KeyError, ValueError)
+_CONFIG_ERRORS = (DomainError, OutOfScopeError, KeyError, ValueError)
 
 
 def _fmt(x) -> str:
@@ -196,9 +195,7 @@ def cmd_chain(args) -> int:
     sizes = _sizes_from_config(cfg, arch.n_steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    built = chainmod.build_chain(
-        arch, noises, x0, sizes, grid_mode=cfg.get("grid_mode", "embedded")
-    )
+    built = chainmod.build_chain(arch, noises, x0, sizes)
     with open(out / "chain.json", "w") as fh:
         json.dump(built.to_json(), fh)
         fh.write("\n")

@@ -3,7 +3,7 @@
 The splitting operator sends a point of the grid hull to grid vertices with
 its barycentric coordinates as probabilities, so the conditional mean of the
 projected point equals the point itself.  This file provides the 1D and 2D
-splitting operators, dual weights and distortion of a fixed 1D grid, the 1D
+point location behind it, dual weights and distortion of a fixed 1D grid, the 1D
 fixed-point optimization of the interior points, and for the 2D case a
 Delaunay triangulation and point location by Qhull (``scipy.spatial``).
 """
@@ -24,11 +24,9 @@ from .laws import Law1D
 
 __all__ = [
     "DualGrid1D",
-    "BarycentricSplit",
     "Triangulation2D",
     "DualQuantization",
     "locate_1d",
-    "split",
     "dual_weights",
     "dual_distortion",
     "dual_lloyd_1d",
@@ -57,18 +55,6 @@ class DualGrid1D:
     @property
     def hull(self) -> tuple[float, float]:
         return (float(self.points[0]), float(self.points[-1]))
-
-
-@dataclass(frozen=True)
-class BarycentricSplit:
-    """Vertices (ascending index order) and their barycentric weights."""
-
-    simplex_index: int
-    vertex_indices: np.ndarray
-    lambdas: np.ndarray
-
-    def point(self, vertices: np.ndarray):
-        return self.lambdas @ vertices[self.vertex_indices]
 
 
 @dataclass(frozen=True)
@@ -115,31 +101,6 @@ def locate_1d(points: np.ndarray, queries, tol: float = _HULL_TOL):
     q = np.clip(q, lo, hi)
     j = np.clip(np.searchsorted(points, q, side="right") - 1, 0, points.size - 2)
     return j, (q - points[j]) / (points[j + 1] - points[j])
-
-
-def split(grid, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
-    """Barycentric split of ``xi`` on a 1D dual grid or a 2D triangulation.
-
-    Raises :class:`OutOfHullError` when ``xi`` lies outside the hull beyond
-    ``tol`` (the upstream hull-containment condition failed).  A 1D query
-    on a grid point splits onto that point alone.
-    """
-    if isinstance(grid, Triangulation2D):
-        return grid.split(np.asarray(xi, dtype=float), tol=tol)
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim > 0 and arr.size == 2:
-        raise DomainError("2D queries need a Triangulation2D grid")
-    if arr.ndim > 0 and arr.size >= 3:
-        raise OutOfScopeError("splitting is implemented for d = 1 and d = 2 only")
-    points = _grid_points(grid)
-    j, lam_right = locate_1d(points, arr.reshape(1), tol)
-    j, lam_right = int(j[0]), float(lam_right[0])
-    x = min(max(float(arr), points[0]), points[-1])
-    if x == points[j]:
-        return BarycentricSplit(j, np.array([j]), np.array([1.0]))
-    if x == points[j + 1]:
-        return BarycentricSplit(j, np.array([j + 1]), np.array([1.0]))
-    return BarycentricSplit(j, np.array([j, j + 1]), np.array([1.0 - lam_right, lam_right]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +327,7 @@ def dual_lloyd_1d(
         cand = points.copy()
         for parity, idx, idx_l, idx_r in parities:
             if parity == 2:
-                f, k = law.cdf_moment_batch(cand)
+                f, k, _ = law.cdf_moment_left_batch(cand)
             lo_n, hi_n = cand[idx_l], cand[idx_r]
             f_lo, f_hi = f[idx_l], f[idx_r]
             levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
@@ -506,13 +467,6 @@ class Triangulation2D:
         lam = np.clip(lam, 0.0, None)
         lam /= lam.sum(axis=1, keepdims=True)
         return tri, lam
-
-    def split(self, xi, tol: float = _HULL_TOL) -> BarycentricSplit:
-        tri_idx, lam = self.locate(np.asarray(xi, dtype=float)[None, :], tol=tol)
-        t = int(tri_idx[0])
-        idx = self.triangles[t]
-        order = np.argsort(idx)
-        return BarycentricSplit(t, idx[order], lam[0][order])
 
     def to_json(self) -> dict:
         return {

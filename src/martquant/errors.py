@@ -25,10 +25,6 @@ class DimensionMismatch(MartquantError):
     """Operands live in different dimensions."""
 
 
-class DivisibilityError(MartquantError):
-    """Successive grid sizes do not satisfy the integer-ratio condition."""
-
-
 class NotInConvexOrder(MartquantError):
     """Marginals are not in convex order; carries the separating witness."""
 

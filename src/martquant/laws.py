@@ -61,15 +61,14 @@ class Law1D:
     def partial_second_moment(self, z):
         raise NotImplementedError
 
-    def cdf_moment_batch(self, z):
-        """``(F(z), K(z))`` as arrays; laws that can share work between the
-        two override it."""
-        return np.asarray(self.cdf(z)), np.asarray(self.partial_moment(z))
-
     def cdf_moment_left_batch(self, z):
         """``(F(z), K(z), F(z-))`` as arrays; laws that can share work
         between the three override it."""
-        return (*self.cdf_moment_batch(z), np.asarray(self.cdf_left(z)))
+        return (
+            np.asarray(self.cdf(z)),
+            np.asarray(self.partial_moment(z)),
+            np.asarray(self.cdf_left(z)),
+        )
 
     def quantile(self, u):
         raise NotImplementedError
@@ -552,16 +551,6 @@ class TruncatedLaw(Law1D):
         ends = self._clip_in_place(z)
         base_m = np.asarray(self.base.partial_second_moment(z))
         return _ret(self._kept(base_m, self.base_m_alpha_left, ends), z.ndim == 0)
-
-    def cdf_moment_batch(self, z):
-        """F and K on one clip of ``z``."""
-        z = np.array(z, dtype=float)
-        ends = self._clip_in_place(z)
-        base_k = np.asarray(self.base.partial_moment(z))
-        return (
-            self._cdf_from(np.asarray(self.base.cdf(z)), z, ends),
-            self._kept(base_k, self.base_k_alpha_left, ends),
-        )
 
     def cdf_moment_left_batch(self, z):
         """F, K and F(-) on one clip of ``z``, with one base F if it is continuous."""

@@ -7,7 +7,8 @@ objective to the interior point method of HiGHS, IPX with crossover
 (Schork & Gondzio 2020), on its dual ``max b.y`` over ``{A^T y <= c}``,
 and reads the primal vertex off the multipliers of the dual rows.  A
 feasibility LP (zero objective) goes to the dual revised simplex of HiGHS
-(Huangfu & Hall 2018) on the primal.  Either way ``solve`` returns a
+(Huangfu & Hall 2018) on the primal, and to IPX on the primal when the
+simplex ends in numerical trouble.  Either way ``solve`` returns a
 vertex, the equality duals and, on infeasibility, a Farkas certificate
 ``y`` with ``y.A <= 0`` and ``y.b > 0``.
 """
@@ -101,7 +102,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     A nonzero objective is solved through the dual LP by interior point
     with crossover, so ``iterations`` counts IPM iterations; a zero
     objective is solved on the primal by dual simplex, and ``iterations``
-    counts simplex iterations.
+    counts simplex iterations, or IPM iterations where the simplex ended in
+    numerical trouble (HiGHS status 4) and interior point took over.
     """
     # Imported here and not at module level: importing scipy.optimize after
     # martquant.cli costs about 0.25 s and 23 MiB of resident memory (scipy
@@ -121,6 +123,10 @@ def solve(lp: LinearProgram) -> LpSolution:
         res = linprog(-b, A_ub=a.T, b_ub=c, bounds=(None, None), method="highs-ipm")
     else:
         res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        if res.status == 4:
+            # the dual simplex can stall on a degenerate infeasible coupling
+            # LP (the 3-step bump tree of tests/test_lp.py), where IPX decides
+            res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs-ipm")
     if res.status in (2, 3):
         # the bounded auxiliary LP max b.y over {A^T y <= 0, -1 <= y <= 1}
         # has a positive optimum exactly when A x = b, x >= 0 is infeasible

@@ -27,7 +27,6 @@ __all__ = [
     "MotResult",
     "mot_bounds",
     "stability_experiment",
-    "w2_coupling_bound",
     "spread_payoff",
     "forward_start_payoff",
     "quadratic_payoff",
@@ -265,10 +264,3 @@ def stability_experiment(mu0, mu1, payoff, levels) -> list[dict]:
         )
     return rows
 
-
-def w2_coupling_bound(mu0: Law1D, mu1: Law1D, n: int, m: int) -> float:
-    """Quadratic-Wasserstein accuracy of the quantized marginal pair:
-    sqrt of (primal distortion of mu0 at N)^2 + (dual distortion of mu1 at M)^2."""
-    e = 0.0 if mu0.support[0] == mu0.support[1] else lloyd_1d(mu0, n).distortion
-    d = 0.0 if mu1.support[0] == mu1.support[1] else dual_lloyd_1d(mu1, m).distortion
-    return float(np.hypot(e, d))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp as lpmod
-from .errors import DimensionMismatch, DivisibilityError, DomainError
+from .errors import DimensionMismatch, DomainError
 from .laws import Law1D
 from .rng import make_generator
 
@@ -28,10 +28,6 @@ __all__ = [
     "ConvexTestBattery",
     "OrderCheck",
     "convex_order_check",
-    "baker_grid",
-    "baker_chain_check",
-    "wasserstein2_1d",
-    "ramp_law_dominating_family",
     "moment_vs_wasserstein_scan",
     "ScanReport",
 ]
@@ -89,10 +85,6 @@ class DiscreteDistribution:
 
     def to_json(self) -> dict:
         return {"points": self.points.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json(cls, obj) -> "DiscreteDistribution":
-        return cls(obj["points"], obj["weights"])
 
 
 def merged_atoms(points, weights) -> DiscreteDistribution:
@@ -336,33 +328,16 @@ def baker_grid(law: Law1D, n_atoms: int) -> DiscreteDistribution:
     Atom i sits at ``N * integral_{(i-1)/N}^{i/N} quantile(u) du``; the
     construction preserves the mean exactly and, applied across a family of
     laws in convex order with divisible sizes, preserves the order.
+
+    A test oracle, kept out of ``__all__``: a fine Baker grid of the ramp law
+    stands in for the law where ``wasserstein2_1d`` pins the closed forms
+    behind ``moment_vs_wasserstein_scan``.
     """
     if n_atoms < 1:
         raise DomainError("need at least one atom")
     edges = [_quantile_running_integral(law, i / n_atoms) for i in range(n_atoms + 1)]
     atoms = n_atoms * np.diff(np.asarray(edges))
     return merged_atoms(atoms, np.full(n_atoms, 1.0 / n_atoms))
-
-
-def baker_chain_check(laws, sizes) -> bool:
-    """Verify the convex-order ladder of Baker grids along a law sequence.
-
-    Sizes must satisfy the integer-ratio condition ``N_{k+1} % N_k == 0``;
-    a violation raises :class:`DivisibilityError`.
-    """
-    laws = list(laws)
-    sizes = [int(n) for n in sizes]
-    if len(laws) != len(sizes) or len(laws) < 2:
-        raise DomainError("need one size per law and at least two laws")
-    for k in range(len(sizes) - 1):
-        if sizes[k + 1] % sizes[k] != 0:
-            raise DivisibilityError(
-                f"size ratio N_{k + 1}/N_{k} = {sizes[k + 1]}/{sizes[k]} is not an integer"
-            )
-    grids = [baker_grid(law, n) for law, n in zip(laws, sizes)]
-    return all(
-        convex_order_check(grids[k], grids[k + 1]).dominated for k in range(len(grids) - 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +348,9 @@ def wasserstein2_1d(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
     """W_2 between finitely supported 1D laws via quantile functions.
 
     Merges the two cumulative-weight partitions and integrates the squared
-    quantile difference piecewise (exact).
+    quantile difference piecewise (exact).  A test oracle, kept out of
+    ``__all__``: it pins the closed-form squared distance ``_family_w2sq``
+    that ``moment_vs_wasserstein_scan`` minimizes.
     """
     a = mu.sorted_1d()
     b = nu.sorted_1d()
@@ -394,7 +371,12 @@ def wasserstein2_1d(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
 
 def ramp_law_dominating_family(u: float) -> DiscreteDistribution:
     """Three-point family nu_u dominating the ramp law (density 2x on [0,1]):
-    atoms {0, sqrt(u), 1} with weights {u/3, (1+sqrt(u))/3, (2-sqrt(u)-u)/3}."""
+    atoms {0, sqrt(u), 1} with weights {u/3, (1+sqrt(u))/3, (2-sqrt(u)-u)/3}.
+
+    A test oracle, kept out of ``__all__``: its atoms pin the closed forms
+    ``_family_second_moment`` and ``_family_w2sq`` of
+    ``moment_vs_wasserstein_scan``, and that each member dominates the ramp law.
+    """
     if not 0.0 <= u <= 1.0:
         raise DomainError("u must lie in [0, 1]")
     su = math.sqrt(u)

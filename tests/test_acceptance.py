@@ -28,7 +28,7 @@ from martquant.chain import (
     euler_thetas,
     theta_affine_abs,
 )
-from martquant.dual import Triangulation2D, dual_lloyd_1d, split
+from martquant.dual import Triangulation2D, dual_lloyd_1d, locate_1d
 from martquant.laws import Normal, TruncatedLaw, Uniform
 from martquant.mot import MotProblem, mot_bounds, quadratic_payoff, spread_payoff, stability_experiment
 from martquant.order import (
@@ -251,11 +251,12 @@ def test_criterion_11_splitting_stationarity():
         if pts.size < 2:
             continue
         qs = gen.uniform(pts[0], pts[-1], size=100)
-        for q in qs:
-            s = split(pts, float(q))
-            ok &= s.lambdas.min() >= 0.0
-            ok &= abs(s.lambdas.sum() - 1.0) < 1e-12
-            ok &= abs(s.point(pts) - q) < 1e-10
+        j, lam_right = locate_1d(pts, qs)
+        lam = np.stack([1.0 - lam_right, lam_right], axis=1)
+        ok &= bool(lam.min() >= 0.0)
+        ok &= bool(np.abs(lam.sum(axis=1) - 1.0).max() < 1e-12)
+        rebuilt = lam[:, 0] * pts[j] + lam[:, 1] * pts[j + 1]
+        ok &= bool(np.abs(rebuilt - qs).max() < 1e-10)
     # 2D: 5000 queries across random triangulations
     for _ in range(10):
         cloud = gen.normal(size=(int(gen.integers(6, 25)), 2)) * 2.0

@@ -17,8 +17,6 @@ from martquant.chain import (
     theta_abs_shifted,
     theta_affine_abs,
     theta_constant,
-    transition_cdf,
-    transition_partial_moment,
 )
 from martquant.dual import Triangulation2D, locate_1d
 from martquant.errors import DomainError, HullViolation, OutOfHullError
@@ -31,13 +29,21 @@ def trunc_n1():
     return TruncatedLaw.centered(Normal(0, 1), -1.0)
 
 
+def _step_law(x, theta, trunc):
+    """The conditional law of ``x + theta * noise``: a one-atom mixture."""
+    return MixtureTransitionLaw([x], [1.0], [theta], trunc)
+
+
 def test_transition_cdf_closed_values(trunc_n1):
     phi1 = Normal().cdf(1.0)
-    assert transition_cdf(0.0, 0.0, 1.0, trunc_n1) == pytest.approx(
-        1 - phi1 + 0.5, abs=1e-14
-    )
-    assert transition_cdf(0.0, 1.0, 1.0, trunc_n1) == pytest.approx(1.0, abs=1e-14)
-    assert transition_cdf(0.0, -1.5, 1.0, trunc_n1) == 0.0
+    step = _step_law(0.0, 1.0, trunc_n1)
+    assert step.cdf(0.0) == pytest.approx(1 - phi1 + 0.5, abs=1e-14)
+    assert step.cdf(1.0) == pytest.approx(1.0, abs=1e-14)
+    assert step.cdf(-1.5) == 0.0
+    # the same F, read off the noise at r = (u - x) / theta
+    step = _step_law(0.7, 1.3, trunc_n1)
+    for u in (-0.1, 0.7, 0.9, 1.6):
+        assert step.cdf(u) == trunc_n1.cdf((u - 0.7) / 1.3)
 
 
 def test_transition_cdf_against_simulation_oracle(trunc_n1):
@@ -48,26 +54,21 @@ def test_transition_cdf_against_simulation_oracle(trunc_n1):
     for u in (-0.1, 0.7, 0.9, 1.6):
         mc = float(np.mean(nxt <= u))
         se = math.sqrt(mc * (1 - mc) / z.size) + 1e-9
-        assert transition_cdf(x, u, theta, trunc_n1) == pytest.approx(mc, abs=4 * se)
+        assert _step_law(x, theta, trunc_n1).cdf(u) == pytest.approx(mc, abs=4 * se)
 
 
 def test_transition_partial_moment_values(trunc_n1):
     phi = lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
     expected = -phi(0.0) + phi(1.0)
-    assert transition_partial_moment(0.0, 0.0, 1.0, trunc_n1) == pytest.approx(
-        expected, abs=1e-12
-    )
+    assert _step_law(0.0, 1.0, trunc_n1).partial_moment(0.0) == pytest.approx(expected, abs=1e-12)
     # martingale limit and empty lower tail
-    assert transition_partial_moment(0.3, 50.0, 1.0, trunc_n1) == pytest.approx(
-        0.3, abs=1e-10
-    )
-    assert transition_partial_moment(0.0, -1.5, 1.0, trunc_n1) == 0.0
+    assert _step_law(0.3, 1.0, trunc_n1).partial_moment(50.0) == pytest.approx(0.3, abs=1e-10)
+    assert _step_law(0.0, 1.0, trunc_n1).partial_moment(-1.5) == 0.0
 
 
 def test_transition_partial_moment_quadrature_oracle(trunc_n1):
     x, theta, u = 0.4, 0.8, 0.6
     cut = (u - x) / theta
-    oracle = x * (1 - Normal().cdf(1.0) + Normal().cdf(0.0) * 0) if False else None
     # direct integral: E[(x + theta z) 1{x + theta z <= u, z in [-1,1]}]
     #                + x P(z outside) 1{x <= u}
     integral = quad(
@@ -77,7 +78,7 @@ def test_transition_partial_moment_quadrature_oracle(trunc_n1):
     )[0]
     clipped = 1.0 - (Normal().cdf(1.0) - Normal().cdf(-1.0))
     expected = integral + x * clipped * (x <= u)
-    got = transition_partial_moment(x, u, theta, trunc_n1)
+    got = _step_law(x, theta, trunc_n1).partial_moment(u)
     assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -332,9 +333,8 @@ def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
     lo, hi = mix.support
     u = np.concatenate((points, points + thetas * alpha, [lo - 1.0, lo, hi, hi + 2.5], np.linspace(lo, hi, 41)))
     ref = _cdf_moment_left_batch_reference(mix, u)
-    for got in (mix.cdf_moment_left_batch(u), mix.cdf_moment_batch(u)):
-        for g, r in zip(got, ref):
-            assert g.tobytes() == r.tobytes()
+    for g, r in zip(mix.cdf_moment_left_batch(u), ref):
+        assert g.tobytes() == r.tobytes()
 
 
 # a noise with atoms at both truncation ends (alpha = -1, beta = 1), and
@@ -380,7 +380,7 @@ def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_
     ))
     want = (exact.cdf(u), exact.partial_moment(u), exact.cdf_left(u))
     one_by_one = (mix.cdf(u), mix.partial_moment(u), mix.cdf_left(u))
-    for got in (one_by_one, mix.cdf_moment_left_batch(u), mix.cdf_moment_batch(u)):
+    for got in (one_by_one, mix.cdf_moment_left_batch(u)):
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-15
 
@@ -405,7 +405,12 @@ def test_kernel_with_atoms_at_the_truncation_ends_is_a_martingale(atoms_trunc):
 
 @_BASES
 def test_transition_cdf_keeps_its_closed_form_bit_for_bit(base, alpha):
+    """F(u|x) is the noise's F at r = (u - x) / theta."""
     trunc = TruncatedLaw.centered(base, alpha)
+
+    def transition_cdf(x, u, th):
+        return trunc.cdf(np.divide(np.subtract(u, x, dtype=float), th))
+
     xs = np.array([-0.7, 0.0, 0.35])
     us = np.array([-3.0, -0.7, -0.1, 0.0, 0.2, 0.35, 4.0])
     thetas = np.array([0.5, 1.0, 1.7])
@@ -417,12 +422,12 @@ def test_transition_cdf_keeps_its_closed_form_bit_for_bit(base, alpha):
         ([0.35, -0.7], [0.35, 0.0], [1.0, 0.5]),  # plain lists
     ]
     for x, u, th in cases:
-        got, ref = transition_cdf(x, u, th, trunc), _transition_cdf_reference(x, u, th, trunc)
+        got, ref = transition_cdf(x, u, th), _transition_cdf_reference(x, u, th, trunc)
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
     for x, u in ((0.0, 0.0), (0.35, -2.0), (-0.7, 5.0)):
-        got = transition_cdf(x, u, 1.1, trunc)
-        assert isinstance(got, np.float64)
+        got = transition_cdf(x, u, 1.1)
+        assert isinstance(got, float)
         assert got == _transition_cdf_reference(x, u, 1.1, trunc)
 
 

@@ -17,31 +17,29 @@ from martquant.dual import (
     dual_lloyd_1d,
     dual_weights,
     locate_1d,
-    split,
 )
-from martquant.errors import DomainError, OutOfHullError, OutOfScopeError, SupportError
+from martquant.errors import DomainError, OutOfHullError, SupportError
 from martquant.laws import FiniteAtoms, Law1D, Normal, PointMass, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 from martquant.rng import make_generator
 
 
 def test_split_linear_interpolation():
-    s = split(np.array([0.0, 1.0]), 0.25)
-    assert np.allclose(s.lambdas, [0.75, 0.25])
-    assert list(s.vertex_indices) == [0, 1]
+    j, lam_right = locate_1d(np.array([0.0, 1.0]), np.array([0.25]))
+    assert list(j) == [0]
+    assert np.allclose(lam_right, [0.25])  # 0.75 on point 0, 0.25 on point 1
 
 
 def test_split_on_grid_point_is_degenerate():
-    s = split(np.array([0.0, 0.5, 1.0]), 0.5)
-    assert list(s.vertex_indices) == [1]
-    assert s.lambdas[0] == 1.0
+    # a query on a grid point splits onto that point alone
+    j, lam_right = locate_1d(np.array([0.0, 0.5, 1.0]), np.array([0.5, 1.0]))
+    assert list(j) == [1, 1]
+    assert list(lam_right) == [0.0, 1.0]
 
 
 def test_split_out_of_hull():
     with pytest.raises(OutOfHullError):
-        split(np.array([0.0, 1.0]), 1.5)
-    with pytest.raises(OutOfScopeError):
-        split(np.array([0.0, 1.0]), np.array([0.1, 0.2, 0.3]))
+        locate_1d(np.array([0.0, 1.0]), np.array([1.5]))
 
 
 def test_split_randomized_boundary_goes_right():
@@ -266,10 +264,11 @@ def test_split_stationarity_1d(seed):
     if points.size < 2:
         return
     q = gen.uniform(points[0], points[-1])
-    s = split(points, q)
-    assert s.lambdas.min() >= 0.0
-    assert abs(s.lambdas.sum() - 1.0) < 1e-12
-    assert abs(s.point(points) - q) < 1e-10
+    j, lam_right = locate_1d(points, np.array([q]))
+    lam = np.array([1.0 - lam_right[0], lam_right[0]])
+    assert lam.min() >= 0.0
+    assert abs(lam.sum() - 1.0) < 1e-12
+    assert abs(lam @ points[[j[0], j[0] + 1]] - q) < 1e-10
 
 
 def _cross(u, v):
@@ -337,9 +336,9 @@ def test_triangulation_delaunay_property():
         w = gen.random(40)
         w /= w.sum()
         q = w @ pts
-        s = tri.split(q)
-        assert abs(s.lambdas.sum() - 1.0) < 1e-12
-        assert np.abs(s.point(tri.vertices) - q).max() < 1e-10
+        tri_idx, lam = tri.locate(q)
+        assert abs(lam.sum() - 1.0) < 1e-12
+        assert np.abs(lam[0] @ tri.vertices[tri.triangles[tri_idx[0]]] - q).max() < 1e-10
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -360,7 +359,7 @@ def test_triangulation_covers_the_hull(seed):
 def test_triangulation_out_of_hull():
     tri = Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(OutOfHullError):
-        tri.split(np.array([2.0, 2.0]))
+        tri.locate(np.array([2.0, 2.0]))
 
 
 def test_triangulation_locate_matches_brute_force():
@@ -451,9 +450,11 @@ def test_triangulation_fills_qhulls_transform_cache():
 
 def test_triangulation_known_barycentric():
     tri = Triangulation2D.delaunay(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    s = tri.split(np.array([0.25, 0.25]))
-    assert list(s.vertex_indices) == [0, 1, 2]
-    assert np.allclose(s.lambdas, [0.5, 0.25, 0.25], atol=1e-12)
+    tri_idx, lam = tri.locate(np.array([0.25, 0.25]))
+    corners = tri.triangles[tri_idx[0]]
+    order = np.argsort(corners)
+    assert list(corners[order]) == [0, 1, 2]
+    assert np.allclose(lam[0][order], [0.5, 0.25, 0.25], atol=1e-12)
 
 
 def test_triangulation_deterministic_and_json():
@@ -534,7 +535,7 @@ def _solve_levels_reference(law, levels, lo, hi, xtol):
 
 class _RecordingLaw:
     """Forwards to a law and keeps a copy of every ``cdf`` query batch and of
-    every grid handed to a sweep batch (F and K, with or without F(-))."""
+    every grid handed to a sweep batch of F, K and F(-)."""
 
     def __init__(self, law):
         self.law = law
@@ -547,10 +548,6 @@ class _RecordingLaw:
     def cdf(self, u):
         self.batches.append(np.array(u, dtype=float, copy=True))
         return self.law.cdf(u)
-
-    def cdf_moment_batch(self, u):
-        self.sweep_batches.append(np.array(u, dtype=float, copy=True))
-        return self.law.cdf_moment_batch(u)
 
     def cdf_moment_left_batch(self, u):
         self.sweep_batches.append(np.array(u, dtype=float, copy=True))
@@ -733,8 +730,8 @@ def _dual_lloyd_1d_reference(
     tol: float = 1e-12,
     max_iter: int = 100000,
 ) -> DualQuantization:
-    """``dual_lloyd_1d`` before the parity-2 half-sweep took F and K only,
-    verbatim but for the names of the two functions."""
+    """``dual_lloyd_1d`` before the lean round, verbatim but for the names of
+    the two functions."""
     lo, hi = law.support
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise SupportError("dual quantization needs a compact support hull")

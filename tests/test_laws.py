@@ -327,8 +327,6 @@ def test_default_cdf_moment_left_batch_is_the_three_methods_bit_for_bit(law):
     assert f.tobytes() == np.asarray(law.cdf(z)).tobytes()
     assert k.tobytes() == np.asarray(law.partial_moment(z)).tobytes()
     assert f_left.tobytes() == np.asarray(law.cdf_left(z)).tobytes()
-    f2, k2 = law.cdf_moment_batch(z)
-    assert (f2.tobytes(), k2.tobytes()) == (f.tobytes(), k.tobytes())
 
 
 def test_truncated_second_moment_is_the_closed_form():

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -5,7 +8,7 @@ from scipy.optimize import linprog
 from martquant.errors import DomainError
 from martquant.lp import LinearProgram, LpSolution, export_lp_text, solve
 from martquant.mot import MotProblem, _multi_marginal_lp, forward_start_payoff, spread_payoff
-from martquant.order import DiscreteDistribution, coupling_lp
+from martquant.order import DiscreteDistribution, convex_order_check, coupling_lp
 from martquant.rng import make_generator
 
 
@@ -238,3 +241,34 @@ def test_objective_selects_the_highs_method(monkeypatch):
     for sense in ("min", "max"):
         assert solve(LinearProgram([1.0, 2.0], a, b, sense=sense)).status == "optimal"
     assert methods == ["highs-ipm", "highs-ipm"]
+
+
+def _bump_path_law(noise_points, noise_weights, steps=3):
+    """Law in R^steps of the paths of x -> x + theta(x) z from x0 = 1, with
+    the narrow bump theta(x) = 0.02 + 0.8 exp(-40 (x - 1)^2), which is not
+    convex, and a finite noise z."""
+    points, weights = [], []
+    for combo in itertools.product(range(len(noise_points)), repeat=steps):
+        x, path, p = 1.0, [], 1.0
+        for i in combo:
+            x = x + (0.02 + 0.8 * math.exp(-40.0 * (x - 1.0) ** 2)) * noise_points[i]
+            path.append(x)
+            p *= noise_weights[i]
+        points.append(path)
+        weights.append(p)
+    return DiscreteDistribution(points, weights)
+
+
+def test_feasibility_lp_in_numerical_trouble_still_decides():
+    # the noise {-2, -1, 0, 1, 2} with weights {.1, .2, .4, .2, .1}, and its
+    # truncation to [-1, 1] with the clipped mass at 0: 27 truncated against
+    # 125 exact paths.  The dual simplex ends this coupling LP with HiGHS
+    # status 4; interior point finds it infeasible.
+    exact = _bump_path_law([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+    truncated = _bump_path_law([-1.0, 0.0, 1.0], [0.2, 0.6, 0.2])
+    assert (truncated.n_atoms, exact.n_atoms) == (27, 125)
+    check = convex_order_check(truncated, exact)
+    assert check.status == "not_dominated"
+    assert check.witness_gap == pytest.approx(4.4e-3, rel=0.02)
+    phi = check.witness
+    assert truncated.expectation(phi) - exact.expectation(phi) == check.witness_gap

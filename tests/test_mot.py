@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from martquant.errors import BudgetExceeded, NotInConvexOrder
-from martquant.laws import PointMass, Uniform
+from martquant.laws import Uniform
 from martquant.mot import (
     MotProblem,
     forward_start_payoff,
@@ -12,7 +10,6 @@ from martquant.mot import (
     quadratic_payoff,
     spread_payoff,
     stability_experiment,
-    w2_coupling_bound,
 )
 from martquant.order import DiscreteDistribution
 from martquant.rng import make_generator
@@ -154,23 +151,3 @@ def test_quadratic_stability_matches_variance_difference():
         exact = 1.0 + 8.0 / (3.0 * (m - 1) ** 2) + 1.0 / (3.0 * n * n)
         assert row["lower"] == pytest.approx(exact, abs=1e-8)
 
-
-def test_w2_coupling_bound_uniform_closed_form():
-    for n, m in ((4, 5), (8, 9)):
-        got = w2_coupling_bound(Uniform(0, 1), Uniform(0, 1), n, m)
-        expected = math.sqrt(1.0 / (12 * n * n) + 1.0 / (6 * (m - 1) ** 2))
-        assert got == pytest.approx(expected, abs=1e-10)
-
-
-def test_w2_coupling_bound_point_masses():
-    for n, m in ((1, 2), (2, 3)):
-        assert w2_coupling_bound(PointMass(2.0), PointMass(2.0), n, m) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-
-def test_w2_coupling_bound_limit_in_n():
-    # as the primal budget grows the dual term dominates
-    m = 5
-    big = w2_coupling_bound(Uniform(0, 1), Uniform(0, 1), 400, m)
-    assert big == pytest.approx(1.0 / (math.sqrt(6) * (m - 1)), rel=1e-4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from martquant.errors import DimensionMismatch, DivisibilityError, DomainError
+from martquant.errors import DimensionMismatch, DomainError
 from martquant.laws import Exponential, Normal, PointMass, PowerDensity2x, Uniform
 from martquant.lp import LinearProgram, solve
 from martquant.order import (
@@ -13,7 +13,6 @@ from martquant.order import (
     DiscreteDistribution,
     MaxAffineFunction,
     abs_deviation,
-    baker_chain_check,
     baker_grid,
     call_payoff,
     convex_order_check,
@@ -234,16 +233,6 @@ def test_baker_mean_preserving_and_sorted():
 def test_baker_point_mass_merges():
     dd = baker_grid(PointMass(2.0), 4)
     assert dd.n_atoms == 1 and dd.points_1d[0] == 2.0
-
-
-def test_baker_chain_check():
-    assert baker_chain_check([Uniform(0, 1), Uniform(-1, 2)], [2, 4]) is True
-    assert baker_chain_check([Uniform(0, 1), Uniform(0, 1), Uniform(0, 1)], [3, 3, 3]) is True
-    assert baker_chain_check([Uniform(-1, 2), Uniform(0, 1)], [2, 4]) is False
-    with pytest.raises(DivisibilityError):
-        baker_chain_check([Uniform(0, 1), Uniform(-1, 2)], [3, 4])
-    with pytest.raises(DivisibilityError):
-        baker_chain_check([Uniform(0, 1), Uniform(-1, 2), Uniform(-2, 3)], [2, 4, 6])
 
 
 # ---------------------------------------------------------------------------
