@@ -83,9 +83,6 @@ class DiscreteDistribution:
     def expectation(self, fn) -> float:
         return float(self.weights @ np.asarray(fn(self.points), dtype=float))
 
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "weights": self.weights.tolist()}
-
 
 def merged_atoms(points, weights) -> DiscreteDistribution:
     """Discrete distribution with exactly-coincident 1D atoms merged."""

@@ -462,9 +462,9 @@ def test_triangulation_deterministic_and_json():
     t1 = Triangulation2D.delaunay(pts)
     t2 = Triangulation2D.delaunay(pts)
     assert np.array_equal(t1.triangles, t2.triangles)
-    blob = t1.to_json()
-    assert len(blob["vertices"]) == 25
-    assert all(len(s) == 3 for s in blob["simplices"])
+    assert t1.vertices.tobytes() == t2.vertices.tobytes() == pts.tobytes()
+    assert t1.triangles.ndim == 2 and t1.triangles.shape[1] == 3
+    assert np.array_equal(np.unique(t1.triangles), np.arange(25))
 
 
 def test_triangulation_rejects_degenerate():
@@ -644,7 +644,8 @@ def _assert_same_solve(law, levels, lo, hi, xtol):
     from martquant.dual import _solve_levels
 
     ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
-    ref = _solve_levels_reference(ref_law, levels, lo, hi, xtol)
+    with np.errstate(over="ignore"):  # the numpy loop warns on an infinite width
+        ref = _solve_levels_reference(ref_law, levels, lo, hi, xtol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 or x/0 warning escapes either
         new = _solve_levels(new_law, levels, lo.copy(), hi.copy(), xtol)
@@ -652,7 +653,7 @@ def _assert_same_solve(law, levels, lo, hi, xtol):
     assert len(new_law.batches) == len(ref_law.batches)
     for a, b in zip(new_law.batches, ref_law.batches):
         assert a.tobytes() == b.tobytes()
-    return new, len(new_law.batches)
+    return new, new_law.batches
 
 
 def test_solve_levels_flat_f_takes_the_midpoint_bit_for_bit():
@@ -675,52 +676,123 @@ def test_solve_levels_round_cap_takes_the_bracket_midpoint_bit_for_bit():
     levels = np.array([0.65, 0.35, 0.8, 0.3])
     lo = np.array([0.21, -0.5, 0.3, -0.9])
     hi = np.array([0.26, 0.5, 0.8, -0.1])
-    sol, calls = _assert_same_solve(law, levels, lo, hi, 0.0)
-    assert calls == 2 + 110
+    sol, batches = _assert_same_solve(law, levels, lo, hi, 0.0)
+    assert len(batches) == 2 + 110
     assert sol[2] == 0.55  # F = 0.8 on [0.25, 1): solved, and retired, at once
     assert np.abs(sol[[0, 1, 3]] - [0.25, 1e-200, -0.1]).max() < 1e-15
 
 
+class _RootAt(FiniteAtoms):
+    """F of the atoms, except that it is ``level`` at the one point ``root``."""
+
+    def __init__(self, points, weights, root, level):
+        super().__init__(points, weights)
+        self.root, self.level = root, level
+
+    def cdf(self, z):
+        return np.where(np.asarray(z) == self.root, self.level, super().cdf(z))
+
+
+def test_solve_levels_root_in_the_last_round_keeps_its_point_bit_for_bit():
+    # the 1e-200 bracket of the round-cap test, with F set to the level at
+    # the point its 110th round queries: the solve keeps that point, where
+    # a point still unsolved takes its bracket midpoint
+    points, weights = [-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2]
+    levels, lo, hi = np.array([0.35]), np.array([-0.5]), np.array([0.5])
+    sol, batches = _assert_same_solve(FiniteAtoms(points, weights), levels, lo, hi, 0.0)
+    assert len(batches) == 2 + 110
+    last = batches[-1][0]
+    assert sol[0] != last
+    law = _RootAt(points, weights, last, 0.35)
+    sol, batches = _assert_same_solve(law, levels, lo, hi, 0.0)
+    assert len(batches) == 2 + 110
+    assert sol[0] == last
+
+
+def test_solve_levels_zero_width_bracket_retires_at_round_0_bit_for_bit():
+    levels = np.array([0.3, 0.6])
+    lo, hi = np.array([0.4, 0.0]), np.array([0.4, 1.0])
+    sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
+    assert sol[0] == 0.4
+    # round 0 already queries the other point alone
+    assert [b.size for b in batches[:3]] == [2, 2, 1]
+
+
+def test_solve_levels_infinite_width_bisects_bit_for_bit():
+    # hi - lo overflows to inf, so the secant margin is inf as well and
+    # round 0 takes the midpoint, 0; halving 1.5e308 down to 1e-12 then
+    # takes more than the 110 rounds, and the round cap ends the solve
+    levels = np.array([0.3, 0.8])
+    lo, hi = np.array([-1.5e308, -1.0]), np.array([1.5e308, 1.0])
+    assert math.isinf(float(hi[0]) - float(lo[0]))
+    sol, batches = _assert_same_solve(Uniform(-1.0, 1.0), levels, lo, hi, 1e-12)
+    assert batches[2][0] == 0.0
+    assert len(batches) == 2 + 110
+    assert np.all(np.isfinite(sol))
+
+
+def test_solve_levels_exact_root_retires_after_round_0_bit_for_bit():
+    # F is linear, so round 0's secant lands on each root exactly
+    levels = np.array([0.25, 0.5])
+    lo, hi = np.zeros(2), np.ones(2)
+    sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
+    assert list(sol) == [0.25, 0.5]
+    assert len(batches) == 3
+
+
+def test_solve_levels_flat_f_everywhere_bisects_bit_for_bit():
+    # beyond the support F is 1 at both ends: the secant denominator is 0
+    # in every secant round, and every round bisects without a warning
+    levels = np.array([0.9, 0.95])
+    lo, hi = np.array([1.5, 2.0]), np.array([2.5, 2.5])
+    sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
+    assert np.abs(sol - lo).max() < 1e-12
+    assert batches[2].tolist() == [2.0, 2.25]  # round 0, a secant round
+    assert batches[3].tolist() == [1.75, 2.125]
+    assert len(batches) == 2 + 40  # 2^-40 < 1e-12 < 2^-39
+
+
+@st.composite
+def _solve_inputs(draw):
+    """A law, and brackets of its support with levels between their F values."""
+    kind = draw(st.sampled_from(["uniform", "atoms", "mixture"]))
+    if kind == "uniform":
+        a = draw(st.floats(-5.0, 5.0))
+        law = Uniform(a, a + draw(st.floats(1e-3, 10.0)))
+    else:
+        n_atoms = draw(st.integers(1, 12))
+        points = np.unique(draw(st.lists(st.floats(-3.0, 3.0), min_size=n_atoms,
+                                         max_size=n_atoms)))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=points.size,
+                                         max_size=points.size)))
+        weights /= weights.sum()
+        if kind == "atoms":
+            law = FiniteAtoms(points, weights)
+        else:
+            from martquant.chain import MixtureTransitionLaw
+
+            trunc = TruncatedLaw.centered(Normal(0, 1), draw(st.floats(-3.0, -0.5)))
+            a, b = draw(st.floats(0.01, 0.5)), draw(st.floats(0.0, 0.5))
+            law = MixtureTransitionLaw(points, weights, a + b * np.abs(points), trunc)
+    n = draw(st.integers(1, 40))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    s_lo, s_hi = law.support
+    ends = s_lo + (s_hi - s_lo) * np.sort([draw(unit), draw(unit)], axis=0)
+    lo, hi = ends
+    f_lo, f_hi = np.asarray(law.cdf(lo)), np.asarray(law.cdf(hi))
+    levels = f_lo + np.array(draw(unit)) * (f_hi - f_lo)
+    xtol = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-6]))
+    return law, levels, lo, hi, xtol
+
+
+@given(_solve_inputs())
+@settings(max_examples=60, deadline=None)
+def test_solve_levels_matches_the_reference_loop_on_random_laws(inputs):
+    _assert_same_solve(*inputs)
+
+
 # ---------------------------------------------------------------------------
 # dual_lloyd_1d against the sweep as it stood before the lean round
-
-
-def _solve_levels_uncompressed(law, levels, lo, hi, xtol):
-    """``_solve_levels`` before its working arrays were compressed, verbatim."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = np.asarray(law.cdf(lo)) - levels
-    fhi = np.asarray(law.cdf(hi)) - levels
-    sol = 0.5 * (lo + hi)
-    active = np.ones(levels.size, dtype=bool)
-    for sweep in range(110):
-        active &= hi - lo > xtol
-        idx = active.nonzero()[0]
-        if idx.size == 0:
-            break
-        l_, h_, fl_, fh_ = lo[idx], hi[idx], flo[idx], fhi[idx]
-        mid = 0.5 * (l_ + h_)
-        if sweep % 2:
-            # unconditional bisection every other round: the bracket halves
-            # even where F jumps and the secant stagnates one-sided
-            x = mid
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sec = (l_ * fh_ - h_ * fl_) / (fh_ - fl_)
-            margin = 0.01 * (h_ - l_)
-            # a nan or infinite secant fails one of the two comparisons
-            x = np.where((sec > l_ + margin) & (sec < h_ - margin), sec, mid)
-        fx = np.asarray(law.cdf(x)) - levels[idx]
-        sol[idx] = x
-        go_hi = fx >= 0.0
-        go_lo = ~go_hi
-        up, down = idx[go_hi], idx[go_lo]
-        hi[up], fhi[up] = x[go_hi], fx[go_hi]
-        lo[down], flo[down] = x[go_lo], fx[go_lo]
-        active[idx[np.abs(fx) < 1e-15]] = False
-    if np.any(active):
-        sol[active] = 0.5 * (lo[active] + hi[active])
-    return sol
 
 
 def _dual_lloyd_1d_reference(
@@ -731,7 +803,8 @@ def _dual_lloyd_1d_reference(
     max_iter: int = 100000,
 ) -> DualQuantization:
     """``dual_lloyd_1d`` before the lean round, verbatim but for the names of
-    the two functions."""
+    the two functions; its level solve is the reference loop above, which
+    makes the same query batches as the solver it called then."""
     lo, hi = law.support
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise SupportError("dual quantization needs a compact support hull")
@@ -790,7 +863,7 @@ def _dual_lloyd_1d_reference(
             f_lo, f_hi = f[idx_l], f[idx_r]
             levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
             levels = np.clip(levels, f_lo, f_hi)
-            solved = _solve_levels_uncompressed(law, levels, lo_n, hi_n, xtol)
+            solved = _solve_levels_reference(law, levels, lo_n, hi_n, xtol)
             if sweep_step != 1.0:
                 solved = cand[idx] + sweep_step * (solved - cand[idx])
             if law_atoms.size:

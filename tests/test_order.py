@@ -139,7 +139,7 @@ def test_convex_order_check_against_call_price_oracle():
             mu = DiscreteDistribution(qts + shift, v)
         got = convex_order_check(mu, nu).dominated
         want = _call_price_order_oracle(mu, nu)
-        assert got == want, (mu.to_json(), nu.to_json())
+        assert got == want, (mu.points, mu.weights, nu.points, nu.weights)
         agree += 1
     assert agree > 100  # the generator produced enough valid cases
 
@@ -166,7 +166,7 @@ def test_closed_form_1d_agrees_with_coupling_lp():
         a, b, _ = coupling_lp(mu, nu)
         feasible = solve(LinearProgram(np.zeros(a.shape[1]), a, b)).status == "optimal"
         res = convex_order_check(mu, nu)
-        assert res.dominated == feasible, (mu.to_json(), nu.to_json())
+        assert res.dominated == feasible, (mu.points, mu.weights, nu.points, nu.weights)
         if not res.dominated:
             assert res.witness_gap > 0.0
             gap = mu.expectation(res.witness) - nu.expectation(res.witness)
