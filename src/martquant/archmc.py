@@ -19,7 +19,7 @@ import numpy as np
 from .chain import ArchSpec, ChainApproximation, NoiseSpec
 from .dual import locate_1d
 from .errors import DomainError, OutOfHullError
-from .laws import Law1D, PointMass
+from .laws import Law1D
 from .order import ConvexTestBattery, DiscreteDistribution
 from .primal import _assign_1d
 from .rng import make_generator
@@ -75,8 +75,6 @@ def _draw_atoms(atoms: DiscreteDistribution, n: int, gen) -> np.ndarray:
 def _sample_x0(x0, n, gen) -> np.ndarray:
     if isinstance(x0, (int, float)):
         return np.full(n, float(x0))
-    if isinstance(x0, PointMass):
-        return np.full(n, x0.x)
     if isinstance(x0, DiscreteDistribution):
         return _draw_atoms(x0, n, gen)
     if isinstance(x0, Law1D):

@@ -30,7 +30,7 @@ from .dual import (
     Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
 )
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
-from .laws import FiniteAtoms, Law1D, TruncatedLaw
+from .laws import FiniteAtoms, Law1D, TruncatedLaw, _check_points, _finite
 from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
@@ -73,7 +73,7 @@ class ThetaFn:
 
 
 def theta_constant(c: float) -> ThetaFn:
-    c = float(c)
+    c = _finite(c, "theta_constant c")
     return ThetaFn(lambda x: np.full_like(x, c), 0.0, c * c, c * c,
                    convex_abs=True, nonnegative=c >= 0.0)
 
@@ -81,7 +81,7 @@ def theta_constant(c: float) -> ThetaFn:
 def theta_affine_abs(a: float, b: float) -> ThetaFn:
     """theta(x) = a + b |x| with a, b >= 0 (convex, positive when a > 0);
     sup theta^2/(1+x^2) = a^2 + b^2."""
-    if a < 0.0 or b < 0.0:
+    if _finite(a, "theta_affine_abs a") < 0.0 or _finite(b, "theta_affine_abs b") < 0.0:
         raise DomainError("theta_affine_abs needs a, b >= 0")
     return ThetaFn(lambda x: a + b * np.abs(x), b, a * a + b * b, a * a + b * b,
                    convex_abs=True, nonnegative=True)
@@ -90,6 +90,8 @@ def theta_affine_abs(a: float, b: float) -> ThetaFn:
 def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaFn:
     """theta(x) = max(scale |x - center|, floor): convex, positive when
     floor > 0; sup theta^2/(1+x^2) = max(floor^2, scale^2 (1 + center^2))."""
+    for name, value in (("scale", scale), ("center", center), ("floor", floor)):
+        _finite(value, f"theta_abs_shifted {name}")
     if scale < 0.0 or floor < 0.0:
         raise DomainError("theta_abs_shifted needs scale, floor >= 0")
     env = max(floor * floor, scale * scale * (1.0 + center * center))
@@ -102,6 +104,8 @@ def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaF
 def euler_thetas(base: ThetaFn, horizon: float, n_steps: int) -> list[ThetaFn]:
     """Euler scaling: each step uses sqrt(horizon / n) * theta, so the
     squared constants scale by horizon / n."""
+    if not _finite(horizon, "euler horizon") > 0.0:
+        raise DomainError("euler horizon must be > 0")
     h = horizon / n_steps
     s = math.sqrt(h)
     scaled = ThetaFn(
@@ -477,8 +481,10 @@ def build_chain(
         raise DomainError("need one size per time index 0..n")
     if grid_mode not in ("embedded", "fixed"):
         raise DomainError("grid_mode must be 'embedded' or 'fixed'")
-    if grid_mode == "fixed" and (grids is None or len(grids) != arch.n_steps):
-        raise DomainError("fixed mode needs one target grid per step")
+    if grid_mode == "fixed":
+        if grids is None or len(grids) != arch.n_steps:
+            raise DomainError("fixed mode needs one target grid per step")
+        grids = [_check_points(np.reshape(g, -1), min_count=2) for g in grids]
 
     grid, weights = _initial_state(x0, sizes[0])
     all_grids = [np.asarray(grid, dtype=float)]
@@ -601,7 +607,7 @@ def _truncated_step(
     dual_tol, dual_max_iter, warm_from=None,
 ):
     if grid_mode == "fixed":
-        target = np.asarray(fixed_grid, dtype=float).reshape(-1)
+        target = fixed_grid
         dual_res = None
     else:
         init = None
@@ -635,7 +641,7 @@ def _quantized_step(
     np.add.at(w, inverse, masses.ravel())
     image_law = FiniteAtoms(uniq, w / w.sum())
     if grid_mode == "fixed":
-        target = np.asarray(fixed_grid, dtype=float).reshape(-1)
+        target = fixed_grid
         dual_res = None
     else:
         dual_res = dual_lloyd_1d(image_law, n_next, tol=dual_tol, max_iter=dual_max_iter)

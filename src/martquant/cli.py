@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -78,16 +77,6 @@ def _whole(value, source: str, minimum: int) -> int:
     if isinstance(number, bool) or not isinstance(number, int) or number < minimum:
         raise DomainError(f"{source} must be an integer >= {minimum}, got {value!r}")
     return number
-
-
-def _threads(args, cfg) -> int:
-    """Worker threads from ``--threads``, else the config, else
-    ``MARTQUANT_THREADS``, else 1."""
-    if getattr(args, "threads", None) is not None:
-        return _whole(args.threads, "--threads", 1)
-    if "threads" in cfg:
-        return _whole(cfg["threads"], "config key 'threads'", 1)
-    return _whole(os.environ.get("MARTQUANT_THREADS", "1"), "MARTQUANT_THREADS", 1)
 
 
 def _paths_and_seed(args, cfg) -> tuple[int, int]:
@@ -295,7 +284,7 @@ def cmd_simulate(args) -> int:
     x0 = _x0_from_config(cfg)
     n_paths, seed = _paths_and_seed(args, cfg)
     stats = archmc.coupled_gap_statistics(
-        arch, noises, x0, n_paths, seed, threads=_threads(args, cfg)
+        arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,7 +308,7 @@ def cmd_bounds(args) -> int:
     x0 = _x0_from_config(cfg)
     n_paths, seed = _paths_and_seed(args, cfg)
     report = archmc.compare_truncation_bound(
-        arch, noises, x0, n_paths, seed, threads=_threads(args, cfg)
+        arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,14 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_simulate)
 
     b = sub.add_parser("bounds", help="truncation error bounds vs simulation")
     b.add_argument("--config", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--threads", type=int, default=None)
+    b.add_argument("--threads", type=int, default=1)
     b.set_defaults(func=cmd_bounds)
 
     x = sub.add_parser("counterexample", help="moment vs W2 minimizer scan")

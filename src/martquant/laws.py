@@ -27,7 +27,6 @@ __all__ = [
     "Normal",
     "Exponential",
     "PowerDensity2x",
-    "PointMass",
     "FiniteAtoms",
     "TruncatedLaw",
     "law_from_json",
@@ -43,6 +42,49 @@ def _as_array(z):
 
 def _ret(values, scalar):
     return float(values) if scalar else values
+
+
+# ---------------------------------------------------------------------------
+# the one check of finite point sets, their weights and law parameters
+
+
+def _finite(value, what: str):
+    """``value`` as a float, or a float array, if every entry is finite;
+    else :class:`DomainError` naming ``what``."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite" + ("" if arr.ndim else f", got {value!r}"))
+    return arr if arr.ndim else float(arr)
+
+
+def _check_points(points, min_count: int = 1) -> np.ndarray:
+    """``points`` as a float array of at least ``min_count`` finite, pairwise
+    distinct points: a 1D array must be strictly increasing, and the rows of
+    an (N, d) array must differ, which one row ``lexsort`` tells."""
+    points = _finite(points, "points")
+    if np.ndim(points) not in (1, 2):
+        raise DomainError("points must form a 1D or an (N, d) array")
+    if points.shape[0] < min_count:
+        raise DomainError(f"need {min_count} or more points, got {points.shape[0]}")
+    if points.ndim == 1:
+        if np.any(np.diff(points) <= 0.0):
+            raise DomainError("points must be pairwise distinct and increasing")
+    else:
+        rows = points[np.lexsort(points.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            raise DomainError("points must be pairwise distinct")
+    return points
+
+
+def _check_weights(weights, n_points: int) -> np.ndarray:
+    """``weights`` as a float array of ``n_points`` finite masses ``>= 0``
+    that sum to 1 within 1e-12."""
+    weights = _finite(np.reshape(weights, -1), "weights")
+    if weights.size != n_points:
+        raise DomainError("points and weights must be aligned")
+    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise DomainError("weights must be >= 0 and sum to 1 within 1e-12")
+    return weights
 
 
 class Law1D:
@@ -115,7 +157,7 @@ class Uniform(Law1D):
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
+        if not _finite(self.a, "Uniform a") < _finite(self.b, "Uniform b"):
             raise DomainError("Uniform requires a < b")
 
     def cdf(self, z):
@@ -162,7 +204,8 @@ class Normal(Law1D):
     s: float = 1.0
 
     def __post_init__(self):
-        if self.s <= 0.0:
+        _finite(self.m, "Normal mean")
+        if _finite(self.s, "Normal sd") <= 0.0:
             raise DomainError("Normal requires s > 0")
 
     def _std(self, z):
@@ -220,7 +263,7 @@ class Exponential(Law1D):
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0.0:
+        if _finite(self.rate, "Exponential rate") <= 0.0:
             raise DomainError("Exponential requires rate > 0")
 
     def cdf(self, z):
@@ -297,46 +340,6 @@ class PowerDensity2x(Law1D):
 
 
 @dataclass(frozen=True)
-class PointMass(Law1D):
-    x: float
-
-    def cdf(self, z):
-        z, scalar = _as_array(z)
-        return _ret((z >= self.x).astype(float), scalar)
-
-    def cdf_left(self, z):
-        z, scalar = _as_array(z)
-        return _ret((z > self.x).astype(float), scalar)
-
-    def partial_moment(self, z):
-        z, scalar = _as_array(z)
-        return _ret(np.where(z >= self.x, self.x, 0.0), scalar)
-
-    def partial_second_moment(self, z):
-        z, scalar = _as_array(z)
-        return _ret(np.where(z >= self.x, self.x * self.x, 0.0), scalar)
-
-    def quantile(self, u):
-        u, scalar = self._check_u(u)
-        return _ret(np.full_like(u, self.x), scalar)
-
-    @property
-    def mean(self):
-        return self.x
-
-    @property
-    def second_moment(self):
-        return self.x * self.x
-
-    @property
-    def support(self):
-        return (self.x, self.x)
-
-    def atoms(self):
-        return np.array([self.x]), np.array([1.0])
-
-
-@dataclass(frozen=True)
 class FiniteAtoms(Law1D):
     """Finitely supported law; F is the right-continuous step function.
 
@@ -352,16 +355,9 @@ class FiniteAtoms(Law1D):
 
     def __init__(self, points, weights):
         points = np.asarray(points, dtype=float).reshape(-1)
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if points.size == 0 or points.size != weights.size:
-            raise DomainError("points and weights must be nonempty and aligned")
         order = np.argsort(points, kind="stable")
-        points = points[order]
-        weights = weights[order]
-        if np.any(np.diff(points) <= 0.0):
-            raise DomainError("atoms must be pairwise distinct")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be >= 0 and sum to 1 within 1e-12")
+        points = _check_points(points[order])
+        weights = _check_weights(weights, points.size)[order]
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_cum", np.cumsum(weights))
@@ -440,7 +436,8 @@ class TruncatedLaw(Law1D):
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha < 0.0 < self.beta):
+        alpha, beta = _finite(self.alpha, "truncation alpha"), _finite(self.beta, "truncation beta")
+        if not (alpha < 0.0 < beta):
             raise DomainError("truncation requires alpha < 0 < beta")
         if abs(self.centering_residual) > 1e-10:
             raise DomainError(
@@ -673,7 +670,7 @@ def law_from_json(obj) -> Law1D:
     elif kind == "power2x":
         law = PowerDensity2x()
     elif kind == "pointmass":
-        law = PointMass(float(obj["x"]))
+        law = FiniteAtoms([float(obj["x"])], [1.0])
     elif kind == "atoms":
         law = FiniteAtoms(obj["points"], obj["weights"])
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import DimensionMismatch, DomainError
-from .laws import Law1D
+from .laws import Law1D, _check_points, _check_weights, _finite
 from .rng import make_generator
 
 __all__ = [
@@ -44,13 +44,8 @@ class DiscreteDistribution:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        if points.shape[0] != weights.size or points.shape[0] == 0:
-            raise DomainError("points and weights must be nonempty and aligned")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must be >= 0 and sum to 1 within 1e-12")
-        if np.unique(points, axis=0).shape[0] != points.shape[0]:
-            raise DomainError("support points must be pairwise distinct")
+        points = _check_points(points)
+        weights = _check_weights(weights, points.shape[0])
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
 
@@ -86,8 +81,8 @@ class DiscreteDistribution:
 
 def merged_atoms(points, weights) -> DiscreteDistribution:
     """Discrete distribution with exactly-coincident 1D atoms merged."""
-    points = np.asarray(points, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
+    points = _finite(np.reshape(points, -1), "points")
+    weights = _finite(np.reshape(weights, -1), "weights")
     order = np.argsort(points, kind="stable")
     points, weights = points[order], weights[order]
     uniq, inverse = np.unique(points, return_inverse=True)

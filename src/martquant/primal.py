@@ -15,62 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyCellError
-from .laws import Law1D
+from .laws import Law1D, _check_points
 
 __all__ = [
-    "Grid1D",
-    "GridD",
     "VoronoiQuantization",
     "distortion",
     "lloyd_1d",
     "kmeans",
     "voronoi_weights",
 ]
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Strictly increasing 1D grid."""
-
-    points: np.ndarray
-
-    def __init__(self, points):
-        points = np.asarray(points, dtype=float).reshape(-1)
-        if points.size < 1:
-            raise DomainError("grid needs at least one point")
-        if np.any(np.diff(points) <= 0.0):
-            raise DomainError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", points)
-
-    def __len__(self):
-        return self.points.size
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.points[:-1] + self.points[1:])
-
-
-@dataclass(frozen=True)
-class GridD:
-    """Finite set of pairwise distinct points in R^d, stored as (N, d)."""
-
-    points: np.ndarray
-
-    def __init__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] < 1:
-            raise DomainError("grid needs at least one point")
-        uniq = np.unique(points, axis=0)
-        if uniq.shape[0] != points.shape[0]:
-            raise DomainError("grid points must be pairwise distinct")
-        object.__setattr__(self, "points", points)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -84,20 +37,14 @@ class VoronoiQuantization:
 
 
 def _points_1d(grid) -> np.ndarray:
-    if isinstance(grid, Grid1D):
-        return grid.points
-    return Grid1D(grid).points
+    return _check_points(np.reshape(grid, -1))
 
 
 def _points_nd(grid) -> np.ndarray:
-    if isinstance(grid, GridD):
-        return grid.points
-    if isinstance(grid, Grid1D):
-        return grid.points[:, None]
     arr = np.asarray(grid, dtype=float)
     if arr.ndim <= 1:
-        return Grid1D(arr).points[:, None]
-    return GridD(arr).points
+        return _points_1d(arr)[:, None]
+    return _check_points(arr)
 
 
 def _assign_1d(points: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -117,7 +117,7 @@ def test_reserved_names_are_public_and_still_uncalled():
 def test_the_check_sees_each_kind_of_reference():
     assert ("chain", "build_chain") in REFERENCES  # chainmod.build_chain in cli
     assert ("order", "DiscreteDistribution") in REFERENCES  # imported by name
-    assert ("primal", "GridD") in REFERENCES  # used in its own module
+    assert ("primal", "VoronoiQuantization") in REFERENCES  # used in its own module
     assert ("module", "mot") in REFERENCES  # motmod in cli
     assert ("module", "rng") in REFERENCES  # from .rng import make_generator
     assert ("errors", "SupportError") in REFERENCES  # re-exported by __init__

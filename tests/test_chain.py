@@ -20,7 +20,7 @@ from martquant.chain import (
 )
 from martquant.dual import Triangulation2D, locate_1d
 from martquant.errors import DomainError, HullViolation, OutOfHullError
-from martquant.laws import FiniteAtoms, Normal, PointMass, TruncatedLaw, Uniform
+from martquant.laws import FiniteAtoms, Normal, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 
 
@@ -436,7 +436,7 @@ def test_build_chain_single_step_point_start():
     chain = build_chain(
         ArchSpec([theta_constant(1.0)]),
         [NoiseSpec.truncated(trunc)],
-        PointMass(0.0),
+        FiniteAtoms([0.0], [1.0]),
         [1, 21],
     )
     assert chain.kernels[0].martingale_residual() < 1e-9
@@ -565,7 +565,7 @@ def test_exact_noise_rejected():
         build_chain(
             ArchSpec([theta_constant(1.0)]),
             [NoiseSpec.exact(Normal(0, 1))],
-            PointMass(0.0),
+            FiniteAtoms([0.0], [1.0]),
             [1, 5],
         )
 
@@ -651,10 +651,46 @@ def test_chain_to_json_round_trip_shapes():
     chain = build_chain(
         ArchSpec([theta_constant(0.7)]),
         [NoiseSpec.truncated(trunc)],
-        PointMass(0.0),
+        FiniteAtoms([0.0], [1.0]),
         [1, 7],
     )
     blob = chain.to_json()
     assert len(blob["grids"]) == 2
     assert len(blob["kernels"]) == 1
     assert len(blob["kernels"][0]) == 1  # one source row
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: theta_constant(math.nan),
+        lambda: theta_constant(math.inf),
+        lambda: theta_affine_abs(math.nan, 0.4),
+        lambda: theta_affine_abs(0.4, math.inf),
+        lambda: theta_abs_shifted(math.nan, 0.0),
+        lambda: theta_abs_shifted(1.0, math.nan),
+        lambda: euler_thetas(theta_constant(1.0), math.nan, 5),
+        lambda: euler_thetas(theta_constant(1.0), math.inf, 5),
+    ],
+    ids=["constant-nan", "constant-inf", "affine-a-nan", "affine-b-inf",
+         "shifted-scale-nan", "shifted-center-nan", "horizon-nan", "horizon-inf"],
+)
+def test_theta_parameters_must_be_finite(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["truncated", "quantized"])
+def test_fixed_target_grids_must_be_finite(mode, bad):
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    noise = NoiseSpec.truncated(trunc) if mode == "truncated" else NoiseSpec.quantized_from(trunc, 5)
+    with pytest.raises(DomainError, match="finite"):
+        build_chain(
+            ArchSpec([theta_constant(0.5)]),
+            [noise],
+            FiniteAtoms([0.0], [1.0]),
+            [1, 4],
+            grid_mode="fixed",
+            grids=[np.array([-1.0, bad, 0.5, 1.0])],
+        )

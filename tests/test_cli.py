@@ -307,28 +307,37 @@ def test_one_path_is_a_configuration_error(tmp_path, chain_config, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["simulate", "bounds"])
-@pytest.mark.parametrize("source", ["flag_0", "flag_-1", "config_0", "env_0"])
+@pytest.mark.parametrize("source", ["flag_0", "flag_-1"])
 def test_threads_below_one_are_a_configuration_error(
-    tmp_path, chain_config, capsys, monkeypatch, command, source
+    tmp_path, chain_config, capsys, command, source
 ):
-    # a count below 1 names no thread count: 0 is falsy, so it must not
-    # fall through to the next source, and -1 must not run serially
-    monkeypatch.delenv("MARTQUANT_THREADS", raising=False)
-    cfg = json.loads(chain_config.read_text())
-    extra = []
-    if source.startswith("flag"):
-        extra = ["--threads", source.split("_")[1]]
-    elif source == "config_0":
-        cfg["threads"] = 0
-    else:
-        monkeypatch.setenv("MARTQUANT_THREADS", "0")
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    # a count below 1 names no thread count: 0 must not fall back to the
+    # default, and -1 must not run serially
     out = tmp_path / "out"
-    args = [command, "--config", str(path), "--out", str(out), "--seed", "3", *extra]
+    threads = source.split("_")[1]
+    args = [command, "--config", str(chain_config), "--out", str(out), "--seed", "3",
+            "--threads", threads]
     assert run(args) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "threads" in err.lower()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["chain", "simulate"])
+@pytest.mark.parametrize("case", ["x0-weight-nan", "noise-sd-nan"])
+def test_nan_in_a_config_is_a_configuration_error(tmp_path, chain_config, capsys, command, case):
+    # both configs used to exit 0: chain wrote nan marginals and printed
+    # "not_dominated" at every step
+    cfg = json.loads(chain_config.read_text())
+    if case == "x0-weight-nan":
+        cfg["x0"] = {"kind": "atoms", "points": [0.9, 1.1], "weights": [float("nan"), 1.0]}
+    else:
+        cfg["noise"]["law"]["sd"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
 

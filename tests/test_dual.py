@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from martquant.archmc import _split_sample
 from martquant.dual import (
-    DualGrid1D,
     DualQuantization,
     Triangulation2D,
     _grid_points,
@@ -19,7 +18,7 @@ from martquant.dual import (
     locate_1d,
 )
 from martquant.errors import DomainError, OutOfHullError, SupportError
-from martquant.laws import FiniteAtoms, Law1D, Normal, PointMass, TruncatedLaw, Uniform
+from martquant.laws import FiniteAtoms, Law1D, Normal, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
 from martquant.rng import make_generator
 
@@ -71,7 +70,7 @@ def test_dual_weights_hand_integrated_hats():
 
 def test_dual_weights_point_mass_barycentric():
     a, b, m = -1.0, 3.0, 0.5
-    w = dual_weights([a, b], PointMass(m))
+    w = dual_weights([a, b], FiniteAtoms([m], [1.0]))
     assert np.allclose(w, [(b - m) / (b - a), (m - a) / (b - a)], atol=1e-14)
 
 
@@ -483,9 +482,27 @@ def test_triangulation_rejects_a_vertex_qhull_leaves_out():
 
 def test_dual_grid_validation():
     with pytest.raises(DomainError):
-        DualGrid1D([1.0])
+        dual_weights([1.0], Uniform(0.0, 2.0))
     with pytest.raises(DomainError):
-        DualGrid1D([1.0, 1.0])
+        dual_weights([1.0, 1.0], Uniform(0.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_dual_grids_must_be_finite(bad):
+    law = Uniform(0.0, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        dual_weights([0.0, bad, 1.0], law)
+    with pytest.raises(DomainError, match="finite"):
+        dual_distortion([0.0, bad, 1.0], law)
+    with pytest.raises(DomainError, match="finite"):
+        dual_lloyd_1d(law, 3, init=[0.0, bad, 1.0])
+
+
+def test_triangulation_rejects_a_nan_point():
+    pts = make_generator(4).random((10, 2))
+    pts[3, 1] = math.nan
+    with pytest.raises(DomainError, match="finite"):
+        Triangulation2D.delaunay(pts)
 
 
 # ---------------------------------------------------------------------------

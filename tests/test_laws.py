@@ -10,7 +10,6 @@ from martquant.laws import (
     Exponential,
     FiniteAtoms,
     Normal,
-    PointMass,
     PowerDensity2x,
     TruncatedLaw,
     Uniform,
@@ -120,7 +119,7 @@ def test_quantile_cdf_identity_grid():
 
 
 def test_pointmass_sample():
-    law = PointMass(2.0)
+    law = FiniteAtoms([2.0], [1.0])
     assert np.all(law.sample(3, seed=99) == 2.0)
     assert law.cdf(2.0) == 1.0 and law.cdf_left(2.0) == 0.0
 
@@ -450,3 +449,39 @@ def test_partial_second_moment_against_quadrature(law, density, interval, atoms,
         assert law.partial_second_moment(z) == pytest.approx(oracle(z), abs=1e-12), z
     batch = law.partial_second_moment(np.array(zs))
     assert batch == pytest.approx([law.partial_second_moment(z) for z in zs], rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Normal(0.0, math.nan),
+        lambda: Normal(math.nan, 1.0),
+        lambda: Normal(0.0, math.inf),
+        lambda: Uniform(0.0, math.inf),
+        lambda: Exponential(math.nan),
+        lambda: Exponential(math.inf),
+        lambda: TruncatedLaw(Normal(), -math.inf, math.inf),
+        lambda: law_from_json({"kind": "pointmass", "x": math.nan}),
+    ],
+    ids=["normal-sd-nan", "normal-mean-nan", "normal-sd-inf", "uniform-b-inf",
+         "exponential-nan", "exponential-inf", "truncation-inf", "pointmass-nan"],
+)
+def test_law_parameters_must_be_finite(make):
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([-math.inf, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [math.inf, 1.0]),
+    ],
+    ids=["nan-point", "inf-point", "minus-inf-point", "nan-weight", "inf-weight"],
+)
+def test_finite_atoms_reject_non_finite_points_and_weights(points, weights):
+    with pytest.raises(DomainError, match="finite"):
+        FiniteAtoms(points, weights)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from martquant.errors import DimensionMismatch, DomainError
-from martquant.laws import Exponential, Normal, PointMass, PowerDensity2x, Uniform
+from martquant.laws import Exponential, FiniteAtoms, Normal, PowerDensity2x, Uniform
 from martquant.lp import LinearProgram, solve
 from martquant.order import (
     ConvexTestBattery,
@@ -17,6 +17,7 @@ from martquant.order import (
     call_payoff,
     convex_order_check,
     coupling_lp,
+    merged_atoms,
     moment_vs_wasserstein_scan,
     path_max_call,
     ramp_law_dominating_family,
@@ -231,7 +232,7 @@ def test_baker_mean_preserving_and_sorted():
 
 
 def test_baker_point_mass_merges():
-    dd = baker_grid(PointMass(2.0), 4)
+    dd = baker_grid(FiniteAtoms([2.0], [1.0]), 4)
     assert dd.n_atoms == 1 and dd.points_1d[0] == 2.0
 
 
@@ -364,3 +365,24 @@ def test_call_and_path_max_helpers():
     assert p(np.array([[0.0, 0.5, 0.2]]))[0] == 0.0
     d = abs_deviation(1, [0.5])
     assert d(np.array([[2.0]]))[0] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([[0.0, 0.0], [1.0, math.nan]], [0.5, 0.5]),
+    ],
+    ids=["nan-point", "inf-point", "nan-weight", "nan-point-2d"],
+)
+def test_discrete_distribution_rejects_non_finite_points_and_weights(points, weights):
+    with pytest.raises(DomainError, match="finite"):
+        DiscreteDistribution(points, weights)
+
+
+def test_merged_atoms_rejects_a_nan_weight():
+    # merging keeps only positive masses, which used to drop a nan silently
+    with pytest.raises(DomainError, match="finite"):
+        merged_atoms([0.0, 1.0], [math.nan, 1.0])

@@ -7,8 +7,6 @@ from scipy.integrate import quad
 from martquant.errors import DomainError, EmptyCellError
 from martquant.laws import FiniteAtoms, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.primal import (
-    Grid1D,
-    GridD,
     _assign_1d,
     _assign_nd,
     _lloyd_step,
@@ -185,9 +183,22 @@ def test_kmeans_rate_self_consistency_2d():
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        Grid1D([1.0, 1.0])
+        voronoi_weights([1.0, 1.0], Uniform(0.0, 2.0))
     with pytest.raises(DomainError):
-        GridD([[0.0, 0.0], [0.0, 0.0]])
+        kmeans(make_generator(3).random((20, 2)), 3, init=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_primal_grids_must_be_finite(bad):
+    law = Uniform(0.0, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        voronoi_weights([0.2, bad], law)
+    with pytest.raises(DomainError, match="finite"):
+        distortion([0.2, bad], law)
+    with pytest.raises(DomainError, match="finite"):
+        lloyd_1d(law, 2, init=[0.2, bad])
+    with pytest.raises(DomainError, match="finite"):
+        kmeans(make_generator(3).random((20, 2)), 2, init=[[0.2, 0.2], [0.5, bad]])
 
 
 def test_uniform_optimal_invariant_rate():
