@@ -5,7 +5,8 @@ through the martingale transition ``x -> x + theta(x) * noise`` and then
 splits the result back onto a finite grid with the dual (barycentric)
 projection.  Both operations preserve the martingale property exactly, so
 consecutive marginals stay in convex order while the support size stays
-under control.
+under control.  :func:`build_chain` runs every step, truncated or quantized
+noise, 1D or 2D, through one loop: the step's law, its grid, its kernel.
 
 In 1D with a centered truncated noise the one-step conditional law given
 ``x`` is the noise law mapped by ``x + theta z``: with ``r = (u - x) /
@@ -30,7 +31,7 @@ from .dual import (
     Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
 )
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
-from .laws import FiniteAtoms, Law1D, TruncatedLaw, _check_points, _finite
+from .laws import FiniteAtoms, Law1D, TruncatedLaw, _check_points, _check_weights, _finite
 from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
@@ -206,6 +207,20 @@ def _clamp_rows(matrix: np.ndarray) -> np.ndarray:
     return np.where(matrix < 0.0, 0.0, matrix)
 
 
+def _theta_values(theta, xs, what: str = "theta values", noise_dim: int = 1) -> np.ndarray:
+    """``theta`` at the source points ``xs``, checked finite: one value per
+    point in 1D, one ``(2, noise_dim)`` matrix per point in 2D.  A constant
+    (or an array of per-point values) is broadcast."""
+    if not callable(theta):
+        shape = xs.shape if xs.ndim == 1 else (xs.shape[0], xs.shape[1], noise_dim)
+        vals = np.broadcast_to(np.asarray(theta, dtype=float), shape).astype(float)
+    elif xs.ndim == 1:
+        vals = theta(xs)
+    else:
+        vals = np.asarray([theta(x) for x in xs], dtype=float)
+    return _finite(vals, what)
+
+
 # ---------------------------------------------------------------------------
 # 1D closed-form transitions for centered truncated noise
 
@@ -216,23 +231,15 @@ def _noise_level(x, u, theta_val):
     return np.divide(np.subtract(u, x, dtype=float), theta_val)
 
 
-def _transition_batch(xs, us, theta_vals, trunc: TruncatedLaw):
-    """F(u|x), K(u|x) and F(u-|x), one row per source and one column per
-    query, from one batch evaluation of the noise law."""
-    x, th = xs[:, None], theta_vals[:, None]
-    f, k, f_left = trunc.cdf_moment_left_batch(_noise_level(x, us[None, :], th))
-    return f, x * f + th * k, f_left
-
-
 class MixtureTransitionLaw(Law1D):
     """Law of the one-step image of a finitely supported state: the mixture
     over source atoms of the closed-form transition law."""
 
     def __init__(self, points, weights, theta_values, trunc: TruncatedLaw):
         self.points = np.asarray(points, dtype=float).reshape(-1)
-        self.weights = np.asarray(weights, dtype=float).reshape(-1)
+        self.weights = _check_weights(weights, self.points.size)
         self.theta_values = np.asarray(theta_values, dtype=float).reshape(-1)
-        if np.any(self.theta_values <= 0.0):
+        if not np.all(self.theta_values > 0.0):
             raise DomainError("closed-form transitions require strictly positive theta")
         self.trunc = trunc
         # (S, 1) columns: one row per source against a row of queries
@@ -275,9 +282,10 @@ class MixtureTransitionLaw(Law1D):
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        f, k, f_left = _transition_batch(self.points, u, self.theta_values, self.trunc)
+        x, th = self._x_col, self._th_col
+        f, k, f_left = self.trunc.cdf_moment_left_batch(_noise_level(x, u[None, :], th))
         w = self.weights
-        return w @ f, w @ k, w @ f_left
+        return w @ f, w @ (x * f + th * k), w @ f_left
 
     @property
     def mean(self):
@@ -311,10 +319,8 @@ def dual_transition_weights(
     """
     xs = np.asarray(source_grid, dtype=float).reshape(-1)
     ts = np.asarray(target_grid, dtype=float).reshape(-1)
-    theta_vals = theta(xs) if callable(theta) else np.broadcast_to(
-        np.asarray(theta, dtype=float), xs.shape
-    ).astype(float)
-    if np.any(theta_vals <= 0.0):
+    theta_vals = _theta_values(theta, xs)
+    if not np.all(theta_vals > 0.0):
         raise DomainError("closed-form transitions require strictly positive theta")
     lo_img = xs + theta_vals * trunc.alpha
     hi_img = xs + theta_vals * trunc.beta
@@ -329,8 +335,13 @@ def dual_transition_weights(
             source_index=i,
             overshoot=overshoot,
         )
-    f, k, f_left = _transition_batch(xs, ts, theta_vals, trunc)
-    return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f, k, f_left[:, 0])))
+    # F and K at every target, F(-) at the first target only (all hat_split reads)
+    x, th = xs[:, None], theta_vals[:, None]
+    levels = _noise_level(x, ts[None, :], th)
+    f = trunc.cdf(levels)
+    k = x * f + th * trunc.partial_moment(levels)
+    f_left_first = trunc.cdf_left(levels[:, 0])
+    return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f, k, f_left_first)))
 
 
 def finite_noise_transition(
@@ -351,11 +362,8 @@ def finite_noise_transition(
         raise DomainError("finite noise must be centered within 1e-10")
     if source.dim == 1:
         xs = source.points_1d
-        zs = noise.points_1d
-        theta_vals = theta(xs) if callable(theta) else np.broadcast_to(
-            np.asarray(theta, dtype=float), xs.shape
-        ).astype(float)
-        images = xs[:, None] + theta_vals[:, None] * zs[None, :]
+        theta_vals = _theta_values(theta, xs)
+        images = xs[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
         target_points = np.asarray(target, dtype=float).reshape(-1)
         try:
             j, lam_right = locate_1d(target_points, images.ravel(), hull_tol)
@@ -367,12 +375,7 @@ def finite_noise_transition(
         if not isinstance(target, Triangulation2D):
             raise DomainError("2D targets must be a Triangulation2D")
         xs = source.points
-        if callable(theta):
-            mats = np.asarray([theta(x) for x in xs], dtype=float)
-        else:
-            mats = np.broadcast_to(
-                np.asarray(theta, dtype=float), (xs.shape[0], 2, noise.dim)
-            )
+        mats = _theta_values(theta, xs, noise_dim=noise.dim)
         images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
         try:
             tri_idx, lam = target.locate(images.reshape(-1, 2), tol=hull_tol)
@@ -432,7 +435,12 @@ class ChainApproximation:
 _FALLBACK_NOISE_ATOMS = 15
 
 
-def _initial_state(x0, n0: int):
+def _initial_state(x0, n0: int, dim: int):
+    """Points and weights of the time-0 marginal of a ``dim``-dimensional chain."""
+    if dim == 2:
+        if not isinstance(x0, DiscreteDistribution) or x0.dim != 2:
+            raise DomainError("2D chains start from a 2D DiscreteDistribution")
+        return x0.points, x0.weights
     if isinstance(x0, DiscreteDistribution):
         dd = x0.sorted_1d()
         return dd.points_1d, dd.weights
@@ -445,99 +453,14 @@ def _initial_state(x0, n0: int):
     raise DomainError("x0 must be a 1D law or a DiscreteDistribution")
 
 
-def build_chain(
-    arch: ArchSpec,
-    noises,
-    x0,
-    sizes,
-    grid_mode: str = "embedded",
-    grids=None,
-    dual_tol: float = 1e-9,
-    dual_max_iter: int = 20000,
-) -> ChainApproximation:
-    """Build grids, marginal weights, and martingale kernels for all steps.
-
-    ``sizes[k]`` is the support budget of step k (``sizes[0]`` quantizes the
-    initial law primally).  In ``embedded`` mode each next grid is the dual
-    fixed point of the mixture transition law; ``fixed`` mode takes grids
-    from ``grids`` and verifies hull containment.  A coefficient that is not
-    strictly positive on the current grid switches that step to the exact
-    finite-noise path with a 15-point quantized innovation
-    (``_FALLBACK_NOISE_ATOMS``).
-
-    In two dimensions only the fixed-grid finite-noise path is available:
-    ``grids`` must hold one :class:`Triangulation2D` per step and the noise
-    atoms are split exactly on each triangulation.
-    """
-    if arch.dim == 2:
-        return _build_chain_2d(arch, noises, x0, grid_mode, grids)
-    if arch.dim != 1:
-        raise OutOfScopeError("chain building is implemented for d = 1 and d = 2")
-    noises = list(noises)
-    if len(noises) != arch.n_steps:
-        raise DomainError("need one noise spec per step")
-    sizes = [int(s) for s in sizes]
-    if len(sizes) != arch.n_steps + 1:
-        raise DomainError("need one size per time index 0..n")
-    if grid_mode not in ("embedded", "fixed"):
-        raise DomainError("grid_mode must be 'embedded' or 'fixed'")
-    if grid_mode == "fixed":
-        if grids is None or len(grids) != arch.n_steps:
-            raise DomainError("fixed mode needs one target grid per step")
-        grids = [_check_points(np.reshape(g, -1), min_count=2) for g in grids]
-
-    grid, weights = _initial_state(x0, sizes[0])
-    all_grids = [np.asarray(grid, dtype=float)]
-    all_weights = [np.asarray(weights, dtype=float)]
-    kernels = []
-    diagnostics = []
-
-    for k in range(arch.n_steps):
-        theta = arch.thetas[k]
-        noise = noises[k]
-        theta_vals = theta(all_grids[k])
-        step_noise = noise
-        if noise.mode == "truncated" and np.any(theta_vals <= 0.0):
-            step_noise = NoiseSpec.quantized_from(noise.truncation, _FALLBACK_NOISE_ATOMS)
-        if noise.mode == "exact":
-            raise DomainError(
-                "exact (unbounded) noise cannot be dually projected; truncate or quantize it"
-            )
-
-        if step_noise.mode == "truncated":
-            trunc = step_noise.truncation
-            mixture = MixtureTransitionLaw(all_grids[k], all_weights[k], theta_vals, trunc)
-            kernel, target, diag = _truncated_step(
-                mixture, all_grids[k], theta_vals, trunc, sizes[k + 1],
-                grid_mode, grids[k] if grid_mode == "fixed" else None,
-                dual_tol, dual_max_iter,
-                warm_from=all_grids[k] if k >= 1 else None,
-            )
-        else:
-            source = DiscreteDistribution(all_grids[k], all_weights[k])
-            kernel, target, diag = _quantized_step(
-                source, step_noise.atoms, theta_vals, sizes[k + 1],
-                grid_mode, grids[k] if grid_mode == "fixed" else None,
-                dual_tol, dual_max_iter,
-            )
-        new_weights = all_weights[k] @ kernel.matrix
-        new_weights = np.where(new_weights < 0.0, 0.0, new_weights)
-        diag["martingale_residual"] = kernel.martingale_residual()
-        diag["row_sum_residual"] = kernel.row_sum_residual()
-        diag["mean_drift"] = abs(
-            float(new_weights @ target) - float(all_weights[0] @ all_grids[0])
-        )
-        kernels.append(kernel)
-        all_grids.append(target)
-        all_weights.append(new_weights)
-        diagnostics.append(diag)
-
-    return ChainApproximation(
-        grids=tuple(all_grids),
-        marginal_weights=tuple(all_weights),
-        kernels=tuple(kernels),
-        diagnostics=tuple(diagnostics),
-    )
+def _image_law(points, weights, theta_vals, noise: DiscreteDistribution) -> FiniteAtoms:
+    """Exact law of the 1D images ``x_i + theta_i z_j``, coincident images merged."""
+    images = points[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
+    masses = np.outer(weights, noise.weights)
+    uniq, inverse = np.unique(images.ravel(), return_inverse=True)
+    w = np.zeros(uniq.size)
+    np.add.at(w, inverse, masses.ravel())
+    return FiniteAtoms(uniq, w / w.sum())
 
 
 def _warm_init(prev_grid, n_next, hull):
@@ -553,108 +476,120 @@ def _warm_init(prev_grid, n_next, hull):
     return mapped
 
 
-def _build_chain_2d(arch: ArchSpec, noises, x0, grid_mode, grids) -> ChainApproximation:
-    """Fixed-grid chain in 2D: exact finite-noise propagation on
-    per-step Delaunay triangulations (grid optimization is 1D-only)."""
+def build_chain(
+    arch: ArchSpec,
+    noises,
+    x0,
+    sizes,
+    grid_mode: str = "embedded",
+    grids=None,
+    dual_tol: float = 1e-9,
+    dual_max_iter: int = 20000,
+) -> ChainApproximation:
+    """Build grids, marginal weights, and martingale kernels for all steps.
+
+    ``sizes[k]`` is the support budget of time index k (``sizes[0]``
+    quantizes an initial law primally).  Each step takes the law of the
+    one-step image of the current marginal (a :class:`MixtureTransitionLaw`
+    for truncated noise, the finite image law for quantized noise, none in
+    2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual fixed point
+    of that law) and the kernel onto that grid, which checks hull
+    containment; ``hull`` in the diagnostics is the hull of the image law.
+    A coefficient that is not strictly positive on the current grid
+    switches a truncated step to a 15-point quantized innovation
+    (``_FALLBACK_NOISE_ATOMS``).  2D chains take fixed grids only, one
+    :class:`Triangulation2D` per step, and quantized noise.
+    """
+    dim = arch.dim
+    if dim not in (1, 2):
+        raise OutOfScopeError("chain building is implemented for d = 1 and d = 2")
     noises = list(noises)
     if len(noises) != arch.n_steps:
         raise DomainError("need one noise spec per step")
-    if grid_mode != "fixed" or grids is None or len(grids) != arch.n_steps:
+    sizes = [int(s) for s in sizes]
+    if len(sizes) != arch.n_steps + 1:
+        raise DomainError("need one size per time index 0..n")
+    if grid_mode not in ("embedded", "fixed"):
+        raise DomainError("grid_mode must be 'embedded' or 'fixed'")
+    if dim == 2 and grid_mode != "fixed":
         raise OutOfScopeError(
             "2D chains support fixed grids only: pass one Triangulation2D per step"
         )
-    if not isinstance(x0, DiscreteDistribution) or x0.dim != 2:
-        raise DomainError("2D chains start from a 2D DiscreteDistribution")
-    for tri in grids:
-        if not isinstance(tri, Triangulation2D):
-            raise DomainError("2D targets must be Triangulation2D instances")
-    for spec in noises:
-        if spec.mode != "quantized":
-            raise DomainError("2D chains need finitely supported (quantized) noise")
-    all_grids = [x0.points]
-    all_weights = [x0.weights]
-    kernels = []
-    diagnostics = []
-    mean0 = x0.mean
-    for k in range(arch.n_steps):
-        source = DiscreteDistribution(all_grids[k], all_weights[k])
-        kernel = finite_noise_transition(source, noises[k].atoms, arch.thetas[k], grids[k])
-        weights = all_weights[k] @ kernel.matrix
-        weights = np.where(weights < 0.0, 0.0, weights)
-        kernels.append(kernel)
-        all_grids.append(grids[k].vertices)
-        all_weights.append(weights)
-        diagnostics.append(
-            {
-                "mode": "quantized",
-                "martingale_residual": kernel.martingale_residual(),
-                "row_sum_residual": kernel.row_sum_residual(),
-                "mean_drift": float(np.abs(weights @ grids[k].vertices - mean0).max()),
-                "dual_distortion": None,
-                "hull": None,
-            }
+    if grid_mode == "fixed" and (grids is None or len(grids) != arch.n_steps):
+        raise DomainError("fixed mode needs one target grid per step")
+    if dim == 1 and grid_mode == "fixed":
+        grids = [_check_points(np.reshape(g, -1), min_count=2) for g in grids]
+    if any(spec.mode == "exact" for spec in noises):
+        raise DomainError(
+            "exact (unbounded) noise cannot be dually projected; truncate or quantize it"
         )
+    if dim == 2 and any(spec.mode != "quantized" for spec in noises):
+        raise DomainError("2D chains need finitely supported (quantized) noise")
+
+    grid, weights = _initial_state(x0, sizes[0], dim)
+    mean0 = weights @ grid
+    all_grids, all_weights, kernels, diagnostics = [grid], [weights], [], []
+    for k, (theta, noise) in enumerate(zip(arch.thetas, noises)):
+        theta_vals = _theta_values(
+            theta, grid, f"theta values of step {k}", noise.atoms.dim if dim == 2 else 1
+        )
+        if noise.mode == "truncated" and not np.all(theta_vals > 0.0):
+            noise = NoiseSpec.quantized_from(noise.truncation, _FALLBACK_NOISE_ATOMS)
+        # 1. the law that gets quantized
+        if noise.mode == "truncated":
+            law = MixtureTransitionLaw(grid, weights, theta_vals, noise.truncation)
+        elif dim == 1:
+            law = _image_law(grid, weights, theta_vals, noise.atoms)
+        else:
+            law = None
+        # 2. its grid
+        dual_res = None
+        if grid_mode == "fixed":
+            target = grids[k]
+        else:
+            init = None
+            if noise.mode == "truncated" and k >= 1:
+                init = _warm_init(grid, sizes[k + 1], law.support)
+            dual_res = dual_lloyd_1d(
+                law, sizes[k + 1], init=init, tol=dual_tol, max_iter=dual_max_iter
+            )
+            target = dual_res.grid
+        # 3. the kernel: embedded grids end exactly on the law's support,
+        # the hull it checks, so only a fixed grid can raise HullViolation
+        if noise.mode == "truncated":
+            kernel = dual_transition_weights(grid, target, theta_vals, noise.truncation)
+        else:
+            source = DiscreteDistribution(grid, weights)
+            kernel = finite_noise_transition(source, noise.atoms, theta_vals, target)
+        # 4. bookkeeping
+        weights = weights @ kernel.matrix
+        weights = np.where(weights < 0.0, 0.0, weights)
+        grid = kernel.target_grid
+        if dual_res is not None:
+            distortion, converged = dual_res.distortion, dual_res.converged
+        else:
+            distortion, converged = None if law is None else dual_distortion(target, law), None
+        diag = {
+            "mode": noise.mode,
+            "martingale_residual": kernel.martingale_residual(),
+            "row_sum_residual": kernel.row_sum_residual(),
+            "mean_drift": float(np.abs(weights @ grid - mean0).max()),
+            "dual_distortion": distortion,
+            "dual_converged": converged,
+            "hull": None if law is None else law.support,
+        }
+        if isinstance(law, FiniteAtoms):
+            # the exact law of the one-step image before the dual projection:
+            # it interleaves the marginals in the convex order
+            diag["intermediate"] = DiscreteDistribution(law.points, law.weights)
+        kernels.append(kernel)
+        all_grids.append(grid)
+        all_weights.append(weights)
+        diagnostics.append(diag)
+
     return ChainApproximation(
         grids=tuple(all_grids),
         marginal_weights=tuple(all_weights),
         kernels=tuple(kernels),
         diagnostics=tuple(diagnostics),
     )
-
-
-def _truncated_step(
-    mixture, source_grid, theta_vals, trunc, n_next, grid_mode, fixed_grid,
-    dual_tol, dual_max_iter, warm_from=None,
-):
-    if grid_mode == "fixed":
-        target = fixed_grid
-        dual_res = None
-    else:
-        init = None
-        if warm_from is not None:
-            init = _warm_init(warm_from, n_next, mixture.support)
-        dual_res = dual_lloyd_1d(
-            mixture, n_next, init=init, tol=dual_tol, max_iter=dual_max_iter
-        )
-        target = dual_res.grid
-    # embedded grids end exactly on the mixture support, the hull this
-    # checks, so only a fixed grid can raise HullViolation here
-    kernel = dual_transition_weights(source_grid, target, theta_vals, trunc)
-    diag = {
-        "mode": "truncated",
-        "dual_distortion": dual_res.distortion if dual_res is not None
-        else dual_distortion(target, mixture),
-        "dual_converged": dual_res.converged if dual_res is not None else None,
-        "hull": mixture.support,
-    }
-    return kernel, target, diag
-
-
-def _quantized_step(
-    source, noise_atoms, theta_vals, n_next, grid_mode, fixed_grid, dual_tol, dual_max_iter
-):
-    xs = source.points_1d
-    images = xs[:, None] + theta_vals[:, None] * noise_atoms.points_1d[None, :]
-    masses = np.outer(source.weights, noise_atoms.weights)
-    uniq, inverse = np.unique(images.ravel(), return_inverse=True)
-    w = np.zeros(uniq.size)
-    np.add.at(w, inverse, masses.ravel())
-    image_law = FiniteAtoms(uniq, w / w.sum())
-    if grid_mode == "fixed":
-        target = fixed_grid
-        dual_res = None
-    else:
-        dual_res = dual_lloyd_1d(image_law, n_next, tol=dual_tol, max_iter=dual_max_iter)
-        target = dual_res.grid
-    kernel = finite_noise_transition(source, noise_atoms, theta_vals, target)
-    diag = {
-        "mode": "quantized",
-        "dual_distortion": dual_res.distortion if dual_res is not None
-        else dual_distortion(target, image_law),
-        "dual_converged": dual_res.converged if dual_res is not None else None,
-        "hull": (float(target[0]), float(target[-1])),
-        # the exact law of the one-step image before the dual projection:
-        # it interleaves the marginals in the convex order
-        "intermediate": DiscreteDistribution(image_law.points, image_law.weights),
-    }
-    return kernel, target, diag

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyCellError
-from .laws import Law1D, _check_points
+from .laws import Law1D, _check_points, _finite
 
 __all__ = [
     "VoronoiQuantization",
@@ -84,7 +84,7 @@ def distortion(grid, law_or_sample, p: float = 2.0) -> float:
         dm = np.diff(np.asarray(law.partial_second_moment(cuts)))
         total = float(np.sum(dm - 2.0 * points * dk + points * points * df))
         return max(total, 0.0) ** 0.5
-    sample = np.asarray(law_or_sample, dtype=float)
+    sample = _finite(law_or_sample, "sample")
     if sample.ndim == 1:
         points = _points_1d(grid)
         idx = _assign_1d(points, sample)
@@ -173,7 +173,7 @@ def kmeans(
     """
     from .rng import make_generator
 
-    xs = np.asarray(sample, dtype=float)
+    xs = _finite(sample, "sample")
     squeeze = xs.ndim == 1
     if squeeze:
         xs = xs[:, None]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from martquant.chain import (
     ArchSpec,
     MixtureTransitionLaw,
+    ThetaFn,
     NoiseSpec,
     build_chain,
     dual_transition_weights,
@@ -694,3 +695,86 @@ def test_fixed_target_grids_must_be_finite(mode, bad):
             grid_mode="fixed",
             grids=[np.array([-1.0, bad, 0.5, 1.0])],
         )
+
+
+def test_mixture_weights_and_theta_values_are_checked():
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    with pytest.raises(DomainError, match="weights must be finite"):
+        MixtureTransitionLaw([0.0, 1.0], [math.nan, 1.0], [1.0, 1.0], trunc)
+    with pytest.raises(DomainError, match="sum to 1"):
+        MixtureTransitionLaw([0.0, 1.0], [0.5, 0.6], [1.0, 1.0], trunc)
+    with pytest.raises(DomainError, match="strictly positive"):
+        MixtureTransitionLaw([0.0, 1.0], [0.5, 0.5], [math.nan, 1.0], trunc)
+
+
+def test_kernels_reject_a_nan_theta():
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    grid = np.linspace(-4.0, 5.0, 7)
+    with pytest.raises(DomainError, match="finite"):
+        dual_transition_weights([0.0, 1.0], grid, np.array([math.nan, 1.0]), trunc)
+    source = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+    noise = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(DomainError, match="finite"):
+        finite_noise_transition(source, noise, np.array([math.nan, 1.0]), grid)
+
+
+@pytest.mark.parametrize("mode", ["truncated", "quantized"])
+def test_a_nan_theta_names_its_step(mode):
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    noise = NoiseSpec.truncated(trunc) if mode == "truncated" else NoiseSpec.quantized_from(trunc, 5)
+    # finite at the start point 0, nan on the spread-out grid of step 1
+    nan_off_zero = ThetaFn(lambda x: np.where(np.abs(x) > 0.1, math.nan, 0.5), 0.0, 0.25, 0.25)
+    with pytest.raises(DomainError, match="theta values of step 1 must be finite"):
+        build_chain(
+            ArchSpec([nan_off_zero, nan_off_zero]),
+            [noise] * 2,
+            FiniteAtoms([0.0], [1.0]),
+            [1, 5, 5],
+        )
+
+
+@pytest.mark.parametrize("mode", ["truncated", "quantized"])
+def test_fixed_mode_on_embedded_grids_rebuilds_the_chain_bit_for_bit(mode):
+    """The embedded and fixed grid paths share one step loop: given the
+    embedded grids, fixed mode reproduces every kernel, weight and
+    diagnostic."""
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    noise = NoiseSpec.truncated(trunc) if mode == "truncated" else NoiseSpec.quantized_from(trunc, 7)
+    arch = ArchSpec(euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 3))
+    args = (arch, [noise] * 3, Uniform(0.9, 1.1), [9] * 4)
+    chain = build_chain(*args)
+    fixed = build_chain(*args, grid_mode="fixed", grids=chain.grids[1:])
+    for k in range(3):
+        assert fixed.kernels[k].matrix.tobytes() == chain.kernels[k].matrix.tobytes()
+        assert fixed.grids[k + 1].tobytes() == chain.grids[k + 1].tobytes()
+        assert fixed.marginal_weights[k + 1].tobytes() == chain.marginal_weights[k + 1].tobytes()
+        for key in ("mode", "dual_distortion", "hull", "mean_drift"):
+            assert fixed.diagnostics[k][key] == chain.diagnostics[k][key], key
+        assert fixed.diagnostics[k]["dual_converged"] is None
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("truncated-noise", "quantized"),
+        ("1d-x0", "2D DiscreteDistribution"),
+        ("1d-grid", "Triangulation2D"),
+        ("grid-count", "one target grid per step"),
+    ],
+)
+def test_build_chain_2d_rejections(case, message):
+    x0 = DiscreteDistribution([[0.0, 0.0], [0.5, -0.5]], [0.6, 0.4])
+    noise = NoiseSpec.quantized(DiscreteDistribution([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]))
+    square = np.array([[-4.0, -4.0], [4.0, -4.0], [-4.0, 4.0], [4.0, 4.0], [0.0, 0.3]])
+    grids = [Triangulation2D.delaunay(square), Triangulation2D.delaunay(2.0 * square)]
+    if case == "truncated-noise":
+        noise = NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -2.0))
+    elif case == "1d-x0":
+        x0 = DiscreteDistribution([0.0, 0.5], [0.6, 0.4])
+    elif case == "1d-grid":
+        grids = [np.linspace(-4.0, 4.0, 5)] * 2
+    else:
+        grids = grids[:1]
+    arch = ArchSpec([np.eye(2), 0.5 * np.eye(2)], dim=2, noise_dim=2)
+    with pytest.raises(DomainError, match=message):
+        build_chain(arch, [noise] * 2, x0, [2, 5, 5], grid_mode="fixed", grids=grids)

@@ -201,6 +201,20 @@ def test_primal_grids_must_be_finite(bad):
         kmeans(make_generator(3).random((20, 2)), 2, init=[[0.2, 0.2], [0.5, bad]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_samples_must_be_finite(bad, dim):
+    sample = make_generator(3).random((50, dim) if dim == 2 else 50)
+    sample[17] = bad
+    grid = [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]] if dim == 2 else [0.2, 0.5, 0.8]
+    with pytest.raises(DomainError, match="sample must be finite"):
+        kmeans(sample, 3)
+    with pytest.raises(DomainError, match="sample must be finite"):
+        kmeans(sample, 3, init=grid)
+    with pytest.raises(DomainError, match="sample must be finite"):
+        distortion(grid, sample)
+
+
 def test_uniform_optimal_invariant_rate():
     # N * e_{2,N} equals the 1D constant 1/(2 sqrt(3)) at the optimum
     for n in (2, 5, 11):
