@@ -27,7 +27,7 @@ from .errors import (
     OutOfScopeError,
 )
 from .laws import TruncatedLaw, law_from_json
-from .lp import LinearProgram, export_lp_text
+from .lp import export_lp_text
 from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
@@ -257,14 +257,11 @@ def cmd_mot(args) -> int:
         for n, m in levels:
             qa = motmod._quantize_primal(mu0, n)
             qb = motmod._quantize_dual(mu1, m)
-            a, b, _ = ordermod.coupling_lp(qa, qb)
-            cost = motmod.MotProblem([qa, qb], payoff).cost_tensor().ravel()
-            for sense in ("min", "max"):
-                text = export_lp_text(
-                    LinearProgram(cost, a, b, sense=sense), name=f"mot_{n}_{m}_{sense}"
-                )
-                with open(out / f"mot_{n}_{m}_{sense}.lp", "w") as fh:
-                    fh.write(text)
+            lps, _ = motmod.MotProblem([qa, qb], payoff).linear_programs()
+            for lp in lps:
+                name = f"mot_{n}_{m}_{lp.sense}"
+                with open(out / f"{name}.lp", "w") as fh:
+                    fh.write(export_lp_text(lp, name=name))
         print(f"wrote {2 * len(levels)} LP files")
         return 0
     rows = motmod.stability_experiment(mu0, mu1, payoff, levels)

@@ -3,10 +3,11 @@
 Given marginals in convex order and a payoff on the product grid, the
 infimum and supremum of the expected payoff over all martingale couplings
 are linear programs or, equivalently, price bounds consistent with the
-marginals.  This module assembles those LPs (any number of marginals,
-budget-guarded), solves both senses, and drives the quantization stability
-experiment: primal-quantize the first marginal, dual-quantize the second,
-and track the bounds as the grids refine.
+marginals.  :meth:`MotProblem.linear_programs` turns a problem into those
+two LPs (any number of marginals, budget-guarded) over the constraints of
+:func:`order.coupling_lp`; this module solves both senses and drives the
+quantization stability experiment: primal-quantize the first marginal,
+dual-quantize the second, and track the bounds as the grids refine.
 """
 
 from __future__ import annotations
@@ -97,6 +98,19 @@ class MotProblem:
             np.asarray(self.payoff(*blocks), dtype=float), sizes
         ).astype(float)
 
+    def linear_programs(self):
+        """The min and max LPs of the payoff over martingale couplings, and
+        the scales of their martingale rows (see :func:`order.coupling_lp`).
+        Raises :class:`BudgetExceeded`, before building anything, when the
+        coupling has more variables than ``budget``."""
+        nvar = int(np.prod(self.sizes))
+        if nvar > self.budget:
+            raise BudgetExceeded(f"{nvar} coupling variables exceed budget {self.budget}")
+        a, b, scales = coupling_lp(self.marginals)
+        cost = self.cost_tensor().ravel()
+        lps = [lpmod.LinearProgram(cost, a, b, sense=sense) for sense in ("min", "max")]
+        return lps, scales
+
 
 @dataclass(frozen=True)
 class MotResult:
@@ -127,116 +141,63 @@ def _check_convex_order(marginals):
             )
 
 
-def _multi_marginal_lp(problem: MotProblem):
-    """Sparse COO rows: per-marginal masses, then per-prefix martingale
-    constraints (one per dimension, sup-normalized like ``coupling_lp``)."""
-    import scipy.sparse as sp  # imported on use, like scipy.optimize in lp.solve
-
-    marginals = problem.marginals
-    sizes = problem.sizes
-    nvar = int(np.prod(sizes))
-    d = marginals[0].dim
-    index = np.unravel_index(np.arange(nvar), sizes)
-    rows, cols, vals = [], [], []
-    n_rows = 0
-    for k, size in enumerate(sizes):
-        rows.append(n_rows + index[k])
-        n_rows += size
-    cols += [np.arange(nvar)] * len(marginals)
-    vals += [np.ones(nvar)] * len(marginals)
-    rhs = [m.weights for m in marginals]
-    for k in range(len(marginals) - 1):
-        # one row per prefix (i_0, ..., i_k) and axis; x_k is set by i_k
-        prefix = np.ravel_multi_index(index[: k + 1], sizes[: k + 1])
-        diff = marginals[k + 1].points[index[k + 1]] - marginals[k].points[index[k]]
-        n_prefix = int(np.prod(sizes[: k + 1]))
-        scale = np.ones((n_prefix, d))
-        np.maximum.at(scale, prefix, np.abs(diff))
-        for axis in range(d):
-            rows.append(n_rows + d * prefix + axis)
-            cols.append(np.arange(nvar))
-            vals.append(diff[:, axis] / scale[prefix, axis])
-        n_rows += n_prefix * d
-        rhs.append(np.zeros(n_prefix * d))
-    a = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, nvar),
-    )
-    return a, np.concatenate(rhs), nvar
-
-
 def mot_bounds(problem: MotProblem) -> MotResult:
     """Lower and upper price bounds with the optimal couplings.
 
-    Marginals are verified to be in convex order first (otherwise the LP is
-    infeasible and :class:`NotInConvexOrder` carries the witness).  The LPs
-    are the discretization of Guo & Obloj 2019 (*Computational methods for
-    martingale optimal transport problems*), solved by :func:`lp.solve`
-    through their duals by interior point with crossover (a zero payoff by
-    simplex), so the couplings are vertices and ``iterations`` counts IPM
-    iterations of the min and the max LP.
+    The LPs come from :meth:`MotProblem.linear_programs`, so the budget is
+    checked first.  Marginals are then verified to be in convex order
+    (otherwise the LP is infeasible and :class:`NotInConvexOrder` carries
+    the witness).  The LPs are the discretization of Guo & Obloj 2019
+    (*Computational methods for martingale optimal transport problems*),
+    solved by :func:`lp.solve` through their duals by interior point with
+    crossover (a zero payoff by simplex), so the couplings are vertices and
+    ``iterations`` counts IPM iterations of the min and the max LP.
+    ``marginal_residual`` is the larger primal residual of the two LPs over
+    all rows; ``martingale_residual`` is the largest unscaled drift
+    ``|sum x (y_{k+1} - y_k)|`` over every step, prefix and axis.
     """
-    sizes = problem.sizes
-    nvar = int(np.prod(sizes))
-    if nvar > problem.budget:
-        raise BudgetExceeded(f"{nvar} coupling variables exceed budget {problem.budget}")
+    lps, scales = problem.linear_programs()
     _check_convex_order(problem.marginals)
-    cost = problem.cost_tensor().ravel()
-    if len(problem.marginals) == 2:
-        a, b, _ = coupling_lp(problem.marginals[0], problem.marginals[1])
-    else:
-        a, b, nvar = _multi_marginal_lp(problem)
     solutions = []
-    for sense in ("min", "max"):
-        sol = lpmod.solve(lpmod.LinearProgram(cost, a, b, sense=sense))
+    for lp in lps:
+        sol = lpmod.solve(lp)
         if sol.status != "optimal":
-            raise DomainError(f"MOT LP ({sense}) ended with status {sol.status}")
+            raise DomainError(f"MOT LP ({lp.sense}) ended with status {sol.status}")
         solutions.append(sol)
     lo, hi = solutions
-    marg_resid = max(lo.primal_residual, hi.primal_residual)
-    if len(problem.marginals) == 2:
-        mart_resid = max(
-            _martingale_residual(problem, lo.x), _martingale_residual(problem, hi.x)
-        )
-    else:
-        mart_resid = marg_resid  # martingale rows are part of the LP system
+    sizes = problem.sizes
+    # the martingale rows follow the mass rows; undo their scaling
+    scale = np.concatenate([s.ravel() for s in scales])
+    mart_resid = max(
+        float(np.abs((lp.constraint_matrix @ sol.x - lp.rhs)[sum(sizes) :] * scale).max())
+        for lp, sol in zip(lps, solutions)
+    )
     return MotResult(
         lower=lo.objective_value,
         upper=hi.objective_value,
         coupling_lower=_sparse_coupling(lo.x, sizes),
         coupling_upper=_sparse_coupling(hi.x, sizes),
-        marginal_residual=marg_resid,
+        marginal_residual=max(lo.primal_residual, hi.primal_residual),
         martingale_residual=mart_resid,
         iterations=(lo.iterations, hi.iterations),
     )
 
 
-def _martingale_residual(problem: MotProblem, x: np.ndarray) -> float:
-    mu, nu = problem.marginals
-    plan = x.reshape(mu.n_atoms, nu.n_atoms)
-    bary = plan @ nu.points
-    return float(np.abs(bary - mu.weights[:, None] * mu.points).max(initial=0.0))
+def _as_law(law_or_dd) -> Law1D:
+    if isinstance(law_or_dd, DiscreteDistribution):
+        return FiniteAtoms(law_or_dd.points_1d, law_or_dd.weights)
+    if isinstance(law_or_dd, Law1D):
+        return law_or_dd
+    raise DomainError("expected a 1D law or a DiscreteDistribution")
 
 
 def _quantize_primal(law_or_dd, n: int) -> DiscreteDistribution:
-    if isinstance(law_or_dd, DiscreteDistribution):
-        law = FiniteAtoms(law_or_dd.points_1d, law_or_dd.weights)
-    elif isinstance(law_or_dd, Law1D):
-        law = law_or_dd
-    else:
-        raise DomainError("expected a 1D law or a DiscreteDistribution")
-    res = lloyd_1d(law, n)
+    res = lloyd_1d(_as_law(law_or_dd), n)
     return DiscreteDistribution(res.grid, res.weights)
 
 
 def _quantize_dual(law_or_dd, m: int) -> DiscreteDistribution:
-    if isinstance(law_or_dd, DiscreteDistribution):
-        law = FiniteAtoms(law_or_dd.points_1d, law_or_dd.weights)
-    elif isinstance(law_or_dd, Law1D):
-        law = law_or_dd
-    else:
-        raise DomainError("expected a 1D law or a DiscreteDistribution")
-    res = dual_lloyd_1d(law, m)
+    res = dual_lloyd_1d(_as_law(law_or_dd), m)
     keep = res.weights > 0.0
     w = res.weights[keep]
     return DiscreteDistribution(res.grid[keep], w / w.sum())

@@ -8,6 +8,8 @@ strike gives a straddle witness.  In higher dimension it is equivalent
 (Strassen) to the feasibility of a martingale coupling, a sparse LP solved
 by :mod:`martquant.lp`; on infeasibility the Farkas certificate is turned
 into an explicit max-of-affine convex witness separating the two laws.
+:func:`coupling_lp` builds that LP for any number of marginals; the MOT
+price bounds of :mod:`martquant.mot` are LPs over the same constraints.
 """
 
 from __future__ import annotations
@@ -177,35 +179,46 @@ class ConvexTestBattery:
 # the martingale-coupling LP
 
 
-def coupling_lp(mu: DiscreteDistribution, nu: DiscreteDistribution):
-    """LP over martingale couplings of ``mu`` and ``nu``.
+def coupling_lp(marginals):
+    """LP over martingale couplings of two or more marginals of one dimension.
 
     Returns ``(A, b, scales)`` with ``A`` a sparse COO matrix over the
-    coupling masses ``x[i * n_nu + j]``.  Row blocks are the ``mu``
-    marginals, the ``nu`` marginals, and per-source martingale rows (one
-    per dimension, divided by ``scales[i, k]``, the sup of ``|y_j - x_i|``
-    on that axis but at least 1, for conditioning).
+    coupling masses ``x[i_0, ..., i_n]`` in C order.  Row blocks are the
+    masses of each marginal, then per step ``k`` the martingale rows, one
+    per prefix ``(i_0, ..., i_k)`` and axis, each divided by
+    ``scales[k][prefix, axis]``: the sup of ``|y_{k+1} - y_k|`` on that
+    axis over the prefix's masses, but at least 1, for conditioning.
     """
     import scipy.sparse as sp  # imported on use, like scipy.optimize in lp.solve
 
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
-    n_mu, n_nu, d = mu.n_atoms, nu.n_atoms, mu.dim
-    var = np.arange(n_mu * n_nu)
-    i, j = np.divmod(var, n_nu)
-    diff = nu.points[None, :, :] - mu.points[:, None, :]
-    scales = np.maximum(1.0, np.abs(diff).max(axis=1))
-    martingale = (diff / scales[:, None, :]).ravel()
-    ones = np.ones(var.size)
-    rows = np.concatenate(
-        (i, n_mu + j, (n_mu + n_nu + d * i[:, None] + np.arange(d)).ravel())
-    )
-    cols = np.concatenate((var, var, np.repeat(var, d)))
+    d = marginals[0].dim
+    if any(m.dim != d for m in marginals):
+        raise DimensionMismatch(f"dimensions differ: {[m.dim for m in marginals]}")
+    sizes = tuple(m.n_atoms for m in marginals)
+    nvar = math.prod(sizes)
+    var = np.arange(nvar)
+    rows = [n + i for n, i in zip(np.cumsum((0,) + sizes[:-1]), np.unravel_index(var, sizes))]
+    vals = [np.ones(nvar)] * len(marginals)
+    n_rows = sum(sizes)
+    scales = []
+    for k in range(len(marginals) - 1):
+        # the scale depends on i_k alone; in C order the masses of one
+        # prefix (i_0, ..., i_k) are contiguous
+        before, after = math.prod(sizes[:k]), math.prod(sizes[k + 2 :])
+        step = marginals[k + 1].points[None, :, :] - marginals[k].points[:, None, :]
+        scale = np.maximum(1.0, np.abs(step).max(axis=1))
+        scales.append(np.tile(scale, (before, 1)))
+        martingale = (step / scale[:, None, :])[None, :, :, None, :]
+        vals.append(np.broadcast_to(martingale, (before,) + sizes[k : k + 2] + (after, d)).ravel())
+        prefix = var // (sizes[k + 1] * after)
+        rows.append((n_rows + d * prefix[:, None] + np.arange(d)).ravel())
+        n_rows += scales[-1].size
+    cols = [var] * len(marginals) + [np.repeat(var, d)] * len(scales)
     a = sp.coo_array(
-        (np.concatenate((ones, ones, martingale)), (rows, cols)),
-        shape=(n_mu + n_nu + n_mu * d, var.size),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, nvar),
     )
-    b = np.concatenate((mu.weights, nu.weights, np.zeros(n_mu * d)))
+    b = np.concatenate([m.weights for m in marginals] + [np.zeros(n_rows - sum(sizes))])
     return a, b, scales
 
 
@@ -281,7 +294,7 @@ def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> Or
         if gaps[worst] <= tol:
             return OrderCheck("dominated")
         return _not_dominated(mu, nu, abs_deviation(1, [strikes[worst]]))
-    a, b, scales = coupling_lp(mu, nu)
+    a, b, scales = coupling_lp([mu, nu])
     sol = lpmod.solve(lpmod.LinearProgram(np.zeros(a.shape[1]), a, b))
     if sol.status == "optimal":
         coupling = sol.x.reshape(mu.n_atoms, nu.n_atoms)
@@ -291,7 +304,7 @@ def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> Or
     y = sol.farkas
     n_mu, n_nu, d = mu.n_atoms, nu.n_atoms, mu.dim
     alpha = y[:n_mu]
-    gamma = y[n_mu + n_nu :].reshape(n_mu, d) / scales
+    gamma = y[n_mu + n_nu :].reshape(n_mu, d) / scales[0]
     check = _not_dominated(
         mu, nu, MaxAffineFunction(alpha - np.einsum("id,id->i", gamma, mu.points), gamma)
     )

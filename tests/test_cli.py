@@ -274,6 +274,20 @@ def test_mot_export_lp(tmp_path):
     assert "Subject To" in text and text.rstrip().endswith("End")
 
 
+@pytest.mark.parametrize("export", [False, True])
+def test_mot_budget_holds_with_and_without_export_lp(tmp_path, capsys, monkeypatch, export):
+    from martquant import mot as motmod
+
+    monkeypatch.setattr(motmod.MotProblem.__init__, "__defaults__", (16,))
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(dict(_MOT_CONFIG, levels=[[4, 8]])))
+    out = tmp_path / "out"
+    args = ["mot", "--config", str(p), "--out", str(out)] + (["--export-lp"] if export else [])
+    assert run(args) == 2
+    assert "32 coupling variables exceed budget 16" in capsys.readouterr().err
+    assert not list(out.glob("*.lp"))
+
+
 def test_simulate_and_bounds_commands(tmp_path, chain_config):
     sim_out = tmp_path / "sim"
     assert run(["simulate", "--config", str(chain_config), "--out", str(sim_out), "--seed", "3"]) == 0

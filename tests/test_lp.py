@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from martquant.errors import DomainError
 from martquant.lp import LinearProgram, LpSolution, export_lp_text, solve
-from martquant.mot import MotProblem, _multi_marginal_lp, forward_start_payoff, spread_payoff
+from martquant.mot import MotProblem, forward_start_payoff, spread_payoff
 from martquant.order import DiscreteDistribution, convex_order_check, coupling_lp
 from martquant.rng import make_generator
 
@@ -103,7 +103,7 @@ def test_coupling_duals_satisfy_strong_duality():
         [float(np.average(ys[g], weights=w[g])) for g in groups],
         [float(w[g].sum()) for g in groups],
     )
-    a, b, _ = coupling_lp(mu, nu)
+    a, b, _ = coupling_lp([mu, nu])
     cost = np.abs(ys[None, :] - mu.points_1d[:, None]).ravel()
     for sense in ("min", "max"):
         sol = solve(LinearProgram(cost, a, b, sense=sense))
@@ -159,7 +159,7 @@ def _mot_instances():
     for n_nu in (8, 13, 21, 32):
         nu = _random_marginal(gen, n_nu)
         mu = _coarsen(nu, int(gen.integers(2, n_nu // 2 + 1)))
-        a, b, _ = coupling_lp(mu, nu)
+        a, b, _ = coupling_lp([mu, nu])
         for payoff in (spread_payoff, forward_start_payoff(0.3), gen.normal(size=(mu.n_atoms, n_nu))):
             cost = MotProblem([mu, nu], payoff).cost_tensor().ravel()
             yield f"two-{n_nu}", cost, a, b
@@ -167,7 +167,7 @@ def _mot_instances():
     x1 = _coarsen(x2, 5)
     x0 = _coarsen(x1, 2)
     problem = MotProblem([x0, x1, x2], lambda u, v, w: np.abs(w - u) + (v - u) ** 2)
-    a, b, _ = _multi_marginal_lp(problem)
+    a, b, _ = coupling_lp(problem.marginals)
     yield "three", problem.cost_tensor().ravel(), a, b
 
 

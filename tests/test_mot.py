@@ -98,10 +98,15 @@ def test_budget_guard():
         mot_bounds(MotProblem([mu, nu], quadratic_payoff, budget=100))
 
 
-def test_three_marginals():
+def _three_marginals():
     z0 = DiscreteDistribution([0.0], [1.0])
     z1 = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
     z2 = DiscreteDistribution([-2.0, 0.0, 2.0], [0.25, 0.5, 0.25])
+    return z0, z1, z2
+
+
+def test_three_marginals():
+    z0, z1, z2 = _three_marginals()
     res = mot_bounds(MotProblem([z0, z1, z2], lambda x, y, z: np.maximum(z - x, 0.0)))
     # payoff depends only on the extreme marginals here: both bounds agree
     assert res.lower == pytest.approx(0.5, abs=1e-9)
@@ -109,6 +114,40 @@ def test_three_marginals():
     spread3 = mot_bounds(MotProblem([z0, z1, z2], lambda x, y, z: np.abs(z - y)))
     assert spread3.lower <= spread3.upper
     assert spread3.lower >= -1e-12
+
+
+def _martingale_residual_oracle(problem, coupling):
+    """max over steps, prefixes and axes of |sum x (y_{k+1} - y_k)|."""
+    worst = 0.0
+    for k in range(len(problem.marginals) - 1):
+        x, y = problem.marginals[k].points, problem.marginals[k + 1].points
+        drift = {}
+        for cell, mass in coupling:
+            prefix = cell[: k + 1]
+            drift[prefix] = drift.get(prefix, 0.0) + mass * (y[cell[k + 1]] - x[cell[k]])
+        worst = max([worst] + [float(np.abs(v).max()) for v in drift.values()])
+    return worst
+
+
+def test_martingale_residual_matches_conditional_mean_oracle():
+    gen = make_generator(9)
+    nu = DiscreteDistribution(gen.normal(size=(7, 2)), np.full(7, 1.0 / 7))
+    groups = np.array_split(np.arange(7), 3)
+    mu = DiscreteDistribution(
+        [nu.points[g].mean(axis=0) for g in groups], [g.size / 7 for g in groups]
+    )
+    problems = [
+        MotProblem([mu, nu], lambda x, y: np.linalg.norm(y - x, axis=-1)),
+        MotProblem(_three_marginals(), lambda x, y, z: np.abs(z - y)),
+    ]
+    for problem in problems:
+        res = mot_bounds(problem)
+        want = max(
+            _martingale_residual_oracle(problem, res.coupling_lower),
+            _martingale_residual_oracle(problem, res.coupling_upper),
+        )
+        assert res.martingale_residual == pytest.approx(want, abs=1e-12)
+        assert res.martingale_residual < 1e-8
 
 
 def test_payoff_matrix_input():

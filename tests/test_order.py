@@ -164,7 +164,7 @@ def test_closed_form_1d_agrees_with_coupling_lp():
             v = gen.random(qts.size)
             v /= v.sum()
             mu = DiscreteDistribution(qts + nu.mean[0] - float(v @ qts), v)
-        a, b, _ = coupling_lp(mu, nu)
+        a, b, _ = coupling_lp([mu, nu])
         feasible = solve(LinearProgram(np.zeros(a.shape[1]), a, b)).status == "optimal"
         res = convex_order_check(mu, nu)
         assert res.dominated == feasible, (mu.points, mu.weights, nu.points, nu.weights)
@@ -194,6 +194,55 @@ def test_convex_order_2d():
     gap = nu.expectation(res.witness) - mu.expectation(res.witness)
     assert gap > 0.0
     assert gap == pytest.approx(res.witness_gap, rel=1e-12)
+
+
+def _dense_coupling_lp(marginals):
+    """The coupling LP written row by row from its definition."""
+    sizes = tuple(m.n_atoms for m in marginals)
+    d = marginals[0].dim
+    cells = list(np.ndindex(*sizes))
+    rows, rhs, scales = [], [], []
+    for k, marg in enumerate(marginals):
+        for atom in range(marg.n_atoms):
+            rows.append([1.0 if c[k] == atom else 0.0 for c in cells])
+            rhs.append(marg.weights[atom])
+    for k in range(len(marginals) - 1):
+        x, y = marginals[k].points, marginals[k + 1].points
+        step_scales = []
+        for prefix in np.ndindex(*sizes[: k + 1]):
+            members = [c for c in cells if c[: k + 1] == prefix]
+            scale = [
+                max(1.0, max(abs(y[c[k + 1], ax] - x[c[k], ax]) for c in members))
+                for ax in range(d)
+            ]
+            step_scales.append(scale)
+            for ax in range(d):
+                row = [0.0] * len(cells)
+                for c in members:
+                    row[cells.index(c)] = (y[c[k + 1], ax] - x[c[k], ax]) / scale[ax]
+                rows.append(row)
+                rhs.append(0.0)
+        scales.append(np.array(step_scales))
+    return np.array(rows), np.array(rhs), scales
+
+
+@pytest.mark.parametrize("dims", [(1, (3, 5)), (2, (4, 6)), (1, (2, 3, 4))])
+def test_coupling_lp_matches_dense_oracle(dims):
+    d, sizes = dims
+    gen = make_generator(71)
+    marginals = []
+    for n in sizes:
+        w = gen.random(n) + 0.1
+        # scales on both sides of their floor of 1
+        marginals.append(DiscreteDistribution(0.6 * gen.normal(size=(n, d)), w / w.sum()))
+    a, b, scales = coupling_lp(marginals)
+    want_a, want_b, want_scales = _dense_coupling_lp(marginals)
+    np.testing.assert_array_equal(a.toarray(), want_a)
+    np.testing.assert_array_equal(b, want_b)
+    assert len(scales) == len(want_scales)
+    for got, want in zip(scales, want_scales):
+        np.testing.assert_array_equal(got, want)
+    assert any((s > 1.0).any() for s in scales) and any((s == 1.0).any() for s in scales)
 
 
 # ---------------------------------------------------------------------------
