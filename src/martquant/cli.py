@@ -20,6 +20,7 @@ import numpy as np
 from . import archmc, chain as chainmod, mot as motmod, order as ordermod
 from .dual import dual_lloyd_1d
 from .errors import (
+    BudgetExceeded,
     DomainError,
     HullViolation,
     MartquantError,
@@ -254,10 +255,8 @@ def cmd_mot(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.export_lp:
-        for n, m in levels:
-            qa = motmod._quantize_primal(mu0, n)
-            qb = motmod._quantize_dual(mu1, m)
-            lps, _ = motmod.MotProblem([qa, qb], payoff).linear_programs()
+        for (n, m), problem in zip(levels, motmod.level_problems(mu0, mu1, payoff, levels)):
+            lps, _ = problem.linear_programs()
             for lp in lps:
                 name = f"mot_{n}_{m}_{lp.sense}"
                 with open(out / f"{name}.lp", "w") as fh:
@@ -423,6 +422,9 @@ def run(argv=None) -> int:
                 + " ".join(_fmt(v) for v in exc.witness.slopes.ravel()),
                 file=sys.stderr,
             )
+        return 2
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
     except (HullViolation,) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

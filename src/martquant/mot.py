@@ -27,6 +27,7 @@ __all__ = [
     "MotProblem",
     "MotResult",
     "mot_bounds",
+    "level_problems",
     "stability_experiment",
     "spread_payoff",
     "forward_start_payoff",
@@ -55,7 +56,9 @@ class MotProblem:
 
     ``payoff`` is either an ndarray of shape ``(N_0, ..., N_n)`` or a
     callable receiving one ``(..., d)`` point block per marginal,
-    broadcastable over leading axes.
+    broadcastable over leading axes.  Raises :class:`BudgetExceeded` when
+    the coupling has more variables than ``budget``, so a problem that
+    exists fits its budget.
     """
 
     marginals: tuple
@@ -69,9 +72,13 @@ class MotProblem:
         dim = marginals[0].dim
         if any(m.dim != dim for m in marginals):
             raise DomainError("marginals must share one dimension")
+        budget = int(budget)
+        nvar = int(np.prod([m.n_atoms for m in marginals]))
+        if nvar > budget:
+            raise BudgetExceeded(f"{nvar} coupling variables exceed budget {budget}")
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "payoff", payoff)
-        object.__setattr__(self, "budget", int(budget))
+        object.__setattr__(self, "budget", budget)
 
     @property
     def sizes(self) -> tuple:
@@ -100,12 +107,7 @@ class MotProblem:
 
     def linear_programs(self):
         """The min and max LPs of the payoff over martingale couplings, and
-        the scales of their martingale rows (see :func:`order.coupling_lp`).
-        Raises :class:`BudgetExceeded`, before building anything, when the
-        coupling has more variables than ``budget``."""
-        nvar = int(np.prod(self.sizes))
-        if nvar > self.budget:
-            raise BudgetExceeded(f"{nvar} coupling variables exceed budget {self.budget}")
+        the scales of their martingale rows (see :func:`order.coupling_lp`)."""
         a, b, scales = coupling_lp(self.marginals)
         cost = self.cost_tensor().ravel()
         lps = [lpmod.LinearProgram(cost, a, b, sense=sense) for sense in ("min", "max")]
@@ -144,10 +146,10 @@ def _check_convex_order(marginals):
 def mot_bounds(problem: MotProblem) -> MotResult:
     """Lower and upper price bounds with the optimal couplings.
 
-    The LPs come from :meth:`MotProblem.linear_programs`, so the budget is
-    checked first.  Marginals are then verified to be in convex order
-    (otherwise the LP is infeasible and :class:`NotInConvexOrder` carries
-    the witness).  The LPs are the discretization of Guo & Obloj 2019
+    The LPs come from :meth:`MotProblem.linear_programs`.  Before they are
+    solved the marginals are verified to be in convex order (otherwise the
+    LP is infeasible and :class:`NotInConvexOrder` carries the witness).
+    The LPs are the discretization of Guo & Obloj 2019
     (*Computational methods for martingale optimal transport problems*),
     solved by :func:`lp.solve` through their duals by interior point with
     crossover (a zero payoff by simplex), so the couplings are vertices and
@@ -203,18 +205,27 @@ def _quantize_dual(law_or_dd, m: int) -> DiscreteDistribution:
     return DiscreteDistribution(res.grid[keep], w / w.sum())
 
 
-def stability_experiment(mu0, mu1, payoff, levels) -> list[dict]:
-    """Bounds table along a refinement schedule.
+def level_problems(mu0, mu1, payoff, levels) -> list[MotProblem]:
+    """One :class:`MotProblem` per level ``(N, M)`` of a refinement schedule.
 
-    ``mu0`` is primally quantized and ``mu1`` dually quantized at each level
-    ``(N, M)``, matching the roles that preserve convex order from below and
-    above; rows carry the level and the bounds.
+    ``mu0`` is primally quantized to ``N`` atoms and ``mu1`` dually to at
+    most ``M``, matching the roles that preserve convex order from below and
+    above.  Every level is quantized and budget-checked before this returns,
+    so an over-budget level raises :class:`BudgetExceeded` before any LP is
+    solved or written.
     """
+    return [
+        MotProblem([_quantize_primal(mu0, int(n)), _quantize_dual(mu1, int(m))], payoff)
+        for n, m in levels
+    ]
+
+
+def stability_experiment(mu0, mu1, payoff, levels) -> list[dict]:
+    """Bounds table along a refinement schedule (see :func:`level_problems`);
+    rows carry the level and the bounds."""
     rows = []
-    for n, m in levels:
-        qa = _quantize_primal(mu0, int(n))
-        qb = _quantize_dual(mu1, int(m))
-        result = mot_bounds(MotProblem([qa, qb], payoff))
+    for (n, m), problem in zip(levels, level_problems(mu0, mu1, payoff, levels)):
+        result = mot_bounds(problem)
         rows.append(
             {
                 "N": int(n),

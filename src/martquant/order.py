@@ -225,7 +225,9 @@ def coupling_lp(marginals):
 @dataclass(frozen=True)
 class OrderCheck:
     """Outcome of :func:`convex_order_check`; ``coupling`` is the
-    martingale coupling found by the LP (dimension 2 and up only)."""
+    martingale coupling found by the LP (dimension 2 and up only), of shape
+    ``(mu.n_atoms, nu.n_atoms)`` with zero rows and columns at the
+    massless atoms, which the LP leaves out."""
 
     status: str  # dominated | not_dominated | not_dominated_no_witness
     witness: MaxAffineFunction | None = field(default=None)
@@ -256,6 +258,12 @@ def _not_dominated(mu, nu, witness: MaxAffineFunction) -> OrderCheck:
     return OrderCheck("not_dominated", witness, witness_gap)
 
 
+def _with_mass(dist: DiscreteDistribution):
+    """The indices of the atoms of ``dist`` with mass, and those atoms."""
+    keep = np.flatnonzero(dist.weights > 0.0)
+    return keep, DiscreteDistribution(dist.points[keep], dist.weights[keep])
+
+
 def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> OrderCheck:
     """Decide ``mu <=_cvx nu``.
 
@@ -267,13 +275,16 @@ def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> Or
     straddle ``|x - k*|``, whose gap is twice the call gap when the means
     agree.  Cost ``O((n + m) log(n + m))``, no LP.
 
-    In dimension 2 and up the martingale-coupling LP decides.  On
-    infeasibility the Farkas multipliers (alpha_i, beta_j, gamma_i) satisfy
-    ``alpha_i + beta_j + gamma_i . (y_j - x_i) <= 0`` with
-    ``alpha . mu + beta . nu > 0``, so ``phi(z) = max_i (alpha_i +
+    In dimension 2 and up the martingale-coupling LP decides.  It runs on
+    the atoms of ``mu`` and ``nu`` with mass: a massless atom's mass row
+    forces its columns to 0 (``x >= 0``), so dropping them changes no
+    verdict, and the coupling gets zero rows and columns there.  On
+    infeasibility the Farkas multipliers (alpha_i, beta_j, gamma_i) over the
+    kept atoms satisfy ``alpha_i + beta_j + gamma_i . (y_j - x_i) <= 0``
+    with ``alpha . mu + beta . nu > 0``, so ``phi(z) = max_i (alpha_i +
     gamma_i . (z - x_i))`` is a convex witness with a larger integral under
-    ``mu``.  The witness is re-checked numerically; if the recheck fails the
-    status degrades to ``not_dominated_no_witness``.
+    ``mu``.  The witness is re-checked numerically on the full laws; if the
+    recheck fails the status degrades to ``not_dominated_no_witness``.
     """
     if mu.dim != nu.dim:
         raise DimensionMismatch(f"dimensions differ: {mu.dim} vs {nu.dim}")
@@ -294,19 +305,22 @@ def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> Or
         if gaps[worst] <= tol:
             return OrderCheck("dominated")
         return _not_dominated(mu, nu, abs_deviation(1, [strikes[worst]]))
-    a, b, scales = coupling_lp([mu, nu])
+    keep_mu, mu_mass = _with_mass(mu)
+    keep_nu, nu_mass = _with_mass(nu)
+    a, b, scales = coupling_lp([mu_mass, nu_mass])
     sol = lpmod.solve(lpmod.LinearProgram(np.zeros(a.shape[1]), a, b))
     if sol.status == "optimal":
-        coupling = sol.x.reshape(mu.n_atoms, nu.n_atoms)
+        coupling = np.zeros((mu.n_atoms, nu.n_atoms))
+        coupling[np.ix_(keep_mu, keep_nu)] = sol.x.reshape(keep_mu.size, keep_nu.size)
         return OrderCheck("dominated", coupling=coupling)
     if sol.status != "infeasible":
         raise DomainError(f"coupling LP ended with status {sol.status}")
     y = sol.farkas
-    n_mu, n_nu, d = mu.n_atoms, nu.n_atoms, mu.dim
+    n_mu, n_nu, d = keep_mu.size, keep_nu.size, mu.dim
     alpha = y[:n_mu]
     gamma = y[n_mu + n_nu :].reshape(n_mu, d) / scales[0]
     check = _not_dominated(
-        mu, nu, MaxAffineFunction(alpha - np.einsum("id,id->i", gamma, mu.points), gamma)
+        mu, nu, MaxAffineFunction(alpha - np.einsum("id,id->i", gamma, mu_mass.points), gamma)
     )
     if check.witness_gap > 1e-12:
         return check

@@ -276,16 +276,24 @@ def test_mot_export_lp(tmp_path):
 
 @pytest.mark.parametrize("export", [False, True])
 def test_mot_budget_holds_with_and_without_export_lp(tmp_path, capsys, monkeypatch, export):
-    from martquant import mot as motmod
+    from martquant import lp as lpmod, mot as motmod
+
+    def no_solve(lp):
+        raise AssertionError("an LP was solved before every level's budget was checked")
 
     monkeypatch.setattr(motmod.MotProblem.__init__, "__defaults__", (16,))
+    monkeypatch.setattr(lpmod, "solve", no_solve)
     p = tmp_path / "m.json"
-    p.write_text(json.dumps(dict(_MOT_CONFIG, levels=[[4, 8]])))
+    # the first level (8 variables) fits, the second (32) does not
+    p.write_text(json.dumps(dict(_MOT_CONFIG, levels=[[2, 4], [4, 8]])))
     out = tmp_path / "out"
     args = ["mot", "--config", str(p), "--out", str(out)] + (["--export-lp"] if export else [])
     assert run(args) == 2
-    assert "32 coupling variables exceed budget 16" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "budget exceeded: 32 coupling variables exceed budget 16" in err
+    assert "numerical failure" not in err
     assert not list(out.glob("*.lp"))
+    assert not (out / "bounds.csv").exists()
 
 
 def test_simulate_and_bounds_commands(tmp_path, chain_config):

@@ -196,6 +196,72 @@ def test_convex_order_2d():
     assert gap == pytest.approx(res.witness_gap, rel=1e-12)
 
 
+def _with_massless_atoms(points, weights, extra, at):
+    """The law with zero-weight atoms ``extra`` inserted before indices ``at``."""
+    return DiscreteDistribution(np.insert(points, at, extra, axis=0), np.insert(weights, at, 0.0))
+
+
+def _massless_pair(d):
+    """``mu <=_cvx nu`` in R^d, both with massless atoms between their atoms:
+    ``mu``'s atoms are barycentres of ``nu``'s under a positive kernel."""
+    gen = make_generator(40 + d)
+    y = gen.normal(size=(7, d))
+    kernel = gen.random((4, 7)) + 0.05
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    p = gen.random(4) + 0.1
+    p /= p.sum()
+    mu = _with_massless_atoms(kernel @ y, p, 3.0 * gen.normal(size=(3, d)), [0, 2, 4])
+    nu = _with_massless_atoms(y, p @ kernel, 3.0 * gen.normal(size=(4, d)), [1, 1, 5, 7])
+    return mu, nu
+
+
+def _spied_check(monkeypatch, mu, nu):
+    """``convex_order_check(mu, nu)`` and the variable count of its LP."""
+    import martquant.order as ordermod
+
+    n_vars = []
+
+    def spy(marginals):
+        a, b, scales = coupling_lp(marginals)
+        n_vars.append(a.shape[1])
+        return a, b, scales
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ordermod, "coupling_lp", spy)
+        res = convex_order_check(mu, nu)
+    assert n_vars == [np.count_nonzero(mu.weights) * np.count_nonzero(nu.weights)]
+    # oracle: the LP on every atom, massless ones included
+    a, b, _ = coupling_lp([mu, nu])
+    feasible = solve(LinearProgram(np.zeros(a.shape[1]), a, b)).status == "optimal"
+    assert res.dominated == feasible
+    return res
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_order_lp_runs_on_atoms_with_mass(monkeypatch, d):
+    mu, nu = _massless_pair(d)
+    assert 0 < np.count_nonzero(mu.weights) < mu.n_atoms
+    assert 0 < np.count_nonzero(nu.weights) < nu.n_atoms
+
+    res = _spied_check(monkeypatch, mu, nu)
+    assert res.status == "dominated"
+    plan = res.coupling
+    assert plan.shape == (mu.n_atoms, nu.n_atoms)
+    assert not plan[mu.weights == 0.0].any() and not plan[:, nu.weights == 0.0].any()
+    assert plan.min() >= -1e-12
+    assert np.abs(plan.sum(axis=1) - mu.weights).max() <= 1e-8
+    assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-8
+    assert np.abs(plan @ nu.points - mu.weights[:, None] * mu.points).max() <= 1e-8
+
+    res = _spied_check(monkeypatch, nu, mu)
+    assert res.status == "not_dominated"
+    # the witness has one piece per kept atom and separates the full laws
+    assert res.witness.offsets.size == np.count_nonzero(nu.weights)
+    gap = nu.expectation(res.witness) - mu.expectation(res.witness)
+    assert gap > 0.0
+    assert gap == pytest.approx(res.witness_gap, rel=1e-12)
+
+
 def _dense_coupling_lp(marginals):
     """The coupling LP written row by row from its definition."""
     sizes = tuple(m.n_atoms for m in marginals)
