@@ -83,8 +83,6 @@ def _sample_x0(x0, n, gen) -> np.ndarray:
 
 
 def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    if spec.mode == "exact":
-        return z
     if spec.mode == "truncated":
         return spec.truncation.zero_outside(z)
     atoms = spec.atoms.points_1d
@@ -405,7 +403,7 @@ def compare_truncation_bound(
     for spec in noise_specs:
         if spec.mode == "truncated":
             gaps.append(spec.base.second_moment - spec.truncation.second_moment)
-        elif spec.mode == "quantized" and spec.base is not None:
+        elif spec.base is not None:
             gaps.append(spec.base.second_moment - spec.atoms.second_moment)
         else:
             raise DomainError("error bounds need a truncated or quantized noise with a base law")

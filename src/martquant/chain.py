@@ -23,7 +23,7 @@ splitting every image point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,8 +66,6 @@ class ThetaFn:
     lipschitz: float
     c_envelope: float
     c_frobenius: float
-    convex_abs: bool = True
-    nonnegative: bool = True
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -75,8 +73,7 @@ class ThetaFn:
 
 def theta_constant(c: float) -> ThetaFn:
     c = _finite(c, "theta_constant c")
-    return ThetaFn(lambda x: np.full_like(x, c), 0.0, c * c, c * c,
-                   convex_abs=True, nonnegative=c >= 0.0)
+    return ThetaFn(lambda x: np.full_like(x, c), 0.0, c * c, c * c)
 
 
 def theta_affine_abs(a: float, b: float) -> ThetaFn:
@@ -84,8 +81,7 @@ def theta_affine_abs(a: float, b: float) -> ThetaFn:
     sup theta^2/(1+x^2) = a^2 + b^2."""
     if _finite(a, "theta_affine_abs a") < 0.0 or _finite(b, "theta_affine_abs b") < 0.0:
         raise DomainError("theta_affine_abs needs a, b >= 0")
-    return ThetaFn(lambda x: a + b * np.abs(x), b, a * a + b * b, a * a + b * b,
-                   convex_abs=True, nonnegative=True)
+    return ThetaFn(lambda x: a + b * np.abs(x), b, a * a + b * b, a * a + b * b)
 
 
 def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaFn:
@@ -96,10 +92,7 @@ def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaF
     if scale < 0.0 or floor < 0.0:
         raise DomainError("theta_abs_shifted needs scale, floor >= 0")
     env = max(floor * floor, scale * scale * (1.0 + center * center))
-    return ThetaFn(
-        lambda x: np.maximum(scale * np.abs(x - center), floor),
-        scale, env, env, convex_abs=True, nonnegative=True,
-    )
+    return ThetaFn(lambda x: np.maximum(scale * np.abs(x - center), floor), scale, env, env)
 
 
 def euler_thetas(base: ThetaFn, horizon: float, n_steps: int) -> list[ThetaFn]:
@@ -114,8 +107,6 @@ def euler_thetas(base: ThetaFn, horizon: float, n_steps: int) -> list[ThetaFn]:
         s * base.lipschitz,
         h * base.c_envelope,
         h * base.c_frobenius,
-        convex_abs=base.convex_abs,
-        nonnegative=base.nonnegative,
     )
     return [scaled] * n_steps
 
@@ -144,21 +135,23 @@ class ArchSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-step innovation: exact, centered-truncated, or finitely supported.
+    """Per-step innovation in one of two modes: ``truncated`` (a centered
+    truncation of a 1D law) or ``quantized`` (finitely many atoms).
 
     Truncation and quantization both keep the innovation centered and keep
     the dropped part orthogonal to the kept part, which is what the error
     analysis needs; quantized atoms must be centered within 1e-10.
+    ``base`` is the law whose draws coupled simulations project.
     """
 
-    mode: str                      # exact | truncated | quantized
-    base: object = None            # Law1D for exact mode
+    mode: str
+    base: object = None
     truncation: TruncatedLaw | None = None
     atoms: DiscreteDistribution | None = None
 
-    @classmethod
-    def exact(cls, law) -> "NoiseSpec":
-        return cls("exact", base=law)
+    def __post_init__(self):
+        if self.mode not in ("truncated", "quantized"):
+            raise DomainError(f"noise mode must be 'truncated' or 'quantized', got {self.mode!r}")
 
     @classmethod
     def truncated(cls, trunc: TruncatedLaw) -> "NoiseSpec":
@@ -174,14 +167,11 @@ class NoiseSpec:
     @classmethod
     def quantized_from(cls, law: Law1D, n_atoms: int, tol: float = 1e-13) -> "NoiseSpec":
         """Stationary Voronoi quantization of a 1D law; atoms are the exact
-        cell means, so the quantized noise is centered exactly.  The base
-        law is kept so coupled simulations can project its draws."""
+        cell means, so they keep the law's mean, which :meth:`quantized`
+        checks.  The base law is kept so coupled simulations can project
+        its draws."""
         res = lloyd_1d(law, n_atoms, tol=tol)
-        atoms = DiscreteDistribution(res.grid, res.weights)
-        shift = float(atoms.mean[0]) - law.mean
-        if abs(shift) > 1e-10:
-            raise DomainError(f"quantization drifted off the mean by {shift:.3e}")
-        return cls("quantized", base=law, atoms=atoms)
+        return replace(cls.quantized(DiscreteDistribution(res.grid, res.weights)), base=law)
 
 
 @dataclass(frozen=True)
@@ -519,10 +509,6 @@ def build_chain(
         raise DomainError("fixed mode needs one target grid per step")
     if dim == 1 and grid_mode == "fixed":
         grids = [_check_points(np.reshape(g, -1), min_count=2) for g in grids]
-    if any(spec.mode == "exact" for spec in noises):
-        raise DomainError(
-            "exact (unbounded) noise cannot be dually projected; truncate or quantize it"
-        )
     if dim == 2 and any(spec.mode != "quantized" for spec in noises):
         raise DomainError("2D chains need finitely supported (quantized) noise")
 

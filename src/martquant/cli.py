@@ -22,7 +22,6 @@ from .dual import dual_lloyd_1d
 from .errors import (
     BudgetExceeded,
     DomainError,
-    HullViolation,
     MartquantError,
     NotInConvexOrder,
     OutOfScopeError,
@@ -32,7 +31,7 @@ from .lp import export_lp_text
 from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
-_CONFIG_ERRORS = (DomainError, OutOfScopeError, KeyError, ValueError)
+_CONFIG_ERRORS = (DomainError, OutOfScopeError, KeyError, ValueError, OSError)
 
 
 def _fmt(x) -> str:
@@ -64,8 +63,15 @@ def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = _object(json.load(fh), "a config")
     return cfg
+
+
+def _object(value, source: str) -> dict:
+    """``value`` if it is a JSON object; ``source`` names it in the error."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{source} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _whole(value, source: str, minimum: int) -> int:
@@ -90,7 +96,7 @@ def _paths_and_seed(args, cfg) -> tuple[int, int]:
 
 
 def _theta_from_json(obj) -> chainmod.ThetaFn:
-    kind = obj.get("kind")
+    kind = _object(obj, "config key 'theta'").get("kind")
     if kind == "constant":
         return chainmod.theta_constant(float(obj["c"]))
     if kind == "affine_abs":
@@ -107,10 +113,11 @@ def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
     dim = _whole(cfg.get("dim", 1), "config key 'dim'", 1)
     base = _theta_from_json(cfg["theta"])
     if "euler" in cfg:
-        thetas = chainmod.euler_thetas(base, float(cfg["euler"]["horizon"]), n_steps)
+        euler = _object(cfg["euler"], "config key 'euler'")
+        thetas = chainmod.euler_thetas(base, float(euler["horizon"]), n_steps)
     else:
         thetas = [base] * n_steps
-    noise_cfg = cfg["noise"]
+    noise_cfg = _object(cfg["noise"], "config key 'noise'")
     law = _load_law(noise_cfg["law"])
     if isinstance(law, TruncatedLaw):
         trunc_cfg = noise_cfg["law"].get("truncation", {}) if isinstance(noise_cfg["law"], dict) else {}
@@ -243,15 +250,18 @@ def cmd_mot(args) -> int:
     cfg = _load_config(args)
     mu0 = _x0_from_config({"x0": cfg["mu0"]})
     mu1 = _x0_from_config({"x0": cfg["mu1"]})
-    payoff_cfg = cfg.get("payoff", {"kind": "quadratic"})
+    payoff_cfg = _object(cfg.get("payoff", {"kind": "quadratic"}), "config key 'payoff'")
     payoff = _PAYOFFS[payoff_cfg["kind"]](payoff_cfg)
-    levels = [
-        (
-            _whole(n, f"config key 'levels[{i}]' N", 1),
-            _whole(m, f"config key 'levels[{i}]' M", 2),
+    if not isinstance(cfg["levels"], list):
+        raise DomainError("config key 'levels' must be a list of pairs [N, M]")
+    levels = []
+    for i, level in enumerate(cfg["levels"]):
+        if not (isinstance(level, list) and len(level) == 2):
+            raise DomainError(f"config key 'levels[{i}]' must be a pair [N, M], got {level!r}")
+        n, m = level
+        levels.append(
+            (_whole(n, f"config key 'levels[{i}]' N", 1), _whole(m, f"config key 'levels[{i}]' M", 2))
         )
-        for i, (n, m) in enumerate(cfg["levels"])
-    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.export_lp:
@@ -426,13 +436,7 @@ def run(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (HullViolation,) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except MartquantError as exc:

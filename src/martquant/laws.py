@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
-from .rng import make_generator
 
 __all__ = [
     "Law1D",
@@ -137,12 +136,6 @@ class Law1D:
         laws with an exact sampler of their own override it."""
         u = gen.random(n)
         return np.asarray(self.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
-
-    def sample(self, n: int, seed: int, stream: int = 0) -> np.ndarray:
-        """``draw`` of size ``n`` from stream ``stream`` of ``seed``."""
-        if n < 1:
-            raise DomainError("sample size must be >= 1")
-        return self.draw(make_generator(seed, stream), n)
 
     def _check_u(self, u):
         arr, scalar = _as_array(u)
@@ -660,6 +653,8 @@ def law_from_json(obj) -> Law1D:
         if obj in _TRIVIAL_KINDS:
             return _TRIVIAL_KINDS[obj]()
         raise DomainError(f"unknown law shortcut {obj!r}")
+    if not isinstance(obj, dict):
+        raise DomainError(f"a law must be a name or an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "uniform":
         law = Uniform(float(obj["a"]), float(obj["b"]))
@@ -677,5 +672,7 @@ def law_from_json(obj) -> Law1D:
         raise DomainError(f"unknown law kind {kind!r}")
     trunc = obj.get("truncation")
     if trunc is not None:
+        if not isinstance(trunc, dict):
+            raise DomainError(f"a truncation block must be an object, got {trunc!r}")
         law = TruncatedLaw.centered(law, float(trunc["alpha"]), trunc.get("beta", "auto"))
     return law

@@ -52,7 +52,7 @@ def forward_start_payoff(strike: float = 0.0):
 
 @dataclass(frozen=True)
 class MotProblem:
-    """Marginals (in convex order), a payoff, and a variable budget.
+    """Marginals (in convex order) and a payoff, within a variable budget.
 
     ``payoff`` is either an ndarray of shape ``(N_0, ..., N_n)`` or a
     callable receiving one ``(..., d)`` point block per marginal,
@@ -63,7 +63,6 @@ class MotProblem:
 
     marginals: tuple
     payoff: object
-    budget: int = 1_000_000
 
     def __init__(self, marginals, payoff, budget: int = 1_000_000):
         marginals = tuple(marginals)
@@ -78,7 +77,6 @@ class MotProblem:
             raise BudgetExceeded(f"{nvar} coupling variables exceed budget {budget}")
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "payoff", payoff)
-        object.__setattr__(self, "budget", budget)
 
     @property
     def sizes(self) -> tuple:

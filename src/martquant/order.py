@@ -27,7 +27,6 @@ from .rng import make_generator
 __all__ = [
     "DiscreteDistribution",
     "MaxAffineFunction",
-    "ConvexTestBattery",
     "OrderCheck",
     "convex_order_check",
     "moment_vs_wasserstein_scan",
@@ -150,12 +149,13 @@ def abs_deviation(dim: int, center, directions: int = 16, seed: int = 0) -> MaxA
 
 @dataclass(frozen=True)
 class ConvexTestBattery:
-    """A finite battery of convex max-of-affine test functions."""
+    """A finite battery of convex max-of-affine test functions.
+
+    A test oracle, kept out of ``__all__``: only criterion 10's
+    ``archmc.domination_test`` takes one.
+    """
 
     members: tuple
-
-    def evaluate(self, points) -> np.ndarray:
-        return np.stack([fn(points) for fn in self.members])
 
     def __len__(self):
         return len(self.members)

@@ -35,6 +35,7 @@ from martquant.order import (
     convex_order_check,
     path_max_call,
 )
+from martquant.rng import make_generator
 
 TRUNC15 = TruncatedLaw.centered(Normal(0, 1), -1.5)
 
@@ -217,7 +218,7 @@ def test_select_truncation():
 
 def test_noise_orthogonality_identities():
     # truncation: (Z - Zb) Zb = 0 pointwise
-    z = Normal(0, 1).sample(50_000, seed=21)
+    z = Normal(0, 1).draw(make_generator(21), 50_000)
     zb = z * ((z >= -1.5) & (z <= 1.5))
     assert np.max(np.abs((z - zb) * zb)) == 0.0
     # stationary quantization: E[(Z - Zhat) Zhat] = 0 through the closed forms
@@ -280,8 +281,6 @@ def test_domination_negative_control_reports_without_asserting():
             "lipschitz": 1.0,
             "c_envelope": 1.0,
             "c_frobenius": 1.0,
-            "convex_abs": False,
-            "nonnegative": True,
         },
     )()
     arch = ArchSpec([bump] * 2)

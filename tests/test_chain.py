@@ -23,6 +23,7 @@ from martquant.dual import Triangulation2D, locate_1d
 from martquant.errors import DomainError, HullViolation, OutOfHullError
 from martquant.laws import FiniteAtoms, Normal, TruncatedLaw, Uniform
 from martquant.order import DiscreteDistribution, convex_order_check
+from martquant.rng import make_generator
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ def test_transition_cdf_closed_values(trunc_n1):
 
 
 def test_transition_cdf_against_simulation_oracle(trunc_n1):
-    z = Normal().sample(400_000, seed=8)
+    z = Normal().draw(make_generator(8), 400_000)
     zb = z * ((z >= -1) & (z <= 1))
     x, theta = 0.7, 1.3
     nxt = x + theta * zb
@@ -561,14 +562,9 @@ def test_build_chain_marginal_flow():
         assert np.abs(pushed - chain.marginal_weights[k + 1]).max() < 1e-12
 
 
-def test_exact_noise_rejected():
-    with pytest.raises(DomainError):
-        build_chain(
-            ArchSpec([theta_constant(1.0)]),
-            [NoiseSpec.exact(Normal(0, 1))],
-            FiniteAtoms([0.0], [1.0]),
-            [1, 5],
-        )
+def test_noise_mode_is_truncated_or_quantized():
+    with pytest.raises(DomainError, match="'truncated' or 'quantized'"):
+        NoiseSpec("exact", base=Normal())
 
 
 def test_nonpositive_theta_falls_back_to_quantized():

@@ -458,6 +458,76 @@ def test_nested_whole_number_keys_reject_other_values(
     assert not out.exists()
 
 
+_MALFORMED_CHAIN = {
+    "theta-string": {"theta": "affine"},
+    "noise-list": {"noise": [1]},
+    "noise-law-number": {"noise": {"law": 3}},
+    "euler-number": {"euler": 1.0},
+    "truncation-string": {"noise": {"law": {**_NORMAL, "truncation": "x"}}},
+    "x0-list": {"x0": [1, 2]},
+    "x0-number": {"x0": 1.0},
+}
+_MALFORMED_MOT = {
+    "payoff-string": {"payoff": "spread"},
+    "levels-flat": {"levels": [8, 8]},
+    "levels-number": {"levels": 8},
+    "mu0-number": {"mu0": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [(c, k) for k in ["top-level-list", *_MALFORMED_CHAIN] for c in ("chain", "simulate", "bounds")]
+    + [("mot", k) for k in ["top-level-list", *_MALFORMED_MOT]],
+)
+def test_a_config_of_the_wrong_shape_is_a_configuration_error(
+    tmp_path, chain_config, capsys, command, case
+):
+    # each of these used to end in a TypeError or AttributeError traceback
+    if command == "mot":
+        cfg = {**_MOT_CONFIG, **_MALFORMED_MOT.get(case, {})}
+    else:
+        cfg = json.loads(chain_config.read_text())
+        # an explicit beta: no centering note on stderr before the error
+        cfg["noise"]["law"]["truncation"]["beta"] = 2.0
+        cfg.update(_MALFORMED_CHAIN.get(case, {}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([cfg] if case == "top-level-list" else cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["chain", "simulate", "bounds"])
+def test_uncentered_quantized_noise_is_a_configuration_error(
+    tmp_path, chain_config, capsys, command
+):
+    # simulate and bounds used to write bounds for an innovation of mean 1
+    cfg = json.loads(chain_config.read_text())
+    cfg["noise"] = {"law": {"kind": "exponential", "rate": 1}, "quantized": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "not centered" in err
+    assert not out.exists()
+
+
+def test_hull_violation_is_a_numerical_failure(tmp_path, chain_config, capsys, monkeypatch):
+    from martquant import chain as chainmod
+    from martquant.errors import HullViolation
+
+    def leaves_the_hull(*args, **kwargs):
+        raise HullViolation("image of source point 1 leaves the target hull by 1e-3")
+
+    monkeypatch.setattr(chainmod, "build_chain", leaves_the_hull)
+    assert run(["chain", "--config", str(chain_config), "--out", str(tmp_path / "out")]) == 2
+    assert "numerical failure: image of source point 1" in capsys.readouterr().err
+
+
 def test_nested_whole_number_keys_accept_digit_strings(tmp_path, chain_config):
     cfg = json.loads(chain_config.read_text())
     runs = [

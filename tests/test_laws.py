@@ -120,14 +120,14 @@ def test_quantile_cdf_identity_grid():
 
 def test_pointmass_sample():
     law = FiniteAtoms([2.0], [1.0])
-    assert np.all(law.sample(3, seed=99) == 2.0)
+    assert np.all(law.draw(make_generator(99), 3) == 2.0)
     assert law.cdf(2.0) == 1.0 and law.cdf_left(2.0) == 0.0
 
 
 def test_sampler_reproducible_and_clt():
     law = Uniform(0, 1)
-    s1 = law.sample(100_000, seed=1)
-    s2 = law.sample(100_000, seed=1)
+    s1 = law.draw(make_generator(1), 100_000)
+    s2 = law.draw(make_generator(1), 100_000)
     assert np.array_equal(s1, s2)
     # CLT oracle: 3 sigma / sqrt(n) with sigma = 1/sqrt(12)
     assert abs(s1.mean() - 0.5) < 3.0 / math.sqrt(12.0) / math.sqrt(100_000)
@@ -155,7 +155,6 @@ def test_truncated_draw_is_its_sample_bit_for_bit(base):
     z = base.draw(make_generator(5, 3), 1_000)
     want = z * ((z >= t.alpha) & (z <= t.beta))
     assert t.draw(make_generator(5, 3), 1_000).tobytes() == want.tobytes()
-    assert t.sample(1_000, seed=5, stream=3).tobytes() == want.tobytes()
 
 
 def test_normal_draw_is_numpys_standard_normal():
@@ -163,7 +162,6 @@ def test_normal_draw_is_numpys_standard_normal():
     assert Normal(0.0, 1.0).draw(make_generator(12, 4), 1_000).tobytes() == want.tobytes()
     shifted = Normal(0.4, 2.5).draw(make_generator(12, 4), 1_000)
     assert shifted.tobytes() == (0.4 + 2.5 * want).tobytes()
-    assert Normal(0.4, 2.5).sample(1_000, seed=12, stream=4).tobytes() == shifted.tobytes()
 
 
 def test_normal_draws_do_not_depend_on_how_a_stream_is_sliced():
@@ -256,8 +254,8 @@ def test_truncated_law_shape():
     )[0]
     assert t.second_moment == pytest.approx(oracle, abs=1e-10)
     # sampling clips the same draws
-    z = Normal().sample(5000, seed=3)
-    zb = t.sample(5000, seed=3)
+    z = Normal().draw(make_generator(3), 5000)
+    zb = t.draw(make_generator(3), 5000)
     assert np.array_equal(zb, z * ((z >= -1) & (z <= 1)))
 
 

@@ -467,9 +467,8 @@ def test_battery_members_are_convex():
     y = gen.normal(size=(40, 3))
     for lam in (0.25, 0.5, 0.75):
         mid = lam * x + (1 - lam) * y
-        vals = battery.evaluate(mid)
-        bound = lam * battery.evaluate(x) + (1 - lam) * battery.evaluate(y)
-        assert np.all(vals <= bound + 1e-12)
+        for fn in battery.members:
+            assert np.all(fn(mid) <= lam * fn(x) + (1 - lam) * fn(y) + 1e-12)
 
 
 def test_call_and_path_max_helpers():
