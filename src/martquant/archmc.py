@@ -20,7 +20,7 @@ from .chain import ArchSpec, ChainApproximation, NoiseSpec
 from .dual import locate_1d
 from .errors import DomainError, OutOfHullError
 from .laws import Law1D
-from .order import ConvexTestBattery, DiscreteDistribution
+from .order import ConvexTestBattery
 from .primal import _assign_1d
 from .rng import make_generator
 
@@ -64,22 +64,12 @@ class CoupledPathSample:
         return self.exact.shape[1]
 
 
-def _draw_atoms(atoms: DiscreteDistribution, n: int, gen) -> np.ndarray:
-    """``n`` draws of a finite 1D law by inversion of its cumulative weights."""
-    u = gen.random(n)
-    cum = np.cumsum(atoms.weights)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), atoms.n_atoms - 1)
-    return atoms.points_1d[idx]
-
-
 def _sample_x0(x0, n, gen) -> np.ndarray:
     if isinstance(x0, (int, float)):
         return np.full(n, float(x0))
-    if isinstance(x0, DiscreteDistribution):
-        return _draw_atoms(x0, n, gen)
     if isinstance(x0, Law1D):
         return x0.draw(gen, n)
-    raise DomainError("x0 must be a number, a 1D law, or a DiscreteDistribution")
+    raise DomainError("x0 must be a number or a 1D law")
 
 
 def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
@@ -104,7 +94,7 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
         z = spec.base.draw(gen, count)
         return z, _project_noise(z, spec)
     # atoms without a base law: both paths ride the atoms
-    z = _draw_atoms(spec.atoms, count, gen)
+    z = spec.atoms.draw(gen, count)
     return z, z
 
 

@@ -31,8 +31,10 @@ from .dual import (
     Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
 )
 from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
-from .laws import FiniteAtoms, Law1D, TruncatedLaw, _check_points, _check_weights, _finite
-from .order import DiscreteDistribution
+from .laws import (
+    DiscreteDistribution, Law1D, TruncatedLaw, _check_points, _check_weights, _finite,
+)
+from .order import merged_atoms
 from .primal import lloyd_1d
 
 __all__ = [
@@ -432,25 +434,17 @@ def _initial_state(x0, n0: int, dim: int):
             raise DomainError("2D chains start from a 2D DiscreteDistribution")
         return x0.points, x0.weights
     if isinstance(x0, DiscreteDistribution):
-        dd = x0.sorted_1d()
-        return dd.points_1d, dd.weights
+        return x0.atoms()
     if isinstance(x0, Law1D):
-        lo, hi = x0.support
-        if lo == hi:  # point mass
-            return np.array([lo]), np.array([1.0])
         res = lloyd_1d(x0, n0)
         return res.grid, res.weights
-    raise DomainError("x0 must be a 1D law or a DiscreteDistribution")
+    raise DomainError("x0 must be a 1D law")
 
 
-def _image_law(points, weights, theta_vals, noise: DiscreteDistribution) -> FiniteAtoms:
+def _image_law(points, weights, theta_vals, noise: DiscreteDistribution) -> DiscreteDistribution:
     """Exact law of the 1D images ``x_i + theta_i z_j``, coincident images merged."""
     images = points[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
-    masses = np.outer(weights, noise.weights)
-    uniq, inverse = np.unique(images.ravel(), return_inverse=True)
-    w = np.zeros(uniq.size)
-    np.add.at(w, inverse, masses.ravel())
-    return FiniteAtoms(uniq, w / w.sum())
+    return merged_atoms(images, np.outer(weights, noise.weights))
 
 
 def _warm_init(prev_grid, n_next, hull):
@@ -479,10 +473,11 @@ def build_chain(
     """Build grids, marginal weights, and martingale kernels for all steps.
 
     ``sizes[k]`` is the support budget of time index k (``sizes[0]``
-    quantizes an initial law primally).  Each step takes the law of the
-    one-step image of the current marginal (a :class:`MixtureTransitionLaw`
-    for truncated noise, the finite image law for quantized noise, none in
-    2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual fixed point
+    quantizes a continuous initial law primally; a finite ``x0``, a
+    :class:`DiscreteDistribution`, is used as given).  Each step takes the
+    law of the one-step image of the current marginal (a
+    :class:`MixtureTransitionLaw` for truncated noise, the finite image law
+    for quantized noise, none in 2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual fixed point
     of that law) and the kernel onto that grid, which checks hull
     containment; ``hull`` in the diagnostics is the hull of the image law.
     A coefficient that is not strictly positive on the current grid
@@ -564,10 +559,10 @@ def build_chain(
             "dual_converged": converged,
             "hull": None if law is None else law.support,
         }
-        if isinstance(law, FiniteAtoms):
+        if isinstance(law, DiscreteDistribution):
             # the exact law of the one-step image before the dual projection:
             # it interleaves the marginals in the convex order
-            diag["intermediate"] = DiscreteDistribution(law.points, law.weights)
+            diag["intermediate"] = law
         kernels.append(kernel)
         all_grids.append(grid)
         all_weights.append(weights)

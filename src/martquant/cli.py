@@ -26,9 +26,8 @@ from .errors import (
     NotInConvexOrder,
     OutOfScopeError,
 )
-from .laws import TruncatedLaw, law_from_json
+from .laws import TruncatedLaw, _json_float, law_from_json
 from .lp import export_lp_text
-from .order import DiscreteDistribution
 from .primal import lloyd_1d
 
 _CONFIG_ERRORS = (DomainError, OutOfScopeError, KeyError, ValueError, OSError)
@@ -98,23 +97,29 @@ def _paths_and_seed(args, cfg) -> tuple[int, int]:
 def _theta_from_json(obj) -> chainmod.ThetaFn:
     kind = _object(obj, "config key 'theta'").get("kind")
     if kind == "constant":
-        return chainmod.theta_constant(float(obj["c"]))
+        return chainmod.theta_constant(_json_float(obj, "c", "theta"))
     if kind == "affine_abs":
-        return chainmod.theta_affine_abs(float(obj["a"]), float(obj["b"]))
+        return chainmod.theta_affine_abs(
+            _json_float(obj, "a", "theta"), _json_float(obj, "b", "theta")
+        )
     if kind == "abs_shifted":
         return chainmod.theta_abs_shifted(
-            float(obj["scale"]), float(obj["center"]), float(obj.get("floor", 0.0))
+            _json_float(obj, "scale", "theta"),
+            _json_float(obj, "center", "theta"),
+            _json_float(obj, "floor", "theta", 0.0),
         )
     raise DomainError(f"unknown theta kind {kind!r}")
 
 
 def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
     n_steps = _whole(cfg["steps"], "config key 'steps'", 1)
-    dim = _whole(cfg.get("dim", 1), "config key 'dim'", 1)
+    for key in ("dim", "noise_dim"):
+        if _whole(cfg.get(key, 1), f"config key '{key}'", 1) != 1:
+            raise DomainError(f"config key '{key}' must be 1: the command line runs 1D chains")
     base = _theta_from_json(cfg["theta"])
     if "euler" in cfg:
         euler = _object(cfg["euler"], "config key 'euler'")
-        thetas = chainmod.euler_thetas(base, float(euler["horizon"]), n_steps)
+        thetas = chainmod.euler_thetas(base, _json_float(euler, "horizon", "euler"), n_steps)
     else:
         thetas = [base] * n_steps
     noise_cfg = _object(cfg["noise"], "config key 'noise'")
@@ -133,8 +138,7 @@ def _arch_from_config(cfg) -> tuple[chainmod.ArchSpec, list]:
         spec = chainmod.NoiseSpec.truncated(law)
     else:
         raise DomainError("chain noise needs a truncation block or a 'quantized' atom count")
-    noise_dim = _whole(cfg.get("noise_dim", dim), "config key 'noise_dim'", 1)
-    return chainmod.ArchSpec(thetas, dim=dim, noise_dim=noise_dim), [spec] * n_steps
+    return chainmod.ArchSpec(thetas), [spec] * n_steps
 
 
 def _sizes_from_config(cfg, n_steps: int) -> list:
@@ -147,13 +151,6 @@ def _sizes_from_config(cfg, n_steps: int) -> list:
     if not isinstance(sizes, list):
         raise DomainError("config key 'sizes' must be a list or an object with 'n0' and 'n'")
     return [_whole(v, f"config key 'sizes[{k}]'", 1 if k == 0 else 2) for k, v in enumerate(sizes)]
-
-
-def _x0_from_config(cfg):
-    x0 = cfg["x0"]
-    if isinstance(x0, dict) and x0.get("kind") == "atoms":
-        return DiscreteDistribution(x0["points"], x0["weights"])
-    return _load_law(x0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def cmd_quantize(args) -> int:
 def cmd_chain(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
-    x0 = _x0_from_config(cfg)
+    x0 = _load_law(cfg["x0"])
     sizes = _sizes_from_config(cfg, arch.n_steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,14 +239,16 @@ def cmd_chain(args) -> int:
 _PAYOFFS = {
     "spread": lambda cfg: motmod.spread_payoff,
     "quadratic": lambda cfg: motmod.quadratic_payoff,
-    "forward_start": lambda cfg: motmod.forward_start_payoff(float(cfg.get("strike", 0.0))),
+    "forward_start": lambda cfg: motmod.forward_start_payoff(
+        _json_float(cfg, "strike", "payoff", 0.0)
+    ),
 }
 
 
 def cmd_mot(args) -> int:
     cfg = _load_config(args)
-    mu0 = _x0_from_config({"x0": cfg["mu0"]})
-    mu1 = _x0_from_config({"x0": cfg["mu1"]})
+    mu0 = _load_law(cfg["mu0"])
+    mu1 = _load_law(cfg["mu1"])
     payoff_cfg = _object(cfg.get("payoff", {"kind": "quadratic"}), "config key 'payoff'")
     payoff = _PAYOFFS[payoff_cfg["kind"]](payoff_cfg)
     if not isinstance(cfg["levels"], list):
@@ -287,7 +286,7 @@ def cmd_mot(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
-    x0 = _x0_from_config(cfg)
+    x0 = _load_law(cfg["x0"])
     n_paths, seed = _paths_and_seed(args, cfg)
     stats = archmc.coupled_gap_statistics(
         arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
     arch, noises = _arch_from_config(cfg)
-    x0 = _x0_from_config(cfg)
+    x0 = _load_law(cfg["x0"])
     n_paths, seed = _paths_and_seed(args, cfg)
     report = archmc.compare_truncation_bound(
         arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)

@@ -17,11 +17,11 @@ class OutOfHullError(MartquantError):
     """A query point lies outside the convex hull of the grid."""
 
 
-class SupportError(MartquantError):
+class SupportError(DomainError):
     """The law carries mass outside the convex hull of the grid."""
 
 
-class DimensionMismatch(MartquantError):
+class DimensionMismatch(DomainError):
     """Operands live in different dimensions."""
 
 

@@ -12,13 +12,13 @@ are exact sums of F, K and M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 
 __all__ = [
     "Law1D",
@@ -26,7 +26,7 @@ __all__ = [
     "Normal",
     "Exponential",
     "PowerDensity2x",
-    "FiniteAtoms",
+    "DiscreteDistribution",
     "TruncatedLaw",
     "law_from_json",
 ]
@@ -50,10 +50,26 @@ def _ret(values, scalar):
 def _finite(value, what: str):
     """``value`` as a float, or a float array, if every entry is finite;
     else :class:`DomainError` naming ``what``."""
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be numbers, got {value!r}") from None
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite" + ("" if arr.ndim else f", got {value!r}"))
     return arr if arr.ndim else float(arr)
+
+
+def _json_float(obj: dict, key: str, block: str, default=None) -> float:
+    """``obj[key]``, or ``default`` if given and the key is absent, as a
+    float: a JSON number or a string of one.  A list, an object, a bool or
+    any other string is a :class:`DomainError` naming ``block`` and ``key``."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{block} key '{key}' must be a number, got {value!r}")
 
 
 def _check_points(points, min_count: int = 1) -> np.ndarray:
@@ -333,67 +349,102 @@ class PowerDensity2x(Law1D):
 
 
 @dataclass(frozen=True)
-class FiniteAtoms(Law1D):
-    """Finitely supported law; F is the right-continuous step function.
+class DiscreteDistribution(Law1D):
+    """Finitely supported probability measure with points stored as (N, d),
+    in the order given.
 
-    The quantile is the left-continuous generalized inverse
-    ``inf{x : F(x) >= u}``.
+    In 1D it is a :class:`Law1D`: F is the right-continuous step function
+    and the quantile is the left-continuous generalized inverse
+    ``inf{x : F(x) >= u}``, both over the atoms sorted once.  In dimension
+    2 and up the methods of a 1D law raise :class:`DimensionMismatch`.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False)
-    _cum_xw: np.ndarray = field(init=False, repr=False)
-    _cum_x2w: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, points, weights):
-        points = np.asarray(points, dtype=float).reshape(-1)
-        order = np.argsort(points, kind="stable")
-        points = _check_points(points[order])
-        weights = _check_weights(weights, points.size)[order]
+        points = _finite(points, "points")
+        points = _check_points(points[:, None] if np.ndim(points) == 1 else points)
+        weights = _check_weights(weights, points.shape[0])
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_cum", np.cumsum(weights))
-        object.__setattr__(self, "_cum_xw", np.cumsum(points * weights))
-        object.__setattr__(self, "_cum_x2w", np.cumsum(points * points * weights))
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def n_atoms(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def points_1d(self) -> np.ndarray:
+        if self.dim != 1:
+            raise DimensionMismatch("operation requires one-dimensional support")
+        return self.points[:, 0]
+
+    @cached_property
+    def _sorted(self):
+        """The 1D atoms sorted, their weights, and the cumulative sums of
+        the weights, of ``x w`` and of ``x^2 w`` over them; read-only, since
+        every caller of :meth:`atoms` gets the same arrays."""
+        order = np.argsort(self.points_1d, kind="stable")
+        points, weights = self.points_1d[order], self.weights[order]
+        arrays = (
+            points,
+            weights,
+            np.cumsum(weights),
+            np.cumsum(points * weights),
+            np.cumsum(points * points * weights),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def _partial(self, cum, z, side):
         z, scalar = _as_array(z)
-        idx = np.searchsorted(self.points, z, side=side)
+        idx = np.searchsorted(self._sorted[0], z, side=side)
         padded = np.concatenate(([0.0], cum))
         return _ret(padded[idx], scalar)
 
     def cdf(self, z):
-        return self._partial(self._cum, z, "right")
+        return self._partial(self._sorted[2], z, "right")
 
     def cdf_left(self, z):
-        return self._partial(self._cum, z, "left")
+        return self._partial(self._sorted[2], z, "left")
 
     def partial_moment(self, z):
-        return self._partial(self._cum_xw, z, "right")
+        return self._partial(self._sorted[3], z, "right")
 
     def partial_second_moment(self, z):
-        return self._partial(self._cum_x2w, z, "right")
+        return self._partial(self._sorted[4], z, "right")
 
     def quantile(self, u):
         u, scalar = self._check_u(u)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="left"), self.points.size - 1)
-        return _ret(self.points[idx], scalar)
+        points, _, cum = self._sorted[:3]
+        idx = np.minimum(np.searchsorted(cum, u, side="left"), points.size - 1)
+        return _ret(points[idx], scalar)
 
     @property
     def mean(self):
-        return float(self._cum_xw[-1])
+        """A float in 1D, a (d,) array in dimension 2 and up."""
+        mean = self.weights @ self.points
+        return float(mean[0]) if self.dim == 1 else mean
 
     @property
-    def second_moment(self):
-        return float(np.dot(self.weights, self.points ** 2))
+    def second_moment(self) -> float:
+        return float(self.weights @ np.einsum("ij,ij->i", self.points, self.points))
 
     @property
     def support(self):
-        return (float(self.points[0]), float(self.points[-1]))
+        points = self._sorted[0]
+        return (float(points[0]), float(points[-1]))
 
     def atoms(self):
-        return self.points, self.weights
+        return self._sorted[:2]
+
+    def expectation(self, fn) -> float:
+        return float(self.weights @ np.asarray(fn(self.points), dtype=float))
 
 
 def _is_symmetric_about_zero(law: Law1D) -> bool:
@@ -401,8 +452,8 @@ def _is_symmetric_about_zero(law: Law1D) -> bool:
         return law.m == 0.0
     if isinstance(law, Uniform):
         return law.a == -law.b
-    if isinstance(law, FiniteAtoms):
-        pts, w = law.points, law.weights
+    if isinstance(law, DiscreteDistribution):
+        pts, w = law.atoms()
         rev = np.argsort(-pts)
         return np.allclose(pts, -pts[rev]) and np.allclose(w, w[rev])
     return False
@@ -656,23 +707,27 @@ def law_from_json(obj) -> Law1D:
     if not isinstance(obj, dict):
         raise DomainError(f"a law must be a name or an object, got {obj!r}")
     kind = obj.get("kind")
+    block = f"{kind} law"
     if kind == "uniform":
-        law = Uniform(float(obj["a"]), float(obj["b"]))
+        law = Uniform(_json_float(obj, "a", block), _json_float(obj, "b", block))
     elif kind == "normal":
-        law = Normal(float(obj.get("mean", 0.0)), float(obj.get("sd", 1.0)))
+        law = Normal(_json_float(obj, "mean", block, 0.0), _json_float(obj, "sd", block, 1.0))
     elif kind == "exponential":
-        law = Exponential(float(obj["rate"]))
+        law = Exponential(_json_float(obj, "rate", block))
     elif kind == "power2x":
         law = PowerDensity2x()
     elif kind == "pointmass":
-        law = FiniteAtoms([float(obj["x"])], [1.0])
+        law = DiscreteDistribution([_json_float(obj, "x", block)], [1.0])
     elif kind == "atoms":
-        law = FiniteAtoms(obj["points"], obj["weights"])
+        law = DiscreteDistribution(obj["points"], obj["weights"])
     else:
         raise DomainError(f"unknown law kind {kind!r}")
     trunc = obj.get("truncation")
     if trunc is not None:
         if not isinstance(trunc, dict):
             raise DomainError(f"a truncation block must be an object, got {trunc!r}")
-        law = TruncatedLaw.centered(law, float(trunc["alpha"]), trunc.get("beta", "auto"))
+        beta = trunc.get("beta", "auto")
+        if beta != "auto":
+            beta = _json_float(trunc, "beta", "truncation")
+        law = TruncatedLaw.centered(law, _json_float(trunc, "alpha", "truncation"), beta)
     return law

@@ -19,8 +19,8 @@ import numpy as np
 from . import lp as lpmod
 from .dual import dual_lloyd_1d
 from .errors import BudgetExceeded, DomainError, NotInConvexOrder
-from .laws import FiniteAtoms, Law1D
-from .order import DiscreteDistribution, convex_order_check, coupling_lp
+from .laws import DiscreteDistribution
+from .order import convex_order_check, coupling_lp
 from .primal import lloyd_1d
 
 __all__ = [
@@ -183,21 +183,13 @@ def mot_bounds(problem: MotProblem) -> MotResult:
     )
 
 
-def _as_law(law_or_dd) -> Law1D:
-    if isinstance(law_or_dd, DiscreteDistribution):
-        return FiniteAtoms(law_or_dd.points_1d, law_or_dd.weights)
-    if isinstance(law_or_dd, Law1D):
-        return law_or_dd
-    raise DomainError("expected a 1D law or a DiscreteDistribution")
-
-
-def _quantize_primal(law_or_dd, n: int) -> DiscreteDistribution:
-    res = lloyd_1d(_as_law(law_or_dd), n)
+def _quantize_primal(law, n: int) -> DiscreteDistribution:
+    res = lloyd_1d(law, n)
     return DiscreteDistribution(res.grid, res.weights)
 
 
-def _quantize_dual(law_or_dd, m: int) -> DiscreteDistribution:
-    res = dual_lloyd_1d(_as_law(law_or_dd), m)
+def _quantize_dual(law, m: int) -> DiscreteDistribution:
+    res = dual_lloyd_1d(law, m)
     keep = res.weights > 0.0
     w = res.weights[keep]
     return DiscreteDistribution(res.grid[keep], w / w.sum())

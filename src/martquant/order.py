@@ -21,11 +21,10 @@ import numpy as np
 
 from . import lp as lpmod
 from .errors import DimensionMismatch, DomainError
-from .laws import Law1D, _check_points, _check_weights, _finite
+from .laws import DiscreteDistribution, Law1D, _finite
 from .rng import make_generator
 
 __all__ = [
-    "DiscreteDistribution",
     "MaxAffineFunction",
     "OrderCheck",
     "convex_order_check",
@@ -34,54 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finitely supported probability measure with points stored as (N, d)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __init__(self, points, weights):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        points = _check_points(points)
-        weights = _check_weights(weights, points.shape[0])
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n_atoms(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def points_1d(self) -> np.ndarray:
-        if self.dim != 1:
-            raise DimensionMismatch("operation requires one-dimensional support")
-        return self.points[:, 0]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    @property
-    def second_moment(self) -> float:
-        return float(self.weights @ np.einsum("ij,ij->i", self.points, self.points))
-
-    def sorted_1d(self) -> "DiscreteDistribution":
-        order = np.argsort(self.points_1d, kind="stable")
-        return DiscreteDistribution(self.points[order], self.weights[order])
-
-    def expectation(self, fn) -> float:
-        return float(self.weights @ np.asarray(fn(self.points), dtype=float))
-
-
 def merged_atoms(points, weights) -> DiscreteDistribution:
-    """Discrete distribution with exactly-coincident 1D atoms merged."""
+    """Discrete distribution with exactly-coincident 1D atoms merged, the
+    weights renormalized; an atom of mass 0 is kept."""
     points = _finite(np.reshape(points, -1), "points")
     weights = _finite(np.reshape(weights, -1), "weights")
     order = np.argsort(points, kind="stable")
@@ -89,11 +43,9 @@ def merged_atoms(points, weights) -> DiscreteDistribution:
     uniq, inverse = np.unique(points, return_inverse=True)
     w = np.zeros(uniq.size)
     np.add.at(w, inverse, weights)
-    keep = w > 0.0
-    if not np.any(keep):
+    if not w.sum() > 0.0:
         raise DomainError("empty distribution")
-    w = w[keep]
-    return DiscreteDistribution(uniq[keep], w / w.sum())
+    return DiscreteDistribution(uniq, w / w.sum())
 
 
 @dataclass(frozen=True)
@@ -245,8 +197,7 @@ _ROUND_OFF = 1e-12
 
 def _call_prices(dist: DiscreteDistribution, strikes: np.ndarray) -> np.ndarray:
     """``E(X - k)+`` at each strike, from tail sums over the sorted atoms."""
-    srt = dist.sorted_1d()
-    x, w = srt.points_1d, srt.weights
+    x, w = dist.atoms()
     tail_mass = np.append(np.cumsum(w[::-1])[::-1], 0.0)
     tail_moment = np.append(np.cumsum((w * x)[::-1])[::-1], 0.0)
     above = np.searchsorted(x, strikes, side="right")
@@ -293,7 +244,7 @@ def convex_order_check(mu: DiscreteDistribution, nu: DiscreteDistribution) -> Or
         tol = _ROUND_OFF * scale
     else:
         tol = 1e-9
-    mean_gap = mu.mean - nu.mean
+    mean_gap = np.atleast_1d(mu.mean - nu.mean)
     if np.abs(mean_gap).max() > tol:
         # equality of means is necessary (affine maps are convex both ways)
         direction = mean_gap / np.linalg.norm(mean_gap)
@@ -371,16 +322,14 @@ def wasserstein2_1d(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float
     ``__all__``: it pins the closed-form squared distance ``_family_w2sq``
     that ``moment_vs_wasserstein_scan`` minimizes.
     """
-    a = mu.sorted_1d()
-    b = nu.sorted_1d()
-    cum_a = np.cumsum(a.weights)
-    cum_b = np.cumsum(b.weights)
+    (qa, wa), (qb, wb) = mu.atoms(), nu.atoms()
+    cum_a, cum_b = np.cumsum(wa), np.cumsum(wb)
     cuts = np.unique(np.concatenate(([0.0], cum_a, cum_b, [1.0])))
     cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
     widths = np.diff(np.concatenate(([0.0], cuts)))
     mids = cuts - 0.5 * widths
-    qa = a.points_1d[np.minimum(np.searchsorted(cum_a, mids, side="left"), a.n_atoms - 1)]
-    qb = b.points_1d[np.minimum(np.searchsorted(cum_b, mids, side="left"), b.n_atoms - 1)]
+    qa = qa[np.minimum(np.searchsorted(cum_a, mids, side="left"), qa.size - 1)]
+    qb = qb[np.minimum(np.searchsorted(cum_b, mids, side="left"), qb.size - 1)]
     return float(math.sqrt(max(np.sum(widths * (qa - qb) ** 2), 0.0)))
 
 

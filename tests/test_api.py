@@ -191,7 +191,7 @@ def test_the_member_check_sees_a_member_without_reader():
 
 def test_the_check_sees_each_kind_of_reference():
     assert ("chain", "build_chain") in REFERENCES  # chainmod.build_chain in cli
-    assert ("order", "DiscreteDistribution") in REFERENCES  # imported by name
+    assert ("laws", "DiscreteDistribution") in REFERENCES  # imported by name
     assert ("primal", "VoronoiQuantization") in REFERENCES  # used in its own module
     assert ("module", "mot") in REFERENCES  # motmod in cli
     assert ("module", "rng") in REFERENCES  # from .rng import make_generator

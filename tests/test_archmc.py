@@ -28,10 +28,9 @@ from martquant.chain import (
     theta_constant,
 )
 from martquant.errors import DomainError
-from martquant.laws import FiniteAtoms, Normal, TruncatedLaw, Uniform
+from martquant.laws import DiscreteDistribution, Normal, TruncatedLaw, Uniform
 from martquant.order import (
     ConvexTestBattery,
-    DiscreteDistribution,
     convex_order_check,
     path_max_call,
 )
@@ -243,7 +242,7 @@ def test_truncation_lemma_discrete():
     w = base.weights
     zb = np.where(np.abs(z) <= 1.2, z, 0.0)
     clipped = merged_atoms(zb, w)
-    assert abs(clipped.mean[0]) < 1e-12
+    assert abs(clipped.mean) < 1e-12
     assert convex_order_check(clipped, base).dominated
 
 
@@ -298,7 +297,7 @@ def test_quantized_innovation_bound_zero_and_pythagoras():
     c0 = 0.8
     spec = NoiseSpec.quantized_from(Normal(0, 1), 9)
     arch = ArchSpec([theta_constant(c0)])
-    chain = build_chain(arch, [spec], FiniteAtoms([0.0], [1.0]), [1, 15])
+    chain = build_chain(arch, [spec], DiscreteDistribution([0.0], [1.0]), [1, 15])
     gap_sq = Normal(0, 1).second_moment - spec.atoms.second_moment
     dual_sq = chain.diagnostics[0]["dual_distortion"] ** 2
     bound = quantized_innovation_bound([0.0], [c0 * c0], [gap_sq], [dual_sq], 1, 0.0)
@@ -335,8 +334,8 @@ def test_simulate_chain_marginals_matches_exact_small():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     spec = NoiseSpec.quantized_from(trunc, 5)
     arch = ArchSpec([theta_affine_abs(0.3, 0.2)] * 2)
-    chain = build_chain(arch, [spec] * 2, FiniteAtoms([0.0], [1.0]), [1, 9, 9])
-    mc = simulate_chain_marginals(chain, arch, [spec] * 2, FiniteAtoms([0.0], [1.0]), 300_000, seed=33)
+    chain = build_chain(arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), [1, 9, 9])
+    mc = simulate_chain_marginals(chain, arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), 300_000, seed=33)
     for k in range(3):
         exact = chain.marginal_weights[k]
         got = mc[k]
@@ -468,7 +467,7 @@ def test_streamed_chain_marginals_equal_the_full_arrays():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     spec = NoiseSpec.quantized_from(trunc, 5)
     arch = ArchSpec([theta_affine_abs(0.3, 0.2)] * 2)
-    chain = build_chain(arch, [spec] * 2, FiniteAtoms([0.0], [1.0]), [1, 9, 9])
+    chain = build_chain(arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), [1, 9, 9])
     x0 = Uniform(-0.05, 0.05)
     sample = simulate_coupled(arch, [spec] * 2, x0, RAGGED_PATHS, seed=53, chain=chain)
     mc = simulate_chain_marginals(chain, arch, [spec] * 2, x0, RAGGED_PATHS, seed=53)
@@ -551,7 +550,7 @@ def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
     spec = make_spec()
     specs = [NoiseSpec.truncated(TRUNC15), spec, spec]
     arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
-    chain = build_chain(arch, specs, FiniteAtoms([1.0], [1.0]), [1, 9, 9, 9])
+    chain = build_chain(arch, specs, DiscreteDistribution([1.0], [1.0]), [1, 9, 9, 9])
     battery = ConvexTestBattery(
         (path_max_call(4, 1.0),) + ConvexTestBattery.random_max_affine(4, count=3, seed=2).members
     )

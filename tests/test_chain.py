@@ -21,8 +21,8 @@ from martquant.chain import (
 )
 from martquant.dual import Triangulation2D, locate_1d
 from martquant.errors import DomainError, HullViolation, OutOfHullError
-from martquant.laws import FiniteAtoms, Normal, TruncatedLaw, Uniform
-from martquant.order import DiscreteDistribution, convex_order_check
+from martquant.laws import DiscreteDistribution, Normal, TruncatedLaw, Uniform
+from martquant.order import convex_order_check
 from martquant.rng import make_generator
 
 
@@ -267,7 +267,7 @@ _BASES = pytest.mark.parametrize(
         (Normal(0, 2), -3.0),
         (Uniform(-1, 1), -0.5),
         # atoms at both truncation ends: F must vanish below alpha
-        (FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
+        (DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
     ],
     ids=["normal01", "normal02", "uniform", "atoms"],
 )
@@ -346,7 +346,7 @@ def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
 @pytest.fixture(scope="module")
 def atoms_trunc():
     return TruncatedLaw.centered(
-        FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
+        DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
     )
 
 
@@ -362,7 +362,7 @@ def _exact_image_law(trunc):
     uniq, inverse = np.unique(images.ravel(), return_inverse=True)
     masses = np.zeros(uniq.size)
     np.add.at(masses, inverse, np.outer(_ATOMS_WEIGHTS, q).ravel())
-    return FiniteAtoms(uniq, masses)
+    return DiscreteDistribution(uniq, masses)
 
 
 def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_trunc):
@@ -376,7 +376,7 @@ def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_
         _ATOMS_POINTS,
         _ATOMS_POINTS - _ATOMS_THETAS,
         _ATOMS_POINTS + _ATOMS_THETAS,
-        exact.points,
+        exact.points_1d,
         [lo - 1.0, hi + 1.0, -np.inf, np.inf],
         np.linspace(lo, hi, 17),
     ))
@@ -390,7 +390,7 @@ def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_
 def test_kernel_with_atoms_at_the_truncation_ends_is_a_martingale(atoms_trunc):
     exact = _exact_image_law(atoms_trunc)
     # every other image is a target point, where its mass must stay whole
-    target = np.union1d(exact.points[::2], np.linspace(*exact.support, 7))
+    target = np.union1d(exact.points_1d[::2], np.linspace(*exact.support, 7))
     kernel = dual_transition_weights(_ATOMS_POINTS, target, _ATOMS_THETAS, atoms_trunc)
     assert kernel.martingale_residual() < 1e-12
     assert kernel.row_sum_residual() < 1e-12
@@ -438,7 +438,7 @@ def test_build_chain_single_step_point_start():
     chain = build_chain(
         ArchSpec([theta_constant(1.0)]),
         [NoiseSpec.truncated(trunc)],
-        FiniteAtoms([0.0], [1.0]),
+        DiscreteDistribution([0.0], [1.0]),
         [1, 21],
     )
     assert chain.kernels[0].martingale_residual() < 1e-9
@@ -477,12 +477,12 @@ def test_chain_second_moment_identity():
 
 
 def _euler_config_chain():
-    from martquant.cli import _arch_from_config, _x0_from_config
+    from martquant.cli import _arch_from_config, _load_law
 
     cfg = json.loads((Path(__file__).parent.parent / "configs" / "euler.json").read_text())
     arch, noises = _arch_from_config(cfg)
     sizes = [cfg["sizes"]["n0"]] + [cfg["sizes"]["n"]] * arch.n_steps
-    return arch, noises, _x0_from_config(cfg), sizes
+    return arch, noises, _load_law(cfg["x0"]), sizes
 
 
 def _seeded_chain():
@@ -648,7 +648,7 @@ def test_chain_to_json_round_trip_shapes():
     chain = build_chain(
         ArchSpec([theta_constant(0.7)]),
         [NoiseSpec.truncated(trunc)],
-        FiniteAtoms([0.0], [1.0]),
+        DiscreteDistribution([0.0], [1.0]),
         [1, 7],
     )
     blob = chain.to_json()
@@ -686,7 +686,7 @@ def test_fixed_target_grids_must_be_finite(mode, bad):
         build_chain(
             ArchSpec([theta_constant(0.5)]),
             [noise],
-            FiniteAtoms([0.0], [1.0]),
+            DiscreteDistribution([0.0], [1.0]),
             [1, 4],
             grid_mode="fixed",
             grids=[np.array([-1.0, bad, 0.5, 1.0])],
@@ -724,7 +724,7 @@ def test_a_nan_theta_names_its_step(mode):
         build_chain(
             ArchSpec([nan_off_zero, nan_off_zero]),
             [noise] * 2,
-            FiniteAtoms([0.0], [1.0]),
+            DiscreteDistribution([0.0], [1.0]),
             [1, 5, 5],
         )
 

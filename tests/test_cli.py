@@ -112,7 +112,7 @@ def test_chain_command(tmp_path, chain_config, capsys):
 
 def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, capsys, monkeypatch):
     import martquant.chain as chainmod
-    from martquant.cli import _arch_from_config, _x0_from_config
+    from martquant.cli import _arch_from_config, _load_law
 
     full = tmp_path / "full"
     assert run(["chain", "--config", str(chain_config), "--out", str(full)]) == 0
@@ -137,7 +137,7 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
     # chain, with the same files and columns as a converged run
     cfg = json.loads(chain_config.read_text())
     arch, noises = _arch_from_config(cfg)
-    built = chainmod.build_chain(arch, noises, _x0_from_config(cfg), [9, 9, 9])
+    built = chainmod.build_chain(arch, noises, _load_law(cfg["x0"]), [9, 9, 9])
     assert not any(d["dual_converged"] for d in built.diagnostics)
     assert _read(capped / "chain.json") == (json.dumps(built.to_json()) + "\n").encode()
     assert sorted(p.name for p in capped.iterdir()) == sorted(p.name for p in full.iterdir())
@@ -207,7 +207,6 @@ def test_chain_auto_centering_note(tmp_path, capsys):
 def test_chain_unsupported_dimension_exits_1(tmp_path, capsys):
     cfg = {
         "steps": 1,
-        "dim": 3,
         "theta": {"kind": "constant", "c": 0.5},
         "noise": {
             "law": {
@@ -221,8 +220,16 @@ def test_chain_unsupported_dimension_exits_1(tmp_path, capsys):
         "sizes": [1, 9],
     }
     path = tmp_path / "c3.json"
-    path.write_text(json.dumps(cfg))
-    assert run(["chain", "--config", str(path), "--out", str(tmp_path / "o3")]) == 1
+    out = tmp_path / "o3"
+    # bounds with "noise_dim": 3 used to write a bound for q = 3 on scalar
+    # noise, and simulate with "dim": 2 to simulate in 1D, both with exit 0
+    for command, key, value in [("chain", "dim", 3), ("simulate", "dim", 2),
+                                ("bounds", "noise_dim", 3), ("chain", "noise_dim", 2)]:
+        path.write_text(json.dumps({**cfg, key: value}))
+        assert run([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and f"'{key}' must be 1" in err
+        assert not out.exists()
 
 
 def test_chain_missing_config_exits_1(tmp_path):
@@ -466,6 +473,11 @@ _MALFORMED_CHAIN = {
     "truncation-string": {"noise": {"law": {**_NORMAL, "truncation": "x"}}},
     "x0-list": {"x0": [1, 2]},
     "x0-number": {"x0": 1.0},
+    "horizon-list": {"euler": {"horizon": [1]}},
+    "theta-c-list": {"theta": {"kind": "constant", "c": [1]}},
+    "uniform-a-list": {"x0": {"kind": "uniform", "a": [0.9], "b": 1.1}},
+    "pointmass-x-object": {"x0": {"kind": "pointmass", "x": {"a": 1}}},
+    "atoms-points-object": {"x0": {"kind": "atoms", "points": {"a": 1}, "weights": [1.0]}},
 }
 _MALFORMED_MOT = {
     "payoff-string": {"payoff": "spread"},
@@ -514,6 +526,75 @@ def test_uncentered_quantized_noise_is_a_configuration_error(
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "not centered" in err
     assert not out.exists()
+
+
+_ATOMS_2D = {"kind": "atoms", "points": [[0.9, 0.0], [1.1, 0.0]], "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("quantize-dual-normal", "compact support hull"),
+        ("mot-2d-mu0", "one-dimensional"),
+        ("chain-2d-x0", "one-dimensional"),
+    ],
+)
+def test_a_law_the_command_cannot_take_is_a_configuration_error(
+    tmp_path, chain_config, capsys, case, message
+):
+    # SupportError and DimensionMismatch: each of these used to exit 2 as a
+    # "numerical failure"
+    out = tmp_path / "out"
+    if case == "quantize-dual-normal":
+        argv = ["quantize", "dual", "--law", "normal01", "--n", "5"]
+    else:
+        if case == "mot-2d-mu0":
+            cfg = dict(_MOT_CONFIG, mu0=_ATOMS_2D)
+        else:
+            cfg = dict(json.loads(chain_config.read_text()), x0=_ATOMS_2D)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [case.split("-")[0], "--config", str(path)]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
+    assert "numerical failure" not in err
+
+
+@pytest.mark.parametrize(
+    "command, artifacts",
+    [
+        ("chain", ["chain.json", "diagnostics.csv", "marginal_0.csv", "marginal_2.csv"]),
+        ("simulate", ["coupled.csv", "coupled.json"]),
+        ("bounds", ["bounds.csv", "bounds.json"]),
+    ],
+)
+def test_an_atoms_x0_is_the_same_law_inline_in_a_file_or_in_a_string(
+    tmp_path, chain_config, command, artifacts
+):
+    # a file or a string used to Lloyd-quantize the five atoms to sizes.n0
+    # = 9 points (as many as the atoms allow), inline they were used as given
+    x0 = {"kind": "atoms", "points": [0.8, 0.9, 1.0, 1.1, 1.2],
+          "weights": [0.1, 0.2, 0.4, 0.2, 0.1]}
+    law_file = tmp_path / "x0.json"
+    law_file.write_text(json.dumps(x0))
+    cfg = dict(json.loads(chain_config.read_text()), paths=400, seed=7)
+    outputs = []
+    for name, value in (("inline", x0), ("file", str(law_file)), ("string", json.dumps(x0))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, x0=value)))
+        out = tmp_path / name
+        assert run([command, "--config", str(path), "--out", str(out)]) == 0
+        outputs.append([_read(out / f) for f in artifacts])
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "chain":
+        assert outputs[0][2].decode().splitlines()[1:] == [
+            "0.80000000000000004,0.10000000000000001",
+            "0.90000000000000002,0.20000000000000001",
+            "1,0.40000000000000002",
+            "1.1000000000000001,0.20000000000000001",
+            "1.2,0.10000000000000001",
+        ]
 
 
 def test_hull_violation_is_a_numerical_failure(tmp_path, chain_config, capsys, monkeypatch):

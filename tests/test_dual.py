@@ -18,8 +18,8 @@ from martquant.dual import (
     locate_1d,
 )
 from martquant.errors import DomainError, OutOfHullError, SupportError
-from martquant.laws import FiniteAtoms, Law1D, Normal, TruncatedLaw, Uniform
-from martquant.order import DiscreteDistribution, convex_order_check
+from martquant.laws import DiscreteDistribution, Law1D, Normal, TruncatedLaw, Uniform
+from martquant.order import convex_order_check
 from martquant.rng import make_generator
 
 
@@ -70,12 +70,12 @@ def test_dual_weights_hand_integrated_hats():
 
 def test_dual_weights_point_mass_barycentric():
     a, b, m = -1.0, 3.0, 0.5
-    w = dual_weights([a, b], FiniteAtoms([m], [1.0]))
+    w = dual_weights([a, b], DiscreteDistribution([m], [1.0]))
     assert np.allclose(w, [(b - m) / (b - a), (m - a) / (b - a)], atol=1e-14)
 
 
 def test_dual_weights_mean_preserved():
-    for law in (Uniform(-1, 2), PowerLike := FiniteAtoms([-0.5, 0.2, 1.7], [0.3, 0.4, 0.3])):
+    for law in (Uniform(-1, 2), PowerLike := DiscreteDistribution([-0.5, 0.2, 1.7], [0.3, 0.4, 0.3])):
         lo, hi = law.support
         grid = np.array([lo, lo + 0.3 * (hi - lo), lo + 0.55 * (hi - lo), hi])
         w = dual_weights(grid, law)
@@ -89,7 +89,7 @@ def test_dual_weights_support_error():
 
 
 def test_dual_weights_atom_on_left_endpoint():
-    law = FiniteAtoms([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
+    law = DiscreteDistribution([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
     w = dual_weights([0.0, 1.0], law)
     # atom at the endpoint belongs wholly to it, the rest splits linearly
     assert np.allclose(w, [0.25 + 0.25, 0.5], atol=1e-14)
@@ -104,7 +104,7 @@ def test_dual_distortion_uniform():
 
 
 def test_dual_distortion_zero_when_grid_covers_atoms():
-    law = FiniteAtoms([0.0, 0.25, 1.0], [0.3, 0.4, 0.3])
+    law = DiscreteDistribution([0.0, 0.25, 1.0], [0.3, 0.4, 0.3])
     # the squared distortion cancels to float roundoff; its root is ~1e-8
     assert dual_distortion([0.0, 0.25, 1.0], law) ** 2 == pytest.approx(0.0, abs=1e-14)
 
@@ -201,7 +201,7 @@ def test_dual_lloyd_fuzz_diverse_laws():
     laws = [
         TruncatedLaw.centered(Normal(0.3, 1.0), -2.5),
         TruncatedLaw.centered(Uniform(-2, 1), -1.0),
-        FiniteAtoms(np.sort(gen.normal(size=9)), np.full(9, 1 / 9)),
+        DiscreteDistribution(np.sort(gen.normal(size=9)), np.full(9, 1 / 9)),
         Uniform(-0.5, 4.0),
     ]
     for law in laws:
@@ -217,7 +217,7 @@ def test_dual_lloyd_fuzz_diverse_laws():
 
 
 def test_dual_quantization_raises_convex_order():
-    law = FiniteAtoms([0.1, 0.4, 0.55, 0.8], [0.2, 0.3, 0.3, 0.2])
+    law = DiscreteDistribution([0.1, 0.4, 0.55, 0.8], [0.2, 0.3, 0.3, 0.2])
     grid = np.array([0.0, 0.5, 1.0])
     w = dual_weights(grid, law)
     mu = DiscreteDistribution(np.asarray(law.points), law.weights)
@@ -598,7 +598,7 @@ _SOLVE_CASES = {
     "euler-floor": (_euler_mixture, 31, None),
     "euler-1e-10": (_euler_mixture, 31, 1e-10),
     "euler-1e-6": (_euler_mixture, 31, 1e-6),
-    "atoms": (lambda: FiniteAtoms([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0],
+    "atoms": (lambda: DiscreteDistribution([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0],
                                   [0.1, 0.2, 0.3, 0.1, 0.2, 0.1]), 9, 1e-12),
     "uniform": (lambda: Uniform(-0.5, 4.0), 12, 1e-13),
 }
@@ -654,7 +654,7 @@ def test_solve_levels_lets_warnings_from_the_law_through():
 
 def _jump_law():
     """F is flat between atoms: 0.6 on [0.2, 0.25) and 0.7 on [0.25, 0.9)."""
-    return FiniteAtoms([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0], [0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
+    return DiscreteDistribution([-1.0, -0.3, 0.2, 0.25, 0.9, 2.0], [0.1, 0.2, 0.3, 0.1, 0.2, 0.1])
 
 
 def _assert_same_solve(law, levels, lo, hi, xtol):
@@ -689,7 +689,7 @@ def test_solve_levels_round_cap_takes_the_bracket_midpoint_bit_for_bit():
     # with xtol = 0 no bracket around a jump of F retires: at 0.25 it stalls
     # at two neighbouring floats, at 1e-200 it is still about 1e-33 wide
     # after the 110 rounds, and each takes its bracket midpoint then
-    law = FiniteAtoms([-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2])
+    law = DiscreteDistribution([-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2])
     levels = np.array([0.65, 0.35, 0.8, 0.3])
     lo = np.array([0.21, -0.5, 0.3, -0.9])
     hi = np.array([0.26, 0.5, 0.8, -0.1])
@@ -699,7 +699,7 @@ def test_solve_levels_round_cap_takes_the_bracket_midpoint_bit_for_bit():
     assert np.abs(sol[[0, 1, 3]] - [0.25, 1e-200, -0.1]).max() < 1e-15
 
 
-class _RootAt(FiniteAtoms):
+class _RootAt(DiscreteDistribution):
     """F of the atoms, except that it is ``level`` at the one point ``root``."""
 
     def __init__(self, points, weights, root, level):
@@ -716,7 +716,7 @@ def test_solve_levels_root_in_the_last_round_keeps_its_point_bit_for_bit():
     # a point still unsolved takes its bracket midpoint
     points, weights = [-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2]
     levels, lo, hi = np.array([0.35]), np.array([-0.5]), np.array([0.5])
-    sol, batches = _assert_same_solve(FiniteAtoms(points, weights), levels, lo, hi, 0.0)
+    sol, batches = _assert_same_solve(DiscreteDistribution(points, weights), levels, lo, hi, 0.0)
     assert len(batches) == 2 + 110
     last = batches[-1][0]
     assert sol[0] != last
@@ -784,7 +784,7 @@ def _solve_inputs(draw):
                                          max_size=points.size)))
         weights /= weights.sum()
         if kind == "atoms":
-            law = FiniteAtoms(points, weights)
+            law = DiscreteDistribution(points, weights)
         else:
             from martquant.chain import MixtureTransitionLaw
 
@@ -921,7 +921,7 @@ def _atoms_at_the_ends_mixture():
     from martquant.chain import MixtureTransitionLaw
 
     trunc = TruncatedLaw.centered(
-        FiniteAtoms([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
+        DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
     )
     points = np.array([-0.75, -0.25, 0.0, 0.5, 1.25])
     weights = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
@@ -932,7 +932,7 @@ def _many_atoms():
     gen = make_generator(3, 0)
     points = np.sort(gen.standard_normal(200))
     weights = gen.random(200)
-    return FiniteAtoms(points, weights / weights.sum())
+    return DiscreteDistribution(points, weights / weights.sum())
 
 
 # law, grid size, sweep cap: the Euler mixture is cut after 25 sweeps; the

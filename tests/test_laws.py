@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from martquant.errors import DomainError
+from martquant.errors import DimensionMismatch, DomainError
 from martquant.laws import (
+    DiscreteDistribution,
     Exponential,
-    FiniteAtoms,
     Normal,
     PowerDensity2x,
     TruncatedLaw,
@@ -24,7 +24,10 @@ ALL_LAWS = [
     Normal(0.4, 2.5),
     Exponential(1.3),
     PowerDensity2x(),
-    FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+    DiscreteDistribution([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+    # given unsorted: F, K, M and the quantile run over the sorted atoms
+    DiscreteDistribution([1.5, -0.5, 3.0, 0.0], [0.1, 0.4, 0.2, 0.3]),
+    DiscreteDistribution([0.7], [1.0]),
 ]
 
 
@@ -59,7 +62,7 @@ def test_quantile_examples():
     assert Uniform(0, 1).quantile(0.3) == pytest.approx(0.3, abs=1e-15)
     assert PowerDensity2x().quantile(0.25) == pytest.approx(0.5, abs=1e-15)
     # left-continuous convention on atoms
-    assert FiniteAtoms([0.0, 1.0], [0.5, 0.5]).quantile(0.5) == 0.0
+    assert DiscreteDistribution([0.0, 1.0], [0.5, 0.5]).quantile(0.5) == 0.0
 
 
 def test_standard_normal_quantile_is_ndtri_bit_for_bit():
@@ -119,9 +122,29 @@ def test_quantile_cdf_identity_grid():
 
 
 def test_pointmass_sample():
-    law = FiniteAtoms([2.0], [1.0])
+    law = DiscreteDistribution([2.0], [1.0])
     assert np.all(law.draw(make_generator(99), 3) == 2.0)
     assert law.cdf(2.0) == 1.0 and law.cdf_left(2.0) == 0.0
+
+
+def test_discrete_distribution_sorts_its_atoms_once_and_is_a_law_only_in_1d():
+    unsorted = DiscreteDistribution([1.5, -0.5, 3.0, 0.0], [0.1, 0.4, 0.2, 0.3])
+    srt = DiscreteDistribution([-0.5, 0.0, 1.5, 3.0], [0.4, 0.3, 0.1, 0.2])
+    assert unsorted.points_1d.tolist() == [1.5, -0.5, 3.0, 0.0]  # the order given
+    z = np.linspace(-1.0, 3.5, 19)
+    for name in ("cdf", "cdf_left", "partial_moment", "partial_second_moment"):
+        assert getattr(unsorted, name)(z).tobytes() == getattr(srt, name)(z).tobytes()
+    u = (np.arange(40) + 0.5) / 40
+    assert unsorted.quantile(u).tobytes() == srt.quantile(u).tobytes()
+    assert unsorted.support == (-0.5, 3.0)
+    assert [a.tolist() for a in unsorted.atoms()] == [a.tolist() for a in srt.atoms()]
+    assert isinstance(unsorted.mean, float) and unsorted.mean == pytest.approx(0.55, abs=1e-15)
+    plane = DiscreteDistribution([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    assert plane.mean.tolist() == [0.5, 0.5] and plane.second_moment == 1.0
+    for use in (lambda: plane.cdf(0.0), lambda: plane.quantile(0.5), lambda: plane.support,
+                plane.atoms, lambda: plane.draw(make_generator(1), 3)):
+        with pytest.raises(DimensionMismatch):
+            use()
 
 
 def test_sampler_reproducible_and_clt():
@@ -138,7 +161,7 @@ def test_sampler_reproducible_and_clt():
     "law",
     [
         Uniform(-1.5, 2.0),
-        FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+        DiscreteDistribution([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
     ],
     ids=["uniform", "atoms"],
 )
@@ -230,7 +253,7 @@ def test_truncation_centering_root_solver():
 
 def test_truncation_centering_impossible_on_atoms():
     # the partial moment jumps over the target: no interval can center
-    base = FiniteAtoms([-2.0, -0.5, 1.0, 3.0], [0.2, 0.3, 0.3, 0.2])
+    base = DiscreteDistribution([-2.0, -0.5, 1.0, 3.0], [0.2, 0.3, 0.3, 0.2])
     with pytest.raises(DomainError):
         TruncatedLaw.centered(base, -1.0)
 
@@ -269,11 +292,11 @@ def test_truncated_quantile():
 
 def test_finite_atoms_validation():
     with pytest.raises(DomainError):
-        FiniteAtoms([0.0, 0.0], [0.5, 0.5])
+        DiscreteDistribution([0.0, 0.0], [0.5, 0.5])
     with pytest.raises(DomainError):
-        FiniteAtoms([0.0, 1.0], [0.6, 0.6])
+        DiscreteDistribution([0.0, 1.0], [0.6, 0.6])
     with pytest.raises(DomainError):
-        FiniteAtoms([0.0, 1.0], [-0.1, 1.1])
+        DiscreteDistribution([0.0, 1.0], [-0.1, 1.1])
 
 
 def test_law_from_json():
@@ -286,7 +309,7 @@ def test_law_from_json():
     u = law_from_json("uniform01")
     assert isinstance(u, Uniform) and u.support == (0.0, 1.0)
     f = law_from_json({"kind": "atoms", "points": [0, 1], "weights": [0.5, 0.5]})
-    assert isinstance(f, FiniteAtoms)
+    assert isinstance(f, DiscreteDistribution)
     with pytest.raises(DomainError):
         law_from_json({"kind": "mystery"})
 
@@ -312,7 +335,7 @@ def test_standard_normal_skips_its_affine_map_bit_for_bit():
     "law",
     [
         Uniform(-1.5, 2.0),
-        FiniteAtoms([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+        DiscreteDistribution([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
         TruncatedLaw.centered(Normal(0.0, 1.0), -1.5),
     ],
     ids=["uniform", "atoms", "truncated"],
@@ -334,7 +357,7 @@ def test_truncated_second_moment_is_the_closed_form():
     oracle = quad(lambda z: z * z * math.exp(-z * z / 2) / math.sqrt(2 * math.pi), -2, 2)[0]
     assert t.second_moment == pytest.approx(oracle, rel=1e-15)
     # an atomic base keeps its atoms at the truncation ends
-    atoms = FiniteAtoms([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+    atoms = DiscreteDistribution([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
     assert TruncatedLaw.centered(atoms, -1.0).second_moment == pytest.approx(0.4, abs=1e-15)
 
 
@@ -373,7 +396,7 @@ def _phi(t):
     return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
 
 
-_ATOMS = FiniteAtoms([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+_ATOMS = DiscreteDistribution([-3.0, -1.0, 0.0, 1.0, 3.0], [0.1, 0.2, 0.4, 0.2, 0.1])
 
 # (law, density or None, interval carrying the density, atoms, masses)
 _M_CASES = [
@@ -402,7 +425,7 @@ _M_CASES = [
         [-1.0, 0.25, 2.0],
         [0.3, 0.5, 0.2],
     ),
-    (_ATOMS, None, None, list(_ATOMS.points), list(_ATOMS.weights)),
+    (_ATOMS, None, None, list(_ATOMS.points_1d), list(_ATOMS.weights)),
     (
         law_from_json({"kind": "normal", "truncation": {"alpha": -2}}),
         _phi,
@@ -482,4 +505,4 @@ def test_law_parameters_must_be_finite(make):
 )
 def test_finite_atoms_reject_non_finite_points_and_weights(points, weights):
     with pytest.raises(DomainError, match="finite"):
-        FiniteAtoms(points, weights)
+        DiscreteDistribution(points, weights)

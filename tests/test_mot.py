@@ -16,16 +16,16 @@ from martquant.rng import make_generator
 
 
 def _contract(nu: DiscreteDistribution, n_groups: int) -> DiscreteDistribution:
-    srt = nu.sorted_1d()
-    groups = np.array_split(np.arange(srt.n_atoms), n_groups)
-    pts = [float(np.average(srt.points_1d[g], weights=srt.weights[g])) for g in groups]
-    ws = [float(srt.weights[g].sum()) for g in groups]
+    x, w = nu.atoms()
+    groups = np.array_split(np.arange(nu.n_atoms), n_groups)
+    pts = [float(np.average(x[g], weights=w[g])) for g in groups]
+    ws = [float(w[g].sum()) for g in groups]
     return DiscreteDistribution(pts, ws)
 
 
 def test_point_mass_start_forces_variance():
     nu = DiscreteDistribution([0.0, 0.5, 2.0], [0.5, 0.25, 0.25])
-    m = float(nu.mean[0])
+    m = nu.mean
     mu = DiscreteDistribution([m], [1.0])
     res = mot_bounds(MotProblem([mu, nu], quadratic_payoff))
     var = nu.second_moment - m * m

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from martquant.errors import DimensionMismatch, DomainError
-from martquant.laws import Exponential, FiniteAtoms, Normal, PowerDensity2x, Uniform
+from martquant.laws import Exponential, Normal, PowerDensity2x, Uniform
 from martquant.lp import LinearProgram, solve
 from martquant.order import (
     ConvexTestBattery,
@@ -28,10 +28,10 @@ from martquant.rng import make_generator
 
 def _contract(nu: DiscreteDistribution, n_groups: int) -> DiscreteDistribution:
     """Conditional-expectation coarsening: guaranteed dominated by nu."""
-    srt = nu.sorted_1d()
-    groups = np.array_split(np.arange(srt.n_atoms), n_groups)
-    pts = [float(np.average(srt.points_1d[g], weights=srt.weights[g])) for g in groups]
-    ws = [float(srt.weights[g].sum()) for g in groups]
+    x, w = nu.atoms()
+    groups = np.array_split(np.arange(nu.n_atoms), n_groups)
+    pts = [float(np.average(x[g], weights=w[g])) for g in groups]
+    ws = [float(w[g].sum()) for g in groups]
     return DiscreteDistribution(pts, ws)
 
 
@@ -62,7 +62,7 @@ def test_dominated_implies_moment_inequalities():
         mu = _contract(nu, 3)
         res = convex_order_check(mu, nu)
         assert res.dominated
-        assert abs(mu.mean[0] - nu.mean[0]) < 1e-9
+        assert abs(mu.mean - nu.mean) < 1e-9
         assert mu.second_moment <= nu.second_moment + 1e-9
 
 
@@ -101,7 +101,7 @@ def test_transitivity_spot_check():
 def _call_price_order_oracle(mu: DiscreteDistribution, nu: DiscreteDistribution) -> bool:
     """1D oracle: with equal means, domination holds iff every call price
     E(X - k)+ is weakly larger under nu; kinks at the atoms suffice."""
-    if abs(mu.mean[0] - nu.mean[0]) > 1e-11:
+    if abs(mu.mean - nu.mean) > 1e-11:
         return False
     strikes = np.concatenate([mu.points_1d, nu.points_1d])
     for k in strikes:
@@ -128,7 +128,7 @@ def test_convex_order_check_against_call_price_oracle():
         elif trial % 3 == 1:
             # recentered squeeze of nu: dominated iff the oracle says so
             lam = float(gen.uniform(0.5, 1.5))
-            center = nu.mean[0]
+            center = nu.mean
             mu = DiscreteDistribution(center + lam * (pts - center), w)
         else:
             qts = np.unique(np.round(gen.normal(size=int(gen.integers(2, 7))), 6))
@@ -136,7 +136,7 @@ def test_convex_order_check_against_call_price_oracle():
                 continue
             v = gen.random(qts.size)
             v /= v.sum()
-            shift = nu.mean[0] - float(v @ qts)
+            shift = nu.mean - float(v @ qts)
             mu = DiscreteDistribution(qts + shift, v)
         got = convex_order_check(mu, nu).dominated
         want = _call_price_order_oracle(mu, nu)
@@ -158,12 +158,12 @@ def test_closed_form_1d_agrees_with_coupling_lp():
             mu = _contract(nu, int(gen.integers(1, m)))
         elif trial % 3 == 1:
             lam = float(gen.uniform(0.5, 1.5))
-            mu = DiscreteDistribution(nu.mean[0] + lam * (pts - nu.mean[0]), w)
+            mu = DiscreteDistribution(nu.mean + lam * (pts - nu.mean), w)
         else:
             qts = np.sort(gen.normal(size=int(gen.integers(2, 7))))
             v = gen.random(qts.size)
             v /= v.sum()
-            mu = DiscreteDistribution(qts + nu.mean[0] - float(v @ qts), v)
+            mu = DiscreteDistribution(qts + nu.mean - float(v @ qts), v)
         a, b, _ = coupling_lp([mu, nu])
         feasible = solve(LinearProgram(np.zeros(a.shape[1]), a, b)).status == "optimal"
         res = convex_order_check(mu, nu)
@@ -343,11 +343,11 @@ def test_baker_mean_preserving_and_sorted():
     for law in (Normal(0.3, 1.7), Exponential(2.0), Uniform(-3, 5)):
         dd = baker_grid(law, 8)
         assert np.all(np.diff(dd.points_1d) >= 0)
-        assert dd.mean[0] == pytest.approx(law.mean, abs=1e-10)
+        assert dd.mean == pytest.approx(law.mean, abs=1e-10)
 
 
 def test_baker_point_mass_merges():
-    dd = baker_grid(FiniteAtoms([2.0], [1.0]), 4)
+    dd = baker_grid(DiscreteDistribution([2.0], [1.0]), 4)
     assert dd.n_atoms == 1 and dd.points_1d[0] == 2.0
 
 
@@ -500,3 +500,14 @@ def test_merged_atoms_rejects_a_nan_weight():
     # merging keeps only positive masses, which used to drop a nan silently
     with pytest.raises(DomainError, match="finite"):
         merged_atoms([0.0, 1.0], [math.nan, 1.0])
+
+
+def test_merged_atoms_keeps_an_atom_of_mass_zero():
+    # a source point of mass 0 still has one-step images, and the embedded
+    # grid of the chain must cover their hull
+    dd = merged_atoms([1.0, 0.0, 2.0, 1.0], [0.25, 0.5, 0.0, 0.25])
+    assert dd.points_1d.tolist() == [0.0, 1.0, 2.0]
+    assert dd.weights.tolist() == [0.5, 0.5, 0.0]
+    assert dd.support == (0.0, 2.0)
+    with pytest.raises(DomainError, match="empty"):
+        merged_atoms([0.0, 1.0], [0.0, 0.0])

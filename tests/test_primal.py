@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from martquant.errors import DomainError, EmptyCellError
-from martquant.laws import FiniteAtoms, Normal, PowerDensity2x, TruncatedLaw, Uniform
+from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.primal import (
     _assign_1d,
     _assign_nd,
@@ -38,7 +38,7 @@ def test_distortion_uniform_closed_forms():
 
 
 def test_distortion_atoms_on_grid_is_zero():
-    law = FiniteAtoms([0.0, 0.5, 2.0], [0.25, 0.5, 0.25])
+    law = DiscreteDistribution([0.0, 0.5, 2.0], [0.25, 0.5, 0.25])
     assert distortion([0.0, 0.5, 2.0], law, p=2) == 0.0
     assert distortion([0.0, 0.5, 2.0], law.points, p=3.5) == 0.0
 
