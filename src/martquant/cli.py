@@ -164,14 +164,14 @@ def cmd_quantize(args) -> int:
         raise DomainError("--n must be >= 1")
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise DomainError(f"--tol must be finite and > 0, got {args.tol}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "primal":
         res = lloyd_1d(law, n, tol=args.tol)
     else:
         if n < 2:
             raise DomainError("dual quantization needs --n >= 2")
         res = dual_lloyd_1d(law, n, tol=args.tol)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "grid.json", "w") as fh:
         json.dump([float(_fmt(g)) for g in res.grid], fh)
         fh.write("\n")
@@ -187,9 +187,9 @@ def cmd_chain(args) -> int:
     arch, noises = _arch_from_config(cfg)
     x0 = _load_law(cfg["x0"])
     sizes = _sizes_from_config(cfg, arch.n_steps)
+    built = chainmod.build_chain(arch, noises, x0, sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    built = chainmod.build_chain(arch, noises, x0, sizes)
     with open(out / "chain.json", "w") as fh:
         json.dump(built.to_json(), fh)
         fh.write("\n")
@@ -261,10 +261,13 @@ def cmd_mot(args) -> int:
         levels.append(
             (_whole(n, f"config key 'levels[{i}]' N", 1), _whole(m, f"config key 'levels[{i}]' M", 2))
         )
+    # like every command, mot creates --out only once it has something to
+    # write, so an error before that leaves no directory
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.export_lp:
-        for (n, m), problem in zip(levels, motmod.level_problems(mu0, mu1, payoff, levels)):
+        problems = motmod.level_problems(mu0, mu1, payoff, levels)
+        out.mkdir(parents=True, exist_ok=True)
+        for (n, m), problem in zip(levels, problems):
             lps, _ = problem.linear_programs()
             for lp in lps:
                 name = f"mot_{n}_{m}_{lp.sense}"
@@ -273,6 +276,7 @@ def cmd_mot(args) -> int:
         print(f"wrote {2 * len(levels)} LP files")
         return 0
     rows = motmod.stability_experiment(mu0, mu1, payoff, levels)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "bounds.csv",
         ["N", "M", "lower", "upper"],

@@ -11,6 +11,17 @@ feasibility LP (zero objective) goes to the dual revised simplex of HiGHS
 simplex ends in numerical trouble.  Either way ``solve`` returns a
 vertex, the equality duals and, on infeasibility, a Farkas certificate
 ``y`` with ``y.A <= 0`` and ``y.b > 0``.
+
+Every HiGHS call runs with presolve off.  Presolve calls some feasible 2D
+coupling LPs infeasible: three pairs built from seeded product-grid chains,
+in convex order by construction (63 vs 67, 109 vs 138 and 147 vs 157
+atoms), came back infeasible with no Farkas certificate, and without
+presolve they are solved with coupling residuals below 4e-7.  On the LPs
+the package meets most, a marginal against its image under a martingale
+kernel, presolve is also most of the cost: the 2D order check on such a
+pair took 17.1 ms with it and 10.6 ms without at 1 024 variables, 79 and
+67 ms at 4 096 (scipy 1.17, 2-vCPU Xeon).  It is slower without presolve
+on the self-coupling of a 125-atom 2D law: 0.96 s against 0.30 s with it.
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from .errors import DomainError
 __all__ = ["LinearProgram", "LpSolution", "solve", "export_lp_text"]
 
 _FEAS_TOL = 1e-8
+# the one HiGHS option set of every linprog call; see the module docstring
+_HIGHS_OPTIONS = {"presolve": False}
 
 
 def _csr(matrix):
@@ -104,6 +117,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     objective is solved on the primal by dual simplex, and ``iterations``
     counts simplex iterations, or IPM iterations where the simplex ended in
     numerical trouble (HiGHS status 4) and interior point took over.
+    HiGHS runs with presolve off, which decides the 2D coupling LPs that
+    presolve wrongly calls infeasible (see the module docstring).
     """
     # Imported here and not at module level: importing scipy.optimize after
     # martquant.cli costs about 0.25 s and 23 MiB of resident memory (scipy
@@ -120,18 +135,29 @@ def solve(lp: LinearProgram) -> LpSolution:
     # objective to gain from, and the simplex on the primal is faster there.
     via_dual = bool(c.any())
     if via_dual:
-        res = linprog(-b, A_ub=a.T, b_ub=c, bounds=(None, None), method="highs-ipm")
+        res = linprog(
+            -b, A_ub=a.T, b_ub=c, bounds=(None, None), method="highs-ipm", options=_HIGHS_OPTIONS
+        )
     else:
-        res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        res = linprog(
+            c, A_eq=a, b_eq=b, bounds=(0, None), method="highs", options=_HIGHS_OPTIONS
+        )
         if res.status == 4:
             # the dual simplex can stall on a degenerate infeasible coupling
             # LP (the 3-step bump tree of tests/test_lp.py), where IPX decides
-            res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs-ipm")
+            res = linprog(
+                c, A_eq=a, b_eq=b, bounds=(0, None), method="highs-ipm", options=_HIGHS_OPTIONS
+            )
     if res.status in (2, 3):
         # the bounded auxiliary LP max b.y over {A^T y <= 0, -1 <= y <= 1}
         # has a positive optimum exactly when A x = b, x >= 0 is infeasible
         aux = linprog(
-            -b, A_ub=a.T, b_ub=np.zeros(lp.n_vars), bounds=(-1.0, 1.0), method="highs"
+            -b,
+            A_ub=a.T,
+            b_ub=np.zeros(lp.n_vars),
+            bounds=(-1.0, 1.0),
+            method="highs",
+            options=_HIGHS_OPTIONS,
         )
         if aux.status != 0:
             raise DomainError(f"HiGHS found no Farkas certificate: {aux.message}")

@@ -536,6 +536,7 @@ _ATOMS_2D = {"kind": "atoms", "points": [[0.9, 0.0], [1.1, 0.0]], "weights": [0.
     [
         ("quantize-dual-normal", "compact support hull"),
         ("mot-2d-mu0", "one-dimensional"),
+        ("mot-2d-mu0-export-lp", "one-dimensional"),
         ("chain-2d-x0", "one-dimensional"),
     ],
 )
@@ -543,22 +544,24 @@ def test_a_law_the_command_cannot_take_is_a_configuration_error(
     tmp_path, chain_config, capsys, case, message
 ):
     # SupportError and DimensionMismatch: each of these used to exit 2 as a
-    # "numerical failure"
+    # "numerical failure", and chain, mot and quantize left an empty --out
     out = tmp_path / "out"
     if case == "quantize-dual-normal":
         argv = ["quantize", "dual", "--law", "normal01", "--n", "5"]
     else:
-        if case == "mot-2d-mu0":
+        if case.startswith("mot-2d-mu0"):
             cfg = dict(_MOT_CONFIG, mu0=_ATOMS_2D)
         else:
             cfg = dict(json.loads(chain_config.read_text()), x0=_ATOMS_2D)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         argv = [case.split("-")[0], "--config", str(path)]
+        argv += ["--export-lp"] * case.endswith("export-lp")
     assert run([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "configuration error:" in err and message in err
-    assert "numerical failure" not in err
+    assert "numerical failure" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -226,21 +226,27 @@ def test_unbounded_with_objective(objective, a, b, sense):
 def test_objective_selects_the_highs_method(monkeypatch):
     import scipy.optimize
 
-    methods = []
+    calls = []
     real = scipy.optimize.linprog
 
     def spy(*args, **kwargs):
-        methods.append(kwargs["method"])
+        calls.append((kwargs["method"], kwargs["options"]["presolve"]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "linprog", spy)
     a, b = [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0]
     assert solve(LinearProgram([0.0, 0.0], a, b)).status == "optimal"
-    assert methods == ["highs"]
-    methods.clear()
+    assert calls == [("highs", False)]
+    calls.clear()
     for sense in ("min", "max"):
         assert solve(LinearProgram([1.0, 2.0], a, b, sense=sense)).status == "optimal"
-    assert methods == ["highs-ipm", "highs-ipm"]
+    assert calls == [("highs-ipm", False), ("highs-ipm", False)]
+    calls.clear()
+    # x1 + x2 = 1 and x1 + x2 = 2: infeasible, and the Farkas auxiliary LP
+    # runs with the same options
+    sol = solve(LinearProgram([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]))
+    assert sol.status == "infeasible"
+    assert calls == [("highs", False), ("highs", False)]
 
 
 def _bump_path_law(noise_points, noise_weights, steps=3):

@@ -262,6 +262,61 @@ def test_order_lp_runs_on_atoms_with_mass(monkeypatch, d):
     assert gap == pytest.approx(res.witness_gap, rel=1e-12)
 
 
+def _product_grid_chain_step(points, weights, noise, n):
+    """One step of a 2D chain: every atom x goes to x + theta(x) z_j with
+    weight 1/len(noise), and the images are split bilinearly onto the
+    product of two n-point grids spanning them (a martingale kernel)."""
+    x1, x2 = points[:, 0], points[:, 1]
+    theta = math.sqrt(1 / 5) * np.stack(
+        [
+            np.stack([0.3 + 0.2 * np.abs(x1), 0.15 * x2], axis=-1),
+            np.stack([0.1 + 0.1 * np.abs(x2), 0.25 + 0.1 * np.abs(x1)], axis=-1),
+        ],
+        axis=1,
+    )
+    images = (points[:, None, :] + np.einsum("aij,kj->aki", theta, noise)).reshape(-1, 2)
+    image_weights = np.repeat(weights / len(noise), len(noise))
+    grids, boxes, fractions = [], [], []
+    for axis in range(2):
+        coord = images[:, axis]
+        g = np.linspace(coord.min(), coord.max(), n)
+        box = np.clip(np.searchsorted(g, coord, "right") - 1, 0, n - 2)
+        grids.append(g)
+        boxes.append(box)
+        fractions.append((coord - g[box]) / (g[box + 1] - g[box]))
+    mass = np.zeros((n, n))
+    for d0 in (0, 1):
+        for d1 in (0, 1):
+            split = (fractions[0] if d0 else 1 - fractions[0]) * (
+                fractions[1] if d1 else 1 - fractions[1]
+            )
+            np.add.at(mass, (boxes[0] + d0, boxes[1] + d1), image_weights * split)
+    keep = mass > 0
+    g0, g1 = np.meshgrid(grids[0], grids[1], indexing="ij")
+    return np.column_stack([g0[keep], g1[keep]]), mass[keep] / mass[keep].sum()
+
+
+def test_a_2d_pair_that_presolve_misjudged_is_dominated():
+    # HiGHS with presolve called this feasible coupling LP infeasible and
+    # found no Farkas certificate, so the check raised DomainError
+    z = np.random.default_rng(10).normal(size=(9, 2))
+    z -= z.mean(0)
+    z /= z.std(0)
+    points, weights = np.array([[1.0, 1.0]]), np.array([1.0])
+    laws = []
+    for _ in range(5):
+        points, weights = _product_grid_chain_step(points, weights, z, 9)
+        laws.append(DiscreteDistribution(points, weights))
+    mu, nu = laws[3], laws[4]
+    assert (mu.n_atoms, nu.n_atoms) == (63, 67)
+    res = convex_order_check(mu, nu)
+    assert res.status == "dominated"
+    plan = res.coupling
+    assert np.abs(plan.sum(axis=1) - mu.weights).max() <= 1e-6
+    assert np.abs(plan.sum(axis=0) - nu.weights).max() <= 1e-6
+    assert np.abs(plan @ nu.points - mu.weights[:, None] * mu.points).max() <= 1e-6
+
+
 def _dense_coupling_lp(marginals):
     """The coupling LP written row by row from its definition."""
     sizes = tuple(m.n_atoms for m in marginals)
