@@ -28,8 +28,7 @@ RESERVED = {
     ("archmc", "theta_norm_envelope"): "item 4",
     ("archmc", "gaussian_tail_bound"): "item 4",
     ("archmc", "select_truncation"): "item 4",
-    ("primal", "kmeans"): "item 6",
-    ("dual", "Triangulation2D.delaunay"): "item 6",
+    ("dual", "Triangulation2D.delaunay"): "item 20",
 }
 
 

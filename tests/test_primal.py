@@ -6,24 +6,21 @@ from scipy.integrate import quad
 
 from martquant.errors import DomainError, EmptyCellError
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
-from martquant.primal import (
-    _assign_1d,
-    _assign_nd,
-    _lloyd_step,
-    distortion,
-    kmeans,
-    lloyd_1d,
-    voronoi_weights,
-)
-from martquant.rng import make_generator
+from martquant.primal import _assign_1d, _lloyd_step, distortion, lloyd_1d, voronoi_weights
 
 
 def test_nn_project_tie_break():
     # midpoint belongs to the left cell: cells are (x_{i-1/2}, x_{i+1/2}]
     assert list(_assign_1d(np.array([0.0, 1.0]), np.array([0.5, 0.9]))) == [0, 1]
-    # in 2D an exact tie goes to the lowest index
-    points = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert list(_assign_nd(points, np.array([[0.2, 0.1], [0.5, 0.5], [1.0, 0.0]]))) == [0, 0, 0]
+    # a law's cell masses follow the same rule: an atom on a midpoint counts
+    # in the left cell, so voronoi_weights (lloyd_1d, quantized noise) and
+    # the projection of draws (archmc) split a law alike
+    grid = np.array([-1.0, 0.0, 0.5, 2.0])
+    atoms = np.array([-0.5, 0.25, 1.25, -3.0, 0.1, 5.0])  # the midpoints first
+    w = np.arange(1.0, 7.0) / 21.0
+    cells = voronoi_weights(grid, DiscreteDistribution(atoms, w))
+    assert np.allclose(cells, np.array([1 + 4, 2 + 5, 3, 6]) / 21.0, rtol=0.0, atol=1e-15)
+    assert np.allclose(cells, np.bincount(_assign_1d(grid, atoms), weights=w), rtol=0.0, atol=1e-15)
 
 
 def test_projection_idempotent():
@@ -33,14 +30,13 @@ def test_projection_idempotent():
 
 def test_distortion_uniform_closed_forms():
     u = Uniform(0, 1)
-    assert distortion([0.5], u, p=2) == pytest.approx(1 / math.sqrt(12), abs=1e-12)
-    assert distortion([0.25, 0.75], u, p=2) == pytest.approx(1 / (4 * math.sqrt(3)), abs=1e-12)
+    assert distortion([0.5], u) == pytest.approx(1 / math.sqrt(12), abs=1e-12)
+    assert distortion([0.25, 0.75], u) == pytest.approx(1 / (4 * math.sqrt(3)), abs=1e-12)
 
 
 def test_distortion_atoms_on_grid_is_zero():
     law = DiscreteDistribution([0.0, 0.5, 2.0], [0.25, 0.5, 0.25])
-    assert distortion([0.0, 0.5, 2.0], law, p=2) == 0.0
-    assert distortion([0.0, 0.5, 2.0], law.points, p=3.5) == 0.0
+    assert distortion([0.0, 0.5, 2.0], law) == 0.0
 
 
 def test_distortion_decreases_when_point_added():
@@ -48,15 +44,6 @@ def test_distortion_decreases_when_point_added():
     base = [-1.0, 1.0]
     richer = [-1.0, 0.0, 1.0]
     assert distortion(richer, u) <= distortion(base, u) + 1e-12
-
-
-def test_distortion_empirical_sample():
-    gen = make_generator(3)
-    xs = gen.random(5000)
-    grid = np.array([0.25, 0.75])
-    idx = (xs > 0.5).astype(int)
-    expected = math.sqrt(np.mean((xs - grid[idx]) ** 2))
-    assert distortion(grid, xs) == pytest.approx(expected, abs=1e-12)
 
 
 def test_lloyd_uniform_reference_grid():
@@ -143,49 +130,9 @@ def test_voronoi_weights():
     )
 
 
-def test_kmeans_exact_sample():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    res = kmeans(pts, 3, seed=0)
-    assert res.distortion == 0.0
-    assert sorted(map(tuple, res.grid.tolist())) == sorted(map(tuple, pts.tolist()))
-
-
-def test_kmeans_two_separated_clusters():
-    gen = make_generator(11)
-    n = 4000
-    a = gen.normal(size=(n, 2)) * 0.1 + np.array([0.0, 0.0])
-    b = gen.normal(size=(n, 2)) * 0.1 + np.array([5.0, 5.0])
-    xs = np.vstack([a, b])
-    res = kmeans(xs, 2, seed=4)
-    centers = res.grid[np.argsort(res.grid[:, 0])]
-    tol = 3 * 0.1 / math.sqrt(n)
-    assert np.abs(centers[0] - a.mean(axis=0)).max() < tol + 0.01
-    assert np.abs(centers[1] - b.mean(axis=0)).max() < tol + 0.01
-
-
-def test_kmeans_empty_cell_reseeding():
-    xs = np.concatenate([np.zeros(50), np.ones(50), np.full(50, 10.0)])
-    # init with two coincident-ish centroids far from the data forces empties
-    res = kmeans(xs, 3, init=np.array([100.0, 101.0, 102.0]), seed=0)
-    assert res.weights.min() > 0.0
-    assert sorted(np.round(res.grid, 6).tolist()) == [0.0, 1.0, 10.0]
-
-
-def test_kmeans_rate_self_consistency_2d():
-    gen = make_generator(21)
-    xs = gen.random((100_000, 2))
-    e16 = kmeans(xs, 16, seed=1, max_iter=60, tol=1e-7).distortion
-    e64 = kmeans(xs, 64, seed=1, max_iter=60, tol=1e-7).distortion
-    lhs = math.sqrt(16) * e16
-    rhs = math.sqrt(64) * e64
-    assert abs(lhs - rhs) / rhs < 0.15
-
-
 def test_grid_validation():
     with pytest.raises(DomainError):
         voronoi_weights([1.0, 1.0], Uniform(0.0, 2.0))
-    with pytest.raises(DomainError):
-        kmeans(make_generator(3).random((20, 2)), 3, init=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -197,22 +144,6 @@ def test_primal_grids_must_be_finite(bad):
         distortion([0.2, bad], law)
     with pytest.raises(DomainError, match="finite"):
         lloyd_1d(law, 2, init=[0.2, bad])
-    with pytest.raises(DomainError, match="finite"):
-        kmeans(make_generator(3).random((20, 2)), 2, init=[[0.2, 0.2], [0.5, bad]])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_samples_must_be_finite(bad, dim):
-    sample = make_generator(3).random((50, dim) if dim == 2 else 50)
-    sample[17] = bad
-    grid = [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]] if dim == 2 else [0.2, 0.5, 0.8]
-    with pytest.raises(DomainError, match="sample must be finite"):
-        kmeans(sample, 3)
-    with pytest.raises(DomainError, match="sample must be finite"):
-        kmeans(sample, 3, init=grid)
-    with pytest.raises(DomainError, match="sample must be finite"):
-        distortion(grid, sample)
 
 
 def test_uniform_optimal_invariant_rate():
@@ -220,16 +151,6 @@ def test_uniform_optimal_invariant_rate():
     for n in (2, 5, 11):
         res = lloyd_1d(Uniform(0, 1), n, tol=1e-14)
         assert n * res.distortion == pytest.approx(1 / (2 * math.sqrt(3)), abs=1e-10)
-
-
-def test_distortion_p_not_2_needs_a_sample():
-    # the distortion of a law is the quadratic closed form only
-    with pytest.raises(DomainError, match="p must be 2"):
-        distortion([0.5], Uniform(0, 1), p=3)
-    # a sample takes any p >= 1: on the midpoint grid of [0, 1] its cube
-    # root mean cube distance is (1/32)^(1/3) = 2^(-5/3)
-    sample = (np.arange(4096) + 0.5) / 4096
-    assert distortion([0.5], sample, p=3) == pytest.approx(2 ** (-5 / 3), rel=1e-6)
 
 
 def _phi(t):
