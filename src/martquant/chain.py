@@ -189,8 +189,20 @@ class MartingaleKernel:
         return float(np.abs(self.matrix.sum(axis=1) - 1.0).max())
 
     def martingale_residual(self) -> float:
-        bary = self.matrix @ self.target_grid
-        return float(np.abs(bary - self.source_grid).max())
+        # one coordinate at a time, so that each row of a (sources, targets)
+        # array sums contiguously
+        targets = np.reshape(self.target_grid, (len(self.target_grid), -1)).T
+        sources = np.reshape(self.source_grid, (len(self.source_grid), -1)).T
+        bary = [np.add.reduce(self.matrix * coord, axis=1) for coord in targets]
+        return float(np.abs(np.array(bary) - sources).max())
+
+
+def _weighted_sum(weights, values):
+    """The sum over the first axis of ``values`` weighted by ``weights``,
+    as an elementwise product that ``np.add.reduce`` sums in its fixed
+    order: the same bits under any BLAS kernel."""
+    terms = np.reshape(weights, (-1,) + (1,) * (np.ndim(values) - 1)) * values
+    return np.add.reduce(terms, axis=0)
 
 
 def _clamp_rows(matrix: np.ndarray) -> np.ndarray:
@@ -220,12 +232,19 @@ def _theta_values(theta, xs, what: str = "theta values", noise_dim: int = 1) -> 
 def _noise_level(x, u, theta_val):
     """The noise value ``r = (u - x) / theta`` that the step ``x + theta r``
     sends onto ``u``."""
-    return np.divide(np.subtract(u, x, dtype=float), theta_val)
+    r = np.subtract(u, x)
+    return np.divide(r, theta_val, out=r)
 
 
 class MixtureTransitionLaw(Law1D):
     """Law of the one-step image of a finitely supported state: the mixture
-    over source atoms of the closed-form transition law."""
+    over source atoms of the closed-form transition law.
+
+    F, K and F(-) at a batch of queries are computed on a (queries, sources)
+    array, whose row of weighted transition values each query sums with
+    ``np.add.reduce``: the sum of a row depends on that row alone, so a
+    query's value is the same bits in any batch and under any BLAS kernel.
+    """
 
     def __init__(self, points, weights, theta_values, trunc: TruncatedLaw):
         self.points = np.asarray(points, dtype=float).reshape(-1)
@@ -234,9 +253,6 @@ class MixtureTransitionLaw(Law1D):
         if not np.all(self.theta_values > 0.0):
             raise DomainError("closed-form transitions require strictly positive theta")
         self.trunc = trunc
-        # (S, 1) columns: one row per source against a row of queries
-        self._x_col = self.points[:, None]
-        self._th_col = self.theta_values[:, None]
         # the same float expressions as the image intervals that
         # ``dual_transition_weights`` checks against the target hull
         lo = float(np.min(self.points + self.theta_values * trunc.alpha))
@@ -244,21 +260,17 @@ class MixtureTransitionLaw(Law1D):
         self._hull = (lo, hi)
         self._noise_m2 = trunc.second_moment
 
-    def cdf(self, u):
-        """``weights @ F(u|points)``, with the noise levels computed and
-        clipped in place.
+    def _mix(self, rows):
+        """Each query's row of transition values, weighted and summed."""
+        rows *= self.weights
+        return np.add.reduce(rows, axis=1)
 
-        The product is a BLAS matrix-vector product, which rounds a column
-        differently depending on the batch it sits in.  That is measurable:
-        evaluating the two initial brackets of each level solve of the 1D
-        dual sweep in one batch instead of two moves the grids of
-        ``configs/euler.json`` by 1.06e-9.  So the sweep makes one call per
-        solver round and keeps its batches, and its grids stay reproducible.
-        """
+    def cdf(self, u):
+        """The weighted sum of F(u|points), with the noise levels computed
+        and clipped in place."""
         u = np.asarray(u, dtype=float)
-        r = np.subtract(u.reshape(1, -1), self._x_col)
-        np.divide(r, self._th_col, out=r)
-        out = self.weights @ self.trunc.cdf_in_place(r)
+        levels = _noise_level(self.points, u.reshape(-1, 1), self.theta_values)
+        out = self._mix(self.trunc.cdf_in_place(levels))
         return float(out[0]) if u.ndim == 0 else out
 
     def cdf_left(self, u):
@@ -266,28 +278,27 @@ class MixtureTransitionLaw(Law1D):
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def partial_moment(self, u):
-        """``weights @ K(u|points)``, which tends to the mean as u grows
-        (each transition is a martingale step)."""
+        """The weighted sum of K(u|points), which tends to the mean as u
+        grows (each transition is a martingale step)."""
         out = self.cdf_moment_left_batch(u)[1]
         return float(out[0]) if np.ndim(u) == 0 else out
 
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        x, th = self._x_col, self._th_col
-        f, k, f_left = self.trunc.cdf_moment_left_batch(_noise_level(x, u[None, :], th))
-        w = self.weights
-        return w @ f, w @ (x * f + th * k), w @ f_left
+        u = np.asarray(u, dtype=float)
+        levels = _noise_level(self.points, u.reshape(-1, 1), self.theta_values)
+        f, k, f_left = self.trunc.cdf_moment_left_batch(levels)
+        k = self.points * f + self.theta_values * k
+        return self._mix(f), self._mix(k), self._mix(f_left)
 
     @property
     def mean(self):
-        return float(self.weights @ self.points)
+        return float(_weighted_sum(self.weights, self.points))
 
     @property
     def second_moment(self):
-        return float(
-            self.weights @ (self.points ** 2 + self.theta_values ** 2 * self._noise_m2)
-        )
+        m2 = self.points ** 2 + self.theta_values ** 2 * self._noise_m2
+        return float(_weighted_sum(self.weights, m2))
 
     @property
     def support(self):
@@ -508,7 +519,7 @@ def build_chain(
         raise DomainError("2D chains need finitely supported (quantized) noise")
 
     grid, weights = _initial_state(x0, sizes[0], dim)
-    mean0 = weights @ grid
+    mean0 = _weighted_sum(weights, grid)
     all_grids, all_weights, kernels, diagnostics = [grid], [weights], [], []
     for k, (theta, noise) in enumerate(zip(arch.thetas, noises)):
         theta_vals = _theta_values(
@@ -543,7 +554,7 @@ def build_chain(
             source = DiscreteDistribution(grid, weights)
             kernel = finite_noise_transition(source, noise.atoms, theta_vals, target)
         # 4. bookkeeping
-        weights = weights @ kernel.matrix
+        weights = _weighted_sum(weights, kernel.matrix)
         weights = np.where(weights < 0.0, 0.0, weights)
         grid = kernel.target_grid
         if dual_res is not None:
@@ -554,7 +565,7 @@ def build_chain(
             "mode": noise.mode,
             "martingale_residual": kernel.martingale_residual(),
             "row_sum_residual": kernel.row_sum_residual(),
-            "mean_drift": float(np.abs(weights @ grid - mean0).max()),
+            "mean_drift": float(np.abs(_weighted_sum(weights, grid) - mean0).max()),
             "dual_distortion": distortion,
             "dual_converged": converged,
             "hull": None if law is None else law.support,

@@ -10,9 +10,11 @@ configs and seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,21 @@ def _write_csv(path: Path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating)) else v for v in row])
+
+
+@contextlib.contextmanager
+def _warnings_printed():
+    """Print the Python warnings raised inside as ``warning: <message>`` on
+    stderr, the form of the commands' own warnings; every RuntimeWarning is
+    printed, also one that repeats an earlier message."""
+
+    def show(message, *args, **kwargs):
+        print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        warnings.showwarning = show
+        yield
 
 
 def _load_law(spec):
@@ -264,8 +281,10 @@ def cmd_mot(args) -> int:
     # like every command, mot creates --out only once it has something to
     # write, so an error before that leaves no directory
     out = Path(args.out)
+    # a quantizer that stops short of its tolerance warns from level_problems
     if args.export_lp:
-        problems = motmod.level_problems(mu0, mu1, payoff, levels)
+        with _warnings_printed():
+            problems = motmod.level_problems(mu0, mu1, payoff, levels)
         out.mkdir(parents=True, exist_ok=True)
         for (n, m), problem in zip(levels, problems):
             lps, _ = problem.linear_programs()
@@ -275,7 +294,8 @@ def cmd_mot(args) -> int:
                     fh.write(export_lp_text(lp, name=name))
         print(f"wrote {2 * len(levels)} LP files")
         return 0
-    rows = motmod.stability_experiment(mu0, mu1, payoff, levels)
+    with _warnings_printed():
+        rows = motmod.stability_experiment(mu0, mu1, payoff, levels)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "bounds.csv",

@@ -164,8 +164,9 @@ def _map_residual(points, f, k, f_left) -> float:
     return float(np.max(gap[live] / den[live]))
 
 
-def _solve_levels(law, levels, lo, hi, xtol):
-    """Solve F(x) = level on each bracket [lo, hi] (F nondecreasing).
+def _solve_levels(law, levels, lo, hi, flo, fhi, xtol):
+    """Solve F(x) = level on each bracket [lo, hi] (F nondecreasing), given
+    F at the bracket ends, ``flo`` and ``fhi``.
 
     Secant step with a bisection safeguard; each point retires as soon as
     its bracket shrinks below ``xtol`` or its residual vanishes, and keeps
@@ -178,21 +179,11 @@ def _solve_levels(law, levels, lo, hi, xtol):
     points.  The cost of a round grows with the points, though: against the
     numpy loop, 400 sweeps of ``dual_lloyd_1d`` are faster up to N = 64
     grid points, about even at N = 128 and slower at N = 256 (+75% on a
-    truncated normal, +21% on a chain step's mixture).
-
-    Numpy remains only in the one ``law.cdf`` call per round, on a fresh
-    array of the active points in index order.  The F of a mixture law ends
-    in a BLAS matrix-vector product whose rounding of a column depends on
-    the batch it sits in, so reusing values across rounds, evaluating every
-    point, or merging rounds would move the solutions in the last bits.
-    Merging only the two initial bracket calls into one batch moves the
-    grids of ``configs/euler.json`` by 1.06e-9, beyond the 1e-9 grid check
-    of the benchmark, whose reference holds the grids where this sweep
-    stops.  So the rule stays until that reference is recorded at the
-    stationary points.
+    truncated normal, +21% on a chain step's mixture).  Numpy remains only
+    in the one ``law.cdf`` call per round, on the active points.
     """
-    flo = (np.asarray(law.cdf(lo)) - levels).tolist()
-    fhi = (np.asarray(law.cdf(hi)) - levels).tolist()
+    flo = (np.asarray(flo) - levels).tolist()
+    fhi = (np.asarray(fhi) - levels).tolist()
     levels = levels.tolist()
     lo = lo.tolist()
     hi = hi.tolist()
@@ -320,7 +311,7 @@ def dual_lloyd_1d(
             f_lo, f_hi = f[idx_l], f[idx_r]
             levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
             levels = np.clip(levels, f_lo, f_hi)
-            solved = _solve_levels(law, levels, lo_n, hi_n, xtol)
+            solved = _solve_levels(law, levels, lo_n, hi_n, f_lo, f_hi, xtol)
             if sweep_step != 1.0:
                 solved = cand[idx] + sweep_step * (solved - cand[idx])
             if law_atoms.size:

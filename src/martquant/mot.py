@@ -12,6 +12,7 @@ dual-quantize the second, and track the bounds as the grids refine.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,16 +184,16 @@ def mot_bounds(problem: MotProblem) -> MotResult:
     )
 
 
-def _quantize_primal(law, n: int) -> DiscreteDistribution:
+def _quantize_primal(law, n: int):
     res = lloyd_1d(law, n)
-    return DiscreteDistribution(res.grid, res.weights)
+    return DiscreteDistribution(res.grid, res.weights), res.converged
 
 
-def _quantize_dual(law, m: int) -> DiscreteDistribution:
+def _quantize_dual(law, m: int):
     res = dual_lloyd_1d(law, m)
     keep = res.weights > 0.0
     w = res.weights[keep]
-    return DiscreteDistribution(res.grid[keep], w / w.sum())
+    return DiscreteDistribution(res.grid[keep], w / w.sum()), res.converged
 
 
 def level_problems(mu0, mu1, payoff, levels) -> list[MotProblem]:
@@ -200,14 +201,23 @@ def level_problems(mu0, mu1, payoff, levels) -> list[MotProblem]:
 
     ``mu0`` is primally quantized to ``N`` atoms and ``mu1`` dually to at
     most ``M``, matching the roles that preserve convex order from below and
-    above.  Every level is quantized and budget-checked before this returns,
-    so an over-budget level raises :class:`BudgetExceeded` before any LP is
-    solved or written.
+    above; a quantizer that stops short of its tolerance issues a
+    ``RuntimeWarning`` naming the level and the side.  Every level is
+    quantized and budget-checked before this returns, so an over-budget
+    level raises :class:`BudgetExceeded` before any LP is solved or written.
     """
-    return [
-        MotProblem([_quantize_primal(mu0, int(n)), _quantize_dual(mu1, int(m))], payoff)
-        for n, m in levels
-    ]
+    problems = []
+    for n, m in levels:
+        n, m = int(n), int(m)
+        mu, primal_done = _quantize_primal(mu0, n)
+        nu, dual_done = _quantize_dual(mu1, m)
+        for side, done in (("primal", primal_done), ("dual", dual_done)):
+            if not done:
+                warnings.warn(
+                    f"level ({n}, {m}): {side} grid did not reach tolerance", RuntimeWarning
+                )
+        problems.append(MotProblem([mu, nu], payoff))
+    return problems
 
 
 def stability_experiment(mu0, mu1, payoff, levels) -> list[dict]:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from martquant.chain import (
@@ -21,7 +22,7 @@ from martquant.chain import (
 )
 from martquant.dual import Triangulation2D, locate_1d
 from martquant.errors import DomainError, HullViolation, OutOfHullError
-from martquant.laws import DiscreteDistribution, Normal, TruncatedLaw, Uniform
+from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.order import convex_order_check
 from martquant.rng import make_generator
 
@@ -289,12 +290,13 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
     ))
 
     def oracle(q):
-        q = np.atleast_1d(q)
-        x, th = points[:, None], thetas[:, None]
+        # one row of sources per query, weighted and summed as the mixture does
+        q = np.atleast_1d(q)[:, None]
         # the closed form leaves F(alpha) - F(alpha-) of the base below the
         # image; that is exactly 0 for a continuous base
-        below = (q[None, :] - x) / th < trunc.alpha
-        return weights @ np.where(below, 0.0, _transition_cdf_reference(x, q[None, :], th, trunc))
+        below = (q - points) / thetas < trunc.alpha
+        rows = np.where(below, 0.0, _transition_cdf_reference(points, q, thetas, trunc))
+        return np.add.reduce(rows * weights, axis=1)
 
     assert mix.cdf(u).tobytes() == oracle(u).tobytes()
     for q in (points[2], lo - 1.0, 0.5 * (lo + hi)):
@@ -305,23 +307,25 @@ def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
 
 def _cdf_moment_left_batch_reference(mix, u):
     """``MixtureTransitionLaw.cdf_moment_left_batch`` before it reused the
-    base F for continuous bases, verbatim."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = mix.points[:, None]
-    th = mix.theta_values[:, None]
+    base F for continuous bases, verbatim but for the layout: one row of
+    sources per query, whose weighted values each query sums with
+    ``np.add.reduce`` as the mixture does."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))[:, None]
+    x = mix.points
+    th = mix.theta_values
     trunc = mix.trunc
     base = trunc.base
     tail, f_alpha_left = trunc.clipped_mass, trunc.base_f_alpha_left
-    ratio = np.clip((u[None, :] - x) / th, trunc.alpha, trunc.beta)
+    ratio = np.clip((u - x) / th, trunc.alpha, trunc.beta)
     base_f = np.asarray(base.cdf(ratio))
     base_fl = np.asarray(base.cdf_left(ratio))
     base_k = np.asarray(base.partial_moment(ratio))
-    at_or_above = np.where(x <= u[None, :], tail, 0.0)
+    at_or_above = np.where(x <= u, tail, 0.0)
     f_rows = at_or_above + base_f - f_alpha_left
-    fl_rows = np.where(x < u[None, :], tail, 0.0) + base_fl - f_alpha_left
+    fl_rows = np.where(x < u, tail, 0.0) + base_fl - f_alpha_left
     k_rows = x * f_rows + th * (base_k - trunc.base_k_alpha_left)
     w = mix.weights
-    return w @ f_rows, w @ k_rows, w @ fl_rows
+    return tuple(np.add.reduce(rows * w, axis=1) for rows in (f_rows, k_rows, fl_rows))
 
 
 # an atomic base is checked against the exact law of the images instead
@@ -339,15 +343,80 @@ def test_cdf_moment_left_batch_is_unchanged_bit_for_bit(base, alpha):
         assert g.tobytes() == r.tobytes()
 
 
+_NOISE_ATOMS = DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+
+
+@st.composite
+def _dual_laws(draw):
+    """A law of each kind that reaches ``dual_lloyd_1d``, and a batch of
+    queries on and around its support."""
+    kind = draw(st.sampled_from([
+        "uniform", "power2x", "atoms", "truncated-normal", "truncated-atoms",
+        "mixture-normal", "mixture-atoms",
+    ]))
+    if kind == "uniform":
+        a = draw(st.floats(-5.0, 5.0))
+        law = Uniform(a, a + draw(st.floats(1e-3, 10.0)))
+    elif kind == "power2x":
+        law = PowerDensity2x()
+    elif kind.endswith("normal"):
+        base = Normal(0.0, draw(st.floats(0.1, 3.0)))
+        law = TruncatedLaw.centered(base, draw(st.floats(-4.0, -0.1)))
+    else:
+        law = TruncatedLaw.centered(_NOISE_ATOMS, -1.0)
+    if kind == "atoms" or kind.startswith("mixture"):
+        n_atoms = draw(st.integers(1, 40))
+        points = np.unique(draw(st.lists(st.floats(-3.0, 3.0), min_size=n_atoms, max_size=n_atoms)))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=points.size,
+                                         max_size=points.size)))
+        weights /= weights.sum()
+        if kind == "atoms":
+            law = DiscreteDistribution(points, weights)
+        else:
+            a, b = draw(st.floats(0.01, 0.5)), draw(st.floats(0.0, 0.5))
+            law = MixtureTransitionLaw(points, weights, a + b * np.abs(points), law)
+    lo, hi = law.support
+    pad = 0.1 * (hi - lo)
+    atoms = law.atoms()[0].tolist()
+    u = draw(st.lists(st.floats(lo - pad, hi + pad) | st.sampled_from(atoms + [lo, hi]),
+                      min_size=1, max_size=60))
+    return law, np.array(u)
+
+
+@given(_dual_laws(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_querys_f_k_and_f_left_do_not_depend_on_its_batch(law_and_queries, data):
+    """The 1D dual sweep hands the F of its batch of F, K and F(-) to the
+    level solve as F at the brackets, and the solve's own ``cdf`` batches
+    hold other points: a query's values must not depend on its batch."""
+    law, u = law_and_queries
+    batch = law.cdf_moment_left_batch(u)
+    assert batch[0].tobytes() == np.asarray(law.cdf(u)).tobytes()
+    if not isinstance(law, MixtureTransitionLaw):
+        return
+    start = data.draw(st.integers(0, u.size - 1))
+    stop = data.draw(st.integers(start + 1, u.size))
+    step = data.draw(st.integers(1, 5))
+    part = slice(start, stop, step)
+    for got, want in zip(law.cdf_moment_left_batch(u[part]), batch):
+        assert got.tobytes() == want[part].tobytes()
+    assert law.cdf(u[part]).tobytes() == batch[0][part].tobytes()
+    for i, q in enumerate(u.tolist()):
+        alone = law.cdf_moment_left_batch(u[i : i + 1])
+        scalar = (law.cdf(q), law.partial_moment(q), law.cdf_left(q))
+        for one, value, want in zip(alone, scalar, batch):
+            assert isinstance(value, float)
+            assert one.tobytes() == want[i : i + 1].tobytes()
+            assert np.float64(value).tobytes() == want[i].tobytes()
+
+
 # a noise with atoms at both truncation ends (alpha = -1, beta = 1), and
 # sources and coefficients in small dyadic fractions, so that every image
 # x_i + theta_i z_j and every noise level (u - x_i) / theta_i at an image is
 # exact in floating point
 @pytest.fixture(scope="module")
 def atoms_trunc():
-    return TruncatedLaw.centered(
-        DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
-    )
+    return TruncatedLaw.centered(_NOISE_ATOMS, -1.0)
 
 
 _ATOMS_POINTS = np.array([-0.75, -0.25, 0.0, 0.5, 1.25])

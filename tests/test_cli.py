@@ -282,6 +282,31 @@ def test_mot_export_lp(tmp_path):
 
 
 @pytest.mark.parametrize("export", [False, True])
+@pytest.mark.parametrize("side, quantizer", [("primal", "lloyd_1d"), ("dual", "dual_lloyd_1d")])
+def test_mot_warns_when_a_quantizer_does_not_converge(tmp_path, capsys, monkeypatch, export, side, quantizer):
+    from martquant import mot as motmod
+
+    p = tmp_path / "m.json"
+    mu1 = {"kind": "normal", "mean": 0, "sd": 3, "truncation": {"alpha": -6, "beta": 6}}
+    # the third level repeats the first, and warns again
+    levels = [[8, 6], [12, 9], [8, 6]]
+    p.write_text(json.dumps(dict(_MOT_CONFIG, mu0="normal01", mu1=mu1, levels=levels)))
+    flag = ["--export-lp"] if export else []
+    assert run(["mot", "--config", str(p), "--out", str(tmp_path / "full")] + flag) == 0
+    assert "did not reach tolerance" not in capsys.readouterr().err
+
+    real = getattr(motmod, quantizer)
+
+    def two_iterations(law, n_points, **kwargs):
+        return real(law, n_points, **{**kwargs, "max_iter": 2})
+
+    monkeypatch.setattr(motmod, quantizer, two_iterations)
+    assert run(["mot", "--config", str(p), "--out", str(tmp_path / "capped")] + flag) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: level ({n}, {m}): {side} grid did not reach tolerance" for n, m in levels]
+
+
+@pytest.mark.parametrize("export", [False, True])
 def test_mot_budget_holds_with_and_without_export_lp(tmp_path, capsys, monkeypatch, export):
     from martquant import lp as lpmod, mot as motmod
 

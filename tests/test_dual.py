@@ -571,6 +571,12 @@ class _RecordingLaw:
         return self.law.cdf_moment_left_batch(u)
 
 
+def _assert_same_batches(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def _euler_mixture():
     from martquant.chain import MixtureTransitionLaw, euler_thetas, theta_affine_abs
     from martquant.primal import lloyd_1d
@@ -617,13 +623,14 @@ def test_solve_levels_matches_the_reference_loop_bit_for_bit(case):
         levels, lo_n, hi_n = _sweep_levels(law, n_points, parity)
         ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
         ref = _solve_levels_reference(ref_law, levels, lo_n, hi_n, xtol)
-        new = _solve_levels(new_law, levels, lo_n.copy(), hi_n.copy(), xtol)
+        new = _solve_levels(
+            new_law, levels, lo_n.copy(), hi_n.copy(), law.cdf(lo_n), law.cdf(hi_n), xtol
+        )
         assert new.tobytes() == ref.tobytes()
-        # one F call per round on the same points in the same order: a
-        # mixture's F rounds a query differently in another batch
-        assert len(new_law.batches) == len(ref_law.batches) > 2
-        for a, b in zip(new_law.batches, ref_law.batches):
-            assert a.tobytes() == b.tobytes()
+        # the same F calls in every round; the reference's two calls at the
+        # bracket ends are the ones the solver is handed
+        _assert_same_batches(new_law.batches, ref_law.batches[2:])
+        assert new_law.batches
 
 
 def test_dual_lloyd_does_not_hide_failing_atoms():
@@ -646,10 +653,11 @@ def test_solve_levels_lets_warnings_from_the_law_through():
                 np.log(np.zeros(1))  # a divide-by-zero RuntimeWarning
             return super().cdf(z)
 
+    law = Noisy(0.0, 1.0)
     levels = np.array([0.3, 0.6])
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.warns(RuntimeWarning, match="divide by zero"):
-        _solve_levels(Noisy(0.0, 1.0), levels, lo, hi, 1e-12)
+        _solve_levels(law, levels, lo, hi, law.cdf(lo), law.cdf(hi), 1e-12)
 
 
 def _jump_law():
@@ -658,18 +666,19 @@ def _jump_law():
 
 
 def _assert_same_solve(law, levels, lo, hi, xtol):
+    """The solve and its F batches match the reference loop's, whose first
+    two batches, F at the bracket ends, the solver is handed instead."""
     from martquant.dual import _solve_levels
 
     ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
     with np.errstate(over="ignore"):  # the numpy loop warns on an infinite width
         ref = _solve_levels_reference(ref_law, levels, lo, hi, xtol)
+    flo, fhi = law.cdf(lo), law.cdf(hi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 or x/0 warning escapes either
-        new = _solve_levels(new_law, levels, lo.copy(), hi.copy(), xtol)
+        new = _solve_levels(new_law, levels, lo.copy(), hi.copy(), flo, fhi, xtol)
     assert new.tobytes() == ref.tobytes()
-    assert len(new_law.batches) == len(ref_law.batches)
-    for a, b in zip(new_law.batches, ref_law.batches):
-        assert a.tobytes() == b.tobytes()
+    _assert_same_batches(new_law.batches, ref_law.batches[2:])
     return new, new_law.batches
 
 
@@ -694,7 +703,7 @@ def test_solve_levels_round_cap_takes_the_bracket_midpoint_bit_for_bit():
     lo = np.array([0.21, -0.5, 0.3, -0.9])
     hi = np.array([0.26, 0.5, 0.8, -0.1])
     sol, batches = _assert_same_solve(law, levels, lo, hi, 0.0)
-    assert len(batches) == 2 + 110
+    assert len(batches) == 110
     assert sol[2] == 0.55  # F = 0.8 on [0.25, 1): solved, and retired, at once
     assert np.abs(sol[[0, 1, 3]] - [0.25, 1e-200, -0.1]).max() < 1e-15
 
@@ -717,12 +726,12 @@ def test_solve_levels_root_in_the_last_round_keeps_its_point_bit_for_bit():
     points, weights = [-1.0, 1e-200, 0.25, 1.0], [0.2, 0.3, 0.3, 0.2]
     levels, lo, hi = np.array([0.35]), np.array([-0.5]), np.array([0.5])
     sol, batches = _assert_same_solve(DiscreteDistribution(points, weights), levels, lo, hi, 0.0)
-    assert len(batches) == 2 + 110
+    assert len(batches) == 110
     last = batches[-1][0]
     assert sol[0] != last
     law = _RootAt(points, weights, last, 0.35)
     sol, batches = _assert_same_solve(law, levels, lo, hi, 0.0)
-    assert len(batches) == 2 + 110
+    assert len(batches) == 110
     assert sol[0] == last
 
 
@@ -732,7 +741,7 @@ def test_solve_levels_zero_width_bracket_retires_at_round_0_bit_for_bit():
     sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
     assert sol[0] == 0.4
     # round 0 already queries the other point alone
-    assert [b.size for b in batches[:3]] == [2, 2, 1]
+    assert batches[0].size == 1
 
 
 def test_solve_levels_infinite_width_bisects_bit_for_bit():
@@ -743,8 +752,8 @@ def test_solve_levels_infinite_width_bisects_bit_for_bit():
     lo, hi = np.array([-1.5e308, -1.0]), np.array([1.5e308, 1.0])
     assert math.isinf(float(hi[0]) - float(lo[0]))
     sol, batches = _assert_same_solve(Uniform(-1.0, 1.0), levels, lo, hi, 1e-12)
-    assert batches[2][0] == 0.0
-    assert len(batches) == 2 + 110
+    assert batches[0][0] == 0.0
+    assert len(batches) == 110
     assert np.all(np.isfinite(sol))
 
 
@@ -754,7 +763,7 @@ def test_solve_levels_exact_root_retires_after_round_0_bit_for_bit():
     lo, hi = np.zeros(2), np.ones(2)
     sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
     assert list(sol) == [0.25, 0.5]
-    assert len(batches) == 3
+    assert len(batches) == 1
 
 
 def test_solve_levels_flat_f_everywhere_bisects_bit_for_bit():
@@ -764,9 +773,9 @@ def test_solve_levels_flat_f_everywhere_bisects_bit_for_bit():
     lo, hi = np.array([1.5, 2.0]), np.array([2.5, 2.5])
     sol, batches = _assert_same_solve(Uniform(0.0, 1.0), levels, lo, hi, 1e-12)
     assert np.abs(sol - lo).max() < 1e-12
-    assert batches[2].tolist() == [2.0, 2.25]  # round 0, a secant round
-    assert batches[3].tolist() == [1.75, 2.125]
-    assert len(batches) == 2 + 40  # 2^-40 < 1e-12 < 2^-39
+    assert batches[0].tolist() == [2.0, 2.25]  # round 0, a secant round
+    assert batches[1].tolist() == [1.75, 2.125]
+    assert len(batches) == 40  # 2^-40 < 1e-12 < 2^-39
 
 
 @st.composite
@@ -945,11 +954,22 @@ _RUN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_RUN_CASES))
-def test_dual_lloyd_matches_the_sweep_before_the_lean_round_bit_for_bit(case):
+def test_dual_lloyd_matches_the_sweep_before_the_lean_round_bit_for_bit(case, monkeypatch):
     make_law, n_points, max_iter = _RUN_CASES[case]
     law = make_law()
     ref_law, new_law = _RecordingLaw(law), _RecordingLaw(law)
+    # where each reference solve starts in the F batches: its first two
+    # batches, F at the bracket ends, the sweep hands to the solver instead
+    solve_starts = []
+
+    def solve_reference(law, *args, solve=_solve_levels_reference):
+        solve_starts.append(len(law.batches))
+        return solve(law, *args)
+
+    monkeypatch.setitem(globals(), "_solve_levels_reference", solve_reference)
     ref = _dual_lloyd_1d_reference(ref_law, n_points, tol=1e-9, max_iter=max_iter)
+    monkeypatch.undo()
+    handed = {i for start in solve_starts for i in (start, start + 1)}
     new = dual_lloyd_1d(new_law, n_points, tol=1e-9, max_iter=max_iter)
     assert new.grid.tobytes() == ref.grid.tobytes()
     assert new.weights.tobytes() == ref.weights.tobytes()
@@ -958,8 +978,7 @@ def test_dual_lloyd_matches_the_sweep_before_the_lean_round_bit_for_bit(case):
         ref.iterations, ref.converged, ref.order_violation
     )
     assert new.iterations > 5
-    for recorded in ("batches", "sweep_batches"):
-        got, want = getattr(new_law, recorded), getattr(ref_law, recorded)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+    assert solve_starts
+    _assert_same_batches(new_law.sweep_batches, ref_law.sweep_batches)
+    want = [b for i, b in enumerate(ref_law.batches) if i not in handed]
+    _assert_same_batches(new_law.batches, want)
