@@ -19,7 +19,6 @@ from .errors import (
     HullViolation,
     MartquantError,
     NotInConvexOrder,
-    OutOfHullError,
     OutOfScopeError,
     SupportError,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "HullViolation",
     "MartquantError",
     "NotInConvexOrder",
-    "OutOfHullError",
     "OutOfScopeError",
     "SupportError",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import ArchSpec, ChainApproximation, NoiseSpec
 from .dual import locate_1d
-from .errors import DomainError, OutOfHullError
+from .errors import DomainError
 from .laws import Law1D
 from .order import ConvexTestBattery
 from .primal import _assign_1d
@@ -81,10 +81,7 @@ def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
 
 def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Randomized dual projection of a sample onto a 1D grid."""
-    try:
-        j, lam_right = locate_1d(points, x)
-    except OutOfHullError as exc:
-        raise DomainError(f"simulated state left the dual grid hull: {exc}") from exc
+    j, lam_right = locate_1d(points, x)
     return np.where(u < 1.0 - lam_right, points[j], points[j + 1])
 
 
@@ -404,7 +401,6 @@ def compare_truncation_bound(
     refined, product = truncation_error_bound(
         [t.lipschitz for t in arch.thetas],
         [t.c_envelope for t in arch.thetas],
-        [t.c_frobenius for t in arch.thetas],
         arch.noise_dim,
         x0_m2,
         0.0,
@@ -422,30 +418,24 @@ def compare_truncation_bound(
 
 
 def truncation_error_bound(
-    lipschitz,
-    c_envelope,
-    c_frobenius,
-    q: int,
-    x0_norm_sq: float,
-    x0_gap_sq: float,
-    noise_gap_sq,
+    lipschitz, c_envelope, q: int, x0_norm_sq: float, x0_gap_sq: float, noise_gap_sq
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step quadratic error bounds for a quasi-white-noise substitution.
 
-    ``noise_gap_sq[k]`` is ``||Z_{k+1} - approx Z_{k+1}||_2^2``.  Returns
+    ``noise_gap_sq[k]`` is ``||Z_{k+1} - approx Z_{k+1}||_2^2``; ``c_envelope``
+    is also the Frobenius-norm constant of a scalar coefficient.  Returns
     ``(refined, product)`` where each entry k bounds
     ``||X_k - approx X_k||_2`` and the refined form keeps the per-step
     mixed products while the product form factors them out.
     """
     lip = np.asarray(lipschitz, dtype=float)
     env = np.asarray(c_envelope, dtype=float)
-    cfr = np.asarray(c_frobenius, dtype=float)
     gap = np.asarray(noise_gap_sq, dtype=float)
     n = lip.size
-    if not (env.size == cfr.size == gap.size == n):
+    if not (env.size == gap.size == n):
         raise DomainError("per-step parameter lists must share one length")
     growth = 1.0 + q * lip ** 2
-    big_c = np.maximum(q * lip ** 2, cfr)
+    big_c = np.maximum(q * lip ** 2, env)
     refined = np.empty(n + 1)
     product = np.empty(n + 1)
     refined[0] = product[0] = math.sqrt(max(x0_gap_sq, 0.0))
@@ -456,7 +446,7 @@ def truncation_error_bound(
             total += (
                 (1.0 + x0_norm_sq)
                 * np.prod(growth[el + 1 : k])
-                * np.prod(1.0 + cfr[:el])
+                * np.prod(1.0 + env[:el])
                 * env[el]
                 * gap[el]
             )
@@ -470,12 +460,12 @@ def truncation_error_bound(
 
 def theta_norm_envelope(thetas, x0_second_moment: float) -> np.ndarray:
     """Envelope bound on ||theta_k(X_k)||_2^2 through the second-moment
-    recursion E|X_k|^2 <= prod(1 + c_Fr)(E|X_0|^2 + 1) - 1."""
-    cfr = np.asarray([t.c_frobenius for t in thetas], dtype=float)
+    recursion E|X_k|^2 <= prod(1 + c_env)(E|X_0|^2 + 1) - 1 (c_env is the
+    Frobenius-norm constant of a scalar coefficient)."""
     env = np.asarray([t.c_envelope for t in thetas], dtype=float)
-    out = np.empty(cfr.size)
-    for k in range(cfr.size):
-        m2 = np.prod(1.0 + cfr[:k]) * (x0_second_moment + 1.0) - 1.0
+    out = np.empty(env.size)
+    for k in range(env.size):
+        m2 = np.prod(1.0 + env[:k]) * (x0_second_moment + 1.0) - 1.0
         out[k] = env[k] * (1.0 + m2)
     return out
 

@@ -23,6 +23,7 @@ splitting every image point.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .dual import (
     Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
 )
-from .errors import DomainError, HullViolation, OutOfHullError, OutOfScopeError
+from .errors import DomainError, HullViolation, OutOfScopeError
 from .laws import (
     DiscreteDistribution, Law1D, TruncatedLaw, _check_points, _check_weights, _finite,
 )
@@ -59,15 +60,14 @@ class ThetaFn:
     """Scalar volatility coefficient with declared analytic constants.
 
     ``lipschitz`` bounds |theta(x) - theta(y)| / |x - y|; ``c_envelope``
-    bounds theta(x)^2 / (1 + x^2); ``c_frobenius`` is its Frobenius-norm
-    counterpart (equal in 1D).  Built-ins compute these symbolically; user
-    coefficients must declare them.
+    bounds theta(x)^2 / (1 + x^2), which for a scalar coefficient is also
+    the Frobenius-norm constant of the error bounds.  Built-ins compute
+    these symbolically; user coefficients must declare them.
     """
 
     fn: object
     lipschitz: float
     c_envelope: float
-    c_frobenius: float
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -75,7 +75,7 @@ class ThetaFn:
 
 def theta_constant(c: float) -> ThetaFn:
     c = _finite(c, "theta_constant c")
-    return ThetaFn(lambda x: np.full_like(x, c), 0.0, c * c, c * c)
+    return ThetaFn(lambda x: np.full_like(x, c), 0.0, c * c)
 
 
 def theta_affine_abs(a: float, b: float) -> ThetaFn:
@@ -83,7 +83,7 @@ def theta_affine_abs(a: float, b: float) -> ThetaFn:
     sup theta^2/(1+x^2) = a^2 + b^2."""
     if _finite(a, "theta_affine_abs a") < 0.0 or _finite(b, "theta_affine_abs b") < 0.0:
         raise DomainError("theta_affine_abs needs a, b >= 0")
-    return ThetaFn(lambda x: a + b * np.abs(x), b, a * a + b * b, a * a + b * b)
+    return ThetaFn(lambda x: a + b * np.abs(x), b, a * a + b * b)
 
 
 def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaFn:
@@ -94,7 +94,7 @@ def theta_abs_shifted(scale: float, center: float, floor: float = 0.0) -> ThetaF
     if scale < 0.0 or floor < 0.0:
         raise DomainError("theta_abs_shifted needs scale, floor >= 0")
     env = max(floor * floor, scale * scale * (1.0 + center * center))
-    return ThetaFn(lambda x: np.maximum(scale * np.abs(x - center), floor), scale, env, env)
+    return ThetaFn(lambda x: np.maximum(scale * np.abs(x - center), floor), scale, env)
 
 
 def euler_thetas(base: ThetaFn, horizon: float, n_steps: int) -> list[ThetaFn]:
@@ -104,12 +104,7 @@ def euler_thetas(base: ThetaFn, horizon: float, n_steps: int) -> list[ThetaFn]:
         raise DomainError("euler horizon must be > 0")
     h = horizon / n_steps
     s = math.sqrt(h)
-    scaled = ThetaFn(
-        lambda x, s=s: s * base(x),
-        s * base.lipschitz,
-        h * base.c_envelope,
-        h * base.c_frobenius,
-    )
+    scaled = ThetaFn(lambda x, s=s: s * base(x), s * base.lipschitz, h * base.c_envelope)
     return [scaled] * n_steps
 
 
@@ -167,12 +162,16 @@ class NoiseSpec:
         return cls("quantized", atoms=atoms)
 
     @classmethod
-    def quantized_from(cls, law: Law1D, n_atoms: int, tol: float = 1e-13) -> "NoiseSpec":
-        """Stationary Voronoi quantization of a 1D law; atoms are the exact
-        cell means, so they keep the law's mean, which :meth:`quantized`
-        checks.  The base law is kept so coupled simulations can project
-        its draws."""
-        res = lloyd_1d(law, n_atoms, tol=tol)
+    def quantized_from(cls, law: Law1D, n_atoms: int) -> "NoiseSpec":
+        """Stationary Voronoi quantization of a 1D law (a ``RuntimeWarning``
+        if it stops short of its tolerance, 1e-13); atoms are the exact cell
+        means, so they keep the law's mean, which :meth:`quantized` checks.
+        The base law is kept so coupled simulations can project its draws."""
+        res = lloyd_1d(law, n_atoms, tol=1e-13)
+        if not res.converged:
+            warnings.warn(
+                f"noise ({n_atoms} atoms): primal grid did not reach tolerance", RuntimeWarning
+            )
         return replace(cls.quantized(DiscreteDistribution(res.grid, res.weights)), base=law)
 
 
@@ -310,7 +309,7 @@ class MixtureTransitionLaw(Law1D):
 
 
 def dual_transition_weights(
-    source_grid, target_grid, theta, trunc: TruncatedLaw, hull_tol: float = 1e-9
+    source_grid, target_grid, theta, trunc: TruncatedLaw
 ) -> MartingaleKernel:
     """Transition matrix of one closed-form step followed by the dual split.
 
@@ -327,16 +326,14 @@ def dual_transition_weights(
         raise DomainError("closed-form transitions require strictly positive theta")
     lo_img = xs + theta_vals * trunc.alpha
     hi_img = xs + theta_vals * trunc.beta
-    slack = hull_slack_1d(ts[0], ts[-1], hull_tol)
+    slack = hull_slack_1d(ts[0], ts[-1])
     low_bad = lo_img < ts[0] - slack
     high_bad = hi_img > ts[-1] + slack
     if np.any(low_bad) or np.any(high_bad):
         i = int(np.flatnonzero(low_bad | high_bad)[0])
         overshoot = max(float(ts[0] - lo_img[i]), float(hi_img[i] - ts[-1]))
         raise HullViolation(
-            f"image of source point {xs[i]} leaves the target hull by {overshoot:.3e}",
-            source_index=i,
-            overshoot=overshoot,
+            f"image of source point {xs[i]} leaves the target hull by {overshoot:.3e}"
         )
     # F and K at every target, F(-) at the first target only (all hat_split reads)
     x, th = xs[:, None], theta_vals[:, None]
@@ -348,11 +345,7 @@ def dual_transition_weights(
 
 
 def finite_noise_transition(
-    source: DiscreteDistribution,
-    noise: DiscreteDistribution,
-    theta,
-    target,
-    hull_tol: float = 1e-9,
+    source: DiscreteDistribution, noise: DiscreteDistribution, theta, target
 ) -> MartingaleKernel:
     """Exact one-step kernel for a finitely supported noise.
 
@@ -368,10 +361,7 @@ def finite_noise_transition(
         theta_vals = _theta_values(theta, xs)
         images = xs[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
         target_points = np.asarray(target, dtype=float).reshape(-1)
-        try:
-            j, lam_right = locate_1d(target_points, images.ravel(), hull_tol)
-        except OutOfHullError as exc:
-            raise HullViolation(str(exc)) from exc
+        j, lam_right = locate_1d(target_points, images.ravel())
         verts = np.stack([j, j + 1], axis=1)
         lam = np.stack([1.0 - lam_right, lam_right], axis=1)
     elif source.dim == 2:
@@ -380,10 +370,7 @@ def finite_noise_transition(
         xs = source.points
         mats = _theta_values(theta, xs, noise_dim=noise.dim)
         images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
-        try:
-            tri_idx, lam = target.locate(images.reshape(-1, 2), tol=hull_tol)
-        except OutOfHullError as exc:
-            raise HullViolation(str(exc)) from exc
+        tri_idx, lam = target.locate(images.reshape(-1, 2))
         target_points = target.vertices
         verts = target.triangles[tri_idx]
     else:
@@ -416,15 +403,6 @@ class ChainApproximation:
     def marginal(self, k: int) -> DiscreteDistribution:
         return DiscreteDistribution(self.grids[k], self.marginal_weights[k])
 
-    def mean(self, k: int):
-        m = self.marginal_weights[k] @ np.asarray(self.grids[k])
-        return float(m) if np.ndim(m) == 0 else m
-
-    def second_moment(self, k: int) -> float:
-        pts = np.asarray(self.grids[k])
-        sq = pts ** 2 if pts.ndim == 1 else np.einsum("id,id->i", pts, pts)
-        return float(self.marginal_weights[k] @ sq)
-
     def to_json(self) -> dict:
         return {
             "grids": [np.asarray(g).tolist() for g in self.grids],
@@ -436,6 +414,8 @@ class ChainApproximation:
 # atoms of the quantized innovation that replaces a truncated noise on a step
 # whose coefficient is not strictly positive on the current grid
 _FALLBACK_NOISE_ATOMS = 15
+# sweep cap of the dual quantizer of each step's image law
+_DUAL_MAX_ITER = 20000
 
 
 def _initial_state(x0, n0: int, dim: int):
@@ -448,6 +428,8 @@ def _initial_state(x0, n0: int, dim: int):
         return x0.atoms()
     if isinstance(x0, Law1D):
         res = lloyd_1d(x0, n0)
+        if not res.converged:
+            warnings.warn(f"x0 ({n0} points): primal grid did not reach tolerance", RuntimeWarning)
         return res.grid, res.weights
     raise DomainError("x0 must be a 1D law")
 
@@ -472,20 +454,14 @@ def _warm_init(prev_grid, n_next, hull):
 
 
 def build_chain(
-    arch: ArchSpec,
-    noises,
-    x0,
-    sizes,
-    grid_mode: str = "embedded",
-    grids=None,
-    dual_tol: float = 1e-9,
-    dual_max_iter: int = 20000,
+    arch: ArchSpec, noises, x0, sizes, grid_mode: str = "embedded", grids=None
 ) -> ChainApproximation:
     """Build grids, marginal weights, and martingale kernels for all steps.
 
     ``sizes[k]`` is the support budget of time index k (``sizes[0]``
-    quantizes a continuous initial law primally; a finite ``x0``, a
-    :class:`DiscreteDistribution`, is used as given).  Each step takes the
+    quantizes a continuous initial law primally, warning if it stops short
+    of its tolerance; a finite ``x0``, a :class:`DiscreteDistribution`, is
+    used as given).  Each step takes the
     law of the one-step image of the current marginal (a
     :class:`MixtureTransitionLaw` for truncated noise, the finite image law
     for quantized noise, none in 2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual fixed point
@@ -543,7 +519,7 @@ def build_chain(
             if noise.mode == "truncated" and k >= 1:
                 init = _warm_init(grid, sizes[k + 1], law.support)
             dual_res = dual_lloyd_1d(
-                law, sizes[k + 1], init=init, tol=dual_tol, max_iter=dual_max_iter
+                law, sizes[k + 1], init=init, tol=1e-9, max_iter=_DUAL_MAX_ITER
             )
             target = dual_res.grid
         # 3. the kernel: embedded grids end exactly on the law's support,

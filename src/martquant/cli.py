@@ -51,15 +51,18 @@ def _write_csv(path: Path, header, rows):
 def _warnings_printed():
     """Print the Python warnings raised inside as ``warning: <message>`` on
     stderr, the form of the commands' own warnings; every RuntimeWarning is
-    printed, also one that repeats an earlier message."""
+    printed, also one that repeats an earlier message.  Yields the list of
+    the messages printed so far."""
+    printed = []
 
     def show(message, *args, **kwargs):
+        printed.append(str(message))
         print(f"warning: {message}", file=sys.stderr)
 
     with warnings.catch_warnings():
         warnings.simplefilter("always", RuntimeWarning)
         warnings.showwarning = show
-        yield
+        yield printed
 
 
 def _load_law(spec):
@@ -201,10 +204,12 @@ def cmd_quantize(args) -> int:
 
 def cmd_chain(args) -> int:
     cfg = _load_config(args)
-    arch, noises = _arch_from_config(cfg)
-    x0 = _load_law(cfg["x0"])
-    sizes = _sizes_from_config(cfg, arch.n_steps)
-    built = chainmod.build_chain(arch, noises, x0, sizes)
+    # a primal quantizer (noise or x0) that stops short of its tolerance warns
+    with _warnings_printed() as printed:
+        arch, noises = _arch_from_config(cfg)
+        x0 = _load_law(cfg["x0"])
+        sizes = _sizes_from_config(cfg, arch.n_steps)
+        built = chainmod.build_chain(arch, noises, x0, sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "chain.json", "w") as fh:
@@ -217,7 +222,7 @@ def cmd_chain(args) -> int:
             zip(built.grids[k], built.marginal_weights[k]),
         )
     rows = []
-    unconverged = False
+    unconverged = bool(printed)
     for k, diag in enumerate(built.diagnostics):
         check = ordermod.convex_order_check(built.marginal(k), built.marginal(k + 1))
         print(f"step {k}: convex order {check.status}")
@@ -309,7 +314,8 @@ def cmd_mot(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    arch, noises = _arch_from_config(cfg)
+    with _warnings_printed():
+        arch, noises = _arch_from_config(cfg)
     x0 = _load_law(cfg["x0"])
     n_paths, seed = _paths_and_seed(args, cfg)
     stats = archmc.coupled_gap_statistics(
@@ -333,7 +339,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    arch, noises = _arch_from_config(cfg)
+    with _warnings_printed():
+        arch, noises = _arch_from_config(cfg)
     x0 = _load_law(cfg["x0"])
     n_paths, seed = _paths_and_seed(args, cfg)
     report = archmc.compare_truncation_bound(
@@ -409,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--strict",
         action="store_true",
-        help="exit 2 when a dual grid did not reach tolerance (artifacts are still written)",
+        help="exit 2 when a quantizer did not reach tolerance or another warning was printed "
+        "(artifacts are still written)",
     )
     c.set_defaults(func=cmd_chain)
 

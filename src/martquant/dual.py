@@ -6,6 +6,8 @@ projected point equals the point itself.  This file provides the 1D and 2D
 point location behind it, dual weights and distortion of a fixed 1D grid, the 1D
 fixed-point optimization of the interior points, and for the 2D case a
 Delaunay triangulation and point location by Qhull (``scipy.spatial``).
+Point location and the kernels of ``chain`` share one relative hull slack,
+``_HULL_TOL`` = 1e-9; a point farther out raises :class:`HullViolation`.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    OutOfHullError,
-    OutOfScopeError,
-    SupportError,
-)
+from .errors import DomainError, HullViolation, OutOfScopeError, SupportError
 from .laws import Law1D, _check_points
 
 __all__ = [
@@ -41,7 +38,6 @@ class DualQuantization:
     distortion: float
     converged: bool
     iterations: int
-    order_violation: bool
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -53,27 +49,27 @@ def _grid_points(grid) -> np.ndarray:
 # splitting operators
 
 
-def hull_slack_1d(lo: float, hi: float, tol: float) -> float:
+def hull_slack_1d(lo: float, hi: float) -> float:
     """How far outside the 1D hull ``[lo, hi]`` a point may lie and still
-    count as inside: ``tol * max(1, |lo|, |hi|)``."""
-    return tol * max(1.0, abs(lo), abs(hi))
+    count as inside: ``_HULL_TOL * max(1, |lo|, |hi|)``."""
+    return _HULL_TOL * max(1.0, abs(lo), abs(hi))
 
 
-def locate_1d(points: np.ndarray, queries, tol: float = _HULL_TOL):
+def locate_1d(points: np.ndarray, queries):
     """Interval and right barycentric weight of each query on a 1D grid.
 
     Returns ``(j, lam_right)`` with ``x_j <= q <= x_{j+1}`` and
     ``q = (1 - lam_right) x_j + lam_right x_{j+1}``.  A query outside the
-    hull ``[x_0, x_N]`` by at most ``tol * max(1, |x_0|, |x_N|)`` is clipped
-    onto it; one farther out raises :class:`OutOfHullError`, which names the
-    first such query.
+    hull ``[x_0, x_N]`` by at most ``_HULL_TOL * max(1, |x_0|, |x_N|)``
+    (1e-9 relative) is clipped onto it; one farther out raises
+    :class:`HullViolation`, which names the first such query.
     """
     q = np.asarray(queries, dtype=float)
     lo, hi = points[0], points[-1]
-    slack = hull_slack_1d(lo, hi, tol)
+    slack = hull_slack_1d(lo, hi)
     bad = (q < lo - slack) | (q > hi + slack)
     if np.any(bad):
-        raise OutOfHullError(f"query {q[bad][0]} outside hull [{lo}, {hi}]")
+        raise HullViolation(f"query {q[bad][0]} outside hull [{lo}, {hi}]")
     q = np.clip(q, lo, hi)
     j = np.clip(np.searchsorted(points, q, side="right") - 1, 0, points.size - 2)
     return j, (q - points[j]) / (points[j + 1] - points[j])
@@ -248,10 +244,8 @@ def dual_lloyd_1d(
     F(x_{i+1}) - x_{i-1} F(x_{i-1}) - K(x_{i+1}) + K(x_{i-1})] / (x_{i+1} -
     x_{i-1})``, whose level always lies between the neighbour F values.
     This is robust where cell masses differ by orders of magnitude (law
-    tails).
-
-    Iterates leaving the ordered simplex stop the run; the last valid grid
-    is returned with ``order_violation = True``.
+    tails).  A point moves only to a solution strictly inside its current
+    neighbours, so the grid stays strictly increasing from its start.
     """
     lo, hi = law.support
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
@@ -259,18 +253,17 @@ def dual_lloyd_1d(
     if n_points < 2:
         raise DomainError("a dual grid needs at least two points")
     if init is None:
-        points = np.linspace(lo, hi, n_points)
-    else:
-        points = _grid_points(init).copy()
-        if points.size != n_points:
-            raise DomainError("init size must match n_points")
-        if abs(points[0] - lo) > 1e-9 or abs(points[-1] - hi) > 1e-9:
-            raise DomainError("init endpoints must sit on the support hull")
-        points[0], points[-1] = lo, hi
+        init = np.linspace(lo, hi, n_points)
+    points = _grid_points(init).copy()
+    if points.size != n_points:
+        raise DomainError("init size must match n_points")
+    if abs(points[0] - lo) > 1e-9 or abs(points[-1] - hi) > 1e-9:
+        raise DomainError("init endpoints must sit on the support hull")
+    points[0], points[-1] = lo, hi
+    points = _grid_points(points)
     law_atoms = np.sort(np.asarray(law.atoms()[0], dtype=float))
     snap_tol = 1e-13 * (abs(lo) + abs(hi) + 1.0)
     converged = n_points == 2
-    order_violation = False
     iterations = 0
     max_iter = 0 if n_points == 2 else max_iter
     float_floor = 2e-16 * (abs(lo) + abs(hi) + 1.0)
@@ -327,9 +320,6 @@ def dual_lloyd_1d(
                     solved = np.where(close, law_atoms[cand_idx], solved)
             keep_order = (solved > lo_n) & (solved < hi_n)
             cand[idx] = np.where(keep_order, solved, cand[idx])
-        if np.any(np.diff(cand) <= 0.0):
-            order_violation = True
-            break
         last_move = float(np.max(np.abs(cand - points)))
         points = cand
         if last_move < 0.5 * float_floor:
@@ -342,7 +332,6 @@ def dual_lloyd_1d(
         distortion=dual_distortion(points, law),
         converged=converged,
         iterations=iterations,
-        order_violation=order_violation,
     )
 
 
@@ -416,15 +405,15 @@ class Triangulation2D:
         c = np.einsum("...ij,...j->...i", m[..., :2, :], queries - m[..., 2, :])
         return np.concatenate([c, 1.0 - c.sum(axis=-1, keepdims=True)], axis=-1)
 
-    def locate(self, queries: np.ndarray, tol: float = _HULL_TOL):
+    def locate(self, queries: np.ndarray):
         """Containing triangle per query and clipped barycentric weights.
 
         Qhull's ``find_simplex`` locates the queries inside the hull.  A query
         it leaves out goes to the hull triangle in which its least weight is
-        largest.  That weight must be at least ``-tol * span``, where
-        ``span`` is the larger of 1 and the largest absolute vertex
-        coordinate; otherwise :class:`OutOfHullError` names the first such
-        query.  Weights are clipped at 0 and renormalized.
+        largest.  That weight must be at least ``-_HULL_TOL * span`` (1e-9
+        relative), where ``span`` is the larger of 1 and the largest
+        absolute vertex coordinate; otherwise :class:`HullViolation` names
+        the first such query.  Weights are clipped at 0 and renormalized.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         tri = self._qhull.find_simplex(q).astype(np.intp)
@@ -435,10 +424,10 @@ class Triangulation2D:
             tri[out] = hull[np.argmax(lam.min(axis=2), axis=1)]
         lam = self._weights(q, tri)
         span = max(1.0, float(np.max(np.abs(self.vertices))))
-        bad = lam.min(axis=1) < -tol * span
+        bad = lam.min(axis=1) < -_HULL_TOL * span
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
-            raise OutOfHullError(f"query {q[i]} outside the triangulated hull")
+            raise HullViolation(f"query {q[i]} outside the triangulated hull")
         lam = np.clip(lam, 0.0, None)
         lam /= lam.sum(axis=1, keepdims=True)
         return tri, lam

@@ -13,10 +13,6 @@ class EmptyCellError(MartquantError):
     """A quantization cell received zero mass (bad initial grid)."""
 
 
-class OutOfHullError(MartquantError):
-    """A query point lies outside the convex hull of the grid."""
-
-
 class SupportError(DomainError):
     """The law carries mass outside the convex hull of the grid."""
 
@@ -38,15 +34,8 @@ class BudgetExceeded(MartquantError):
 
 
 class HullViolation(MartquantError):
-    """A one-step image of a grid point escapes the next grid's hull.
-
-    Carries which source point violated and by how much.
-    """
-
-    def __init__(self, message, source_index=None, overshoot=0.0):
-        super().__init__(message)
-        self.source_index = source_index
-        self.overshoot = overshoot
+    """A point lies outside a grid's hull by more than the hull slack: a
+    query of a point location, or a one-step image of a grid point."""
 
 
 class OutOfScopeError(MartquantError):

@@ -55,11 +55,10 @@ def forward_start_payoff(strike: float = 0.0):
 class MotProblem:
     """Marginals (in convex order) and a payoff, within a variable budget.
 
-    ``payoff`` is either an ndarray of shape ``(N_0, ..., N_n)`` or a
-    callable receiving one ``(..., d)`` point block per marginal,
-    broadcastable over leading axes.  Raises :class:`BudgetExceeded` when
-    the coupling has more variables than ``budget``, so a problem that
-    exists fits its budget.
+    ``payoff`` is a callable receiving one ``(..., d)`` point block per
+    marginal, broadcastable over leading axes (a table is ``lambda *_:
+    table``).  Raises :class:`BudgetExceeded` when the coupling has more
+    variables than ``budget``, so a problem that exists fits its budget.
     """
 
     marginals: tuple
@@ -85,12 +84,6 @@ class MotProblem:
 
     def cost_tensor(self) -> np.ndarray:
         sizes = self.sizes
-        if isinstance(self.payoff, np.ndarray):
-            if self.payoff.shape != sizes:
-                raise DomainError(
-                    f"payoff table shape {self.payoff.shape} != grid sizes {sizes}"
-                )
-            return np.asarray(self.payoff, dtype=float)
         blocks = []
         n_total = len(sizes)
         for k, marg in enumerate(self.marginals):

@@ -71,6 +71,32 @@ def _lloyd_step(law: Law1D, points: np.ndarray) -> np.ndarray:
     return np.diff(k) / df
 
 
+def _initial_grid(law: Law1D, n_points: int) -> np.ndarray:
+    """The distinct quantiles of the levels (2i-1)/(2N), completed to N points.
+
+    Levels inside one atom's jump give one point.  Each missing point goes
+    to the conditional median of the heaviest open gap between the points,
+    the two tails included.  Every point then lies in the support of the
+    law, so no Voronoi cell is empty.  Raises :class:`DomainError` when the
+    points are short and no gap carries mass.
+    """
+    levels = (2.0 * np.arange(1, n_points + 1) - 1.0) / (2.0 * n_points)
+    points = np.unique(np.asarray(law.quantile(levels), dtype=float))
+    while points.size < n_points:
+        f = np.asarray(law.cdf(points), dtype=float)
+        # F below each gap, and the mass of (-inf, x_0), (x_i, x_{i+1}), (x_last, inf)
+        below = np.concatenate(([0.0], f))
+        mass = np.concatenate((np.asarray(law.cdf_left(points), dtype=float), [1.0])) - below
+        gap = int(np.argmax(mass))
+        grown = points
+        if mass[gap] > 0.0:
+            grown = np.unique(np.append(points, law.quantile(below[gap] + 0.5 * mass[gap])))
+        if grown.size == points.size:
+            raise DomainError("law support is too small for the requested grid size")
+        points = grown
+    return points
+
+
 def lloyd_1d(
     law: Law1D,
     n_points: int,
@@ -81,16 +107,14 @@ def lloyd_1d(
     """Fixed point of the 1D cell-mean iteration for an analytic law.
 
     Default initialization places points at the quantiles of levels
-    (2i-1)/(2N), which cannot produce empty cells for continuous laws.
+    (2i-1)/(2N), completed inside the gaps that carry mass where an atom
+    takes several levels (see ``_initial_grid``), so no cell is empty.
     Stops when the sup-norm grid displacement drops below ``tol``.
     """
     if n_points < 1:
         raise DomainError("need at least one point")
     if init is None:
-        levels = (2.0 * np.arange(1, n_points + 1) - 1.0) / (2.0 * n_points)
-        points = np.asarray(law.quantile(levels), dtype=float).reshape(-1)
-        if n_points > 1 and np.any(np.diff(points) <= 0.0):
-            raise DomainError("law support is too small for the requested grid size")
+        points = _initial_grid(law, n_points)
     else:
         points = _points_1d(init).copy()
         if points.size != n_points:

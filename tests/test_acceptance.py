@@ -141,8 +141,8 @@ def test_criterion_6_chain_invariants():
     trunc = TruncatedLaw.centered(Normal(0, 1), alpha)
     chain = build_chain(ArchSpec(thetas), [NoiseSpec.truncated(trunc)] * 5, x0, sizes)
     ok = all(k.martingale_residual() < 1e-9 for k in chain.kernels)
-    mean0 = chain.mean(0)
-    ok &= all(abs(chain.mean(k) - mean0) < 1e-9 for k in range(6))
+    mean0 = chain.marginal(0).mean
+    ok &= all(abs(chain.marginal(k).mean - mean0) < 1e-9 for k in range(6))
     ok &= all(
         convex_order_check(chain.marginal(k), chain.marginal(k + 1)).dominated
         for k in range(5)
@@ -180,7 +180,6 @@ def test_criterion_8_truncation_bound():
         refined, _ = truncation_error_bound(
             [t.lipschitz for t in thetas],
             [t.c_envelope for t in thetas],
-            [t.c_frobenius for t in thetas],
             1,
             x0.second_moment,
             0.0,

@@ -80,9 +80,9 @@ def test_steps_never_write_over_what_a_coefficient_returns():
     n = 1_000
     stored = np.full(n, 0.3)
     cases = [
-        (ThetaFn(lambda x: x, 1.0, 1.0, 1.0), ThetaFn(lambda x: x * 1.0, 1.0, 1.0, 1.0)),
-        (ThetaFn(lambda x: stored[: x.size], 0.0, 0.09, 0.09), theta_constant(0.3)),
-        (ThetaFn(lambda x: 0.3, 0.0, 0.09, 0.09), theta_constant(0.3)),
+        (ThetaFn(lambda x: x, 1.0, 1.0), ThetaFn(lambda x: x * 1.0, 1.0, 1.0)),
+        (ThetaFn(lambda x: stored[: x.size], 0.0, 0.09), theta_constant(0.3)),
+        (ThetaFn(lambda x: 0.3, 0.0, 0.09), theta_constant(0.3)),
     ]
     specs = [NoiseSpec.truncated(TRUNC15)] * 3
     for theta, fresh in cases:
@@ -105,7 +105,7 @@ def test_common_random_numbers_monotone_in_radius():
 
 def test_truncation_bound_zero_inputs():
     refined, product = truncation_error_bound(
-        [0.1] * 4, [0.2] * 4, [0.2] * 4, 1, 1.0, 0.0, [0.0] * 4
+        [0.1] * 4, [0.2] * 4, 1, 1.0, 0.0, [0.0] * 4
     )
     assert np.allclose(refined, 0.0)
     assert np.allclose(product, 0.0)
@@ -116,7 +116,7 @@ def test_truncation_bound_one_step_equality_configuration():
     c0 = 0.7
     t1 = TruncatedLaw.centered(Normal(0, 1), -1.0)
     gap = Normal(0, 1).second_moment - t1.second_moment
-    refined, product = truncation_error_bound([0.0], [c0 * c0], [c0 * c0], 1, 0.0, 0.0, [gap])
+    refined, product = truncation_error_bound([0.0], [c0 * c0], 1, 0.0, 0.0, [gap])
     arch = ArchSpec([theta_constant(c0)])
     s = simulate_coupled(arch, [NoiseSpec.truncated(t1)], 0.0, 400_000, seed=11)
     emp_sq = (s.exact[1] - s.approx[1]) ** 2
@@ -134,7 +134,6 @@ def test_truncation_bound_dominates_empirical_multi_step():
     refined, product = truncation_error_bound(
         [t.lipschitz for t in thetas],
         [t.c_envelope for t in thetas],
-        [t.c_frobenius for t in thetas],
         1,
         1.0,
         0.0,
@@ -159,13 +158,12 @@ def test_euler_product_form_matches_display():
     refined, product = truncation_error_bound(
         [t.lipschitz for t in thetas],
         [t.c_envelope for t in thetas],
-        [t.c_frobenius for t in thetas],
         1,
         1.0,
         0.0,
         [gap] * n,
     )
-    big_c = max(h * base.lipschitz ** 2, h * base.c_frobenius)
+    big_c = max(h * base.lipschitz ** 2, h * base.c_envelope)
     for k in range(n + 1):
         display = (1.0 + 1.0 * 1.0) * (1.0 + big_c) ** k * (h * base.c_envelope) * k * gap
         assert product[k] ** 2 == pytest.approx(display, rel=1e-12)
@@ -279,7 +277,6 @@ def test_domination_negative_control_reports_without_asserting():
             "__call__": lambda self, x: 1.0 / (1.0 + np.abs(np.asarray(x))),
             "lipschitz": 1.0,
             "c_envelope": 1.0,
-            "c_frobenius": 1.0,
         },
     )()
     arch = ArchSpec([bump] * 2)

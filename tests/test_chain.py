@@ -20,8 +20,9 @@ from martquant.chain import (
     theta_affine_abs,
     theta_constant,
 )
+from martquant import chain as chainmod, dual
 from martquant.dual import Triangulation2D, locate_1d
-from martquant.errors import DomainError, HullViolation, OutOfHullError
+from martquant.errors import DomainError, HullViolation
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.order import convex_order_check
 from martquant.rng import make_generator
@@ -136,9 +137,10 @@ def test_dual_transition_weights_quadrature_oracle(trunc_n1):
 
 
 def test_dual_transition_hull_violation(trunc_n1):
-    with pytest.raises(HullViolation) as err:
+    # the image [-1, 1] of 0 leaves [-0.5, 0.5] by 0.5 on each side
+    message = r"source point 0\.0 leaves the target hull by 5\.000e-01"
+    with pytest.raises(HullViolation, match=message):
         dual_transition_weights(np.array([0.0]), np.array([-0.5, 0.5]), np.array([1.0]), trunc_n1)
-    assert err.value.overshoot > 0
 
 
 @pytest.mark.parametrize("side", ["low", "high"])
@@ -146,11 +148,12 @@ def test_dual_transition_hull_violation(trunc_n1):
     "grid", [[100.0, 100.5, 101.0], [-5.0, 0.0, 5.0]], ids=["narrow_far", "wide_centred"]
 )
 def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
-    """The closed-form kernel and ``locate_1d`` take one hull slack,
-    ``tol * max(1, |x_0|, |x_N|)``: 1.01e-7 on [100, 101], 5e-9 on [-5, 5]."""
+    """The closed-form kernel, ``locate_1d`` and the 1D finite-noise kernel
+    take one hull slack, ``_HULL_TOL * max(1, |x_0|, |x_N|)``: 1.01e-7 on
+    [100, 101], 5e-9 on [-5, 5]."""
     ts = np.array(grid)
-    tol, theta = 1e-9, 0.25
-    slack = tol * max(1.0, abs(ts[0]), abs(ts[-1]))
+    theta = 0.25
+    slack = dual._HULL_TOL * max(1.0, abs(ts[0]), abs(ts[-1]))
     for factor, inside in ((0.5, True), (1.5, False)):
         if side == "high":
             edge = ts[-1] + factor * slack
@@ -160,18 +163,18 @@ def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
             x = edge - theta * trunc_n1.alpha
         image = x + theta * (trunc_n1.beta if side == "high" else trunc_n1.alpha)
         assert abs(image - edge) < 1e-3 * slack
-        kernel = lambda: dual_transition_weights(
-            np.array([x]), ts, np.array([theta]), trunc_n1, hull_tol=tol
+        kernel = lambda: dual_transition_weights(np.array([x]), ts, np.array([theta]), trunc_n1)
+        locate = lambda: locate_1d(ts, [image])
+        # a one-atom noise at 0 leaves its source point where it is
+        finite = lambda: finite_noise_transition(
+            DiscreteDistribution([image], [1.0]), DiscreteDistribution([0.0], [1.0]), theta, ts
         )
-        locate = lambda: locate_1d(ts, [image], tol)
-        if inside:
-            kernel()
-            locate()
-        else:
-            with pytest.raises(HullViolation):
-                kernel()
-            with pytest.raises(OutOfHullError):
-                locate()
+        for run in (kernel, locate, finite):
+            if inside:
+                run()
+            else:
+                with pytest.raises(HullViolation):
+                    run()
 
 
 def test_finite_noise_transition_rademacher():
@@ -521,11 +524,11 @@ def test_build_chain_second_moments_nondecreasing():
     chain = build_chain(
         ArchSpec(thetas), [NoiseSpec.truncated(trunc)] * 3, Uniform(0.9, 1.1), [15, 15, 15, 15]
     )
-    m2 = [chain.second_moment(k) for k in range(4)]
+    m2 = [chain.marginal(k).second_moment for k in range(4)]
     assert all(b >= a - 1e-12 for a, b in zip(m2, m2[1:]))
     for k in range(3):
         assert chain.diagnostics[k]["martingale_residual"] < 1e-9
-        assert abs(chain.mean(k + 1) - chain.mean(0)) < 1e-9
+        assert abs(chain.marginal(k + 1).mean - chain.marginal(0).mean) < 1e-9
 
 
 def test_chain_second_moment_identity():
@@ -541,8 +544,8 @@ def test_chain_second_moment_identity():
     for k in range(3):
         theta_sq = float(chain.marginal_weights[k] @ thetas[k](chain.grids[k]) ** 2)
         d2 = chain.diagnostics[k]["dual_distortion"] ** 2
-        expected = chain.second_moment(k) + theta_sq * trunc.second_moment + d2
-        assert chain.second_moment(k + 1) == pytest.approx(expected, abs=1e-13)
+        expected = chain.marginal(k).second_moment + theta_sq * trunc.second_moment + d2
+        assert chain.marginal(k + 1).second_moment == pytest.approx(expected, abs=1e-13)
 
 
 def _euler_config_chain():
@@ -564,20 +567,22 @@ def _seeded_chain():
 
 
 @pytest.mark.parametrize("make", [_euler_config_chain, _seeded_chain], ids=["euler", "seeded"])
-def test_embedded_grid_ends_are_the_image_hull_bit_for_bit(make):
+def test_embedded_grid_ends_are_the_image_hull_bit_for_bit(make, monkeypatch):
     """Each embedded grid ends exactly on the hull of the one-step images,
     the hull ``dual_transition_weights`` checks, so that check passes even
     with no tolerance.  The ends are pinned before the first sweep, so
     capping the sweeps keeps what is checked and keeps the build short."""
     arch, noises, x0, sizes = make()
-    chain = build_chain(arch, noises, x0, sizes, dual_max_iter=50)
+    monkeypatch.setattr(chainmod, "_DUAL_MAX_ITER", 50)
+    chain = build_chain(arch, noises, x0, sizes)
+    monkeypatch.setattr(dual, "_HULL_TOL", 0.0)
     for k in range(arch.n_steps):
         source, target = chain.grids[k], chain.grids[k + 1]
         theta_vals = arch.thetas[k](source)
         trunc = noises[k].truncation
         assert target[0] == np.min(source + theta_vals * trunc.alpha)
         assert target[-1] == np.max(source + theta_vals * trunc.beta)
-        exact = dual_transition_weights(source, target, theta_vals, trunc, hull_tol=0.0)
+        exact = dual_transition_weights(source, target, theta_vals, trunc)
         assert exact.matrix.tobytes() == chain.kernels[k].matrix.tobytes()
 
 
@@ -788,7 +793,7 @@ def test_a_nan_theta_names_its_step(mode):
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     noise = NoiseSpec.truncated(trunc) if mode == "truncated" else NoiseSpec.quantized_from(trunc, 5)
     # finite at the start point 0, nan on the spread-out grid of step 1
-    nan_off_zero = ThetaFn(lambda x: np.where(np.abs(x) > 0.1, math.nan, 0.5), 0.0, 0.25, 0.25)
+    nan_off_zero = ThetaFn(lambda x: np.where(np.abs(x) > 0.1, math.nan, 0.5), 0.0, 0.25)
     with pytest.raises(DomainError, match="theta values of step 1 must be finite"):
         build_chain(
             ArchSpec([nan_off_zero, nan_off_zero]),

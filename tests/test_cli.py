@@ -153,6 +153,76 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
         assert _read(strict / name) == _read(capped / name)
 
 
+@pytest.mark.parametrize("noise", ["truncated", "quantized"])
+def test_commands_warn_when_a_primal_quantizer_does_not_converge(
+    tmp_path, chain_config, capsys, monkeypatch, noise
+):
+    import martquant.chain as chainmod
+
+    cfg = json.loads(chain_config.read_text())
+    # a uniform x0 converges in one iteration, which no cap stops short
+    cfg.update(paths=2000, x0={"kind": "normal", "mean": 1, "sd": 0.05})
+    if noise == "quantized":
+        cfg["noise"]["quantized"] = 7
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg))
+    commands = ("chain", "simulate", "bounds")
+
+    def warnings_printed(command, out, *flags):
+        status = run([command, "--config", str(config), "--out", str(out), *flags])
+        err = capsys.readouterr().err.splitlines()
+        return status, [line for line in err if line.startswith("warning")]
+
+    for command in commands:
+        assert warnings_printed(command, tmp_path / "full" / command) == (0, [])
+    assert warnings_printed("chain", tmp_path / "full_strict", "--strict") == (0, [])
+
+    real = chainmod.lloyd_1d
+
+    def two_iterations(law, n_points, **kwargs):
+        return real(law, n_points, **{**kwargs, "max_iter": 2})
+
+    # the noise (simulate and bounds draw x0 itself) and x0 of the chain
+    monkeypatch.setattr(chainmod, "lloyd_1d", two_iterations)
+    noise_warning = ["warning: noise (7 atoms): primal grid did not reach tolerance"]
+    noise_warning = noise_warning if noise == "quantized" else []
+    x0_warning = ["warning: x0 (9 points): primal grid did not reach tolerance"]
+    want = {"chain": noise_warning + x0_warning, "simulate": noise_warning, "bounds": noise_warning}
+    for command in commands:
+        assert warnings_printed(command, tmp_path / "capped" / command) == (0, want[command])
+    # --strict exits 2 on it, and still writes the same artifacts
+    strict, capped = tmp_path / "strict", tmp_path / "capped" / "chain"
+    assert warnings_printed("chain", strict, "--strict") == (2, want["chain"])
+    assert sorted(p.name for p in strict.iterdir()) == sorted(p.name for p in capped.iterdir())
+    for name in (p.name for p in capped.iterdir()):
+        assert _read(strict / name) == _read(capped / name)
+
+
+def test_commands_take_a_noise_whose_atom_takes_several_start_levels(tmp_path, chain_config, capsys):
+    # 64 atoms of the normal truncated to [-2, 2], whose clipped mass of
+    # 0.046 sits on 0 and spans two of the levels (2i - 1) / 128
+    law = {"kind": "normal", "mean": 0, "sd": 1, "truncation": {"alpha": -2}}
+    out = tmp_path / "q"
+    argv = ["quantize", "primal", "--law", json.dumps(law), "--n", "64", "--out", str(out)]
+    assert run(argv) == 0
+    assert len(json.loads((out / "grid.json").read_text())) == 64
+    cfg = json.loads(chain_config.read_text())
+    cfg.update(paths=2000, noise={"law": law, "quantized": 64})
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    # four atoms that are their own optimal grid, and three that are too few
+    atoms = {"kind": "atoms", "points": [0, 1, 2, 3], "weights": [0.1, 0.7, 0.1, 0.1]}
+    argv = ["quantize", "primal", "--law", json.dumps(atoms), "--n", "4", "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "distortion 0\n"
+    atoms = {"kind": "atoms", "points": [0, 1, 2], "weights": [0.2, 0.5, 0.3]}
+    argv = ["quantize", "primal", "--law", json.dumps(atoms), "--n", "4", "--out", str(out)]
+    assert run(argv) == 1
+    assert "law support is too small for the requested grid size" in capsys.readouterr().err
+
+
 def test_chain_with_atoms_at_the_truncation_ends_stays_a_martingale(tmp_path):
     # alpha = -1 and the auto-centered beta = 1 are both atoms of the noise
     cfg = {

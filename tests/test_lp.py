@@ -160,7 +160,8 @@ def _mot_instances():
         nu = _random_marginal(gen, n_nu)
         mu = _coarsen(nu, int(gen.integers(2, n_nu // 2 + 1)))
         a, b, _ = coupling_lp([mu, nu])
-        for payoff in (spread_payoff, forward_start_payoff(0.3), gen.normal(size=(mu.n_atoms, n_nu))):
+        table = gen.normal(size=(mu.n_atoms, n_nu))
+        for payoff in (spread_payoff, forward_start_payoff(0.3), lambda *_: table):
             cost = MotProblem([mu, nu], payoff).cost_tensor().ravel()
             yield f"two-{n_nu}", cost, a, b
     x2 = _random_marginal(gen, 9)

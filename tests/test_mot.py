@@ -154,7 +154,7 @@ def test_payoff_matrix_input():
     mu = DiscreteDistribution([0.0], [1.0])
     nu = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
     table = np.array([[3.0, 5.0]])
-    res = mot_bounds(MotProblem([mu, nu], table))
+    res = mot_bounds(MotProblem([mu, nu], lambda *_: table))
     assert res.lower == pytest.approx(4.0, abs=1e-10)  # forced coupling mixes rows
 
 

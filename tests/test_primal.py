@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from martquant.errors import DomainError, EmptyCellError
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
-from martquant.primal import _assign_1d, _lloyd_step, distortion, lloyd_1d, voronoi_weights
+from martquant.primal import (
+    _assign_1d, _initial_grid, _lloyd_step, distortion, lloyd_1d, voronoi_weights,
+)
 
 
 def test_nn_project_tie_break():
@@ -117,6 +119,46 @@ def test_lloyd_stationarity_invariant():
 def test_lloyd_empty_cell_error():
     with pytest.raises(EmptyCellError):
         lloyd_1d(Uniform(0, 1), 3, init=np.array([2.0, 3.0, 4.0]))
+
+
+def _start_levels(n):
+    return (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+
+
+def test_lloyd_start_completes_the_quantiles_an_atom_merges():
+    # the levels 1/8, 3/8 and 5/8 all fall in the jump of the atom at 1, so
+    # the distinct quantiles are 1 and 2; the start adds the atoms 0 and 3
+    # inside the two tails, which carry mass, and these four atoms are the
+    # optimal grid
+    law = DiscreteDistribution([0.0, 1.0, 2.0, 3.0], [0.1, 0.7, 0.1, 0.1])
+    assert np.unique(law.quantile(_start_levels(4))).tolist() == [1.0, 2.0]
+    assert _initial_grid(law, 4).tolist() == [0.0, 1.0, 2.0, 3.0]
+    res = lloyd_1d(law, 4)
+    assert res.converged
+    assert res.distortion == 0.0
+    assert np.abs(res.grid - [0.0, 1.0, 2.0, 3.0]).max() < 1e-14
+    assert np.abs(res.weights - [0.1, 0.7, 0.1, 0.1]).max() < 1e-15
+    # no gap between three atoms carries mass, so they cannot give four points
+    with pytest.raises(DomainError, match="law support is too small"):
+        lloyd_1d(DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.5, 0.3]), 4)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0])
+def test_lloyd_converges_where_the_truncation_atom_takes_several_levels(alpha):
+    # the mass clipped to 0, 0.32 and 0.046, spans 20 and 2 of the 64 levels
+    law = TruncatedLaw.centered(Normal(), alpha)
+    assert np.unique(law.quantile(_start_levels(64))).size < 64
+    res = lloyd_1d(law, 64, tol=1e-13)
+    assert res.converged
+    assert res.grid.size == 64
+    assert np.all(np.diff(res.grid) > 0.0)
+    assert np.all(res.weights > 0.0)
+
+
+def test_lloyd_start_is_the_quantiles_where_no_levels_merge():
+    for law, n in ((Normal(), 31), (TruncatedLaw.centered(Normal(), -2.0), 31), (Uniform(0, 1), 4)):
+        want = np.asarray(law.quantile(_start_levels(n)))
+        assert _initial_grid(law, n).tobytes() == want.tobytes()
 
 
 def test_voronoi_weights():
