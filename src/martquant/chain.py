@@ -8,16 +8,14 @@ consecutive marginals stay in convex order while the support size stays
 under control.  :func:`build_chain` runs every step, truncated or quantized
 noise, 1D or 2D, through one loop: the step's law, its grid, its kernel.
 
-In 1D with a centered truncated noise the one-step conditional law given
-``x`` is the noise law mapped by ``x + theta z``: with ``r = (u - x) /
-theta``, ``F(u|x) = F(r)``, ``F(u-|x) = F(r-)`` and ``K(u|x) = x F(r) +
-theta K(r)``, where F and K are the :class:`TruncatedLaw`'s own (``F = K =
-0`` below alpha, ``F(-) = 1`` above beta, K measured from ``K(alpha-)`` of
-the base).  So transition kernels and the grids themselves (via the dual
-fixed point on the mixture transition law) are computed without sampling,
-also when alpha or beta is an atom of the base.  With a finitely supported
-noise the transition is propagated exactly in any supported dimension by
-splitting every image point.
+A 1D noise is a truncation of a continuous base or finitely many atoms (a
+truncation of a finite base is a finite noise), and one kernel steps both,
+without sampling.  It reads the continuous part at the noise levels ``r = (u
+- x) / theta``: ``F(u|x) = F(r)``, ``K(u|x) = x F(r) + theta K(r)``, with the
+:class:`TruncatedLaw`'s F and K, whose clipped atom at 0 counts from ``r = 0``
+on, exactly where its image ``x`` reaches u.  It splits every other point
+mass where its image ``x + theta z`` falls; a source where theta = 0 stays
+put.  In 2D every image of a finite noise is split on a triangulation.
 """
 
 from __future__ import annotations
@@ -174,6 +172,15 @@ class NoiseSpec:
             )
         return replace(cls.quantized(DiscreteDistribution(res.grid, res.weights)), base=law)
 
+    @property
+    def finite(self) -> DiscreteDistribution | None:
+        """The noise's atoms, its exact law; None for a truncation of a continuous base."""
+        if self.mode == "quantized":
+            return self.atoms
+        if isinstance(self.truncation.base, DiscreteDistribution):
+            return DiscreteDistribution(*self.truncation.atoms())
+        return None
+
 
 @dataclass(frozen=True)
 class MartingaleKernel:
@@ -211,9 +218,9 @@ def _clamp_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def _theta_values(theta, xs, what: str = "theta values", noise_dim: int = 1) -> np.ndarray:
-    """``theta`` at the source points ``xs``, checked finite: one value per
-    point in 1D, one ``(2, noise_dim)`` matrix per point in 2D.  A constant
-    (or an array of per-point values) is broadcast."""
+    """``theta`` at the source points ``xs``, checked finite: one value >= 0
+    per point in 1D, one ``(2, noise_dim)`` matrix per point in 2D.  A
+    constant (or an array of per-point values) is broadcast."""
     if not callable(theta):
         shape = xs.shape if xs.ndim == 1 else (xs.shape[0], xs.shape[1], noise_dim)
         vals = np.broadcast_to(np.asarray(theta, dtype=float), shape).astype(float)
@@ -221,11 +228,25 @@ def _theta_values(theta, xs, what: str = "theta values", noise_dim: int = 1) -> 
         vals = theta(xs)
     else:
         vals = np.asarray([theta(x) for x in xs], dtype=float)
-    return _finite(vals, what)
+    vals = _finite(vals, what)
+    if xs.ndim == 1 and not np.all(vals >= 0.0):
+        raise DomainError(f"{what} must be >= 0")
+    return vals
+
+
+def _continuous_truncation(trunc: TruncatedLaw) -> TruncatedLaw:
+    if not trunc._continuous_base:
+        raise DomainError("a truncation of a finite base is a finite noise: step its atoms")
+    return trunc
+
+
+def _images(points, theta_vals, z) -> np.ndarray:
+    """``x_i + theta_i z_j``: the image law's atoms, which the kernel splits."""
+    return points[:, None] + theta_vals[:, None] * z[None, :]
 
 
 # ---------------------------------------------------------------------------
-# 1D closed-form transitions for centered truncated noise
+# 1D closed-form transitions
 
 
 def _noise_level(x, u, theta_val):
@@ -237,21 +258,24 @@ def _noise_level(x, u, theta_val):
 
 class MixtureTransitionLaw(Law1D):
     """Law of the one-step image of a finitely supported state: the mixture
-    over source atoms of the closed-form transition law.
+    over source atoms of the closed-form transition law of a truncation of a
+    continuous base (a truncation of a finite base is a finite noise).
 
     F, K and F(-) at a batch of queries are computed on a (queries, sources)
     array, whose row of weighted transition values each query sums with
     ``np.add.reduce``: the sum of a row depends on that row alone, so a
     query's value is the same bits in any batch and under any BLAS kernel.
+    A source where theta = 0 stays put: its column is its point's step.
     """
 
     def __init__(self, points, weights, theta_values, trunc: TruncatedLaw):
         self.points = np.asarray(points, dtype=float).reshape(-1)
         self.weights = _check_weights(weights, self.points.size)
-        self.theta_values = np.asarray(theta_values, dtype=float).reshape(-1)
-        if not np.all(self.theta_values > 0.0):
-            raise DomainError("closed-form transitions require strictly positive theta")
-        self.trunc = trunc
+        self.theta_values = _theta_values(theta_values, self.points)
+        self.trunc = _continuous_truncation(trunc)
+        self._still = np.flatnonzero(self.theta_values == 0.0)
+        # the sources that stay put divide by 1, so their levels are finite
+        self._level_theta = np.where(self.theta_values == 0.0, 1.0, self.theta_values)
         # the same float expressions as the image intervals that
         # ``dual_transition_weights`` checks against the target hull
         lo = float(np.min(self.points + self.theta_values * trunc.alpha))
@@ -268,8 +292,11 @@ class MixtureTransitionLaw(Law1D):
         """The weighted sum of F(u|points), with the noise levels computed
         and clipped in place."""
         u = np.asarray(u, dtype=float)
-        levels = _noise_level(self.points, u.reshape(-1, 1), self.theta_values)
-        out = self._mix(self.trunc.cdf_in_place(levels))
+        levels = _noise_level(self.points, u.reshape(-1, 1), self._level_theta)
+        f = self.trunc.cdf_in_place(levels)
+        if self._still.size:
+            f[:, self._still] = self.points[self._still] <= u.reshape(-1, 1)
+        out = self._mix(f)
         return float(out[0]) if u.ndim == 0 else out
 
     def cdf_left(self, u):
@@ -285,8 +312,11 @@ class MixtureTransitionLaw(Law1D):
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""
         u = np.asarray(u, dtype=float)
-        levels = _noise_level(self.points, u.reshape(-1, 1), self.theta_values)
+        levels = _noise_level(self.points, u.reshape(-1, 1), self._level_theta)
         f, k, f_left = self.trunc.cdf_moment_left_batch(levels)
+        if self._still.size:
+            still, u_col = self.points[self._still], u.reshape(-1, 1)
+            f[:, self._still], f_left[:, self._still] = still <= u_col, still < u_col
         k = self.points * f + self.theta_values * k
         return self._mix(f), self._mix(k), self._mix(f_left)
 
@@ -304,85 +334,87 @@ class MixtureTransitionLaw(Law1D):
         return self._hull
 
     def atoms(self):
-        # the clipped noise mass stays on each source point
-        return self.points.copy(), self.weights * self.trunc.clipped_mass
+        # the clipped noise mass stays on each source point, all of it where theta = 0
+        stays = np.where(self.theta_values == 0.0, 1.0, self.trunc.clipped_mass)
+        return self.points.copy(), self.weights * stays
 
 
-def dual_transition_weights(
-    source_grid, target_grid, theta, trunc: TruncatedLaw
-) -> MartingaleKernel:
-    """Transition matrix of one closed-form step followed by the dual split.
+def dual_transition_weights(source_grid, target_grid, theta, noise) -> MartingaleKernel:
+    """Transition matrix of one 1D step ``x + theta(x) z`` followed by the
+    dual split, for a :class:`TruncatedLaw` of a continuous base or a finite
+    noise (a centered :class:`DiscreteDistribution`).
 
-    Row i applies the dual-weight formula to the conditional law of the next
-    state given source point i, using the transition F and K closed forms at
-    the target points.  Requires every one-step image interval
-    ``[x_i + theta_i alpha, x_i + theta_i beta]`` inside the target hull,
-    up to the slack ``hull_slack_1d`` that ``locate_1d`` allows as well.
+    Row i is the hat split of the truncation's F and K at the noise levels
+    ``(u - x_i) / theta_i`` of the targets u, plus the split of every point
+    mass where its image falls: the image law's atoms ``x_i + theta_i z_j``
+    of a finite noise, or ``x_i`` where theta_i = 0.  Requires every image
+    interval inside the target hull, up to ``hull_slack_1d``.
     """
     xs = np.asarray(source_grid, dtype=float).reshape(-1)
     ts = np.asarray(target_grid, dtype=float).reshape(-1)
     theta_vals = _theta_values(theta, xs)
-    if not np.all(theta_vals > 0.0):
-        raise DomainError("closed-form transitions require strictly positive theta")
-    lo_img = xs + theta_vals * trunc.alpha
-    hi_img = xs + theta_vals * trunc.beta
+    finite = isinstance(noise, DiscreteDistribution)
+    lo_img, hi_img = (xs + theta_vals * end for end in noise.support)
     slack = hull_slack_1d(ts[0], ts[-1])
-    low_bad = lo_img < ts[0] - slack
-    high_bad = hi_img > ts[-1] + slack
-    if np.any(low_bad) or np.any(high_bad):
-        i = int(np.flatnonzero(low_bad | high_bad)[0])
+    bad = (lo_img < ts[0] - slack) | (hi_img > ts[-1] + slack)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
         overshoot = max(float(ts[0] - lo_img[i]), float(hi_img[i] - ts[-1]))
         raise HullViolation(
             f"image of source point {xs[i]} leaves the target hull by {overshoot:.3e}"
         )
-    # F and K at every target, F(-) at the first target only (all hat_split reads)
-    x, th = xs[:, None], theta_vals[:, None]
-    levels = _noise_level(x, ts[None, :], th)
-    f = trunc.cdf(levels)
-    k = x * f + th * trunc.partial_moment(levels)
-    f_left_first = trunc.cdf_left(levels[:, 0])
-    return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f, k, f_left_first)))
+    pi = np.zeros((xs.size, ts.size))
+    if finite:
+        _check_centered(noise)
+        images, masses = _images(xs, theta_vals, noise.points_1d), np.tile(noise.weights, xs.size)
+    else:
+        _continuous_truncation(noise)
+        moving = theta_vals > 0.0
+        x, th = xs[moving, None], theta_vals[moving, None]
+        f, k, f_left = noise.cdf_moment_left_batch(_noise_level(x, ts[None, :], th))
+        pi[moving] = hat_split(ts, f, x * f + th * k, f_left[:, 0])
+        # a source where theta = 0 is a point mass at x_i; the others have none
+        images, masses = xs[:, None], np.where(moving, 0.0, 1.0)
+    # image (i, j) carries mass j of row i, split onto the ends of its interval
+    j, lam_right = locate_1d(ts, images.ravel())
+    rows = np.repeat(np.arange(xs.size), images.shape[1])
+    np.add.at(pi, (rows, j), masses * (1.0 - lam_right))
+    np.add.at(pi, (rows, j + 1), masses * lam_right)
+    return MartingaleKernel(xs, ts, _clamp_rows(pi))
+
+
+def _check_centered(noise: DiscreteDistribution):
+    if float(np.abs(noise.mean).max()) > 1e-10:
+        raise DomainError("finite noise must be centered within 1e-10")
 
 
 def finite_noise_transition(
-    source: DiscreteDistribution, noise: DiscreteDistribution, theta, target
+    source: DiscreteDistribution, noise: DiscreteDistribution, theta, target: Triangulation2D
 ) -> MartingaleKernel:
-    """Exact one-step kernel for a finitely supported noise.
+    """Exact one-step kernel of a 2D chain with a finitely supported noise.
 
-    Every image ``x_i + theta(x_i) z_j`` is split on the target grid and the
-    splits are mixed with the noise weights; the result is an exact
-    martingale kernel because splits reproduce their argument in mean and
-    the noise is centered.
+    Every image ``x_i + theta(x_i) z_j`` is split on the target
+    triangulation and the splits are mixed with the noise weights; the
+    result is an exact martingale kernel because splits reproduce their
+    argument in mean and the noise is centered.  1D steps take
+    :func:`dual_transition_weights`.
     """
-    if float(np.abs(noise.mean).max()) > 1e-10:
-        raise DomainError("finite noise must be centered within 1e-10")
-    if source.dim == 1:
-        xs = source.points_1d
-        theta_vals = _theta_values(theta, xs)
-        images = xs[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
-        target_points = np.asarray(target, dtype=float).reshape(-1)
-        j, lam_right = locate_1d(target_points, images.ravel())
-        verts = np.stack([j, j + 1], axis=1)
-        lam = np.stack([1.0 - lam_right, lam_right], axis=1)
-    elif source.dim == 2:
-        if not isinstance(target, Triangulation2D):
-            raise DomainError("2D targets must be a Triangulation2D")
-        xs = source.points
-        mats = _theta_values(theta, xs, noise_dim=noise.dim)
-        images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
-        tri_idx, lam = target.locate(images.reshape(-1, 2))
-        target_points = target.vertices
-        verts = target.triangles[tri_idx]
-    else:
-        raise OutOfScopeError("finite-noise transitions support d = 1 and d = 2")
+    _check_centered(noise)
+    if source.dim != 2 or not isinstance(target, Triangulation2D):
+        raise DomainError("finite_noise_transition takes a 2D source and a Triangulation2D")
+    xs = source.points
+    mats = _theta_values(theta, xs, noise_dim=noise.dim)
+    images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
+    tri_idx, lam = target.locate(images.reshape(-1, 2))
+    verts = target.triangles[tri_idx]
     # image i * n_atoms + j of source i carries noise weight j; each corner
     # of its simplex receives that weight times the corner's barycentric one
-    pi = np.zeros((xs.shape[0], target_points.shape[0]))
+    pi = np.zeros((xs.shape[0], target.vertices.shape[0]))
     w_rep = np.repeat(np.arange(xs.shape[0]), noise.n_atoms)
     q_rep = np.tile(noise.weights, xs.shape[0])
     for corner in range(verts.shape[1]):
         np.add.at(pi, (w_rep, verts[:, corner]), q_rep * lam[:, corner])
-    return MartingaleKernel(xs, target_points, _clamp_rows(pi))
+    return MartingaleKernel(xs, target.vertices, _clamp_rows(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +443,6 @@ class ChainApproximation:
         }
 
 
-# atoms of the quantized innovation that replaces a truncated noise on a step
-# whose coefficient is not strictly positive on the current grid
-_FALLBACK_NOISE_ATOMS = 15
 # sweep cap of the dual quantizer of each step's image law
 _DUAL_MAX_ITER = 20000
 
@@ -436,7 +465,7 @@ def _initial_state(x0, n0: int, dim: int):
 
 def _image_law(points, weights, theta_vals, noise: DiscreteDistribution) -> DiscreteDistribution:
     """Exact law of the 1D images ``x_i + theta_i z_j``, coincident images merged."""
-    images = points[:, None] + theta_vals[:, None] * noise.points_1d[None, :]
+    images = _images(points, theta_vals, noise.points_1d)
     return merged_atoms(images, np.outer(weights, noise.weights))
 
 
@@ -461,16 +490,14 @@ def build_chain(
     ``sizes[k]`` is the support budget of time index k (``sizes[0]``
     quantizes a continuous initial law primally, warning if it stops short
     of its tolerance; a finite ``x0``, a :class:`DiscreteDistribution`, is
-    used as given).  Each step takes the
-    law of the one-step image of the current marginal (a
-    :class:`MixtureTransitionLaw` for truncated noise, the finite image law
-    for quantized noise, none in 2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual fixed point
-    of that law) and the kernel onto that grid, which checks hull
-    containment; ``hull`` in the diagnostics is the hull of the image law.
-    A coefficient that is not strictly positive on the current grid
-    switches a truncated step to a 15-point quantized innovation
-    (``_FALLBACK_NOISE_ATOMS``).  2D chains take fixed grids only, one
-    :class:`Triangulation2D` per step, and quantized noise.
+    used as given).  Each step takes the law of the one-step image of the
+    current marginal (the exact image law of a :attr:`NoiseSpec.finite`
+    noise, else a :class:`MixtureTransitionLaw`; none in 2D), its grid
+    (``grids[k]`` in ``fixed`` mode, else the dual fixed point of that law)
+    and the kernel onto that grid, which checks hull containment; ``hull``
+    in the diagnostics is the hull of the image law.  A 1D coefficient must
+    be >= 0; a source where it vanishes stays put.  2D chains take fixed
+    grids only, one :class:`Triangulation2D` per step, and quantized noise.
     """
     dim = arch.dim
     if dim not in (1, 2):
@@ -498,25 +525,24 @@ def build_chain(
     mean0 = _weighted_sum(weights, grid)
     all_grids, all_weights, kernels, diagnostics = [grid], [weights], [], []
     for k, (theta, noise) in enumerate(zip(arch.thetas, noises)):
+        finite = noise.finite
         theta_vals = _theta_values(
-            theta, grid, f"theta values of step {k}", noise.atoms.dim if dim == 2 else 1
+            theta, grid, f"theta values of step {k}", finite.dim if dim == 2 else 1
         )
-        if noise.mode == "truncated" and not np.all(theta_vals > 0.0):
-            noise = NoiseSpec.quantized_from(noise.truncation, _FALLBACK_NOISE_ATOMS)
         # 1. the law that gets quantized
-        if noise.mode == "truncated":
-            law = MixtureTransitionLaw(grid, weights, theta_vals, noise.truncation)
-        elif dim == 1:
-            law = _image_law(grid, weights, theta_vals, noise.atoms)
-        else:
+        if dim == 2:
             law = None
+        elif finite is None:
+            law = MixtureTransitionLaw(grid, weights, theta_vals, noise.truncation)
+        else:
+            law = _image_law(grid, weights, theta_vals, finite)
         # 2. its grid
         dual_res = None
         if grid_mode == "fixed":
             target = grids[k]
         else:
             init = None
-            if noise.mode == "truncated" and k >= 1:
+            if finite is None and k >= 1:
                 init = _warm_init(grid, sizes[k + 1], law.support)
             dual_res = dual_lloyd_1d(
                 law, sizes[k + 1], init=init, tol=1e-9, max_iter=_DUAL_MAX_ITER
@@ -524,11 +550,12 @@ def build_chain(
             target = dual_res.grid
         # 3. the kernel: embedded grids end exactly on the law's support,
         # the hull it checks, so only a fixed grid can raise HullViolation
-        if noise.mode == "truncated":
-            kernel = dual_transition_weights(grid, target, theta_vals, noise.truncation)
+        if dim == 1:
+            step_noise = noise.truncation if finite is None else finite
+            kernel = dual_transition_weights(grid, target, theta_vals, step_noise)
         else:
             source = DiscreteDistribution(grid, weights)
-            kernel = finite_noise_transition(source, noise.atoms, theta_vals, target)
+            kernel = finite_noise_transition(source, finite, theta_vals, target)
         # 4. bookkeeping
         weights = _weighted_sum(weights, kernel.matrix)
         weights = np.where(weights < 0.0, 0.0, weights)
@@ -538,7 +565,6 @@ def build_chain(
         else:
             distortion, converged = None if law is None else dual_distortion(target, law), None
         diag = {
-            "mode": noise.mode,
             "martingale_residual": kernel.martingale_residual(),
             "row_sum_residual": kernel.row_sum_residual(),
             "mean_drift": float(np.abs(_weighted_sum(weights, grid) - mean0).max()),

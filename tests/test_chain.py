@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from martquant.chain import (
@@ -148,9 +148,9 @@ def test_dual_transition_hull_violation(trunc_n1):
     "grid", [[100.0, 100.5, 101.0], [-5.0, 0.0, 5.0]], ids=["narrow_far", "wide_centred"]
 )
 def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
-    """The closed-form kernel, ``locate_1d`` and the 1D finite-noise kernel
-    take one hull slack, ``_HULL_TOL * max(1, |x_0|, |x_N|)``: 1.01e-7 on
-    [100, 101], 5e-9 on [-5, 5]."""
+    """The kernel of a truncated noise, ``locate_1d`` and the kernel of a
+    finite noise take one hull slack, ``_HULL_TOL * max(1, |x_0|, |x_N|)``:
+    1.01e-7 on [100, 101], 5e-9 on [-5, 5]."""
     ts = np.array(grid)
     theta = 0.25
     slack = dual._HULL_TOL * max(1.0, abs(ts[0]), abs(ts[-1]))
@@ -166,8 +166,8 @@ def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
         kernel = lambda: dual_transition_weights(np.array([x]), ts, np.array([theta]), trunc_n1)
         locate = lambda: locate_1d(ts, [image])
         # a one-atom noise at 0 leaves its source point where it is
-        finite = lambda: finite_noise_transition(
-            DiscreteDistribution([image], [1.0]), DiscreteDistribution([0.0], [1.0]), theta, ts
+        finite = lambda: dual_transition_weights(
+            np.array([image]), ts, theta, DiscreteDistribution([0.0], [1.0])
         )
         for run in (kernel, locate, finite):
             if inside:
@@ -179,23 +179,84 @@ def test_one_hull_tolerance_rule_in_1d(trunc_n1, grid, side):
 
 def test_finite_noise_transition_rademacher():
     rad = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
-    k1 = finite_noise_transition(
-        DiscreteDistribution([0.0], [1.0]), rad, np.array([1.0]), np.array([-1.0, 0.0, 1.0])
-    )
+    k1 = dual_transition_weights(np.array([0.0]), np.array([-1.0, 0.0, 1.0]), np.array([1.0]), rad)
     assert np.allclose(k1.matrix, [[0.5, 0.0, 0.5]], atol=1e-14)
-    k2 = finite_noise_transition(
-        DiscreteDistribution([0.0], [1.0]), rad, np.array([1.0]), np.array([-2.0, 2.0])
-    )
+    k2 = dual_transition_weights(np.array([0.0]), np.array([-2.0, 2.0]), np.array([1.0]), rad)
     assert np.allclose(k2.matrix, [[0.5, 0.5]], atol=1e-14)
     assert k2.martingale_residual() < 1e-12
 
 
 def test_finite_noise_requires_centered():
     biased = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="centered"):
         finite_noise_transition(
             DiscreteDistribution([0.0], [1.0]), biased, np.array([1.0]), np.array([-2.0, 2.0])
         )
+    with pytest.raises(DomainError, match="centered"):
+        dual_transition_weights(np.array([0.0]), np.array([-2.0, 2.0]), np.array([1.0]), biased)
+
+
+def _image_split_oracle(xs, thetas, noise, target):
+    """The 1D finite-noise kernel as it stood beside the closed form: every
+    image ``x_i + theta_i z_j`` located on the target grid and split onto
+    the ends of its interval with the noise weights."""
+    xs = np.asarray(xs, dtype=float)
+    thetas = np.broadcast_to(np.asarray(thetas, dtype=float), xs.shape)
+    images = xs[:, None] + thetas[:, None] * noise.points_1d[None, :]
+    j, lam_right = locate_1d(target, images.ravel())
+    pi = np.zeros((xs.size, target.size))
+    rows = np.repeat(np.arange(xs.size), noise.n_atoms)
+    q = np.tile(noise.weights, xs.size)
+    np.add.at(pi, (rows, j), q * (1.0 - lam_right))
+    np.add.at(pi, (rows, j + 1), q * lam_right)
+    return pi
+
+
+@st.composite
+def _finite_steps(draw):
+    """A centered finite noise, sources of which some have theta = 0, and a
+    target grid over the image hull that holds some of the images exactly."""
+    unit = st.floats(0.0, 1.0)
+    n_atoms = draw(st.integers(1, 8))
+    z = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_atoms, max_size=n_atoms,
+                               unique=True)))
+    q = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_atoms, max_size=n_atoms)))
+    q /= q.sum()
+    z = z - q @ z
+    assume(np.unique(z).size == n_atoms)
+    noise = DiscreteDistribution(z, q)
+    n_src = draw(st.integers(1, 6))
+    xs = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n_src, max_size=n_src)))
+    thetas = np.array(draw(st.lists(st.just(0.0) | st.floats(0.01, 1.0), min_size=n_src,
+                                    max_size=n_src)))
+    images = (xs[:, None] + thetas[:, None] * noise.points_1d[None, :]).ravel()
+    lo, hi = images.min(), images.max()
+    on_grid = draw(st.lists(st.sampled_from(images.tolist()), max_size=6))
+    inner = [lo + (hi - lo) * u for u in draw(st.lists(unit, max_size=6))]
+    pad = [draw(st.just(0.0) | st.floats(0.0, 1.0)) for _ in range(2)]
+    grid = np.unique([lo - pad[0], hi + pad[1], *on_grid, *inner])
+    if grid.size < 2:
+        grid = np.append(grid, grid[-1] + 1.0)
+    return noise, xs, thetas, grid
+
+
+@given(_finite_steps(), st.floats(-3.0, -0.5))
+@settings(max_examples=200, deadline=None)
+def test_one_kernel_splits_every_image_as_the_oracle_does(step, alpha):
+    """A finite noise's kernel is the split of its images, also where an
+    image sits on a grid point; a source where theta = 0 is a point mass
+    under a truncated noise too, so its row is the hat split of the point."""
+    noise, xs, thetas, grid = step
+    kernel = dual_transition_weights(xs, grid, thetas, noise)
+    assert np.abs(kernel.matrix - _image_split_oracle(xs, thetas, noise, grid)).max() <= 1e-14
+    assert kernel.martingale_residual() <= 1e-14
+    assert kernel.row_sum_residual() <= 1e-14
+    still = xs[thetas == 0.0]
+    trunc = TruncatedLaw.centered(Normal(0, 1), alpha)
+    for x, row in zip(still, dual_transition_weights(still, grid, 0.0, trunc).matrix):
+        f = (x <= grid).astype(float)
+        hat = dual.hat_split(grid, f, x * f, float(x < grid[0]))
+        assert np.abs(row - hat).max() <= 1e-14
 
 
 def test_finite_noise_2d_barycenter():
@@ -245,6 +306,34 @@ def test_mixture_transition_law_consistency(trunc_n1):
     assert mix.second_moment == pytest.approx(m2, abs=1e-8)
 
 
+def test_a_source_where_theta_vanishes_is_a_point_mass_of_the_mixture(trunc_n1):
+    """F, K, F(-), the moments and the atoms of a mixture with theta = 0 at
+    some sources: those sources' whole weight is an atom at their point."""
+    points = np.array([-0.2, 0.5, 1.1, 1.4])
+    weights = np.array([0.3, 0.25, 0.25, 0.2])
+    thetas = np.array([0.8, 0.0, 1.3, 0.0])
+    mix = MixtureTransitionLaw(points, weights, thetas, trunc_n1)
+    moving = MixtureTransitionLaw(points[[0, 2]], [6 / 11, 5 / 11], thetas[[0, 2]], trunc_n1)
+    still = DiscreteDistribution(points[[1, 3]], [5 / 9, 4 / 9])
+    lo, hi = mix.support
+    u = np.concatenate((points, [lo - 1.0, lo, hi, hi + 1.0], np.linspace(lo, hi, 29)))
+    for method in ("cdf", "partial_moment", "cdf_left"):
+        want = 0.55 * getattr(moving, method)(u) + 0.45 * getattr(still, method)(u)
+        assert np.abs(getattr(mix, method)(u) - want).max() <= 1e-15, method
+    for got, want in zip(mix.cdf_moment_left_batch(u), (mix.cdf(u), mix.partial_moment(u),
+                                                         mix.cdf_left(u))):
+        assert got.tobytes() == np.asarray(want).tobytes()
+    # the whole weight of a source that stays put jumps at its point
+    assert mix.cdf(points[1]) - mix.cdf_left(points[1]) == pytest.approx(weights[1], abs=1e-15)
+    assert mix.second_moment == pytest.approx(
+        0.55 * moving.second_moment + 0.45 * still.second_moment, abs=1e-15
+    )
+    atoms, masses = mix.atoms()
+    assert np.array_equal(atoms, points)
+    clipped = trunc_n1.clipped_mass
+    assert np.allclose(masses, weights * [clipped, 1.0, clipped, 1.0], rtol=0, atol=1e-16)
+
+
 def _transition_cdf_reference(x, u, theta_val, trunc):
     """The closed form before it was rewritten in place, verbatim."""
     x = np.asarray(x, dtype=float)
@@ -270,10 +359,8 @@ _BASES = pytest.mark.parametrize(
         (Normal(0, 1), -2.0),
         (Normal(0, 2), -3.0),
         (Uniform(-1, 1), -0.5),
-        # atoms at both truncation ends: F must vanish below alpha
-        (DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0),
     ],
-    ids=["normal01", "normal02", "uniform", "atoms"],
+    ids=["normal01", "normal02", "uniform"],
 )
 def test_mixture_cdf_is_the_weighted_transition_cdf_bit_for_bit(base, alpha):
     trunc = TruncatedLaw.centered(base, alpha)
@@ -355,18 +442,19 @@ def _dual_laws(draw):
     queries on and around its support."""
     kind = draw(st.sampled_from([
         "uniform", "power2x", "atoms", "truncated-normal", "truncated-atoms",
-        "mixture-normal", "mixture-atoms",
+        "mixture-normal", "mixture-still",
     ]))
     if kind == "uniform":
         a = draw(st.floats(-5.0, 5.0))
         law = Uniform(a, a + draw(st.floats(1e-3, 10.0)))
     elif kind == "power2x":
         law = PowerDensity2x()
-    elif kind.endswith("normal"):
+    elif kind == "truncated-atoms":
+        law = TruncatedLaw.centered(_NOISE_ATOMS, -1.0)
+    else:
+        # the noise of the mixtures is a truncated normal too
         base = Normal(0.0, draw(st.floats(0.1, 3.0)))
         law = TruncatedLaw.centered(base, draw(st.floats(-4.0, -0.1)))
-    else:
-        law = TruncatedLaw.centered(_NOISE_ATOMS, -1.0)
     if kind == "atoms" or kind.startswith("mixture"):
         n_atoms = draw(st.integers(1, 40))
         points = np.unique(draw(st.lists(st.floats(-3.0, 3.0), min_size=n_atoms, max_size=n_atoms)))
@@ -377,7 +465,12 @@ def _dual_laws(draw):
             law = DiscreteDistribution(points, weights)
         else:
             a, b = draw(st.floats(0.01, 0.5)), draw(st.floats(0.0, 0.5))
-            law = MixtureTransitionLaw(points, weights, a + b * np.abs(points), law)
+            thetas = a + b * np.abs(points)
+            if kind == "mixture-still":
+                # some sources stay put
+                moves = draw(st.lists(st.booleans(), min_size=points.size, max_size=points.size))
+                thetas = np.where(moves, thetas, 0.0)
+            law = MixtureTransitionLaw(points, weights, thetas, law)
     lo, hi = law.support
     pad = 0.1 * (hi - lo)
     atoms = law.atoms()[0].tolist()
@@ -437,44 +530,46 @@ def _exact_image_law(trunc):
     return DiscreteDistribution(uniq, masses)
 
 
-def test_mixture_with_atoms_at_the_truncation_ends_is_the_exact_image_law(atoms_trunc):
+def test_a_truncation_of_a_finite_base_is_a_finite_noise(atoms_trunc):
+    """Its atoms are its law, the chain steps it by the exact image law,
+    and the noise levels of the mixture transition law refuse it."""
     assert (atoms_trunc.alpha, atoms_trunc.beta) == (-1.0, 1.0)
-    mix = MixtureTransitionLaw(_ATOMS_POINTS, _ATOMS_WEIGHTS, _ATOMS_THETAS, atoms_trunc)
+    finite = NoiseSpec.truncated(atoms_trunc).finite
+    z, q = atoms_trunc.atoms()
+    assert finite.points_1d.tobytes() == z.tobytes()
+    assert finite.weights.tobytes() == q.tobytes()
+    assert NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -1.0)).finite is None
+    with pytest.raises(DomainError, match="a truncation of a finite base is a finite noise"):
+        MixtureTransitionLaw(_ATOMS_POINTS, _ATOMS_WEIGHTS, _ATOMS_THETAS, atoms_trunc)
+    with pytest.raises(DomainError, match="a truncation of a finite base is a finite noise"):
+        dual_transition_weights(_ATOMS_POINTS, np.linspace(-2.0, 2.0, 5), _ATOMS_THETAS, atoms_trunc)
+    # one step from the five sources, grid fixed on the exact image law's hull
     exact = _exact_image_law(atoms_trunc)
-    lo, hi = mix.support
-    assert (lo, hi) == exact.support
-    # the source points, the image ends, every image, and outside the hull
-    u = np.concatenate((
-        _ATOMS_POINTS,
-        _ATOMS_POINTS - _ATOMS_THETAS,
-        _ATOMS_POINTS + _ATOMS_THETAS,
-        exact.points_1d,
-        [lo - 1.0, hi + 1.0, -np.inf, np.inf],
-        np.linspace(lo, hi, 17),
-    ))
-    want = (exact.cdf(u), exact.partial_moment(u), exact.cdf_left(u))
-    one_by_one = (mix.cdf(u), mix.partial_moment(u), mix.cdf_left(u))
-    for got in (one_by_one, mix.cdf_moment_left_batch(u)):
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-15
+    chain = build_chain(
+        ArchSpec([_ATOMS_THETAS]),
+        [NoiseSpec.truncated(atoms_trunc)],
+        DiscreteDistribution(_ATOMS_POINTS, _ATOMS_WEIGHTS),
+        [5, 7],
+        grid_mode="fixed",
+        grids=[np.linspace(*exact.support, 7)],
+    )
+    law = chain.diagnostics[0]["intermediate"]
+    assert law.points_1d.tobytes() == exact.points_1d.tobytes()
+    assert np.abs(law.weights - exact.weights).max() <= 1e-15
+    assert chain.diagnostics[0]["hull"] == exact.support
 
 
 def test_kernel_with_atoms_at_the_truncation_ends_is_a_martingale(atoms_trunc):
     exact = _exact_image_law(atoms_trunc)
     # every other image is a target point, where its mass must stay whole
     target = np.union1d(exact.points_1d[::2], np.linspace(*exact.support, 7))
-    kernel = dual_transition_weights(_ATOMS_POINTS, target, _ATOMS_THETAS, atoms_trunc)
+    noise = NoiseSpec.truncated(atoms_trunc).finite
+    kernel = dual_transition_weights(_ATOMS_POINTS, target, _ATOMS_THETAS, noise)
     assert kernel.martingale_residual() < 1e-12
     assert kernel.row_sum_residual() < 1e-12
-    # the same split as the exact finite-noise propagation of the kept atoms
-    z, q = atoms_trunc.atoms()
-    finite = finite_noise_transition(
-        DiscreteDistribution(_ATOMS_POINTS, _ATOMS_WEIGHTS),
-        DiscreteDistribution(z, q),
-        _ATOMS_THETAS,
-        target,
-    )
-    assert np.abs(kernel.matrix - finite.matrix).max() < 1e-14
+    # the same split as the exact propagation of the kept atoms
+    oracle = _image_split_oracle(_ATOMS_POINTS, _ATOMS_THETAS, noise, target)
+    assert np.abs(kernel.matrix - oracle).max() < 1e-14
 
 
 @_BASES
@@ -641,17 +736,46 @@ def test_noise_mode_is_truncated_or_quantized():
         NoiseSpec("exact", base=Normal())
 
 
-def test_nonpositive_theta_falls_back_to_quantized():
+def test_vanishing_theta_keeps_the_truncated_noise_and_dominates_it():
+    """theta(x) = sqrt(1/3) 0.4 |x - 1| vanishes at the start atom 1.0 and
+    at the grid point 1.0 of every later step: each such source stays put,
+    every step keeps the truncated noise, and the chain dominates the
+    truncated model path by path on criterion 10's battery, by Monte
+    Carlo."""
+    from martquant.archmc import batch_standard_error, simulate_coupled
+    from martquant.order import ConvexTestBattery, abs_deviation, call_payoff, path_max_call
+
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
-    # theta vanishes at the center of mass: closed form invalid there
-    chain = build_chain(
-        ArchSpec([theta_abs_shifted(0.3, 0.0, floor=0.0)]),
-        [NoiseSpec.truncated(trunc)],
-        DiscreteDistribution([-0.5, 0.0, 0.5], [0.25, 0.5, 0.25]),
-        [3, 9],
+    arch = ArchSpec(euler_thetas(theta_abs_shifted(0.4, 1.0), 1.0, 3))
+    noises = [NoiseSpec.truncated(trunc)] * 3
+    x0 = DiscreteDistribution([0.8, 1.0, 1.2], [0.25, 0.5, 0.25])
+    chain = build_chain(arch, noises, x0, [3, 31, 31, 31])
+    for k, diag in enumerate(chain.diagnostics):
+        source = chain.grids[k]
+        theta_vals = arch.thetas[k](source)
+        assert np.any(theta_vals == 0.0)
+        # the hull of the truncated noise's images: no other noise stepped
+        assert "intermediate" not in diag
+        assert diag["hull"] == (
+            float(np.min(source + theta_vals * trunc.alpha)),
+            float(np.max(source + theta_vals * trunc.beta)),
+        )
+        assert diag["dual_converged"]
+        assert diag["martingale_residual"] <= 1e-14
+        assert diag["row_sum_residual"] <= 1e-14
+        assert convex_order_check(chain.marginal(k), chain.marginal(k + 1)).dominated
+    dim = 4
+    battery = (
+        [path_max_call(dim, k) for k in (0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5)]
+        + [call_payoff(dim, axis, 1.0) for axis in range(dim)]
+        + [abs_deviation(dim, np.full(dim, c), directions=12, seed=s)
+           for c, s in ((0.0, 1), (1.0, 2), (-0.5, 3))]
+        + list(ConvexTestBattery.random_max_affine(dim, count=5, seed=10).members)
     )
-    assert chain.diagnostics[0]["mode"] == "quantized"
-    assert chain.kernels[0].martingale_residual() < 1e-9
+    sample = simulate_coupled(arch, noises, x0, 200_000, seed=2323, chain=chain)
+    for fn in battery:
+        gap = fn(sample.approx.T) - fn(sample.dual.T)
+        assert gap.mean() <= 3.0 * batch_standard_error(gap)
 
 
 def test_theta_constants():
@@ -773,8 +897,10 @@ def test_mixture_weights_and_theta_values_are_checked():
         MixtureTransitionLaw([0.0, 1.0], [math.nan, 1.0], [1.0, 1.0], trunc)
     with pytest.raises(DomainError, match="sum to 1"):
         MixtureTransitionLaw([0.0, 1.0], [0.5, 0.6], [1.0, 1.0], trunc)
-    with pytest.raises(DomainError, match="strictly positive"):
+    with pytest.raises(DomainError, match="finite"):
         MixtureTransitionLaw([0.0, 1.0], [0.5, 0.5], [math.nan, 1.0], trunc)
+    with pytest.raises(DomainError, match=">= 0"):
+        MixtureTransitionLaw([0.0, 1.0], [0.5, 0.5], [-0.5, 1.0], trunc)
 
 
 def test_kernels_reject_a_nan_theta():
@@ -782,10 +908,12 @@ def test_kernels_reject_a_nan_theta():
     grid = np.linspace(-4.0, 5.0, 7)
     with pytest.raises(DomainError, match="finite"):
         dual_transition_weights([0.0, 1.0], grid, np.array([math.nan, 1.0]), trunc)
-    source = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
     noise = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(DomainError, match="finite"):
-        finite_noise_transition(source, noise, np.array([math.nan, 1.0]), grid)
+        dual_transition_weights([0.0, 1.0], grid, np.array([math.nan, 1.0]), noise)
+    for law in (trunc, noise):
+        with pytest.raises(DomainError, match=">= 0"):
+            dual_transition_weights([0.0, 1.0], grid, np.array([-0.5, 1.0]), law)
 
 
 @pytest.mark.parametrize("mode", ["truncated", "quantized"])
@@ -818,7 +946,7 @@ def test_fixed_mode_on_embedded_grids_rebuilds_the_chain_bit_for_bit(mode):
         assert fixed.kernels[k].matrix.tobytes() == chain.kernels[k].matrix.tobytes()
         assert fixed.grids[k + 1].tobytes() == chain.grids[k + 1].tobytes()
         assert fixed.marginal_weights[k + 1].tobytes() == chain.marginal_weights[k + 1].tobytes()
-        for key in ("mode", "dual_distortion", "hull", "mean_drift"):
+        for key in ("dual_distortion", "hull", "mean_drift"):
             assert fixed.diagnostics[k][key] == chain.diagnostics[k][key], key
         assert fixed.diagnostics[k]["dual_converged"] is None
 

@@ -223,34 +223,57 @@ def test_commands_take_a_noise_whose_atom_takes_several_start_levels(tmp_path, c
     assert "law support is too small for the requested grid size" in capsys.readouterr().err
 
 
-def test_chain_with_atoms_at_the_truncation_ends_stays_a_martingale(tmp_path):
-    # alpha = -1 and the auto-centered beta = 1 are both atoms of the noise
+# alpha = -1 and the auto-centered beta = 1 are both atoms of the noise
+_ATOMS_NOISE = {
+    "law": {
+        "kind": "atoms",
+        "points": [-2, -1, 0, 1, 2],
+        "weights": [0.1, 0.2, 0.4, 0.2, 0.1],
+        "truncation": {"alpha": -1},
+    }
+}
+
+
+def _converged_dominated_chain(tmp_path, capsys, cfg):
+    """Run ``chain`` on ``cfg``: it exits 0 with no dual-grid warning, and
+    every step is a martingale and dominated."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run(["chain", "--config", str(path), "--out", str(out)]) == 0
+    assert "did not reach tolerance" not in capsys.readouterr().err
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == cfg["steps"]
+    for row in rows:
+        assert float(row["martingale_residual"]) <= 1e-9
+        assert row["convex_order"] == "dominated"
+
+
+def test_chain_with_atoms_at_the_truncation_ends_stays_a_martingale(tmp_path, capsys):
     cfg = {
         "steps": 3,
         "theta": {"kind": "affine_abs", "a": 0.4, "b": 0.4},
         "euler": {"horizon": 1.0},
-        "noise": {
-            "law": {
-                "kind": "atoms",
-                "points": [-2, -1, 0, 1, 2],
-                "weights": [0.1, 0.2, 0.4, 0.2, 0.1],
-                "truncation": {"alpha": -1},
-            }
-        },
+        "noise": _ATOMS_NOISE,
         "x0": {"kind": "uniform", "a": 0.9, "b": 1.1},
         "sizes": {"n0": 9, "n": 9},
     }
-    path = tmp_path / "atoms.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    assert run(["chain", "--config", str(path), "--out", str(out)]) == 0
-    lines = (out / "diagnostics.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    assert len(rows) == 3
-    for row in rows:
-        assert float(row["martingale_residual"]) <= 1e-9
-        assert row["convex_order"] == "dominated"
+    _converged_dominated_chain(tmp_path, capsys, cfg)
+
+
+def test_chain_whose_hull_end_is_an_image_of_the_atom_at_alpha(tmp_path, capsys):
+    # the lowest image x_0 + theta(x_0) alpha is the hull's end, where the
+    # noise's atom at alpha puts 1.2e-2 of the mass
+    cfg = {
+        "steps": 1,
+        "theta": {"kind": "affine_abs", "a": 0.4, "b": 0.4},
+        "noise": _ATOMS_NOISE,
+        "x0": {"kind": "uniform", "a": -1.5, "b": 1.5},
+        "sizes": {"n0": 17, "n": 9},
+    }
+    _converged_dominated_chain(tmp_path, capsys, cfg)
 
 
 def test_chain_auto_centering_note(tmp_path, capsys):

@@ -933,16 +933,30 @@ def _dual_lloyd_1d_reference(
 
 
 
-def _atoms_at_the_ends_mixture():
-    """An Euler-like step whose noise is truncated at atoms of its base."""
-    from martquant.chain import MixtureTransitionLaw
+def _atoms_at_the_ends_step():
+    """A chain step whose noise is truncated at atoms of its base, from 17
+    points of U(-1.5, 1.5) with theta(x) = 0.4 + 0.4 |x|: a finite noise, so
+    the step's law is the exact law of its images."""
+    from martquant.chain import NoiseSpec, _image_law
+    from martquant.primal import lloyd_1d
 
     trunc = TruncatedLaw.centered(
         DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1]), -1.0
     )
-    points = np.array([-0.75, -0.25, 0.0, 0.5, 1.25])
-    weights = np.array([0.1, 0.25, 0.3, 0.2, 0.15])
-    return MixtureTransitionLaw(points, weights, 0.2 + 0.3 * np.abs(points), trunc)
+    start = lloyd_1d(Uniform(-1.5, 1.5), 17)
+    noise = NoiseSpec.truncated(trunc).finite
+    return _image_law(start.grid, start.weights, 0.4 + 0.4 * np.abs(start.grid), noise)
+
+
+def _still_source_mixture():
+    """The first step of a chain whose coefficient 0.4 |x - 1| vanishes at
+    its start atom 1.0, which stays put."""
+    from martquant.chain import MixtureTransitionLaw, euler_thetas, theta_abs_shifted
+
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    theta = euler_thetas(theta_abs_shifted(0.4, 1.0), 1.0, 3)[0]
+    points = np.array([0.8, 1.0, 1.2])
+    return MixtureTransitionLaw(points, [0.25, 0.5, 0.25], theta(points), trunc)
 
 
 def _many_atoms():
@@ -957,7 +971,8 @@ def _many_atoms():
 _RUN_CASES = {
     "euler": (_euler_mixture, 31, 25),
     "atoms": (_many_atoms, 9, 100000),
-    "atoms-at-the-truncation-ends": (_atoms_at_the_ends_mixture, 9, 100000),
+    "atoms-at-the-truncation-ends": (_atoms_at_the_ends_step, 9, 100000),
+    "a-source-that-stays-put": (_still_source_mixture, 9, 100000),
 }
 
 
@@ -1015,7 +1030,7 @@ def _random_euler_mixture(gen):
 _INVARIANT_LAWS = {
     "atoms": _random_finite_law,
     "euler": _random_euler_mixture,
-    "atoms-at-the-truncation-ends": lambda gen: _atoms_at_the_ends_mixture(),
+    "atoms-at-the-truncation-ends": lambda gen: _atoms_at_the_ends_step(),
 }
 
 
