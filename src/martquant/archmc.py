@@ -3,16 +3,15 @@
 The exact path and its approximation share every innovation draw (common
 random numbers), so path-space differences are measured without extra
 variance.  On top of the coupled sampler sit numerical evaluations of the
-truncation/quantization error bounds, the Gaussian tail estimates behind
-the truncation-threshold rule, and the statistical verification of the
-convex-order domination of truncated dynamics.
+truncation/quantization error bounds and the Gaussian tail estimates behind
+the truncation-threshold rule.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .chain import ArchSpec, ChainApproximation, NoiseSpec
 from .dual import locate_1d
 from .errors import DomainError
 from .laws import Law1D
-from .order import ConvexTestBattery
 from .primal import _assign_1d
 from .rng import make_generator
 
@@ -52,8 +50,7 @@ class CoupledPathSample:
 
     exact: np.ndarray
     approx: np.ndarray
-    dual: np.ndarray | None = field(default=None)
-    seed: int = 0
+    dual: np.ndarray | None = None
 
     @property
     def n_steps(self) -> int:
@@ -197,14 +194,14 @@ def simulate_coupled(
     ``(seed, block)``, so results are reproducible for any thread count.
     When ``chain`` is given, the dually projected path is simulated as well
     (same innovations plus the chain's own split uniforms).  The arrays
-    hold every path and step; ``coupled_gap_statistics``,
-    ``simulate_chain_marginals`` and ``domination_test`` reduce the same
-    paths one chunk of at most ``_CHUNK`` paths at a time instead, so
-    their memory does not grow with ``n_paths``, and their means agree with
-    those of these arrays to rounding, not bit for bit.
+    hold every path and step; ``coupled_gap_statistics`` reduces the same
+    paths one chunk of at most ``_CHUNK`` paths at a time instead, so its
+    memory does not grow with ``n_paths``, and its means agree with those
+    of these arrays to rounding, not bit for bit.
 
-    A test oracle, kept out of ``__all__``: its arrays pin those streamed
-    reducers and the truncation bound, at test sizes.
+    A test oracle, kept out of ``__all__``: its arrays pin that streamed
+    reducer and the truncation bound, and the tests compute the chain's
+    Monte Carlo marginals and the path-level domination check from them.
     """
     noise_specs = _checked_specs(arch, noise_specs, n_paths)
     n = arch.n_steps
@@ -221,35 +218,7 @@ def simulate_coupled(
                 dual[k, lo:hi] = xh
 
     _map_blocks(fill, n_paths, threads)
-    return CoupledPathSample(exact=exact, approx=approx, dual=dual, seed=seed)
-
-
-def simulate_chain_marginals(
-    chain: ChainApproximation,
-    arch: ArchSpec,
-    noise_specs,
-    x0,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
-) -> list[np.ndarray]:
-    """Monte Carlo marginal weights of the dually projected chain, counted
-    one chunk of paths at a time.
-
-    A test oracle, kept out of ``__all__``: it pins the chain's exactly
-    propagated marginal weights (acceptance criterion 7).
-    """
-    noise_specs = _checked_specs(arch, noise_specs, n_paths)
-    grids = [np.asarray(g, dtype=float) for g in chain.grids]
-
-    def count_block(block):
-        counts = [np.zeros(g.size, dtype=np.intp) for g in grids]
-        for _, k, _, _, xh in _block_steps(arch, noise_specs, x0, seed, block, chain):
-            counts[k] += np.bincount(_assign_1d(grids[k], xh), minlength=grids[k].size)
-        return counts
-
-    counts = _map_blocks(count_block, n_paths, threads)
-    return [sum(c[k] for c in counts) / n_paths for k in range(chain.n_steps + 1)]
+    return CoupledPathSample(exact=exact, approx=approx, dual=dual)
 
 
 class _ChunkSums:
@@ -528,75 +497,3 @@ def select_truncation(n, c: float, q: int = 1) -> float:
     if q >= 2:
         a = max(a, math.sqrt(q + 2.0) + 1e-9)
     return a
-
-
-@dataclass(frozen=True)
-class DominationRow:
-    index: int
-    mean_approx: float
-    mean_exact: float
-    mean_gap: float          # E phi(approx path) - E phi(exact path)
-    standard_error: float    # batch-mean SE of the paired gap
-    passed: bool
-
-
-def domination_test(
-    arch: ArchSpec,
-    noise_specs,
-    x0,
-    battery: ConvexTestBattery,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
-) -> list[DominationRow]:
-    """Statistical check that the approximate paths are dominated in the
-    convex order: for every battery member, E phi(approx) <= E phi(exact)
-    within 3 paired standard errors.
-
-    The battery sees one chunk's ``(n_paths_in_chunk, n_steps + 1)`` paths
-    at a time, so memory is flat in ``n_paths``; the means and standard
-    errors are those of the full arrays to rounding, combined as in
-    ``coupled_gap_statistics``.
-
-    A test oracle, kept out of ``__all__``: it checks the paper's path-level
-    domination of the truncated model statistically (acceptance criterion
-    10), where no finite LP can.
-    """
-    if n_paths < 2:
-        raise DomainError("a batch-means standard error needs at least 2 paths")
-    noise_specs = _checked_specs(arch, noise_specs, n_paths)
-    n = arch.n_steps
-
-    def reduce_block(block):
-        parts = []
-        for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
-            if k == 0:
-                paths = np.empty((2, n + 1, x.size))
-            paths[0, k] = x
-            paths[1, k] = xb
-            if k < n:
-                continue
-            for i, fn in enumerate(battery.members):
-                v_exact = fn(paths[0].T)
-                v_approx = fn(paths[1].T)
-                parts.append(((i, "exact"), lo, np.add.reduce(v_exact)))
-                parts.append(((i, "approx"), lo, np.add.reduce(v_approx)))
-                parts.append(((i, "gap"), lo, np.add.reduce(v_approx - v_exact)))
-        return parts
-
-    sums = _ChunkSums(_map_blocks(reduce_block, n_paths, threads))
-    rows = []
-    for i in range(len(battery.members)):
-        mean_gap = sums.mean((i, "gap"), n_paths)
-        se = sums.batch_standard_error((i, "gap"), n_paths)
-        rows.append(
-            DominationRow(
-                index=i,
-                mean_approx=sums.mean((i, "approx"), n_paths),
-                mean_exact=sums.mean((i, "exact"), n_paths),
-                mean_gap=mean_gap,
-                standard_error=se,
-                passed=mean_gap <= 3.0 * se,
-            )
-        )
-    return rows

@@ -32,6 +32,7 @@ from .dual import (
 from .errors import DomainError, HullViolation, OutOfScopeError
 from .laws import (
     DiscreteDistribution, Law1D, TruncatedLaw, _check_points, _check_weights, _finite,
+    _finite_law,
 )
 from .order import merged_atoms
 from .primal import lloyd_1d
@@ -154,9 +155,7 @@ class NoiseSpec:
 
     @classmethod
     def quantized(cls, atoms: DiscreteDistribution) -> "NoiseSpec":
-        mean = atoms.mean
-        if float(np.abs(mean).max()) > 1e-10:
-            raise DomainError(f"quantized noise not centered: |mean| = {np.abs(mean).max():.3e}")
+        _check_centered(atoms)
         return cls("quantized", atoms=atoms)
 
     @classmethod
@@ -175,11 +174,7 @@ class NoiseSpec:
     @property
     def finite(self) -> DiscreteDistribution | None:
         """The noise's atoms, its exact law; None for a truncation of a continuous base."""
-        if self.mode == "quantized":
-            return self.atoms
-        if isinstance(self.truncation.base, DiscreteDistribution):
-            return DiscreteDistribution(*self.truncation.atoms())
-        return None
+        return self.atoms if self.mode == "quantized" else _finite_law(self.truncation)
 
 
 @dataclass(frozen=True)
@@ -384,8 +379,9 @@ def dual_transition_weights(source_grid, target_grid, theta, noise) -> Martingal
 
 
 def _check_centered(noise: DiscreteDistribution):
-    if float(np.abs(noise.mean).max()) > 1e-10:
-        raise DomainError("finite noise must be centered within 1e-10")
+    mean = float(np.abs(noise.mean).max())
+    if mean > 1e-10:
+        raise DomainError(f"finite noise not centered: |mean| = {mean:.3e} > 1e-10")
 
 
 def finite_noise_transition(
@@ -453,8 +449,9 @@ def _initial_state(x0, n0: int, dim: int):
         if not isinstance(x0, DiscreteDistribution) or x0.dim != 2:
             raise DomainError("2D chains start from a 2D DiscreteDistribution")
         return x0.points, x0.weights
-    if isinstance(x0, DiscreteDistribution):
-        return x0.atoms()
+    finite = _finite_law(x0)
+    if finite is not None:
+        return finite.atoms()
     if isinstance(x0, Law1D):
         res = lloyd_1d(x0, n0)
         if not res.converged:
@@ -489,15 +486,16 @@ def build_chain(
 
     ``sizes[k]`` is the support budget of time index k (``sizes[0]``
     quantizes a continuous initial law primally, warning if it stops short
-    of its tolerance; a finite ``x0``, a :class:`DiscreteDistribution`, is
-    used as given).  Each step takes the law of the one-step image of the
-    current marginal (the exact image law of a :attr:`NoiseSpec.finite`
-    noise, else a :class:`MixtureTransitionLaw`; none in 2D), its grid
-    (``grids[k]`` in ``fixed`` mode, else the dual fixed point of that law)
-    and the kernel onto that grid, which checks hull containment; ``hull``
-    in the diagnostics is the hull of the image law.  A 1D coefficient must
-    be >= 0; a source where it vanishes stays put.  2D chains take fixed
-    grids only, one :class:`Triangulation2D` per step, and quantized noise.
+    of its tolerance; a finite ``x0``, a :class:`DiscreteDistribution` or a
+    truncation of one, is used as its exact atoms).  Each step takes the law
+    of the one-step image of the current marginal (the exact image law of a
+    :attr:`NoiseSpec.finite` noise, else a :class:`MixtureTransitionLaw`;
+    none in 2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual
+    fixed point of that law) and the kernel onto that grid, which checks
+    hull containment; ``hull`` in the diagnostics is the hull of the image
+    law.  A 1D coefficient must be >= 0; a source where it vanishes stays
+    put.  2D chains take fixed grids only, one :class:`Triangulation2D` per
+    step, and quantized noise.
     """
     dim = arch.dim
     if dim not in (1, 2):

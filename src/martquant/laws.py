@@ -678,6 +678,16 @@ class TruncatedLaw(Law1D):
         return np.append(base_atoms[keep], 0.0), np.append(base_masses[keep], at_zero)
 
 
+def _finite_law(law) -> DiscreteDistribution | None:
+    """The exact atoms of a finite ``law``: a :class:`DiscreteDistribution`
+    or a truncation of one, which keeps an atom at its ends whole; else None."""
+    if isinstance(law, DiscreteDistribution):
+        return law
+    if isinstance(law, TruncatedLaw) and isinstance(law.base, DiscreteDistribution):
+        return DiscreteDistribution(*law.atoms())
+    return None
+
+
 def _partial_moment_left(law: Law1D, z: float) -> float:
     """K(z-) = K(z) - z * (F(z) - F(z-))."""
     return law.partial_moment(z) - z * (law.cdf(z) - law.cdf_left(z))

@@ -10,6 +10,8 @@ by :mod:`martquant.lp`; on infeasibility the Farkas certificate is turned
 into an explicit max-of-affine convex witness separating the two laws.
 :func:`coupling_lp` builds that LP for any number of marginals; the MOT
 price bounds of :mod:`martquant.mot` are LPs over the same constraints.
+The max-of-affine payoffs below also make up the batteries with which the
+tests check path-level convex-order domination on Monte Carlo paths.
 """
 
 from __future__ import annotations
@@ -97,34 +99,6 @@ def abs_deviation(dim: int, center, directions: int = 16, seed: int = 0) -> MaxA
     dirs = gen.normal(size=(directions, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return MaxAffineFunction(-(dirs @ center), dirs)
-
-
-@dataclass(frozen=True)
-class ConvexTestBattery:
-    """A finite battery of convex max-of-affine test functions.
-
-    A test oracle, kept out of ``__all__``: only criterion 10's
-    ``archmc.domination_test`` takes one.
-    """
-
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    @classmethod
-    def random_max_affine(
-        cls, dim: int, count: int = 50, pieces: int = 6, seed: int = 0
-    ) -> "ConvexTestBattery":
-        """Random battery with unit-norm slopes, reproducible by seed."""
-        gen = make_generator(seed, stream=31)
-        members = []
-        for _ in range(count):
-            slopes = gen.normal(size=(pieces, dim))
-            slopes /= np.linalg.norm(slopes, axis=1, keepdims=True)
-            offsets = gen.normal(size=pieces)
-            members.append(MaxAffineFunction(offsets, slopes))
-        return cls(tuple(members))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from scipy.integrate import quad
 
 from martquant.archmc import (
     batch_standard_error,
-    domination_test,
     gaussian_tail_bound,
-    simulate_chain_marginals,
     simulate_coupled,
     truncation_error_bound,
 )
@@ -32,7 +30,6 @@ from martquant.dual import Triangulation2D, dual_lloyd_1d, locate_1d
 from martquant.laws import Normal, TruncatedLaw, Uniform
 from martquant.mot import MotProblem, mot_bounds, quadratic_payoff, spread_payoff, stability_experiment
 from martquant.order import (
-    ConvexTestBattery,
     DiscreteDistribution,
     abs_deviation,
     call_payoff,
@@ -42,6 +39,8 @@ from martquant.order import (
 )
 from martquant.primal import lloyd_1d
 from martquant.rng import make_generator
+
+from oracles import chain_marginals, domination_rows, random_max_affine
 
 
 def _report(number, name, ok, elapsed, budget):
@@ -156,7 +155,8 @@ def test_criterion_7_finite_noise_exactness():
     arch = ArchSpec(thetas)
     spec = NoiseSpec.quantized_from(Normal(0, 1), 7)
     chain = build_chain(arch, [spec] * 5, x0, sizes)
-    mc = simulate_chain_marginals(chain, arch, [spec] * 5, x0, n_paths, seed=707)
+    sample = simulate_coupled(arch, [spec] * 5, x0, n_paths, seed=707, chain=chain)
+    mc = chain_marginals(sample, chain)
     ok = True
     for k in range(6):
         p = chain.marginal_weights[k]
@@ -225,18 +225,15 @@ def test_criterion_10_domination():
     t0 = time.perf_counter()
     arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 4)
     trunc = TruncatedLaw.centered(Normal(0, 1), -1.5)
-    members = (
+    battery = (
         [path_max_call(5, k) for k in (0.6, 0.8, 1.0, 1.2, 1.5, 2.0, 2.5)]
         + [call_payoff(5, axis, 1.0) for axis in range(5)]
         + [abs_deviation(5, np.full(5, c), directions=12, seed=s) for c, s in ((0.0, 1), (1.0, 2), (-0.5, 3))]
-        + list(ConvexTestBattery.random_max_affine(5, count=5, seed=10).members)
+        + random_max_affine(5, count=5, seed=10)
     )
-    battery = ConvexTestBattery(tuple(members))
     assert len(battery) == 20
-    rows = domination_test(
-        arch, [NoiseSpec.truncated(trunc)] * 4, 1.0, battery, 1_000_000, seed=909
-    )
-    ok = all(r.passed for r in rows)
+    sample = simulate_coupled(arch, [NoiseSpec.truncated(trunc)] * 4, 1.0, 1_000_000, seed=909)
+    ok = all(passed for _, _, passed in domination_rows(sample.exact, sample.approx, battery))
     _report(10, "convex-order domination", ok, time.perf_counter() - t0, 180.0)
 
 

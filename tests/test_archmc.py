@@ -9,11 +9,9 @@ from martquant import archmc
 from martquant.archmc import (
     batch_standard_error,
     coupled_gap_statistics,
-    domination_test,
     gaussian_tail_bound,
     quantized_innovation_bound,
     select_truncation,
-    simulate_chain_marginals,
     simulate_coupled,
     theta_norm_envelope,
     truncation_error_bound,
@@ -29,12 +27,10 @@ from martquant.chain import (
 )
 from martquant.errors import DomainError
 from martquant.laws import DiscreteDistribution, Normal, TruncatedLaw, Uniform
-from martquant.order import (
-    ConvexTestBattery,
-    convex_order_check,
-    path_max_call,
-)
+from martquant.order import convex_order_check, path_max_call
 from martquant.rng import make_generator
+
+from oracles import chain_marginals, domination_rows, random_max_affine
 
 TRUNC15 = TruncatedLaw.centered(Normal(0, 1), -1.5)
 
@@ -246,44 +242,18 @@ def test_truncation_lemma_discrete():
 
 def test_domination_statistical():
     arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
-    battery = ConvexTestBattery(
-        tuple(
-            [path_max_call(4, k) for k in (0.8, 1.0, 1.2)]
-            + list(ConvexTestBattery.random_max_affine(4, count=5, seed=2).members)
-        )
-    )
-    rows = domination_test(
-        arch, [NoiseSpec.truncated(TRUNC15)] * 3, 1.0, battery, 150_000, seed=23
-    )
-    assert all(r.passed for r in rows)
+    battery = [path_max_call(4, k) for k in (0.8, 1.0, 1.2)] + random_max_affine(4, count=5, seed=2)
+    s = simulate_coupled(arch, [NoiseSpec.truncated(TRUNC15)] * 3, 1.0, 150_000, seed=23)
+    assert all(passed for _, _, passed in domination_rows(s.exact, s.approx, battery))
 
 
 def test_domination_equality_when_no_clipping():
     huge = TruncatedLaw.centered(Normal(0, 1), -1e9)
     arch = ArchSpec([theta_constant(0.5)] * 2)
-    battery = ConvexTestBattery.random_max_affine(3, count=4, seed=3)
-    rows = domination_test(arch, [NoiseSpec.truncated(huge)] * 2, 0.0, battery, 50_000, seed=25)
-    for r in rows:
-        assert r.mean_gap == 0.0
-
-
-def test_domination_negative_control_reports_without_asserting():
-    """A concave-bump coefficient violates the hypotheses: the harness still
-    reports rows (outcomes unconstrained)."""
-    bump = type(
-        "Bump",
-        (),
-        {
-            "__call__": lambda self, x: 1.0 / (1.0 + np.abs(np.asarray(x))),
-            "lipschitz": 1.0,
-            "c_envelope": 1.0,
-        },
-    )()
-    arch = ArchSpec([bump] * 2)
-    battery = ConvexTestBattery.random_max_affine(3, count=3, seed=4)
-    rows = domination_test(arch, [NoiseSpec.truncated(TRUNC15)] * 2, 1.0, battery, 20_000, seed=27)
-    assert len(rows) == 3
-    assert all(isinstance(r.passed, bool) for r in rows)
+    battery = random_max_affine(3, count=4, seed=3)
+    s = simulate_coupled(arch, [NoiseSpec.truncated(huge)] * 2, 0.0, 50_000, seed=25)
+    for mean_gap, _, _ in domination_rows(s.exact, s.approx, battery):
+        assert mean_gap == 0.0
 
 
 def test_quantized_innovation_bound_zero_and_pythagoras():
@@ -331,8 +301,10 @@ def test_simulate_chain_marginals_matches_exact_small():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     spec = NoiseSpec.quantized_from(trunc, 5)
     arch = ArchSpec([theta_affine_abs(0.3, 0.2)] * 2)
-    chain = build_chain(arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), [1, 9, 9])
-    mc = simulate_chain_marginals(chain, arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), 300_000, seed=33)
+    x0 = DiscreteDistribution([0.0], [1.0])
+    chain = build_chain(arch, [spec] * 2, x0, [1, 9, 9])
+    sample = simulate_coupled(arch, [spec] * 2, x0, 300_000, seed=33, chain=chain)
+    mc = chain_marginals(sample, chain)
     for k in range(3):
         exact = chain.marginal_weights[k]
         got = mc[k]
@@ -394,22 +366,6 @@ def _fsum_gap_oracle(sample):
     )
 
 
-def _domination_oracle(sample, battery):
-    rows = []
-    for fn in battery.members:
-        v_exact = fn(sample.exact.T)
-        v_approx = fn(sample.approx.T)
-        gap = v_approx - v_exact
-        rows.append(
-            (float(v_approx.mean()), float(v_exact.mean()), float(gap.mean()), batch_standard_error(gap))
-        )
-    return np.array(rows)
-
-
-def _rows(rows):
-    return np.array([(r.mean_approx, r.mean_exact, r.mean_gap, r.standard_error) for r in rows])
-
-
 @_NOISES
 def test_streamed_gap_statistics_match_the_full_arrays(make_spec):
     spec = make_spec()
@@ -438,44 +394,6 @@ def test_streamed_gap_statistics_match_the_full_arrays(make_spec):
     assert np.array_equal(again.empirical, stats.empirical)
     assert np.array_equal(again.standard_error, stats.standard_error)
     assert again.doob_empirical == stats.doob_empirical
-
-
-@_NOISES
-def test_streamed_domination_rows_match_the_full_arrays(make_spec):
-    spec = make_spec()
-    specs = [NoiseSpec.truncated(TRUNC15), spec]
-    arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 2)
-    x0 = DiscreteDistribution([[0.8], [1.0], [1.3]], [0.3, 0.4, 0.3])
-    battery = ConvexTestBattery(
-        (path_max_call(3, 1.0),) + ConvexTestBattery.random_max_affine(3, count=3, seed=2).members
-    )
-    want = _domination_oracle(simulate_coupled(arch, specs, x0, RAGGED_PATHS, seed=47), battery)
-    rows = domination_test(arch, specs, x0, battery, RAGGED_PATHS, seed=47)
-    # the battery's matrix products run on one block of paths at a time,
-    # and BLAS may round a row differently in a shorter matrix
-    np.testing.assert_allclose(_rows(rows), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert [r.index for r in rows] == list(range(len(battery)))
-    assert all(r.passed == (r.mean_gap <= 3.0 * r.standard_error) for r in rows)
-    threaded = domination_test(arch, specs, x0, battery, RAGGED_PATHS, seed=47, threads=2)
-    assert threaded == rows
-
-
-def test_streamed_chain_marginals_equal_the_full_arrays():
-    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
-    spec = NoiseSpec.quantized_from(trunc, 5)
-    arch = ArchSpec([theta_affine_abs(0.3, 0.2)] * 2)
-    chain = build_chain(arch, [spec] * 2, DiscreteDistribution([0.0], [1.0]), [1, 9, 9])
-    x0 = Uniform(-0.05, 0.05)
-    sample = simulate_coupled(arch, [spec] * 2, x0, RAGGED_PATHS, seed=53, chain=chain)
-    mc = simulate_chain_marginals(chain, arch, [spec] * 2, x0, RAGGED_PATHS, seed=53)
-    threaded = simulate_chain_marginals(chain, arch, [spec] * 2, x0, RAGGED_PATHS, seed=53, threads=2)
-    for k, grid in enumerate(chain.grids):
-        grid = np.asarray(grid, dtype=float)
-        # the dual path sits on the grid points, so the nearest point is
-        # the point itself
-        want = np.bincount(np.searchsorted(grid, sample.dual[k]), minlength=grid.size) / RAGGED_PATHS
-        assert np.array_equal(mc[k], want)
-        assert np.array_equal(threaded[k], want)
 
 
 def _traced_peak(fn):
@@ -531,13 +449,11 @@ def test_chunks_tile_each_block(n_paths, block, monkeypatch):
 CHUNKED_PATHS = 601
 
 
-def _chunked_outputs(arch, specs, x0, chain, battery, threads):
+def _chunked_outputs(arch, specs, x0, chain, threads):
     run = dict(n_paths=CHUNKED_PATHS, seed=67, threads=threads)
     sample = simulate_coupled(arch, specs, x0, chain=chain, **run)
     gaps = coupled_gap_statistics(arch, specs, x0, **run)
-    rows = _rows(domination_test(arch, specs, x0, battery, **run))
-    marginals = simulate_chain_marginals(chain, arch, specs, x0, **run)
-    return sample, gaps, rows, marginals
+    return sample, gaps
 
 
 @_NOISES
@@ -548,35 +464,26 @@ def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
     specs = [NoiseSpec.truncated(TRUNC15), spec, spec]
     arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
     chain = build_chain(arch, specs, DiscreteDistribution([1.0], [1.0]), [1, 9, 9, 9])
-    battery = ConvexTestBattery(
-        (path_max_call(4, 1.0),) + ConvexTestBattery.random_max_affine(4, count=3, seed=2).members
-    )
     x0 = Uniform(0.9, 1.1)
-    want = _chunked_outputs(arch, specs, x0, chain, battery, 1)
+    want = _chunked_outputs(arch, specs, x0, chain, 1)
     assert want[1].empirical[-1] > 0.0
     for chunk in (archmc._CHUNK, 1, 7, 128):
         monkeypatch.setattr(archmc, "_CHUNK", chunk)
-        one = _chunked_outputs(arch, specs, x0, chain, battery, 1)
-        sample, gaps, rows, marginals = (
-            one if threads == 1 else _chunked_outputs(arch, specs, x0, chain, battery, threads)
-        )
+        one = _chunked_outputs(arch, specs, x0, chain, 1)
+        sample, gaps = one if threads == 1 else _chunked_outputs(arch, specs, x0, chain, threads)
         # the chunks change no draw
         assert np.array_equal(sample.exact, want[0].exact)
         assert np.array_equal(sample.approx, want[0].approx)
         assert np.array_equal(sample.dual, want[0].dual)
-        for got, expected in zip(marginals, want[3]):
-            assert np.array_equal(got, expected)
         # the thread count changes no bit of the statistics
         assert np.array_equal(gaps.empirical, one[1].empirical)
         assert np.array_equal(gaps.standard_error, one[1].standard_error)
         assert gaps.doob_empirical == one[1].doob_empirical
-        assert np.array_equal(rows, one[2])
         # the chunk size sets the partition of the sums, so the statistics
         # move by rounding only
         np.testing.assert_allclose(gaps.empirical, want[1].empirical, rtol=1e-13, atol=0)
         np.testing.assert_allclose(gaps.standard_error, want[1].standard_error, rtol=1e-13, atol=0)
         assert gaps.doob_empirical == pytest.approx(want[1].doob_empirical, rel=1e-13)
-        np.testing.assert_allclose(rows, want[2], rtol=1e-13, atol=1e-13 * np.abs(want[2]).max())
 
 
 def test_streamed_statistics_need_two_paths():
@@ -584,7 +491,5 @@ def test_streamed_statistics_need_two_paths():
     specs = [NoiseSpec.truncated(TRUNC15)]
     with pytest.raises(DomainError):
         coupled_gap_statistics(arch, specs, 0.0, 1, seed=61)
-    with pytest.raises(DomainError):
-        domination_test(arch, specs, 0.0, ConvexTestBattery.random_max_affine(2, count=2), 1, seed=61)
     with pytest.raises(DomainError):
         batch_standard_error(np.ones(1))

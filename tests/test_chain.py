@@ -742,8 +742,9 @@ def test_vanishing_theta_keeps_the_truncated_noise_and_dominates_it():
     every step keeps the truncated noise, and the chain dominates the
     truncated model path by path on criterion 10's battery, by Monte
     Carlo."""
-    from martquant.archmc import batch_standard_error, simulate_coupled
-    from martquant.order import ConvexTestBattery, abs_deviation, call_payoff, path_max_call
+    from martquant.archmc import simulate_coupled
+    from martquant.order import abs_deviation, call_payoff, path_max_call
+    from oracles import domination_rows, random_max_affine
 
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     arch = ArchSpec(euler_thetas(theta_abs_shifted(0.4, 1.0), 1.0, 3))
@@ -770,12 +771,10 @@ def test_vanishing_theta_keeps_the_truncated_noise_and_dominates_it():
         + [call_payoff(dim, axis, 1.0) for axis in range(dim)]
         + [abs_deviation(dim, np.full(dim, c), directions=12, seed=s)
            for c, s in ((0.0, 1), (1.0, 2), (-0.5, 3))]
-        + list(ConvexTestBattery.random_max_affine(dim, count=5, seed=10).members)
+        + random_max_affine(dim, count=5, seed=10)
     )
     sample = simulate_coupled(arch, noises, x0, 200_000, seed=2323, chain=chain)
-    for fn in battery:
-        gap = fn(sample.approx.T) - fn(sample.dual.T)
-        assert gap.mean() <= 3.0 * batch_standard_error(gap)
+    assert all(passed for _, _, passed in domination_rows(sample.dual, sample.approx, battery))
 
 
 def test_theta_constants():
@@ -826,7 +825,8 @@ def test_build_chain_2d_requires_fixed_triangulations():
 def test_truncated_chain_marginals_match_monte_carlo():
     """End-to-end check of the closed-form kernels: simulate the dually
     projected path and compare marginal weights for the truncated noise."""
-    from martquant.archmc import simulate_chain_marginals
+    from martquant.archmc import simulate_coupled
+    from oracles import chain_marginals
 
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     thetas = euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 3)
@@ -834,7 +834,8 @@ def test_truncated_chain_marginals_match_monte_carlo():
     x0 = Uniform(0.9, 1.1)
     chain = build_chain(arch, [NoiseSpec.truncated(trunc)] * 3, x0, [15] * 4)
     n_paths = 400_000
-    mc = simulate_chain_marginals(chain, arch, [NoiseSpec.truncated(trunc)] * 3, x0, n_paths, seed=55)
+    sample = simulate_coupled(arch, [NoiseSpec.truncated(trunc)] * 3, x0, n_paths, seed=55, chain=chain)
+    mc = chain_marginals(sample, chain)
     for k in range(4):
         p = chain.marginal_weights[k]
         se = np.sqrt(np.maximum(np.maximum(p, mc[k]), 1.0 / n_paths) / n_paths)

@@ -718,6 +718,20 @@ def test_an_atoms_x0_is_the_same_law_inline_in_a_file_or_in_a_string(
         ]
 
 
+def test_a_truncated_atoms_x0_is_used_as_its_atoms(tmp_path, capsys):
+    # the truncation of five atoms to [-1, 1] is the 3-atom law {-1, 0, 1};
+    # it used to go to Lloyd at sizes.n0 = 31 points, which it cannot fill
+    euler = Path(__file__).resolve().parents[1] / "configs" / "euler.json"
+    cfg = dict(
+        json.loads(euler.read_text()), steps=2, sizes={"n0": 31, "n": 9}, x0=_ATOMS_NOISE["law"]
+    )
+    _converged_dominated_chain(tmp_path, capsys, cfg)
+    rows = (tmp_path / "o" / "marginal_0.csv").read_text().splitlines()[1:]
+    points, weights = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    assert points.tolist() == [-1.0, 0.0, 1.0]
+    np.testing.assert_allclose(weights, [0.2, 0.6, 0.2], rtol=0, atol=1e-15)
+
+
 def test_hull_violation_is_a_numerical_failure(tmp_path, chain_config, capsys, monkeypatch):
     from martquant import chain as chainmod
     from martquant.errors import HullViolation

@@ -9,7 +9,6 @@ from martquant.errors import DimensionMismatch, DomainError
 from martquant.laws import Exponential, Normal, PowerDensity2x, Uniform
 from martquant.lp import LinearProgram, solve
 from martquant.order import (
-    ConvexTestBattery,
     DiscreteDistribution,
     MaxAffineFunction,
     abs_deviation,
@@ -24,6 +23,8 @@ from martquant.order import (
     wasserstein2_1d,
 )
 from martquant.rng import make_generator
+
+from oracles import random_max_affine
 
 
 def _contract(nu: DiscreteDistribution, n_groups: int) -> DiscreteDistribution:
@@ -516,13 +517,13 @@ def test_max_affine_eval():
 
 
 def test_battery_members_are_convex():
-    battery = ConvexTestBattery.random_max_affine(3, count=10, seed=1)
+    battery = random_max_affine(3, count=10, seed=1)
     gen = make_generator(2)
     x = gen.normal(size=(40, 3))
     y = gen.normal(size=(40, 3))
     for lam in (0.25, 0.5, 0.75):
         mid = lam * x + (1 - lam) * y
-        for fn in battery.members:
+        for fn in battery:
             assert np.all(fn(mid) <= lam * fn(x) + (1 - lam) * fn(y) + 1e-12)
 
 
