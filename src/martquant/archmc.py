@@ -386,57 +386,53 @@ def compare_truncation_bound(
     )
 
 
+def _prefix_products(factors) -> np.ndarray:
+    """Entry k is ``prod_{l<k} factors_l``, for k = 0..n."""
+    return np.cumprod(np.concatenate(([1.0], factors)))
+
+
+def _propagate(growth, added, start: float) -> np.ndarray:
+    """``sqrt(max(e_k, 0))`` for ``e_0 = start``, ``e_{k+1} = growth_k e_k + added_k``."""
+    e = np.full(growth.size + 1, float(start))
+    for k in range(growth.size):
+        e[k + 1] = growth[k] * e[k] + added[k]
+    return np.sqrt(np.maximum(e, 0.0))
+
+
 def truncation_error_bound(
     lipschitz, c_envelope, q: int, x0_norm_sq: float, x0_gap_sq: float, noise_gap_sq
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step quadratic error bounds for a quasi-white-noise substitution.
 
-    ``noise_gap_sq[k]`` is ``||Z_{k+1} - approx Z_{k+1}||_2^2``; ``c_envelope``
-    is also the Frobenius-norm constant of a scalar coefficient.  Returns
-    ``(refined, product)`` where each entry k bounds
-    ``||X_k - approx X_k||_2`` and the refined form keeps the per-step
-    mixed products while the product form factors them out.
+    Entry k of ``(refined, product)`` bounds ``||X_k - approx X_k||_2`` by
+    ``sqrt(e_k)``.  Refined, one step at a time: ``e_0 = x0_gap_sq``,
+    ``e_{k+1} = G_k e_k + m P_k c_k g_k``.  Product, the growth factored out
+    of the sum: ``e_k = x0_gap_sq prod_{l<k} G_l + m prod_{l<k} (1 + max(q
+    L_l^2, c_l)) sum_{l<k} c_l g_l``.  Here ``G_k = 1 + q L_k^2``, ``P_k =
+    prod_{l<k} (1 + c_l)``, ``m = 1 + E|X_0|^2``, ``c_k = c_envelope[k]``
+    (also the Frobenius-norm constant of a scalar coefficient) and ``g_k =
+    noise_gap_sq[k] = ||Z_{k+1} - approx Z_{k+1}||_2^2``.
     """
     lip = np.asarray(lipschitz, dtype=float)
     env = np.asarray(c_envelope, dtype=float)
     gap = np.asarray(noise_gap_sq, dtype=float)
-    n = lip.size
-    if not (env.size == gap.size == n):
+    if not (env.size == gap.size == lip.size):
         raise DomainError("per-step parameter lists must share one length")
     growth = 1.0 + q * lip ** 2
-    big_c = np.maximum(q * lip ** 2, env)
-    refined = np.empty(n + 1)
-    product = np.empty(n + 1)
-    refined[0] = product[0] = math.sqrt(max(x0_gap_sq, 0.0))
-    for k in range(1, n + 1):
-        lead = x0_gap_sq * np.prod(growth[:k])
-        total = lead
-        for el in range(k):
-            total += (
-                (1.0 + x0_norm_sq)
-                * np.prod(growth[el + 1 : k])
-                * np.prod(1.0 + env[:el])
-                * env[el]
-                * gap[el]
-            )
-        refined[k] = math.sqrt(max(total, 0.0))
-        loose = lead + (1.0 + x0_norm_sq) * np.prod(1.0 + big_c[:k]) * float(
-            np.sum(env[:k] * gap[:k])
-        )
-        product[k] = math.sqrt(max(loose, 0.0))
-    return refined, product
+    m = 1.0 + x0_norm_sq
+    refined = _propagate(growth, m * _prefix_products(1.0 + env)[:-1] * env * gap, x0_gap_sq)
+    big_growth = 1.0 + np.maximum(q * lip ** 2, env)
+    summed = np.cumsum(np.concatenate(([0.0], env * gap)))
+    product = x0_gap_sq * _prefix_products(growth) + m * _prefix_products(big_growth) * summed
+    return refined, np.sqrt(np.maximum(product, 0.0))
 
 
 def theta_norm_envelope(thetas, x0_second_moment: float) -> np.ndarray:
-    """Envelope bound on ||theta_k(X_k)||_2^2 through the second-moment
-    recursion E|X_k|^2 <= prod(1 + c_env)(E|X_0|^2 + 1) - 1 (c_env is the
+    """Envelope ``c_k (E|X_0|^2 + 1) prod_{l<k} (1 + c_l)`` of ||theta_k(X_k)||_2^2,
+    from ``1 + E|X_{k+1}|^2 <= (1 + c_k)(1 + E|X_k|^2)`` (``c_k`` is the
     Frobenius-norm constant of a scalar coefficient)."""
     env = np.asarray([t.c_envelope for t in thetas], dtype=float)
-    out = np.empty(env.size)
-    for k in range(env.size):
-        m2 = np.prod(1.0 + env[:k]) * (x0_second_moment + 1.0) - 1.0
-        out[k] = env[k] * (1.0 + m2)
-    return out
+    return env * (x0_second_moment + 1.0) * _prefix_products(1.0 + env)[:-1]
 
 
 def quantized_innovation_bound(
@@ -447,29 +443,18 @@ def quantized_innovation_bound(
     q: int,
     x0_gap_sq: float,
 ) -> np.ndarray:
-    """Per-step bound on ||dual chain - exact chain||_2.
-
-    Entry k accumulates the initial quantization error, the innovation
-    substitution error scaled by ||theta_{l-1}(X_{l-1})||_2^2, and the dual
-    projection distortions, each inflated by the downstream Lipschitz
-    growth factors.
-    """
+    """Per-step bound ``sqrt(o_k)`` on ||dual chain - exact chain||_2:
+    the initial quantization error ``o_0 = x0_gap_sq`` grows by ``G_k = 1 +
+    q L_k^2`` at each step, which adds the innovation substitution error
+    ``g_k`` scaled by ``tau_k = ||theta_k(X_k)||_2^2`` and the dual
+    projection distortion, ``o_{k+1} = G_k o_k + tau_k g_k + D_k^2``."""
     lip = np.asarray(lipschitz, dtype=float)
     tns = np.asarray(theta_norm_sq, dtype=float)
     gap = np.asarray(noise_gap_sq, dtype=float)
     dd = np.asarray(dual_distortion_sq, dtype=float)
-    n = lip.size
-    if not (tns.size == gap.size == dd.size == n):
+    if not (tns.size == gap.size == dd.size == lip.size):
         raise DomainError("per-step parameter lists must share one length")
-    growth = 1.0 + q * lip ** 2
-    out = np.empty(n + 1)
-    out[0] = math.sqrt(max(x0_gap_sq, 0.0))
-    for k in range(1, n + 1):
-        total = x0_gap_sq * np.prod(growth[:k])
-        for el in range(1, k + 1):
-            total += np.prod(growth[el:k]) * (tns[el - 1] * gap[el - 1] + dd[el - 1])
-        out[k] = math.sqrt(max(total, 0.0))
-    return out
+    return _propagate(1.0 + q * lip ** 2, tns * gap + dd, x0_gap_sq)
 
 
 def gaussian_tail_bound(a: float, q: int = 1) -> float:

@@ -343,7 +343,10 @@ def dual_transition_weights(source_grid, target_grid, theta, noise) -> Martingal
     ``(u - x_i) / theta_i`` of the targets u, plus the split of every point
     mass where its image falls: the image law's atoms ``x_i + theta_i z_j``
     of a finite noise, or ``x_i`` where theta_i = 0.  Requires every image
-    interval inside the target hull, up to ``hull_slack_1d``.
+    interval inside the target hull, up to ``hull_slack_1d``, and, for a
+    truncated noise that moves a source, adjacent targets at least that
+    slack apart: F and K differences cancel on a shorter interval, and a
+    row on targets Delta apart carries a rounding error of about 1e-16/Delta.
     """
     xs = np.asarray(source_grid, dtype=float).reshape(-1)
     ts = np.asarray(target_grid, dtype=float).reshape(-1)
@@ -365,6 +368,10 @@ def dual_transition_weights(source_grid, target_grid, theta, noise) -> Martingal
     else:
         _continuous_truncation(noise)
         moving = theta_vals > 0.0
+        close = np.flatnonzero(np.diff(ts) < slack)
+        if close.size and moving.any():
+            i = int(close[0])
+            raise DomainError(f"target points {ts[i]} and {ts[i + 1]} are closer than {slack:.3e}")
         x, th = xs[moving, None], theta_vals[moving, None]
         f, k, f_left = noise.cdf_moment_left_batch(_noise_level(x, ts[None, :], th))
         pi[moving] = hat_split(ts, f, x * f + th * k, f_left[:, 0])

@@ -119,8 +119,8 @@ class MotResult:
     iterations: tuple = field(default=(0, 0))
 
 
-def _sparse_coupling(x: np.ndarray, sizes, threshold: float = 1e-12) -> list:
-    flat = np.flatnonzero(x > threshold)
+def _sparse_coupling(x: np.ndarray, sizes) -> list:
+    flat = np.flatnonzero(x > 1e-12)
     return [(tuple(np.unravel_index(f, sizes)), float(x[f])) for f in flat]
 
 

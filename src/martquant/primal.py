@@ -24,6 +24,8 @@ __all__ = [
     "voronoi_weights",
 ]
 
+_LLOYD_MAX_ITER = 100000  # sweep cap of the cell-mean iteration
+
 
 @dataclass(frozen=True)
 class VoronoiQuantization:
@@ -97,13 +99,7 @@ def _initial_grid(law: Law1D, n_points: int) -> np.ndarray:
     return points
 
 
-def lloyd_1d(
-    law: Law1D,
-    n_points: int,
-    init=None,
-    tol: float = 1e-12,
-    max_iter: int = 100000,
-) -> VoronoiQuantization:
+def lloyd_1d(law: Law1D, n_points: int, init=None, tol: float = 1e-12) -> VoronoiQuantization:
     """Fixed point of the 1D cell-mean iteration for an analytic law.
 
     Default initialization places points at the quantiles of levels
@@ -121,7 +117,7 @@ def lloyd_1d(
             raise DomainError("init size must match n_points")
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _LLOYD_MAX_ITER + 1):
         new_points = _lloyd_step(law, points)
         move = float(np.max(np.abs(new_points - points)))
         points = new_points

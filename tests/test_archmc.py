@@ -256,6 +256,50 @@ def test_domination_equality_when_no_clipping():
         assert mean_gap == 0.0
 
 
+def _summed_bounds(lip, env, gap, tns, dd, q, x0_norm_sq, x0_gap_sq):
+    """The bounds as the paper displays them: each step's error times the
+    growth of every later step, summed explicitly over the steps."""
+    growth, n = 1.0 + q * lip ** 2, lip.size
+    big_c = np.maximum(q * lip ** 2, env)
+    refined, product, quantized = (np.empty(n + 1) for _ in range(3))
+    for k in range(n + 1):
+        lead = x0_gap_sq * np.prod(growth[:k])
+        refined[k] = lead + sum(
+            (1.0 + x0_norm_sq)
+            * np.prod(growth[el + 1 : k])
+            * np.prod(1.0 + env[:el])
+            * env[el]
+            * gap[el]
+            for el in range(k)
+        )
+        product[k] = lead + (1.0 + x0_norm_sq) * np.prod(1.0 + big_c[:k]) * np.sum(
+            env[:k] * gap[:k]
+        )
+        quantized[k] = lead + sum(
+            np.prod(growth[el:k]) * (tns[el - 1] * gap[el - 1] + dd[el - 1])
+            for el in range(1, k + 1)
+        )
+    moments = [np.prod(1.0 + env[:k]) * (x0_norm_sq + 1.0) - 1.0 for k in range(n)]
+    envelope = env * (1.0 + np.array(moments))
+    return np.sqrt(refined), np.sqrt(product), np.sqrt(quantized), envelope
+
+
+@pytest.mark.parametrize("x0_gap_sq", [0.0, 0.3])
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_bound_recursions_equal_their_explicit_sums(n, q, x0_gap_sq):
+    gen = make_generator(1000 * n + 10 * q + int(10 * x0_gap_sq))
+    lip, env, gap, tns, dd = (gen.uniform(0.0, hi, n) for hi in (1.5, 1.0, 0.5, 2.0, 0.1))
+    x0_norm_sq = 1.3
+    refined, product = truncation_error_bound(lip, env, q, x0_norm_sq, x0_gap_sq, gap)
+    quantized = quantized_innovation_bound(lip, tns, gap, dd, q, x0_gap_sq)
+    envelope = theta_norm_envelope([ThetaFn(None, 0.0, c) for c in env], x0_norm_sq)
+    got = (refined, product, quantized, envelope)
+    for value, oracle in zip(got, _summed_bounds(lip, env, gap, tns, dd, q, x0_norm_sq, x0_gap_sq)):
+        assert value.shape == oracle.shape
+        np.testing.assert_allclose(value, oracle, rtol=1e-13, atol=0.0)
+
+
 def test_quantized_innovation_bound_zero_and_pythagoras():
     assert np.allclose(
         quantized_innovation_bound([0.2], [1.0], [0.0], [0.0], 1, 0.0), 0.0

@@ -143,6 +143,24 @@ def test_dual_transition_hull_violation(trunc_n1):
         dual_transition_weights(np.array([0.0]), np.array([-0.5, 0.5]), np.array([1.0]), trunc_n1)
 
 
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_truncated_noise_rejects_targets_closer_than_the_hull_slack(trunc_n1, k):
+    """F and K differences between targets a few ulps apart cancel: the grid
+    below gave the row [0.25, 0.25, 0.5] at k = 1 and a negative weight at
+    k = 4, where the first target should get about 0."""
+    grid = np.array([-1.0, -1.0 + k * 2.2e-16, 1.0])
+    message = r"target points -1\.0 and -0\.9999\d* are closer than 1\.000e-09"
+    with pytest.raises(DomainError, match=message):
+        dual_transition_weights(np.array([0.0]), grid, np.array([1.0]), trunc_n1)
+    # a spacing of 1e-6 is far above the floor: nonnegative martingale rows
+    kernel = dual_transition_weights(
+        np.array([0.0]), np.array([-1.0, -1.0 + 1e-6, 1.0]), np.array([1.0]), trunc_n1
+    )
+    assert kernel.matrix.min() >= 0.0
+    assert kernel.row_sum_residual() < 1e-12
+    assert kernel.martingale_residual() < 1e-12
+
+
 @pytest.mark.parametrize("side", ["low", "high"])
 @pytest.mark.parametrize(
     "grid", [[100.0, 100.5, 101.0], [-5.0, 0.0, 5.0]], ids=["narrow_far", "wide_centred"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import martquant
+from martquant import primal as primalmod
 from martquant.cli import run
 
 
@@ -157,8 +158,6 @@ def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, 
 def test_commands_warn_when_a_primal_quantizer_does_not_converge(
     tmp_path, chain_config, capsys, monkeypatch, noise
 ):
-    import martquant.chain as chainmod
-
     cfg = json.loads(chain_config.read_text())
     # a uniform x0 converges in one iteration, which no cap stops short
     cfg.update(paths=2000, x0={"kind": "normal", "mean": 1, "sd": 0.05})
@@ -177,13 +176,8 @@ def test_commands_warn_when_a_primal_quantizer_does_not_converge(
         assert warnings_printed(command, tmp_path / "full" / command) == (0, [])
     assert warnings_printed("chain", tmp_path / "full_strict", "--strict") == (0, [])
 
-    real = chainmod.lloyd_1d
-
-    def two_iterations(law, n_points, **kwargs):
-        return real(law, n_points, **{**kwargs, "max_iter": 2})
-
     # the noise (simulate and bounds draw x0 itself) and x0 of the chain
-    monkeypatch.setattr(chainmod, "lloyd_1d", two_iterations)
+    monkeypatch.setattr(primalmod, "_LLOYD_MAX_ITER", 2)
     noise_warning = ["warning: noise (7 atoms): primal grid did not reach tolerance"]
     noise_warning = noise_warning if noise == "quantized" else []
     x0_warning = ["warning: x0 (9 points): primal grid did not reach tolerance"]
@@ -388,12 +382,15 @@ def test_mot_warns_when_a_quantizer_does_not_converge(tmp_path, capsys, monkeypa
     assert run(["mot", "--config", str(p), "--out", str(tmp_path / "full")] + flag) == 0
     assert "did not reach tolerance" not in capsys.readouterr().err
 
-    real = getattr(motmod, quantizer)
+    if quantizer == "lloyd_1d":
+        monkeypatch.setattr(primalmod, "_LLOYD_MAX_ITER", 2)
+    else:
+        real = motmod.dual_lloyd_1d
 
-    def two_iterations(law, n_points, **kwargs):
-        return real(law, n_points, **{**kwargs, "max_iter": 2})
+        def two_iterations(law, n_points, **kwargs):
+            return real(law, n_points, **{**kwargs, "max_iter": 2})
 
-    monkeypatch.setattr(motmod, quantizer, two_iterations)
+        monkeypatch.setattr(motmod, "dual_lloyd_1d", two_iterations)
     assert run(["mot", "--config", str(p), "--out", str(tmp_path / "capped")] + flag) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [f"warning: level ({n}, {m}): {side} grid did not reach tolerance" for n, m in levels]
