@@ -13,9 +13,10 @@ truncation of a finite base is a finite noise), and one kernel steps both,
 without sampling.  It reads the continuous part at the noise levels ``r = (u
 - x) / theta``: ``F(u|x) = F(r)``, ``K(u|x) = x F(r) + theta K(r)``, with the
 :class:`TruncatedLaw`'s F and K, whose clipped atom at 0 counts from ``r = 0``
-on, exactly where its image ``x`` reaches u.  It splits every other point
-mass where its image ``x + theta z`` falls; a source where theta = 0 stays
-put.  In 2D every image of a finite noise is split on a triangulation.
+on, exactly where its image ``x`` reaches u.  A source where theta = 0
+stays put, a point mass at ``x`` in the same F and K.  The atoms of a finite
+noise are split where their images ``x + theta z`` fall.  In 2D every image
+of a finite noise is split on a triangulation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dual import (
-    Triangulation2D, dual_distortion, dual_lloyd_1d, hat_split, hull_slack_1d, locate_1d,
+    Triangulation2D, dual_lloyd_1d, dual_split, hat_split, hull_slack_1d, locate_1d,
 )
 from .errors import DomainError, HullViolation, OutOfScopeError
 from .laws import (
@@ -251,6 +252,22 @@ def _noise_level(x, u, theta_val):
     return np.divide(r, theta_val, out=r)
 
 
+def _transition_values(points, theta_vals, trunc: TruncatedLaw, u):
+    """F(u|x), K(u|x) and F(u-|x) of the step ``x + theta z``, z drawn from
+    ``trunc``, as (queries, sources) arrays: ``F(u|x) = F(r)`` and ``K(u|x) =
+    x F(r) + theta K(r)`` at the noise level ``r = (u - x) / theta``, from
+    one batch of the truncation.  A source where theta = 0 is a point mass
+    at x: ``F = 1{x <= u}`` and ``F(-) = 1{x < u}``."""
+    still = theta_vals == 0.0
+    u_col = np.reshape(u, (-1, 1))
+    # the sources that stay put divide by 1, so their levels are finite
+    levels = _noise_level(points, u_col, np.where(still, 1.0, theta_vals))
+    f, k, f_left = trunc.cdf_moment_left_batch(levels)
+    if still.any():
+        f[:, still], f_left[:, still] = points[still] <= u_col, points[still] < u_col
+    return f, points * f + theta_vals * k, f_left
+
+
 class MixtureTransitionLaw(Law1D):
     """Law of the one-step image of a finitely supported state: the mixture
     over source atoms of the closed-form transition law of a truncation of a
@@ -307,12 +324,7 @@ class MixtureTransitionLaw(Law1D):
     def cdf_moment_left_batch(self, u):
         """F, K and F(.-) at once, from one batch evaluation of the noise law."""
         u = np.asarray(u, dtype=float)
-        levels = _noise_level(self.points, u.reshape(-1, 1), self._level_theta)
-        f, k, f_left = self.trunc.cdf_moment_left_batch(levels)
-        if self._still.size:
-            still, u_col = self.points[self._still], u.reshape(-1, 1)
-            f[:, self._still], f_left[:, self._still] = still <= u_col, still < u_col
-        k = self.points * f + self.theta_values * k
+        f, k, f_left = _transition_values(self.points, self.theta_values, self.trunc, u)
         return self._mix(f), self._mix(k), self._mix(f_left)
 
     @property
@@ -339,19 +351,19 @@ def dual_transition_weights(source_grid, target_grid, theta, noise) -> Martingal
     dual split, for a :class:`TruncatedLaw` of a continuous base or a finite
     noise (a centered :class:`DiscreteDistribution`).
 
-    Row i is the hat split of the truncation's F and K at the noise levels
-    ``(u - x_i) / theta_i`` of the targets u, plus the split of every point
-    mass where its image falls: the image law's atoms ``x_i + theta_i z_j``
-    of a finite noise, or ``x_i`` where theta_i = 0.  Requires every image
-    interval inside the target hull, up to ``hull_slack_1d``, and, for a
-    truncated noise that moves a source, adjacent targets at least that
-    slack apart: F and K differences cancel on a shorter interval, and a
-    row on targets Delta apart carries a rounding error of about 1e-16/Delta.
+    For a truncated noise, row i is the hat split of the step's F and K at
+    the targets u (``_transition_values``), a point mass at ``x_i`` where
+    theta_i = 0.  For a finite noise, row i splits each image ``x_i +
+    theta_i z_j`` where it falls.  Requires two or more strictly increasing
+    targets, every image interval inside the target hull, up to
+    ``hull_slack_1d``, and, for a truncated noise that moves a source,
+    adjacent targets at least that slack apart: F and K differences cancel
+    on a shorter interval, and a row on targets Delta apart carries a
+    rounding error of about 1e-16/Delta.
     """
     xs = np.asarray(source_grid, dtype=float).reshape(-1)
-    ts = np.asarray(target_grid, dtype=float).reshape(-1)
+    ts = _check_points(np.reshape(target_grid, -1), min_count=2)
     theta_vals = _theta_values(theta, xs)
-    finite = isinstance(noise, DiscreteDistribution)
     lo_img, hi_img = (xs + theta_vals * end for end in noise.support)
     slack = hull_slack_1d(ts[0], ts[-1])
     bad = (lo_img < ts[0] - slack) | (hi_img > ts[-1] + slack)
@@ -361,25 +373,20 @@ def dual_transition_weights(source_grid, target_grid, theta, noise) -> Martingal
         raise HullViolation(
             f"image of source point {xs[i]} leaves the target hull by {overshoot:.3e}"
         )
-    pi = np.zeros((xs.size, ts.size))
-    if finite:
-        _check_centered(noise)
-        images, masses = _images(xs, theta_vals, noise.points_1d), np.tile(noise.weights, xs.size)
-    else:
+    if not isinstance(noise, DiscreteDistribution):
         _continuous_truncation(noise)
-        moving = theta_vals > 0.0
         close = np.flatnonzero(np.diff(ts) < slack)
-        if close.size and moving.any():
+        if close.size and np.any(theta_vals > 0.0):
             i = int(close[0])
             raise DomainError(f"target points {ts[i]} and {ts[i + 1]} are closer than {slack:.3e}")
-        x, th = xs[moving, None], theta_vals[moving, None]
-        f, k, f_left = noise.cdf_moment_left_batch(_noise_level(x, ts[None, :], th))
-        pi[moving] = hat_split(ts, f, x * f + th * k, f_left[:, 0])
-        # a source where theta = 0 is a point mass at x_i; the others have none
-        images, masses = xs[:, None], np.where(moving, 0.0, 1.0)
-    # image (i, j) carries mass j of row i, split onto the ends of its interval
+        f, k, f_left = _transition_values(xs, theta_vals, noise, ts)
+        return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f.T, k.T, f_left[0])))
+    _check_centered(noise)
+    # image (i, j) carries noise weight j of row i, split onto the ends of its interval
+    images, masses = _images(xs, theta_vals, noise.points_1d), np.tile(noise.weights, xs.size)
     j, lam_right = locate_1d(ts, images.ravel())
     rows = np.repeat(np.arange(xs.size), images.shape[1])
+    pi = np.zeros((xs.size, ts.size))
     np.add.at(pi, (rows, j), masses * (1.0 - lam_right))
     np.add.at(pi, (rows, j + 1), masses * lam_right)
     return MartingaleKernel(xs, ts, _clamp_rows(pi))
@@ -568,7 +575,7 @@ def build_chain(
         if dual_res is not None:
             distortion, converged = dual_res.distortion, dual_res.converged
         else:
-            distortion, converged = None if law is None else dual_distortion(target, law), None
+            distortion, converged = None if law is None else dual_split(target, law)[1], None
         diag = {
             "martingale_residual": kernel.martingale_residual(),
             "row_sum_residual": kernel.row_sum_residual(),

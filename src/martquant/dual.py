@@ -3,9 +3,10 @@
 The splitting operator sends a point of the grid hull to grid vertices with
 its barycentric coordinates as probabilities, so the conditional mean of the
 projected point equals the point itself.  This file provides the 1D and 2D
-point location behind it, dual weights and distortion of a fixed 1D grid, the 1D
-fixed-point optimization of the interior points, and for the 2D case a
-Delaunay triangulation and point location by Qhull (``scipy.spatial``).
+point location behind it, the dual split of a law on a fixed 1D grid (its
+weights and distortion), the 1D fixed-point optimization of the interior
+points, and for the 2D case a Delaunay triangulation and point location by
+Qhull (``scipy.spatial``).
 Point location and the kernels of ``chain`` share one relative hull slack,
 ``_HULL_TOL`` = 1e-9; a point farther out raises :class:`HullViolation`.
 """
@@ -23,8 +24,7 @@ __all__ = [
     "Triangulation2D",
     "DualQuantization",
     "locate_1d",
-    "dual_weights",
-    "dual_distortion",
+    "dual_split",
     "dual_lloyd_1d",
 ]
 
@@ -76,29 +76,7 @@ def locate_1d(points: np.ndarray, queries):
 
 
 # ---------------------------------------------------------------------------
-# dual weights / distortion on a fixed 1D grid
-
-
-def _check_support(points: np.ndarray, law: Law1D):
-    outside = float(law.cdf_left(points[0])) + (1.0 - float(law.cdf(points[-1])))
-    if outside > 1e-12:
-        raise SupportError(
-            f"law carries {outside:.3e} mass outside the grid hull "
-            f"[{points[0]}, {points[-1]}]"
-        )
-
-
-def dual_weights(grid, law: Law1D) -> np.ndarray:
-    """Mass each grid point receives under the splitting of the law.
-
-    Point i integrates the hat function of the interval pair around x_i
-    against the law, expressed through F and K differences.
-    """
-    points = _grid_points(grid)
-    _check_support(points, law)
-    f = np.asarray(law.cdf(points))
-    k = np.asarray(law.partial_moment(points))
-    return np.clip(hat_split(points, f, k, float(law.cdf_left(points[0]))), 0.0, None)
+# the dual split of a law on a fixed 1D grid
 
 
 def hat_split(points: np.ndarray, f, k, f_left_first):
@@ -115,25 +93,34 @@ def hat_split(points: np.ndarray, f, k, f_left_first):
     return p
 
 
-def dual_distortion(grid, law: Law1D) -> float:
-    """Quadratic dual distortion of a fixed grid.
+def dual_split(grid, law: Law1D):
+    """Dual weights and quadratic dual distortion of a fixed 1D grid, from
+    one batch of the law's F, K and F(-) at the grid points.
 
-    Per interval, int (x_{i+1} - xi)(xi - x_i) dmu, summed through the F/K
-    closed form and the second moment of the law.
+    Point i takes the integral of its hat function against the law, an F/K
+    difference form.  Per interval the squared distortion is int (x_{i+1} -
+    xi)(xi - x_i) dmu, summed through the same differences and the second
+    moment of the law.  A law with more than 1e-12 mass outside the grid
+    hull raises :class:`SupportError`.
     """
     points = _grid_points(grid)
-    _check_support(points, law)
-    f = np.asarray(law.cdf(points))
-    k = np.asarray(law.partial_moment(points))
+    f, k, f_left = law.cdf_moment_left_batch(points)
+    f_left_first = float(f_left[0])
+    outside = f_left_first + (1.0 - float(f[-1]))
+    if outside > 1e-12:
+        raise SupportError(
+            f"law carries {outside:.3e} mass outside the grid hull "
+            f"[{points[0]}, {points[-1]}]"
+        )
+    weights = np.clip(hat_split(points, f, k, f_left_first), 0.0, None)
     s = float(
         np.sum((points[:-1] + points[1:]) * np.diff(k) - points[:-1] * points[1:] * np.diff(f))
     )
-    m2 = law.second_moment
     # mass exactly at the left endpoint contributes zero distortion but is
     # excluded from the interval integrals; re-add its square
-    atom_left = (f[0] - float(law.cdf_left(points[0]))) * points[0] ** 2
-    d2 = s - m2 + atom_left
-    return float(np.sqrt(max(d2, 0.0)))
+    atom_left = (f[0] - f_left_first) * points[0] ** 2
+    d2 = s - law.second_moment + atom_left
+    return weights, float(np.sqrt(max(d2, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +313,8 @@ def dual_lloyd_1d(
             f, k, f_left = law.cdf_moment_left_batch(points)
             converged = _map_residual(points, f, k, f_left) < tol
             break
-    return DualQuantization(
-        grid=points,
-        weights=dual_weights(points, law),
-        distortion=dual_distortion(points, law),
-        converged=converged,
-        iterations=iterations,
-    )
+    weights, distortion = dual_split(points, law)
+    return DualQuantization(points, weights, distortion, converged, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Voronoi (primal) quantization.
 
-Quantization of a 1D law on a Voronoi grid: the quadratic distortion
-``e_2``, a closed form in F, K and M; the fixed-point iteration driven by
-the closed forms F and K; the cell weights; and the nearest-neighbour
-projection of draws, the Monte Carlo side of the same cells.  The cells
-follow the half-open convention ``(x_{i-1/2}, x_{i+1/2}]``; midpoint ties
-project to the lower index.
+Quantization of a 1D law on a Voronoi grid: the Voronoi split, its cell
+weights and quadratic distortion ``e_2``, a closed form in F, K and M; the
+fixed-point iteration driven by the closed forms F and K; and the
+nearest-neighbour projection of draws, the Monte Carlo side of the same
+cells.  The cells follow the half-open convention ``(x_{i-1/2},
+x_{i+1/2}]``; midpoint ties project to the lower index.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .laws import Law1D, _check_points
 
 __all__ = [
     "VoronoiQuantization",
-    "distortion",
     "lloyd_1d",
-    "voronoi_weights",
+    "voronoi_split",
 ]
 
 _LLOYD_MAX_ITER = 100000  # sweep cap of the cell-mean iteration
@@ -46,27 +45,33 @@ def _assign_1d(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.searchsorted(mids, xs, side="left")
 
 
-def distortion(grid, law: Law1D) -> float:
-    """Quadratic quantization error ``e_2`` of a law on a Voronoi grid.
+def _cuts(points: np.ndarray) -> np.ndarray:
+    """The Voronoi cell ends ``[-inf, midpoints, inf]`` of a sorted grid."""
+    return np.concatenate(([-np.inf], 0.5 * (points[:-1] + points[1:]), [np.inf]))
 
-    The cells ``(x_{i-1/2}, x_{i+1/2}]`` give ``e_2^2 = sum dM - 2 x dK +
-    x^2 dF`` over the Voronoi cuts, exact for atoms too since F, K and M are
-    right-continuous.
+
+def voronoi_split(grid, law: Law1D):
+    """Cell weights and quadratic quantization error ``e_2`` of a law on a
+    Voronoi grid, from one F, K and M evaluation at the cell ends.
+
+    The cells ``(x_{i-1/2}, x_{i+1/2}]``, the outer two unbounded, have
+    masses ``dF`` and give ``e_2^2 = sum dM - 2 x dK + x^2 dF``, exact for
+    atoms too since F, K and M are right-continuous.
     """
     points = _points_1d(grid)
-    cuts = np.concatenate(([-np.inf], 0.5 * (points[:-1] + points[1:]), [np.inf]))
+    cuts = _cuts(points)
     df = np.diff(np.asarray(law.cdf(cuts)))
     dk = np.diff(np.asarray(law.partial_moment(cuts)))
     dm = np.diff(np.asarray(law.partial_second_moment(cuts)))
     total = float(np.sum(dm - 2.0 * points * dk + points * points * df))
-    return max(total, 0.0) ** 0.5
+    return df, max(total, 0.0) ** 0.5
 
 
 def _lloyd_step(law: Law1D, points: np.ndarray) -> np.ndarray:
     """One fixed-point update: each point moves to its cell's conditional mean."""
-    mids = np.concatenate(([-np.inf], 0.5 * (points[:-1] + points[1:]), [np.inf]))
-    f = np.asarray(law.cdf(mids))
-    k = np.asarray(law.partial_moment(mids))
+    cuts = _cuts(points)
+    f = np.asarray(law.cdf(cuts))
+    k = np.asarray(law.partial_moment(cuts))
     df = np.diff(f)
     if np.any(df <= 0.0):
         raise EmptyCellError("a Voronoi cell carries zero mass; adjust the initial grid")
@@ -125,19 +130,5 @@ def lloyd_1d(law: Law1D, n_points: int, init=None, tol: float = 1e-12) -> Vorono
             converged = True
             break
     residual = float(np.max(np.abs(_lloyd_step(law, points) - points)))
-    return VoronoiQuantization(
-        grid=points,
-        weights=voronoi_weights(points, law),
-        distortion=distortion(points, law),
-        stationarity_residual=residual,
-        converged=converged,
-        iterations=iterations,
-    )
-
-
-def voronoi_weights(grid, law: Law1D) -> np.ndarray:
-    """Cell masses F(x_{i+1/2}) - F(x_{i-1/2}) with unbounded outer cells."""
-    points = _points_1d(grid)
-    mids = np.concatenate(([-np.inf], 0.5 * (points[:-1] + points[1:]), [np.inf]))
-    return np.diff(np.asarray(law.cdf(mids)))
-
+    weights, distortion = voronoi_split(points, law)
+    return VoronoiQuantization(points, weights, distortion, residual, converged, iterations)

@@ -922,6 +922,14 @@ def test_mixture_weights_and_theta_values_are_checked():
         MixtureTransitionLaw([0.0, 1.0], [0.5, 0.5], [-0.5, 1.0], trunc)
 
 
+@pytest.mark.parametrize("grid", [[-1.0, 0.5, 0.0, 1.0], [1.0, 0.0, -1.0]], ids=["unsorted", "decreasing"])
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "truncated"])
+def test_dual_transition_weights_checks_its_target_grid(grid, finite, trunc_n1):
+    noise = DiscreteDistribution([-0.5, 0.5], [0.5, 0.5]) if finite else trunc_n1
+    with pytest.raises(DomainError, match="pairwise distinct and increasing"):
+        dual_transition_weights(np.array([0.0]), np.array(grid), np.array([0.5]), noise)
+
+
 def test_kernels_reject_a_nan_theta():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     grid = np.linspace(-4.0, 5.0, 7)

@@ -13,9 +13,8 @@ from martquant.dual import (
     Triangulation2D,
     _grid_points,
     _map_residual,
-    dual_distortion,
     dual_lloyd_1d,
-    dual_weights,
+    dual_split,
     locate_1d,
 )
 from martquant.errors import DomainError, HullViolation, SupportError
@@ -54,15 +53,15 @@ def test_split_randomized_boundary_goes_right():
 
 def test_dual_weights_uniform():
     u = Uniform(0, 1)
-    assert np.allclose(dual_weights([0.0, 0.5, 1.0], u), [0.25, 0.5, 0.25], atol=1e-14)
-    assert np.allclose(dual_weights([0.0, 1.0], u), [0.5, 0.5], atol=1e-14)
+    assert np.allclose(dual_split([0.0, 0.5, 1.0], u)[0], [0.25, 0.5, 0.25], atol=1e-14)
+    assert np.allclose(dual_split([0.0, 1.0], u)[0], [0.5, 0.5], atol=1e-14)
 
 
 def test_dual_weights_hand_integrated_hats():
     # oracle: quadrature of the hat functions against the density
     u = Uniform(0, 1)
     grid = np.array([0.0, 0.3, 1.0])
-    w = dual_weights(grid, u)
+    w = dual_split(grid, u)[0]
     left = quad(lambda x: (0.3 - x) / 0.3, 0, 0.3)[0]
     mid = quad(lambda x: x / 0.3, 0, 0.3)[0] + quad(lambda x: (1 - x) / 0.7, 0.3, 1)[0]
     right = quad(lambda x: (x - 0.3) / 0.7, 0.3, 1)[0]
@@ -71,7 +70,7 @@ def test_dual_weights_hand_integrated_hats():
 
 def test_dual_weights_point_mass_barycentric():
     a, b, m = -1.0, 3.0, 0.5
-    w = dual_weights([a, b], DiscreteDistribution([m], [1.0]))
+    w = dual_split([a, b], DiscreteDistribution([m], [1.0]))[0]
     assert np.allclose(w, [(b - m) / (b - a), (m - a) / (b - a)], atol=1e-14)
 
 
@@ -79,27 +78,27 @@ def test_dual_weights_mean_preserved():
     for law in (Uniform(-1, 2), PowerLike := DiscreteDistribution([-0.5, 0.2, 1.7], [0.3, 0.4, 0.3])):
         lo, hi = law.support
         grid = np.array([lo, lo + 0.3 * (hi - lo), lo + 0.55 * (hi - lo), hi])
-        w = dual_weights(grid, law)
+        w = dual_split(grid, law)[0]
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert float(w @ grid) == pytest.approx(law.mean, abs=1e-10)
 
 
 def test_dual_weights_support_error():
     with pytest.raises(SupportError):
-        dual_weights([0.2, 0.8], Uniform(0, 1))
+        dual_split([0.2, 0.8], Uniform(0, 1))
 
 
 def test_dual_weights_atom_on_left_endpoint():
     law = DiscreteDistribution([0.0, 0.5, 1.0], [0.25, 0.5, 0.25])
-    w = dual_weights([0.0, 1.0], law)
+    w = dual_split([0.0, 1.0], law)[0]
     # atom at the endpoint belongs wholly to it, the rest splits linearly
     assert np.allclose(w, [0.25 + 0.25, 0.5], atol=1e-14)
 
 
 def test_dual_distortion_uniform():
     u = Uniform(0, 1)
-    assert dual_distortion([0.0, 1.0], u) == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
-    assert dual_distortion(np.linspace(0, 1, 5), u) == pytest.approx(
+    assert dual_split([0.0, 1.0], u)[1] == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
+    assert dual_split(np.linspace(0, 1, 5), u)[1] == pytest.approx(
         1 / (math.sqrt(6) * 4), abs=1e-12
     )
 
@@ -107,7 +106,44 @@ def test_dual_distortion_uniform():
 def test_dual_distortion_zero_when_grid_covers_atoms():
     law = DiscreteDistribution([0.0, 0.25, 1.0], [0.3, 0.4, 0.3])
     # the squared distortion cancels to float roundoff; its root is ~1e-8
-    assert dual_distortion([0.0, 0.25, 1.0], law) ** 2 == pytest.approx(0.0, abs=1e-14)
+    assert dual_split([0.0, 0.25, 1.0], law)[1] ** 2 == pytest.approx(0.0, abs=1e-14)
+
+
+class _CallLog:
+    """Forwards to a law and logs the name of every method called on it."""
+
+    def __init__(self, law):
+        self.law = law
+        self.calls = []
+
+    def __getattr__(self, name):
+        value = getattr(self.law, name)
+        if not callable(value):
+            return value
+
+        def logged(*args, **kwargs):
+            self.calls.append(name)
+            return value(*args, **kwargs)
+
+        return logged
+
+
+@pytest.mark.parametrize(
+    "make_law",
+    [
+        lambda: Uniform(0.0, 1.0),
+        lambda: DiscreteDistribution([0.0, 0.25, 1.0], [0.3, 0.4, 0.3]),
+        lambda: _still_source_mixture(),
+    ],
+    ids=["uniform", "atoms", "mixture"],
+)
+def test_dual_split_makes_one_law_call(make_law):
+    law = make_law()
+    lo, hi = law.support
+    log = _CallLog(law)
+    weights = dual_split(np.linspace(lo, hi, 5), log)[0]
+    assert log.calls == ["cdf_moment_left_batch"]
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dual_lloyd_uniform_reference():
@@ -151,7 +187,7 @@ def test_dual_lloyd_map_is_scaled_gradient():
     x[0], x[-1] = 0.0, 1.0
 
     def d2(grid):
-        return dual_distortion(grid, law) ** 2
+        return dual_split(grid, law)[1] ** 2
 
     f = np.asarray(law.cdf(x))
     k = np.asarray(law.partial_moment(x))
@@ -213,14 +249,14 @@ def test_dual_lloyd_fuzz_diverse_laws():
             assert np.all(np.diff(res.grid) > 0)
             assert res.weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert float(res.weights @ res.grid) == pytest.approx(law.mean, abs=1e-9)
-            baseline = dual_distortion(np.linspace(lo, hi, n), law)
+            baseline = dual_split(np.linspace(lo, hi, n), law)[1]
             assert res.distortion <= baseline + 1e-12
 
 
 def test_dual_quantization_raises_convex_order():
     law = DiscreteDistribution([0.1, 0.4, 0.55, 0.8], [0.2, 0.3, 0.3, 0.2])
     grid = np.array([0.0, 0.5, 1.0])
-    w = dual_weights(grid, law)
+    w = dual_split(grid, law)[0]
     mu = DiscreteDistribution(np.asarray(law.points), law.weights)
     nu = DiscreteDistribution(grid, w)
     assert convex_order_check(mu, nu).dominated
@@ -489,18 +525,16 @@ def test_triangulation_rejects_a_vertex_qhull_leaves_out():
 
 def test_dual_grid_validation():
     with pytest.raises(DomainError):
-        dual_weights([1.0], Uniform(0.0, 2.0))
+        dual_split([1.0], Uniform(0.0, 2.0))
     with pytest.raises(DomainError):
-        dual_weights([1.0, 1.0], Uniform(0.0, 2.0))
+        dual_split([1.0, 1.0], Uniform(0.0, 2.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_dual_grids_must_be_finite(bad):
     law = Uniform(0.0, 1.0)
     with pytest.raises(DomainError, match="finite"):
-        dual_weights([0.0, bad, 1.0], law)
-    with pytest.raises(DomainError, match="finite"):
-        dual_distortion([0.0, bad, 1.0], law)
+        dual_split([0.0, bad, 1.0], law)
     with pytest.raises(DomainError, match="finite"):
         dual_lloyd_1d(law, 3, init=[0.0, bad, 1.0])
 
@@ -923,10 +957,11 @@ def _dual_lloyd_1d_reference(
             f, k, f_left = law.cdf_moment_left_batch(points)
             converged = _map_residual(points, f, k, f_left) < tol
             break
+    weights, distortion = dual_split(points, law)
     return DualQuantization(
         grid=points,
-        weights=dual_weights(points, law),
-        distortion=dual_distortion(points, law),
+        weights=weights,
+        distortion=distortion,
         converged=converged,
         iterations=iterations,
     ), order_violation
@@ -1006,6 +1041,31 @@ def test_dual_lloyd_matches_the_sweep_before_the_lean_round_bit_for_bit(case, mo
     _assert_same_batches(new_law.sweep_batches, ref_law.sweep_batches)
     want = [b for i, b in enumerate(ref_law.batches) if i not in handed]
     _assert_same_batches(new_law.batches, want)
+    # the weights and the distortion of the result: one batch at its grid
+    assert new_law.sweep_batches[-1].tobytes() == new.grid.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_law", [_euler_mixture, _still_source_mixture], ids=["euler", "a-source-that-stays-put"]
+)
+def test_the_kernel_and_the_image_law_share_one_closed_form(make_law):
+    """The source weights pushed through ``dual_transition_weights`` onto
+    the image law's own dual grid are the ``dual_split`` weights of that
+    law; a source where theta = 0 is split where it sits."""
+    from martquant.chain import dual_transition_weights
+
+    law = make_law()
+    grid = dual_lloyd_1d(law, 9, tol=1e-9).grid
+    kernel = dual_transition_weights(law.points, grid, law.theta_values, law.trunc)
+    pushed = np.add.reduce(law.weights[:, None] * kernel.matrix, axis=0)
+    assert np.abs(pushed - dual_split(grid, law)[0]).max() <= 1e-14
+    still = np.flatnonzero(law.theta_values == 0.0)
+    assert still.size == (make_law is _still_source_mixture)
+    for i in still:
+        (j,), (lam_right,) = locate_1d(grid, law.points[i : i + 1])
+        split = np.zeros(grid.size)
+        split[[j, j + 1]] = 1.0 - lam_right, lam_right
+        assert np.abs(kernel.matrix[i] - split).max() <= 1e-15
 
 
 def _random_finite_law(gen):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from martquant.errors import DomainError, EmptyCellError
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.primal import (
-    _assign_1d, _initial_grid, _lloyd_step, distortion, lloyd_1d, voronoi_weights,
+    _assign_1d, _initial_grid, _lloyd_step, lloyd_1d, voronoi_split,
 )
 
 
@@ -15,12 +15,12 @@ def test_nn_project_tie_break():
     # midpoint belongs to the left cell: cells are (x_{i-1/2}, x_{i+1/2}]
     assert list(_assign_1d(np.array([0.0, 1.0]), np.array([0.5, 0.9]))) == [0, 1]
     # a law's cell masses follow the same rule: an atom on a midpoint counts
-    # in the left cell, so voronoi_weights (lloyd_1d, quantized noise) and
+    # in the left cell, so voronoi_split (lloyd_1d, quantized noise) and
     # the projection of draws (archmc) split a law alike
     grid = np.array([-1.0, 0.0, 0.5, 2.0])
     atoms = np.array([-0.5, 0.25, 1.25, -3.0, 0.1, 5.0])  # the midpoints first
     w = np.arange(1.0, 7.0) / 21.0
-    cells = voronoi_weights(grid, DiscreteDistribution(atoms, w))
+    cells = voronoi_split(grid, DiscreteDistribution(atoms, w))[0]
     assert np.allclose(cells, np.array([1 + 4, 2 + 5, 3, 6]) / 21.0, rtol=0.0, atol=1e-15)
     assert np.allclose(cells, np.bincount(_assign_1d(grid, atoms), weights=w), rtol=0.0, atol=1e-15)
 
@@ -32,20 +32,20 @@ def test_projection_idempotent():
 
 def test_distortion_uniform_closed_forms():
     u = Uniform(0, 1)
-    assert distortion([0.5], u) == pytest.approx(1 / math.sqrt(12), abs=1e-12)
-    assert distortion([0.25, 0.75], u) == pytest.approx(1 / (4 * math.sqrt(3)), abs=1e-12)
+    assert voronoi_split([0.5], u)[1] == pytest.approx(1 / math.sqrt(12), abs=1e-12)
+    assert voronoi_split([0.25, 0.75], u)[1] == pytest.approx(1 / (4 * math.sqrt(3)), abs=1e-12)
 
 
 def test_distortion_atoms_on_grid_is_zero():
     law = DiscreteDistribution([0.0, 0.5, 2.0], [0.25, 0.5, 0.25])
-    assert distortion([0.0, 0.5, 2.0], law) == 0.0
+    assert voronoi_split([0.0, 0.5, 2.0], law)[1] == 0.0
 
 
 def test_distortion_decreases_when_point_added():
     u = Normal(0, 1)
     base = [-1.0, 1.0]
     richer = [-1.0, 0.0, 1.0]
-    assert distortion(richer, u) <= distortion(base, u) + 1e-12
+    assert voronoi_split(richer, u)[1] <= voronoi_split(base, u)[1] + 1e-12
 
 
 def test_lloyd_uniform_reference_grid():
@@ -63,10 +63,10 @@ def test_lloyd_single_point_is_mean():
 def test_lloyd_distortion_nonincreasing_stepwise():
     law = Normal(0, 1)
     grid = np.array([-2.0, -0.3, 0.1, 0.6, 2.5])
-    last = distortion(grid, law)
+    last = voronoi_split(grid, law)[1]
     for _ in range(25):
         grid = _lloyd_step(law, grid)
-        current = distortion(grid, law)
+        current = voronoi_split(grid, law)[1]
         assert current <= last + 1e-12
         last = current
 
@@ -163,27 +163,25 @@ def test_lloyd_start_is_the_quantiles_where_no_levels_merge():
 
 def test_voronoi_weights():
     u = Uniform(0, 1)
-    assert np.allclose(voronoi_weights(np.array([1, 3, 5, 7]) / 8, u), 0.25)
-    assert voronoi_weights(np.array([0.5]), Normal(3, 2)) == pytest.approx([1.0])
-    w = voronoi_weights(np.array([0.0, 1.0]), PowerDensity2x())
+    assert np.allclose(voronoi_split(np.array([1, 3, 5, 7]) / 8, u)[0], 0.25)
+    assert voronoi_split(np.array([0.5]), Normal(3, 2))[0] == pytest.approx([1.0])
+    w = voronoi_split(np.array([0.0, 1.0]), PowerDensity2x())[0]
     assert np.allclose(w, [0.25, 0.75], atol=1e-15)
-    assert voronoi_weights(np.linspace(-3, 3, 9), Normal(0, 1)).sum() == pytest.approx(
+    assert voronoi_split(np.linspace(-3, 3, 9), Normal(0, 1))[0].sum() == pytest.approx(
         1.0, abs=1e-15
     )
 
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        voronoi_weights([1.0, 1.0], Uniform(0.0, 2.0))
+        voronoi_split([1.0, 1.0], Uniform(0.0, 2.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_primal_grids_must_be_finite(bad):
     law = Uniform(0.0, 1.0)
     with pytest.raises(DomainError, match="finite"):
-        voronoi_weights([0.2, bad], law)
-    with pytest.raises(DomainError, match="finite"):
-        distortion([0.2, bad], law)
+        voronoi_split([0.2, bad], law)
     with pytest.raises(DomainError, match="finite"):
         lloyd_1d(law, 2, init=[0.2, bad])
 
@@ -222,5 +220,5 @@ def test_distortion_matches_per_cell_quadrature(law, n, density, lo, hi):
     ]
     atoms, masses = law.atoms()
     parts += [w * (z - grid[_assign_1d(grid, z)]) ** 2 for z, w in zip(atoms, masses)]
-    d2 = distortion(grid, law) ** 2
+    d2 = voronoi_split(grid, law)[1] ** 2
     assert abs(d2 - math.fsum(parts)) <= 1e-14 * max(1.0, law.second_moment)
