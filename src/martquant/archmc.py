@@ -221,29 +221,6 @@ def simulate_coupled(
     return CoupledPathSample(exact=exact, approx=approx, dual=dual)
 
 
-class _ChunkSums:
-    """Range sums of sequences given as ``(key, offset, sum)`` parts, one
-    per chunk of sequence ``key`` starting at path ``offset``.  A range's
-    sum is the ``math.fsum`` of the parts that start in it, correctly
-    rounded, so it does not depend on the order of the parts."""
-
-    def __init__(self, blocks):
-        self.parts = {}
-        for parts in blocks:
-            for key, offset, value in parts:
-                self.parts.setdefault(key, []).append((offset, value))
-
-    def total(self, key, start: int, stop: int) -> float:
-        return math.fsum(v for offset, v in self.parts[key] if start <= offset < stop)
-
-    def mean(self, key, n: int) -> float:
-        return self.total(key, 0, n) / n
-
-    def batch_standard_error(self, key, n: int) -> float:
-        """``batch_standard_error`` of entries 0..n-1 of sequence ``key``."""
-        return _batch_se(lambda start, size: self.total(key, start, start + size) / size, n)
-
-
 def _batch_ranges(n: int) -> list[tuple[int, int]]:
     """The non-empty ``(start, size)`` batches of ``np.array_split`` of n
     entries into ``_BATCHES``."""
@@ -293,10 +270,12 @@ def coupled_gap_statistics(
     The numbers are those of the formulas on the full arrays,
     ``sqrt(mean((exact[k] - approx[k]) ** 2))``, ``batch_standard_error``
     of the squared gaps, and ``sqrt(mean(max_k |exact - approx| ** 2))``,
-    to rounding: each chunk adds one ``np.add.reduce``, and ``math.fsum``
-    combines them, so the bits are the same at any thread count.  Memory
-    holds one chunk of at most ``_CHUNK`` paths per thread and is flat in
-    ``n_paths``.
+    to rounding.  Each chunk gives one row of a table: its first path, then
+    one ``np.add.reduce`` per sum.  A mean over a range of paths is the
+    ``math.fsum`` of a column over the rows whose first path lies in it,
+    correctly rounded, so the bits do not depend on the thread count or on
+    the order of the rows.  Memory holds one chunk of at most ``_CHUNK``
+    paths per thread and is flat in ``n_paths``.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
@@ -304,22 +283,33 @@ def coupled_gap_statistics(
     n = arch.n_steps
 
     def reduce_block(block):
-        parts = []
+        """Rows ``(lo, sum gap_0^2, ..., sum gap_n^2, sum sup^2)``, one per chunk."""
+        rows = []
         for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
             gap = np.subtract(x, xb)
             np.abs(gap, out=gap)
-            sup = gap.copy() if k == 0 else np.maximum(sup, gap, out=sup)
-            parts.append((k, lo, np.add.reduce(np.square(gap, out=gap))))
+            if k == 0:
+                rows.append([lo])
+                sup = gap.copy()
+            else:
+                np.maximum(sup, gap, out=sup)
+            rows[-1].append(np.add.reduce(np.square(gap, out=gap)))
             if k == n:
-                parts.append(("sup", lo, np.add.reduce(np.square(sup, out=sup))))
-        return parts
+                rows[-1].append(np.add.reduce(np.square(sup, out=sup)))
+        return rows
 
-    sums = _ChunkSums(_map_blocks(reduce_block, n_paths, threads))
-    steps = range(n + 1)
+    table = np.array([row for rows in _map_blocks(reduce_block, n_paths, threads) for row in rows])
+    first = table[:, 0]
+
+    def mean(column: int, start: int, size: int) -> float:
+        return math.fsum(table[(start <= first) & (first < start + size), column]) / size
+
+    columns = range(1, n + 2)
     return GapStatistics(
-        empirical=np.array([math.sqrt(sums.mean(k, n_paths)) for k in steps]),
-        standard_error=np.array([sums.batch_standard_error(k, n_paths) for k in steps]),
-        doob_empirical=math.sqrt(sums.mean("sup", n_paths)),
+        empirical=np.array([math.sqrt(mean(c, 0, n_paths)) for c in columns]),
+        standard_error=np.array([_batch_se(lambda start, size: mean(c, start, size), n_paths)
+                                 for c in columns]),
+        doob_empirical=math.sqrt(mean(n + 2, 0, n_paths)),
     )
 
 
@@ -355,18 +345,12 @@ def compare_truncation_bound(
     terminal norm (empirical) and with twice the terminal bound.
     """
     noise_specs = list(noise_specs)
-    gaps = []
-    for spec in noise_specs:
-        if spec.mode == "truncated":
-            gaps.append(spec.base.second_moment - spec.truncation.second_moment)
-        elif spec.base is not None:
-            gaps.append(spec.base.second_moment - spec.atoms.second_moment)
-        else:
-            raise DomainError("error bounds need a truncated or quantized noise with a base law")
-    if isinstance(x0, (int, float)):
-        x0_m2 = float(x0) ** 2
-    else:
-        x0_m2 = x0.second_moment
+    if any(spec.base is None for spec in noise_specs):
+        raise DomainError("error bounds need a truncated or quantized noise with a base law")
+    gaps = [spec.base.second_moment
+            - (spec.truncation if spec.mode == "truncated" else spec.atoms).second_moment
+            for spec in noise_specs]
+    x0_m2 = float(x0) ** 2 if isinstance(x0, (int, float)) else x0.second_moment
     refined, product = truncation_error_bound(
         [t.lipschitz for t in arch.thetas],
         [t.c_envelope for t in arch.thetas],

@@ -312,64 +312,48 @@ def cmd_mot(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _coupled_run(args, statistic):
+    """``statistic(arch, noises, x0, n_paths, seed, threads)`` on the
+    config's model, for ``simulate`` and ``bounds``, with its path count."""
     cfg = _load_config(args)
     with _warnings_printed():
         arch, noises = _arch_from_config(cfg)
     x0 = _load_law(cfg["x0"])
     n_paths, seed = _paths_and_seed(args, cfg)
-    stats = archmc.coupled_gap_statistics(
-        arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)
-    )
-    out = Path(args.out)
+    threads = _whole(args.threads, "--threads", 1)
+    return n_paths, statistic(arch, noises, x0, n_paths, seed, threads=threads)
+
+
+def _write_table(out: Path, stem: str, header, rows):
+    """``<stem>.csv``, and ``<stem>.json`` as one header -> value object per row."""
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (k, float(stats.empirical[k]), float(stats.standard_error[k]))
-        for k in range(arch.n_steps + 1)
-    ]
-    _write_csv(out / "coupled.csv", ["k", "empirical_gap_l2", "se_gap_sq"], rows)
-    with open(out / "coupled.json", "w") as fh:
-        json.dump(
-            [{"k": k, "empirical_gap_l2": e, "se_gap_sq": s} for k, e, s in rows], fh
-        )
+    _write_csv(out / f"{stem}.csv", header, rows)
+    with open(out / f"{stem}.json", "w") as fh:
+        json.dump([dict(zip(header, row)) for row in rows], fh)
         fh.write("\n")
-    print(f"simulated {n_paths} coupled paths over {arch.n_steps} steps")
+
+
+def _per_step(*columns) -> list:
+    """Rows ``(k, columns[0][k], ...)`` for k = 0..n, as Python numbers."""
+    return [(k, *row) for k, row in enumerate(zip(*(c.tolist() for c in columns)))]
+
+
+def cmd_simulate(args) -> int:
+    n_paths, stats = _coupled_run(args, archmc.coupled_gap_statistics)
+    rows = _per_step(stats.empirical, stats.standard_error)
+    _write_table(Path(args.out), "coupled", ["k", "empirical_gap_l2", "se_gap_sq"], rows)
+    print(f"simulated {n_paths} coupled paths over {len(rows) - 1} steps")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args)
-    with _warnings_printed():
-        arch, noises = _arch_from_config(cfg)
-    x0 = _load_law(cfg["x0"])
-    n_paths, seed = _paths_and_seed(args, cfg)
-    report = archmc.compare_truncation_bound(
-        arch, noises, x0, n_paths, seed, threads=_whole(args.threads, "--threads", 1)
+    _, report = _coupled_run(args, archmc.compare_truncation_bound)
+    rows = _per_step(
+        report.empirical, report.bound, report.bound_product, report.slack, report.standard_error
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (
-            k,
-            float(report.empirical[k]),
-            float(report.bound[k]),
-            float(report.bound_product[k]),
-            float(report.slack[k]),
-            float(report.standard_error[k]),
-        )
-        for k in range(arch.n_steps + 1)
-    ]
-    _write_csv(
-        out / "bounds.csv",
-        ["k", "empirical", "bound", "bound_product", "slack", "se"],
-        rows,
-    )
-    keys = ("k", "empirical", "bound", "bound_product", "slack", "se")
-    with open(out / "bounds.json", "w") as fh:
-        json.dump([dict(zip(keys, row)) for row in rows], fh)
-        fh.write("\n")
-    worst = min(r[4] for r in rows)
-    print(f"worst slack {_fmt(worst)}")
+    header = ["k", "empirical", "bound", "bound_product", "slack", "se"]
+    _write_table(Path(args.out), "bounds", header, rows)
+    print(f"worst slack {_fmt(min(row[4] for row in rows))}")
     return 0
 
 
@@ -427,19 +411,16 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--export-lp", action="store_true", dest="export_lp")
     m.set_defaults(func=cmd_mot)
 
-    s = sub.add_parser("simulate", help="coupled exact/approximate path simulation")
-    s.add_argument("--config", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--threads", type=int, default=1)
-    s.set_defaults(func=cmd_simulate)
-
-    b = sub.add_parser("bounds", help="truncation error bounds vs simulation")
-    b.add_argument("--config", required=True)
-    b.add_argument("--out", required=True)
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--threads", type=int, default=1)
-    b.set_defaults(func=cmd_bounds)
+    for name, help_text, func in (
+        ("simulate", "coupled exact/approximate path simulation", cmd_simulate),
+        ("bounds", "truncation error bounds vs simulation", cmd_bounds),
+    ):
+        mc = sub.add_parser(name, help=help_text)
+        mc.add_argument("--config", required=True)
+        mc.add_argument("--out", required=True)
+        mc.add_argument("--seed", type=int, default=None)
+        mc.add_argument("--threads", type=int, default=1)
+        mc.set_defaults(func=func)
 
     x = sub.add_parser("counterexample", help="moment vs W2 minimizer scan")
     x.add_argument("--resolution", default=1e-4, type=float)

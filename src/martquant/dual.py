@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, HullViolation, OutOfScopeError, SupportError
-from .laws import Law1D, _check_points
+from .laws import Law1D, _check_points, _finite_law
 
 __all__ = [
     "Triangulation2D",
@@ -101,8 +101,10 @@ def dual_split(grid, law: Law1D):
     difference form.  Per interval the squared distortion is int (x_{i+1} -
     xi)(xi - x_i) dmu, summed through the same differences and the second
     moment of the law.  A law with more than 1e-12 mass outside the grid
-    hull raises :class:`SupportError`.
+    hull raises :class:`SupportError`.  A truncation of a finite law is
+    split as its atoms.
     """
+    law = _finite_law(law) or law
     points = _grid_points(grid)
     f, k, f_left = law.cdf_moment_left_batch(points)
     f_left_first = float(f_left[0])
@@ -232,8 +234,10 @@ def dual_lloyd_1d(
     x_{i-1})``, whose level always lies between the neighbour F values.
     This is robust where cell masses differ by orders of magnitude (law
     tails).  A point moves only to a solution strictly inside its current
-    neighbours, so the grid stays strictly increasing from its start.
+    neighbours, so the grid stays strictly increasing from its start.  A
+    truncation of a finite law is quantized as its atoms.
     """
+    law = _finite_law(law) or law
     lo, hi = law.support
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
         raise SupportError("dual quantization needs a compact support hull")

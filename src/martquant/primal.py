@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyCellError
-from .laws import Law1D, _check_points
+from .laws import Law1D, _check_points, _finite_law
 
 __all__ = [
     "VoronoiQuantization",
@@ -56,8 +56,10 @@ def voronoi_split(grid, law: Law1D):
 
     The cells ``(x_{i-1/2}, x_{i+1/2}]``, the outer two unbounded, have
     masses ``dF`` and give ``e_2^2 = sum dM - 2 x dK + x^2 dF``, exact for
-    atoms too since F, K and M are right-continuous.
+    atoms too since F, K and M are right-continuous.  A truncation of a
+    finite law is split as its atoms.
     """
+    law = _finite_law(law) or law
     points = _points_1d(grid)
     cuts = _cuts(points)
     df = np.diff(np.asarray(law.cdf(cuts)))
@@ -110,8 +112,10 @@ def lloyd_1d(law: Law1D, n_points: int, init=None, tol: float = 1e-12) -> Vorono
     Default initialization places points at the quantiles of levels
     (2i-1)/(2N), completed inside the gaps that carry mass where an atom
     takes several levels (see ``_initial_grid``), so no cell is empty.
-    Stops when the sup-norm grid displacement drops below ``tol``.
+    Stops when the sup-norm grid displacement drops below ``tol``.  A
+    truncation of a finite law is quantized as its atoms.
     """
+    law = _finite_law(law) or law
     if n_points < 1:
         raise DomainError("need at least one point")
     if init is None:

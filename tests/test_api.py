@@ -195,5 +195,5 @@ def test_the_check_sees_each_kind_of_reference():
     assert ("module", "mot") in REFERENCES  # motmod in cli
     assert ("module", "rng") in REFERENCES  # from .rng import make_generator
     assert ("errors", "SupportError") in REFERENCES  # re-exported by __init__
-    # the method _ChunkSums.batch_standard_error calls no module function
+    # the tests' oracle: coupled_gap_statistics calls _batch_se, not it
     assert ("archmc", "batch_standard_error") not in REFERENCES

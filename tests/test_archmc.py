@@ -440,6 +440,29 @@ def test_streamed_gap_statistics_match_the_full_arrays(make_spec):
     assert again.doob_empirical == stats.doob_empirical
 
 
+def test_block_order_changes_no_bit(monkeypatch):
+    # threads hand the blocks back in order, so only a patched map returns
+    # them out of order; the per-chunk rows are then stacked in reverse
+    specs = [NoiseSpec.truncated(TRUNC15)] * 3
+    arch = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
+    x0 = Uniform(0.9, 1.1)
+    want = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43)
+    in_order = archmc._map_blocks
+    reversed_blocks = []
+
+    def reverse(fn, n_paths, threads):
+        blocks = in_order(fn, n_paths, threads)[::-1]
+        reversed_blocks.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(archmc, "_map_blocks", reverse)
+    got = coupled_gap_statistics(arch, specs, x0, RAGGED_PATHS, seed=43)
+    assert reversed_blocks == [3]
+    assert np.array_equal(got.empirical, want.empirical)
+    assert np.array_equal(got.standard_error, want.standard_error)
+    assert got.doob_empirical == want.doob_empirical
+
+
 def _traced_peak(fn):
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from martquant.errors import DomainError, HullViolation
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.order import convex_order_check
 from martquant.rng import make_generator
+
+from exact import in_convex_order, is_martingale_row, replay
 
 
 @pytest.fixture(scope="module")
@@ -1003,3 +1006,63 @@ def test_build_chain_2d_rejections(case, message):
     arch = ArchSpec([np.eye(2), 0.5 * np.eye(2)], dim=2, noise_dim=2)
     with pytest.raises(DomainError, match=message):
         build_chain(arch, [noise] * 2, x0, [2, 5, 5], grid_mode="fixed", grids=grids)
+
+
+@st.composite
+def _rational_chains(draw):
+    """A chain of small rational inputs: Euler steps of h = 1/4, so sqrt(h) =
+    1/2, of ``theta_affine_abs`` or ``theta_abs_shifted``, a centered noise
+    of 2 to 7 atoms, 1 to 3 ``x0`` atoms, and N <= 9 points per grid."""
+
+    def rational(lo, hi, den=8):
+        return st.fractions(lo, hi, max_denominator=den)
+
+    n_steps = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = theta_affine_abs(float(draw(rational(Fraction(1, 4), 1))), float(draw(rational(0, 1))))
+    else:
+        floor = draw(st.just(Fraction(0)) | rational(Fraction(1, 8), Fraction(1, 2)))
+        base = theta_abs_shifted(float(draw(rational(Fraction(1, 4), 1))),
+                                 float(draw(rational(0, 2))), float(floor))
+    n_atoms = draw(st.integers(2, 7))
+    z = draw(st.lists(rational(-2, 2), min_size=n_atoms, max_size=n_atoms, unique=True))
+    q = draw(st.lists(st.integers(1, 9), min_size=n_atoms, max_size=n_atoms))
+    mean = sum(qj * zj for qj, zj in zip(q, z)) / sum(q)
+    noise = DiscreteDistribution([float(zj - mean) for zj in z], [qj / sum(q) for qj in q])
+    n_x0 = draw(st.integers(1, 3))
+    x0 = draw(st.lists(rational(Fraction(1, 2), Fraction(3, 2)), min_size=n_x0, max_size=n_x0,
+                       unique=True))
+    p = draw(st.lists(st.integers(1, 4), min_size=n_x0, max_size=n_x0))
+    x0 = DiscreteDistribution([float(x) for x in x0], [pi / sum(p) for pi in p])
+    # a still point mass has no dual grid of two points
+    assume(np.any(base(x0.points_1d) > 0.0))
+    arch = ArchSpec(euler_thetas(base, n_steps / 4, n_steps))
+    return arch, noise, x0, [1] + [draw(st.integers(3, 9))] * n_steps
+
+
+@given(_rational_chains())
+@settings(max_examples=100, deadline=None)
+def test_finite_noise_chains_match_their_exact_replay(instance):
+    """``build_chain`` against its exact rational replay (``tests/exact.py``):
+    the replay's rows are martingale and its steps in convex order exactly.
+
+    A float image is off by about ``eps |y|``, which moves its split by that
+    over its cell's width: so kernels and weights agree to 1e-14 plus ``2 eps
+    max|t| / min dt`` on the targets t.  The squared distortion also carries
+    ``dual_split``'s cancellation against the image law's second moment."""
+    arch, noise, x0, sizes = instance
+    chain = build_chain(arch, [NoiseSpec.quantized(noise)] * arch.n_steps, x0, sizes)
+    steps = replay(chain, arch.thetas, [noise] * arch.n_steps, x0)
+    for step, kernel, weights, diag in zip(
+        steps, chain.kernels, chain.marginal_weights[1:], chain.diagnostics
+    ):
+        for source, row in zip(step.sources, step.kernel):
+            assert is_martingale_row(source, step.targets, row)
+        assert in_convex_order((step.sources, step.source_weights), (step.targets, step.weights))
+        t = kernel.target_grid
+        tol = 1e-14 + 2.0 * np.finfo(float).eps * np.abs(t).max() / np.diff(t).min()
+        assert np.abs(kernel.matrix - np.array(step.kernel, dtype=float)).max() <= tol
+        assert np.abs(weights - np.array(step.weights, dtype=float)).max() <= tol
+        d2_exact = float(step.distortion_sq)
+        slack = 1e-12 * d2_exact + 1e-14 * float(step.image_second_moment)
+        assert abs(diag["dual_distortion"] ** 2 - d2_exact) <= slack

@@ -58,6 +58,19 @@ def test_quantize_inline_json_law(tmp_path):
     assert np.allclose(grid, [-0.5, 0.5], atol=1e-10)
 
 
+def test_quantize_splits_a_truncated_finite_law_as_its_atoms(tmp_path, capsys):
+    # the five atoms truncated at alpha = -1 are the three atoms {-1, 0, 1}:
+    # on a grid on them both distortions are exactly 0, where the truncated
+    # law's global cumulative sums left a residue of about 1e-8
+    law = json.dumps({"kind": "atoms", "points": [-2, -1, 0, 1, 2],
+                      "weights": [0.1, 0.2, 0.4, 0.2, 0.1], "truncation": {"alpha": -1}})
+    for mode in ("dual", "primal"):
+        out = tmp_path / mode
+        assert run(["quantize", mode, "--law", law, "--n", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "distortion 0\n"
+    assert (tmp_path / "dual" / "grid.json").read_text() == "[-1.0, 0.0, 1.0]\n"
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
