@@ -475,9 +475,20 @@ def _initial_state(x0, n0: int, dim: int):
 
 
 def _image_law(points, weights, theta_vals, noise: DiscreteDistribution) -> DiscreteDistribution:
-    """Exact law of the 1D images ``x_i + theta_i z_j``, coincident images merged."""
+    """Law of the 1D images ``x_i + theta_i z_j``, coincident images merged.
+
+    An image is rounded by about eps times the law's largest magnitude, as
+    ``x_i`` and ``theta_i z_j`` can nearly cancel: so sorted neighbours at
+    most ``4 eps max|y|`` apart are one number, and each run of them is one
+    atom with the run's mass at its heaviest value (the leftmost of equal
+    masses), on which the dual grid spends no more than one point."""
     images = _images(points, theta_vals, noise.points_1d)
-    return merged_atoms(images, np.outer(weights, noise.weights))
+    x, w = merged_atoms(images, np.outer(weights, noise.weights)).atoms()
+    apart = np.diff(x) > 4.0 * np.finfo(float).eps * np.abs(x).max()
+    run = np.concatenate(([0], np.cumsum(apart)))
+    starts = np.flatnonzero(np.concatenate(([True], apart)))
+    heaviest = np.lexsort((-w, run))[starts]
+    return DiscreteDistribution(x[heaviest], np.add.reduceat(w, starts))
 
 
 def _warm_init(prev_grid, n_next, hull):
@@ -502,14 +513,14 @@ def build_chain(
     quantizes a continuous initial law primally, warning if it stops short
     of its tolerance; a finite ``x0``, a :class:`DiscreteDistribution` or a
     truncation of one, is used as its exact atoms).  Each step takes the law
-    of the one-step image of the current marginal (the exact image law of a
-    :attr:`NoiseSpec.finite` noise, else a :class:`MixtureTransitionLaw`;
-    none in 2D), its grid (``grids[k]`` in ``fixed`` mode, else the dual
-    fixed point of that law) and the kernel onto that grid, which checks
-    hull containment; ``hull`` in the diagnostics is the hull of the image
-    law.  A 1D coefficient must be >= 0; a source where it vanishes stays
-    put.  2D chains take fixed grids only, one :class:`Triangulation2D` per
-    step, and quantized noise.
+    of the one-step image of the current marginal (the image law of a
+    :attr:`NoiseSpec.finite` noise, images one rounding apart merged, else
+    a :class:`MixtureTransitionLaw`; none in 2D), its grid (``grids[k]`` in
+    ``fixed`` mode, else the dual fixed point of that law) and the kernel
+    onto that grid, which checks hull containment; ``hull`` in the
+    diagnostics is the hull of the image law.  A 1D coefficient must be
+    >= 0; a source where it vanishes stays put.  2D chains take fixed grids
+    only, one :class:`Triangulation2D` per step, and quantized noise.
     """
     dim = arch.dim
     if dim not in (1, 2):
@@ -585,8 +596,8 @@ def build_chain(
             "hull": None if law is None else law.support,
         }
         if isinstance(law, DiscreteDistribution):
-            # the exact law of the one-step image before the dual projection:
-            # it interleaves the marginals in the convex order
+            # the image law before the dual projection (images one rounding
+            # apart merged): between the marginals in convex order, up to rounding
             diag["intermediate"] = law
         kernels.append(kernel)
         all_grids.append(grid)

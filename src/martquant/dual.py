@@ -259,9 +259,6 @@ def dual_lloyd_1d(
     max_iter = 0 if n_points == 2 else max_iter
     float_floor = 2e-16 * (abs(lo) + abs(hi) + 1.0)
     last_move = 0.0  # first sweep solves at full precision
-    sweep_step = 1.0
-    best_resid = np.inf
-    since_best = 0
     # interior points of each parity, with their left and right neighbours
     parities = []
     for parity in (1, 2):
@@ -274,14 +271,6 @@ def dual_lloyd_1d(
         if resid < tol:
             converged = True
             break
-        if resid < 0.9 * best_resid:
-            best_resid = resid
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > 400:
-                sweep_step = 0.5  # stagnation: damp the sweep against cycling
-                since_best = 0
         # red-black Gauss-Seidel: each stationarity equation couples a point
         # to its two neighbours only, so same-parity points update
         # independently; alternating parities kills the antiphase
@@ -296,8 +285,6 @@ def dual_lloyd_1d(
             levels = (hi_n * f_hi - lo_n * f_lo - (k[idx_r] - k[idx_l])) / (hi_n - lo_n)
             levels = np.clip(levels, f_lo, f_hi)
             solved = _solve_levels(law, levels, lo_n, hi_n, f_lo, f_hi, xtol)
-            if sweep_step != 1.0:
-                solved = cand[idx] + sweep_step * (solved - cand[idx])
             if law_atoms.size:
                 # a point placed within the solve tolerance of an atom
                 # belongs on the atom (kink optima live there); the

@@ -30,7 +30,7 @@ class NotInConvexOrder(MartquantError):
 
 
 class BudgetExceeded(MartquantError):
-    """Problem size exceeds the configured budget."""
+    """A MOT coupling has more variables than ``mot._MAX_VARIABLES``."""
 
 
 class HullViolation(MartquantError):

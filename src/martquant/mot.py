@@ -51,30 +51,32 @@ def forward_start_payoff(strike: float = 0.0):
     return payoff
 
 
+_MAX_VARIABLES = 1_000_000  # the coupling variables a MotProblem may have
+
+
 @dataclass(frozen=True)
 class MotProblem:
-    """Marginals (in convex order) and a payoff, within a variable budget.
+    """Marginals (in convex order) and a payoff, within the variable budget.
 
     ``payoff`` is a callable receiving one ``(..., d)`` point block per
     marginal, broadcastable over leading axes (a table is ``lambda *_:
     table``).  Raises :class:`BudgetExceeded` when the coupling has more
-    variables than ``budget``, so a problem that exists fits its budget.
+    than ``_MAX_VARIABLES`` variables.
     """
 
     marginals: tuple
     payoff: object
 
-    def __init__(self, marginals, payoff, budget: int = 1_000_000):
+    def __init__(self, marginals, payoff):
         marginals = tuple(marginals)
         if len(marginals) < 2:
             raise DomainError("need at least two marginals")
         dim = marginals[0].dim
         if any(m.dim != dim for m in marginals):
             raise DomainError("marginals must share one dimension")
-        budget = int(budget)
         nvar = int(np.prod([m.n_atoms for m in marginals]))
-        if nvar > budget:
-            raise BudgetExceeded(f"{nvar} coupling variables exceed budget {budget}")
+        if nvar > _MAX_VARIABLES:
+            raise BudgetExceeded(f"{nvar} coupling variables exceed budget {_MAX_VARIABLES}")
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "payoff", payoff)
 

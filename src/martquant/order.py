@@ -52,7 +52,10 @@ def merged_atoms(points, weights) -> DiscreteDistribution:
 
 @dataclass(frozen=True)
 class MaxAffineFunction:
-    """x -> max_k (offset_k + slope_k . x): convex with linear growth."""
+    """x -> max_k (offset_k + slope_k . x): convex with linear growth.
+
+    ``slopes`` holds one row per offset, a ``(pieces, d)`` array, and a call
+    takes an ``(n, d)`` array of points."""
 
     offsets: np.ndarray
     slopes: np.ndarray
@@ -60,18 +63,13 @@ class MaxAffineFunction:
     def __init__(self, offsets, slopes):
         offsets = np.asarray(offsets, dtype=float).reshape(-1)
         slopes = np.asarray(slopes, dtype=float)
-        if slopes.ndim == 1:
-            slopes = slopes[:, None]
-        if slopes.shape[0] != offsets.size:
-            raise DomainError("offsets and slopes must align")
+        if slopes.ndim != 2 or slopes.shape[0] != offsets.size:
+            raise DomainError("slopes must be a (pieces, d) array, one row per offset")
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "slopes", slopes)
 
     def __call__(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        return (self.offsets[None, :] + points @ self.slopes.T).max(axis=1)
+        return (self.offsets + np.asarray(points, dtype=float) @ self.slopes.T).max(axis=1)
 
 
 def call_payoff(dim: int, axis: int, strike: float) -> MaxAffineFunction:

@@ -833,6 +833,35 @@ def test_build_chain_2d_fixed_grids():
     assert convex_order_check(chain.marginal(1), chain.marginal(2)).dominated
 
 
+def test_build_chain_2d_state_dependent_theta():
+    """A 2D ``ThetaFn`` is evaluated point by point; its kernels are those of
+    the same matrices passed per step as an (N, 2, 2) array."""
+    gen = make_generator(17)
+    square = np.array([[-4.0, -4.0], [4.0, -4.0], [-4.0, 4.0], [4.0, 4.0]])
+    tris = [Triangulation2D.delaunay(np.vstack([scale * square, gen.uniform(-3.0, 3.0, (5, 2))]))
+            for scale in (1.0, 2.0)]
+    noise = DiscreteDistribution(
+        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4
+    )
+    x0 = DiscreteDistribution(gen.uniform(-0.5, 0.5, (3, 2)), [0.2, 0.3, 0.5])
+    # |theta(x) - theta(y)|_F <= 0.2 |x - y|, and |theta(x)|_F^2 <= 0.22 (1 + |x|^2)
+    theta = ThetaFn(lambda x: (0.3 + 0.1 * np.abs(x).sum()) * np.eye(2), 0.2, 0.22)
+    args = ([NoiseSpec.quantized(noise)] * 2, x0, [3, 9, 9])
+    chain = build_chain(ArchSpec([theta] * 2, dim=2, noise_dim=2), *args,
+                        grid_mode="fixed", grids=tris)
+    for diag, kernel in zip(chain.diagnostics, chain.kernels):
+        assert diag["martingale_residual"] <= 1e-12
+        assert diag["row_sum_residual"] <= 1e-12
+        assert kernel.matrix.min() >= 0.0
+    assert convex_order_check(chain.marginal(0), chain.marginal(1)).dominated
+    matrices = [np.array([theta(x) for x in grid]) for grid in chain.grids[:-1]]
+    assert matrices[0].shape == (3, 2, 2)
+    by_array = build_chain(ArchSpec(matrices, dim=2, noise_dim=2), *args,
+                           grid_mode="fixed", grids=tris)
+    for kernel, same in zip(chain.kernels, by_array.kernels):
+        assert kernel.matrix.tobytes() == same.matrix.tobytes()
+
+
 def test_build_chain_2d_requires_fixed_triangulations():
     x0 = DiscreteDistribution([[0.0, 0.0]], [1.0])
     noise = DiscreteDistribution([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
@@ -1060,9 +1089,38 @@ def test_finite_noise_chains_match_their_exact_replay(instance):
             assert is_martingale_row(source, step.targets, row)
         assert in_convex_order((step.sources, step.source_weights), (step.targets, step.weights))
         t = kernel.target_grid
+        assert np.diff(t).min() > 1e-12
         tol = 1e-14 + 2.0 * np.finfo(float).eps * np.abs(t).max() / np.diff(t).min()
         assert np.abs(kernel.matrix - np.array(step.kernel, dtype=float)).max() <= tol
         assert np.abs(weights - np.array(step.weights, dtype=float)).max() <= tol
         d2_exact = float(step.distortion_sq)
         slack = 1e-12 * d2_exact + 1e-14 * float(step.image_second_moment)
         assert abs(diag["dual_distortion"] ** 2 - d2_exact) <= slack
+
+
+_ONE_NUMBER_TWO_IMAGES = [
+    # 0.4875 + theta 0.1 and 0.503125 - theta' 0.4 at step 1 round an ulp apart
+    (ArchSpec(euler_thetas(theta_abs_shifted(1 / 8, 0.0, 0.0), 0.5, 2)),
+     DiscreteDistribution([-0.4, 0.1], [0.2, 0.8]), [0.5], [1, 5, 5]),
+    # x1 = fl(3 theta) and x2 = 3 theta - x1 = -2^-55 exactly: x1 - 3 theta
+    # and x2 + 0 theta are x2, rounded to 0 and to x2, many ulps of x2 apart
+    (ArchSpec([theta_affine_abs(0.1, 0.0)]),
+     DiscreteDistribution([-3.0, 0.0, 3.0], [0.25, 0.5, 0.25]),
+     [-(2.0 ** -55), 0.30000000000000004], [2, 5]),
+]
+
+
+@pytest.mark.parametrize("arch, noise, x0, sizes", _ONE_NUMBER_TWO_IMAGES,
+                         ids=["ulp-apart", "near-zero"])
+def test_images_of_one_number_are_one_atom(arch, noise, x0, sizes):
+    """Two images of one exact number, rounded two ways, are one atom of the
+    image law, also where ``x_i`` and ``theta_i z_j`` nearly cancel: the dual
+    grid can spend no point on a duplicate, and the kernels agree with the
+    exact replay."""
+    x0 = DiscreteDistribution(x0, [1.0 / len(x0)] * len(x0))
+    chain = build_chain(arch, [NoiseSpec.quantized(noise)] * arch.n_steps, x0, sizes)
+    steps = replay(chain, arch.thetas, [noise] * arch.n_steps, x0)
+    for step, kernel, diag in zip(steps, chain.kernels, chain.diagnostics):
+        assert np.diff(diag["intermediate"].atoms()[0]).min() > 1e-12
+        assert np.diff(kernel.target_grid).min() > 1e-12
+        assert np.abs(kernel.matrix - np.array(step.kernel, dtype=float)).max() <= 1e-14

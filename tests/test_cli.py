@@ -71,6 +71,16 @@ def test_quantize_splits_a_truncated_finite_law_as_its_atoms(tmp_path, capsys):
     assert (tmp_path / "dual" / "grid.json").read_text() == "[-1.0, 0.0, 1.0]\n"
 
 
+def test_quantize_warns_when_the_sweep_does_not_reach_tolerance(tmp_path, capsys):
+    # no grid reaches a tolerance of 1e-300: the sweep stops when its points
+    # stop moving, and the command still writes its grid and exits 0
+    out = tmp_path / "q"
+    argv = ["quantize", "dual", "--law", "power2x", "--n", "9", "--tol", "1e-300", "--out", str(out)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == "warning: fixed-point iteration did not reach tolerance\n"
+    assert len(json.loads((out / "grid.json").read_text())) == 9
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -122,6 +132,22 @@ def test_chain_command(tmp_path, chain_config, capsys):
     assert len(diag) == 3
     blob = json.loads((out / "chain.json").read_text())
     assert len(blob["grids"]) == 3
+
+
+def test_chain_abs_shifted_theta_with_a_floor(tmp_path, chain_config):
+    from martquant.chain import ArchSpec, NoiseSpec, build_chain, euler_thetas, theta_abs_shifted
+    from martquant.laws import Normal, TruncatedLaw, Uniform
+
+    cfg = json.loads(chain_config.read_text())
+    cfg["theta"] = {"kind": "abs_shifted", "scale": 0.4, "center": 1.0, "floor": 0.05}
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["chain", "--config", str(path), "--out", str(out)]) == 0
+    arch = ArchSpec(euler_thetas(theta_abs_shifted(0.4, 1.0, 0.05), 1.0, 2))
+    noise = NoiseSpec.truncated(TruncatedLaw.centered(Normal(0, 1), -2.0))
+    built = build_chain(arch, [noise] * 2, Uniform(0.9, 1.1), [9, 9, 9])
+    assert _read(out / "chain.json") == (json.dumps(built.to_json()) + "\n").encode()
 
 
 def test_chain_warns_when_a_dual_grid_does_not_converge(tmp_path, chain_config, capsys, monkeypatch):
@@ -409,6 +435,19 @@ def test_mot_warns_when_a_quantizer_does_not_converge(tmp_path, capsys, monkeypa
     assert err == [f"warning: level ({n}, {m}): {side} grid did not reach tolerance" for n, m in levels]
 
 
+def test_mot_forward_start_payoff(tmp_path):
+    from martquant.laws import Uniform
+    from martquant.mot import forward_start_payoff, stability_experiment
+
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(dict(_MOT_CONFIG, payoff={"kind": "forward_start", "strike": 0.25})))
+    out = tmp_path / "out"
+    assert run(["mot", "--config", str(p), "--out", str(out)]) == 0
+    rows = stability_experiment(Uniform(-1, 1), Uniform(-2, 2), forward_start_payoff(0.25), [(6, 6)])
+    lines = (out / "bounds.csv").read_text().splitlines()
+    assert lines[1:] == [f"{r['N']},{r['M']},{r['lower']:.17g},{r['upper']:.17g}" for r in rows]
+
+
 @pytest.mark.parametrize("export", [False, True])
 def test_mot_budget_holds_with_and_without_export_lp(tmp_path, capsys, monkeypatch, export):
     from martquant import lp as lpmod, mot as motmod
@@ -416,7 +455,7 @@ def test_mot_budget_holds_with_and_without_export_lp(tmp_path, capsys, monkeypat
     def no_solve(lp):
         raise AssertionError("an LP was solved before every level's budget was checked")
 
-    monkeypatch.setattr(motmod.MotProblem.__init__, "__defaults__", (16,))
+    monkeypatch.setattr(motmod, "_MAX_VARIABLES", 16)
     monkeypatch.setattr(lpmod, "solve", no_solve)
     p = tmp_path / "m.json"
     # the first level (8 variables) fits, the second (32) does not

@@ -91,11 +91,12 @@ def test_not_in_convex_order_raises_with_witness():
 
 
 def test_budget_guard():
-    gen = make_generator(1)
-    nu = DiscreteDistribution(np.sort(gen.normal(size=40)), np.full(40, 1 / 40))
-    mu = _contract(nu, 30)
-    with pytest.raises(BudgetExceeded):
-        mot_bounds(MotProblem([mu, nu], quadratic_payoff, budget=100))
+    # 1001 x 1000 coupling variables exceed the budget of 10^6; no LP is built
+    mu = DiscreteDistribution(np.linspace(-1.0, 1.0, 1001), np.full(1001, 1 / 1001))
+    nu = DiscreteDistribution(np.linspace(-2.0, 2.0, 1000), np.full(1000, 1 / 1000))
+    message = "1001000 coupling variables exceed budget 1000000"
+    with pytest.raises(BudgetExceeded, match=message):
+        MotProblem([mu, nu], quadratic_payoff)
 
 
 def _three_marginals():

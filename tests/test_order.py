@@ -514,6 +514,9 @@ def test_scan_rejects_bad_resolution():
 def test_max_affine_eval():
     fn = MaxAffineFunction([0.0, -1.0], [[1.0], [2.0]])
     assert fn(np.array([[0.0], [2.0]])) == pytest.approx([0.0, 3.0])
+    # slopes are one row per offset; a flat array is not read as 1D slopes
+    with pytest.raises(DomainError, match="one row per offset"):
+        MaxAffineFunction([0.0, -1.0], [1.0, 2.0])
 
 
 def test_battery_members_are_convex():
