@@ -18,7 +18,7 @@ import numpy as np
 from .chain import ArchSpec, ChainApproximation, NoiseSpec
 from .dual import locate_1d
 from .errors import DomainError
-from .laws import Law1D
+from .laws import Law1D, TruncatedLaw
 from .primal import _assign_1d
 from .rng import make_generator
 
@@ -70,9 +70,10 @@ def _sample_x0(x0, n, gen) -> np.ndarray:
 
 
 def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    if spec.mode == "truncated":
-        return spec.truncation.zero_outside(z)
-    atoms = spec.atoms.points_1d
+    """Base draws as draws of ``spec.law``: 0 outside any truncation, else the nearest atom."""
+    if isinstance(spec.law, TruncatedLaw):
+        return spec.law.zero_outside(z)
+    atoms = spec.law.atoms()[0]
     return atoms[_assign_1d(atoms, z)]
 
 
@@ -88,7 +89,7 @@ def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarr
         z = spec.base.draw(gen, count)
         return z, _project_noise(z, spec)
     # atoms without a base law: both paths ride the atoms
-    z = spec.atoms.draw(gen, count)
+    z = spec.law.draw(gen, count)
     return z, z
 
 
@@ -347,9 +348,7 @@ def compare_truncation_bound(
     noise_specs = list(noise_specs)
     if any(spec.base is None for spec in noise_specs):
         raise DomainError("error bounds need a truncated or quantized noise with a base law")
-    gaps = [spec.base.second_moment
-            - (spec.truncation if spec.mode == "truncated" else spec.atoms).second_moment
-            for spec in noise_specs]
+    gaps = [spec.base.second_moment - spec.law.second_moment for spec in noise_specs]
     x0_m2 = float(x0) ** 2 if isinstance(x0, (int, float)) else x0.second_moment
     refined, product = truncation_error_bound(
         [t.lipschitz for t in arch.thetas],

@@ -15,8 +15,7 @@ without sampling.  It reads the continuous part at the noise levels ``r = (u
 :class:`TruncatedLaw`'s F and K, whose clipped atom at 0 counts from ``r = 0``
 on, exactly where its image ``x`` reaches u.  A source where theta = 0
 stays put, a point mass at ``x`` in the same F and K.  The atoms of a finite
-noise are split where their images ``x + theta z`` fall.  In 2D every image
-of a finite noise is split on a triangulation.
+noise are split where their images ``x + theta z`` fall, in 1D and in 2D.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dual import (
-    Triangulation2D, dual_lloyd_1d, dual_split, hat_split, hull_slack_1d, locate_1d,
+    Triangulation2D, _scatter, dual_lloyd_1d, dual_split, hat_split, hull_slack_1d, locate_1d,
 )
 from .errors import DomainError, HullViolation, OutOfScopeError
 from .laws import (
@@ -50,7 +49,6 @@ __all__ = [
     "ChainApproximation",
     "MixtureTransitionLaw",
     "dual_transition_weights",
-    "finite_noise_transition",
     "build_chain",
 ]
 
@@ -132,38 +130,37 @@ class ArchSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-step innovation in one of two modes: ``truncated`` (a centered
-    truncation of a 1D law) or ``quantized`` (finitely many atoms).
+    """Per-step innovation: ``law`` is what the chain steps, a centered
+    :class:`TruncatedLaw` or :class:`DiscreteDistribution` (within 1e-10).
 
     Truncation and quantization both keep the innovation centered and keep
     the dropped part orthogonal to the kept part, which is what the error
-    analysis needs; quantized atoms must be centered within 1e-10.
-    ``base`` is the law whose draws coupled simulations project.
+    analysis needs.  Coupled simulations project draws of ``base`` onto
+    ``law``; without a base both paths draw ``law``.
     """
 
-    mode: str
-    base: object = None
-    truncation: TruncatedLaw | None = None
-    atoms: DiscreteDistribution | None = None
+    law: TruncatedLaw | DiscreteDistribution
+    base: Law1D | None = None
 
     def __post_init__(self):
-        if self.mode not in ("truncated", "quantized"):
-            raise DomainError(f"noise mode must be 'truncated' or 'quantized', got {self.mode!r}")
+        if isinstance(self.law, DiscreteDistribution):
+            _check_centered(self.law)
+        elif not isinstance(self.law, TruncatedLaw):
+            raise DomainError(f"noise {self.law!r} is not a TruncatedLaw or DiscreteDistribution")
 
     @classmethod
     def truncated(cls, trunc: TruncatedLaw) -> "NoiseSpec":
-        return cls("truncated", base=trunc.base, truncation=trunc)
+        return cls(trunc, base=trunc.base)
 
     @classmethod
     def quantized(cls, atoms: DiscreteDistribution) -> "NoiseSpec":
-        _check_centered(atoms)
-        return cls("quantized", atoms=atoms)
+        return cls(atoms)
 
     @classmethod
     def quantized_from(cls, law: Law1D, n_atoms: int) -> "NoiseSpec":
         """Stationary Voronoi quantization of a 1D law (a ``RuntimeWarning``
         if it stops short of its tolerance, 1e-13); atoms are the exact cell
-        means, so they keep the law's mean, which :meth:`quantized` checks.
+        means, so they keep the law's mean, which every noise spec checks.
         The base law is kept so coupled simulations can project its draws."""
         res = lloyd_1d(law, n_atoms, tol=1e-13)
         if not res.converged:
@@ -175,7 +172,7 @@ class NoiseSpec:
     @property
     def finite(self) -> DiscreteDistribution | None:
         """The noise's atoms, its exact law; None for a truncation of a continuous base."""
-        return self.atoms if self.mode == "quantized" else _finite_law(self.truncation)
+        return _finite_law(self.law)
 
 
 @dataclass(frozen=True)
@@ -347,84 +344,68 @@ class MixtureTransitionLaw(Law1D):
 
 
 def dual_transition_weights(source_grid, target_grid, theta, noise) -> MartingaleKernel:
-    """Transition matrix of one 1D step ``x + theta(x) z`` followed by the
-    dual split, for a :class:`TruncatedLaw` of a continuous base or a finite
-    noise (a centered :class:`DiscreteDistribution`).
+    """Transition matrix of one step ``x + theta(x) z`` followed by the dual
+    split, the kernel of every chain step.
 
-    For a truncated noise, row i is the hat split of the step's F and K at
-    the targets u (``_transition_values``), a point mass at ``x_i`` where
-    theta_i = 0.  For a finite noise, row i splits each image ``x_i +
-    theta_i z_j`` where it falls.  Requires two or more strictly increasing
-    targets, every image interval inside the target hull, up to
-    ``hull_slack_1d``, and, for a truncated noise that moves a source,
-    adjacent targets at least that slack apart: F and K differences cancel
-    on a shorter interval, and a row on targets Delta apart carries a
-    rounding error of about 1e-16/Delta.
+    For a :class:`TruncatedLaw` of a continuous base, row i is the hat split
+    of the step's F and K at the 1D targets u (``_transition_values``), a
+    point mass at ``x_i`` where theta_i = 0.  For a finite noise, a centered
+    :class:`DiscreteDistribution`, row i splits each image ``x_i + theta_i
+    z_j`` where it falls: on a 1D grid, or on a :class:`Triangulation2D`
+    from 2D sources, theta one ``(2, q)`` matrix per source.  1D targets
+    must be two or more, strictly increasing, with every image inside their
+    hull up to ``hull_slack_1d`` and, for a truncated noise that moves a
+    source, at least that slack apart: F and K differences cancel on a
+    shorter interval, and a row on targets Delta apart carries a rounding
+    error of about 1e-16/Delta.
     """
-    xs = np.asarray(source_grid, dtype=float).reshape(-1)
-    ts = _check_points(np.reshape(target_grid, -1), min_count=2)
-    theta_vals = _theta_values(theta, xs)
-    lo_img, hi_img = (xs + theta_vals * end for end in noise.support)
+    xs = np.asarray(source_grid, dtype=float)
+    finite = isinstance(noise, DiscreteDistribution)
+    if finite:
+        _check_centered(noise)
+    plane = isinstance(target_grid, Triangulation2D)
+    if plane != (xs.ndim == 2 and xs.shape[1] == 2) or (plane and not finite):
+        raise DomainError("2D sources and finite noise take a Triangulation2D, 1D ones a 1D grid")
+    if plane:
+        theta_vals = _theta_values(theta, xs, noise_dim=noise.dim)
+        images = xs[:, None, :] + np.einsum("idq,jq->ijd", theta_vals, noise.points)
+        tri_idx, lam = target_grid.locate(images.reshape(-1, 2))
+        ts, corners, lams = target_grid.vertices, target_grid.triangles[tri_idx].T, lam.T
+    else:
+        xs, ts = xs.reshape(-1), _check_points(np.reshape(target_grid, -1), min_count=2)
+        theta_vals = _theta_values(theta, xs)
+        if not finite:
+            return _truncated_transition(xs, ts, theta_vals, noise)
+        j, lam_right = locate_1d(ts, _images(xs, theta_vals, noise.points_1d).ravel())
+        corners, lams = (j, j + 1), (1.0 - lam_right, lam_right)
+    # image i * n_atoms + j of source i carries noise weight j onto its corners
+    rows, masses = np.repeat(np.arange(len(xs)), noise.n_atoms), np.tile(noise.weights, len(xs))
+    pi = _scatter((len(xs), len(ts)), rows, masses, corners, lams)
+    return MartingaleKernel(xs, ts, _clamp_rows(pi))
+
+
+def _truncated_transition(xs, ts, theta_vals, trunc: TruncatedLaw) -> MartingaleKernel:
+    """The kernel of a truncated noise, its image intervals checked up front."""
+    lo_img, hi_img = (xs + theta_vals * end for end in trunc.support)
     slack = hull_slack_1d(ts[0], ts[-1])
     bad = (lo_img < ts[0] - slack) | (hi_img > ts[-1] + slack)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        overshoot = max(float(ts[0] - lo_img[i]), float(hi_img[i] - ts[-1]))
-        raise HullViolation(
-            f"image of source point {xs[i]} leaves the target hull by {overshoot:.3e}"
-        )
-    if not isinstance(noise, DiscreteDistribution):
-        _continuous_truncation(noise)
-        close = np.flatnonzero(np.diff(ts) < slack)
-        if close.size and np.any(theta_vals > 0.0):
-            i = int(close[0])
-            raise DomainError(f"target points {ts[i]} and {ts[i + 1]} are closer than {slack:.3e}")
-        f, k, f_left = _transition_values(xs, theta_vals, noise, ts)
-        return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f.T, k.T, f_left[0])))
-    _check_centered(noise)
-    # image (i, j) carries noise weight j of row i, split onto the ends of its interval
-    images, masses = _images(xs, theta_vals, noise.points_1d), np.tile(noise.weights, xs.size)
-    j, lam_right = locate_1d(ts, images.ravel())
-    rows = np.repeat(np.arange(xs.size), images.shape[1])
-    pi = np.zeros((xs.size, ts.size))
-    np.add.at(pi, (rows, j), masses * (1.0 - lam_right))
-    np.add.at(pi, (rows, j + 1), masses * lam_right)
-    return MartingaleKernel(xs, ts, _clamp_rows(pi))
+        over = max(float(ts[0] - lo_img[i]), float(hi_img[i] - ts[-1]))
+        raise HullViolation(f"image of source point {xs[i]} leaves the target hull by {over:.3e}")
+    _continuous_truncation(trunc)
+    close = np.flatnonzero(np.diff(ts) < slack)
+    if close.size and np.any(theta_vals > 0.0):
+        i = int(close[0])
+        raise DomainError(f"target points {ts[i]} and {ts[i + 1]} are closer than {slack:.3e}")
+    f, k, f_left = _transition_values(xs, theta_vals, trunc, ts)
+    return MartingaleKernel(xs, ts, _clamp_rows(hat_split(ts, f.T, k.T, f_left[0])))
 
 
 def _check_centered(noise: DiscreteDistribution):
     mean = float(np.abs(noise.mean).max())
     if mean > 1e-10:
         raise DomainError(f"finite noise not centered: |mean| = {mean:.3e} > 1e-10")
-
-
-def finite_noise_transition(
-    source: DiscreteDistribution, noise: DiscreteDistribution, theta, target: Triangulation2D
-) -> MartingaleKernel:
-    """Exact one-step kernel of a 2D chain with a finitely supported noise.
-
-    Every image ``x_i + theta(x_i) z_j`` is split on the target
-    triangulation and the splits are mixed with the noise weights; the
-    result is an exact martingale kernel because splits reproduce their
-    argument in mean and the noise is centered.  1D steps take
-    :func:`dual_transition_weights`.
-    """
-    _check_centered(noise)
-    if source.dim != 2 or not isinstance(target, Triangulation2D):
-        raise DomainError("finite_noise_transition takes a 2D source and a Triangulation2D")
-    xs = source.points
-    mats = _theta_values(theta, xs, noise_dim=noise.dim)
-    images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
-    tri_idx, lam = target.locate(images.reshape(-1, 2))
-    verts = target.triangles[tri_idx]
-    # image i * n_atoms + j of source i carries noise weight j; each corner
-    # of its simplex receives that weight times the corner's barycentric one
-    pi = np.zeros((xs.shape[0], target.vertices.shape[0]))
-    w_rep = np.repeat(np.arange(xs.shape[0]), noise.n_atoms)
-    q_rep = np.tile(noise.weights, xs.shape[0])
-    for corner in range(verts.shape[1]):
-        np.add.at(pi, (w_rep, verts[:, corner]), q_rep * lam[:, corner])
-    return MartingaleKernel(xs, target.vertices, _clamp_rows(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +522,7 @@ def build_chain(
         raise DomainError("fixed mode needs one target grid per step")
     if dim == 1 and grid_mode == "fixed":
         grids = [_check_points(np.reshape(g, -1), min_count=2) for g in grids]
-    if dim == 2 and any(spec.mode != "quantized" for spec in noises):
+    if dim == 2 and any(isinstance(spec.law, TruncatedLaw) for spec in noises):
         raise DomainError("2D chains need finitely supported (quantized) noise")
 
     grid, weights = _initial_state(x0, sizes[0], dim)
@@ -556,7 +537,7 @@ def build_chain(
         if dim == 2:
             law = None
         elif finite is None:
-            law = MixtureTransitionLaw(grid, weights, theta_vals, noise.truncation)
+            law = MixtureTransitionLaw(grid, weights, theta_vals, noise.law)
         else:
             law = _image_law(grid, weights, theta_vals, finite)
         # 2. its grid
@@ -573,12 +554,7 @@ def build_chain(
             target = dual_res.grid
         # 3. the kernel: embedded grids end exactly on the law's support,
         # the hull it checks, so only a fixed grid can raise HullViolation
-        if dim == 1:
-            step_noise = noise.truncation if finite is None else finite
-            kernel = dual_transition_weights(grid, target, theta_vals, step_noise)
-        else:
-            source = DiscreteDistribution(grid, weights)
-            kernel = finite_noise_transition(source, finite, theta_vals, target)
+        kernel = dual_transition_weights(grid, target, theta_vals, finite or noise.law)
         # 4. bookkeeping
         weights = _weighted_sum(weights, kernel.matrix)
         weights = np.where(weights < 0.0, 0.0, weights)

@@ -75,6 +75,16 @@ def locate_1d(points: np.ndarray, queries):
     return j, (q - points[j]) / (points[j + 1] - points[j])
 
 
+def _scatter(shape, rows, masses, corners, lams) -> np.ndarray:
+    """The (rows, grid points) masses of split queries: query i sends
+    ``masses[i] * lams[c][i]`` to ``(rows[i], corners[c][i])``, one
+    ``np.add.at`` per corner c, in corner order."""
+    pi = np.zeros(shape)
+    for corner, lam in zip(corners, lams):
+        np.add.at(pi, (rows, corner), masses * lam)
+    return pi
+
+
 # ---------------------------------------------------------------------------
 # the dual split of a law on a fixed 1D grid
 
@@ -101,11 +111,13 @@ def dual_split(grid, law: Law1D):
     difference form.  Per interval the squared distortion is int (x_{i+1} -
     xi)(xi - x_i) dmu, summed through the same differences and the second
     moment of the law.  A law with more than 1e-12 mass outside the grid
-    hull raises :class:`SupportError`.  A truncation of a finite law is
-    split as its atoms.
+    hull raises :class:`SupportError`.  A finite law, or a truncation of
+    one, is split atom by atom (``_split_atoms``).
     """
-    law = _finite_law(law) or law
     points = _grid_points(grid)
+    finite = _finite_law(law)
+    if finite is not None:
+        return _split_atoms(points, *finite.atoms())
     f, k, f_left = law.cdf_moment_left_batch(points)
     f_left_first = float(f_left[0])
     outside = f_left_first + (1.0 - float(f[-1]))
@@ -123,6 +135,25 @@ def dual_split(grid, law: Law1D):
     atom_left = (f[0] - f_left_first) * points[0] ** 2
     d2 = s - law.second_moment + atom_left
     return weights, float(np.sqrt(max(d2, 0.0)))
+
+
+def _split_atoms(points: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """:func:`dual_split` of the atoms ``z`` with masses ``w``: each atom is
+    split where it falls, onto the ends ``t_j <= z <= t_{j+1}`` of its
+    interval, and the squared distortion is ``sum w (t_{j+1} - z)(z -
+    t_j)``, exactly 0 when every atom sits on a grid point."""
+    inside = (z >= points[0]) & (z <= points[-1])
+    outside = float(w[~inside].sum())
+    if outside > 1e-12:
+        raise SupportError(
+            f"law carries {outside:.3e} mass outside the grid hull "
+            f"[{points[0]}, {points[-1]}]"
+        )
+    z, w = z[inside], w[inside]
+    j, lam_right = locate_1d(points, z)
+    weights = _scatter((1, points.size), 0, w, (j, j + 1), (1.0 - lam_right, lam_right))[0]
+    d2 = float(np.sum(w * (points[j + 1] - z) * (z - points[j])))
+    return weights, float(np.sqrt(d2))
 
 
 # ---------------------------------------------------------------------------

@@ -55,12 +55,18 @@ def voronoi_split(grid, law: Law1D):
     Voronoi grid, from one F, K and M evaluation at the cell ends.
 
     The cells ``(x_{i-1/2}, x_{i+1/2}]``, the outer two unbounded, have
-    masses ``dF`` and give ``e_2^2 = sum dM - 2 x dK + x^2 dF``, exact for
-    atoms too since F, K and M are right-continuous.  A truncation of a
-    finite law is split as its atoms.
+    masses ``dF`` and give ``e_2^2 = sum dM - 2 x dK + x^2 dF``.  A finite
+    law, or a truncation of one, is split atom by atom: each atom goes to
+    its cell (``_assign_1d``, the cells of the Monte Carlo projection) and
+    ``e_2^2 = sum w (z - x)^2``, exactly 0 when every atom is a grid point.
     """
-    law = _finite_law(law) or law
     points = _points_1d(grid)
+    finite = _finite_law(law)
+    if finite is not None:
+        z, w = finite.atoms()
+        cell = _assign_1d(points, z)
+        e2 = float(np.sum(w * (z - points[cell]) ** 2))
+        return np.bincount(cell, w, minlength=points.size), e2 ** 0.5
     cuts = _cuts(points)
     df = np.diff(np.asarray(law.cdf(cuts)))
     dk = np.diff(np.asarray(law.partial_moment(cuts)))
@@ -70,7 +76,19 @@ def voronoi_split(grid, law: Law1D):
 
 
 def _lloyd_step(law: Law1D, points: np.ndarray) -> np.ndarray:
-    """One fixed-point update: each point moves to its cell's conditional mean."""
+    """One fixed-point update: each point moves to its cell's conditional
+    mean.  For a finite law that is the mean of the cell's atoms, taken
+    about the cell's first atom, so a cell of one atom returns it bit for
+    bit: ``(w z) / w`` need not be ``z``."""
+    finite = _finite_law(law)
+    if finite is not None:
+        z, w = finite.atoms()
+        cell = _assign_1d(points, z)
+        mass = np.bincount(cell, w, minlength=points.size)
+        if np.any(mass <= 0.0):
+            raise EmptyCellError("a Voronoi cell carries zero mass; adjust the initial grid")
+        first = z[np.searchsorted(cell, np.arange(points.size))]
+        return first + np.bincount(cell, w * (z - first[cell]), minlength=points.size) / mass
     cuts = _cuts(points)
     f = np.asarray(law.cdf(cuts))
     k = np.asarray(law.partial_moment(cuts))

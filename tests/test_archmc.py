@@ -209,6 +209,24 @@ def test_select_truncation():
         select_truncation(1, 1.0)
 
 
+def test_a_truncated_finite_noise_keeps_its_zero_outside_projection():
+    """The noise of five atoms truncated at alpha = -1 steps the atoms {-1,
+    0, 1}; a base draw outside [-1, 1] projects to 0, as for any
+    truncation, and not to the nearest of those atoms."""
+    atoms = DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1])
+    spec = NoiseSpec.truncated(TruncatedLaw.centered(atoms, -1.0))
+    assert sorted(spec.finite.points_1d.tolist()) == [-1.0, 0.0, 1.0]
+    z, approx = archmc._innovations(spec, 1000, make_generator(5))
+    assert set(z.tolist()) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    assert approx.tolist() == np.where(np.abs(z) > 1.0, 0.0, z).tolist()
+
+
+def test_atoms_given_in_any_order_project_draws_to_the_nearest():
+    spec = NoiseSpec(DiscreteDistribution([1.0, -1.0], [0.5, 0.5]), base=Normal(0, 1))
+    z = np.array([-2.0, -0.9, 0.0, 0.9, 2.0])
+    assert archmc._project_noise(z, spec).tolist() == [-1.0, -1.0, -1.0, 1.0, 1.0]
+
+
 def test_noise_orthogonality_identities():
     # truncation: (Z - Zb) Zb = 0 pointwise
     z = Normal(0, 1).draw(make_generator(21), 50_000)
@@ -216,7 +234,7 @@ def test_noise_orthogonality_identities():
     assert np.max(np.abs((z - zb) * zb)) == 0.0
     # stationary quantization: E[(Z - Zhat) Zhat] = 0 through the closed forms
     spec = NoiseSpec.quantized_from(Normal(0, 1), 7)
-    atoms = spec.atoms.points_1d
+    atoms = spec.law.points_1d
     mids = np.concatenate(([-np.inf], 0.5 * (atoms[:-1] + atoms[1:]), [np.inf]))
     law = Normal(0, 1)
     dk = np.diff(np.asarray(law.partial_moment(mids)))
@@ -309,7 +327,7 @@ def test_quantized_innovation_bound_zero_and_pythagoras():
     spec = NoiseSpec.quantized_from(Normal(0, 1), 9)
     arch = ArchSpec([theta_constant(c0)])
     chain = build_chain(arch, [spec], DiscreteDistribution([0.0], [1.0]), [1, 15])
-    gap_sq = Normal(0, 1).second_moment - spec.atoms.second_moment
+    gap_sq = Normal(0, 1).second_moment - spec.law.second_moment
     dual_sq = chain.diagnostics[0]["dual_distortion"] ** 2
     bound = quantized_innovation_bound([0.0], [c0 * c0], [gap_sq], [dual_sq], 1, 0.0)
     s = simulate_coupled(arch, [spec], 0.0, 400_000, seed=29, chain=chain)

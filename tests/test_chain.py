@@ -16,7 +16,6 @@ from martquant.chain import (
     build_chain,
     dual_transition_weights,
     euler_thetas,
-    finite_noise_transition,
     theta_abs_shifted,
     theta_affine_abs,
     theta_constant,
@@ -210,11 +209,27 @@ def test_finite_noise_transition_rademacher():
 def test_finite_noise_requires_centered():
     biased = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
     with pytest.raises(DomainError, match="centered"):
-        finite_noise_transition(
-            DiscreteDistribution([0.0], [1.0]), biased, np.array([1.0]), np.array([-2.0, 2.0])
-        )
-    with pytest.raises(DomainError, match="centered"):
         dual_transition_weights(np.array([0.0]), np.array([-2.0, 2.0]), np.array([1.0]), biased)
+    plane = DiscreteDistribution([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    square = Triangulation2D.delaunay([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0]])
+    with pytest.raises(DomainError, match="centered"):
+        dual_transition_weights(np.zeros((1, 2)), square, np.eye(2), plane)
+
+
+def test_one_kernel_takes_sources_of_its_target_dimension():
+    """2D sources and a finite noise step onto a triangulation, 1D sources
+    onto a 1D grid; any other pairing is a DomainError."""
+    square = Triangulation2D.delaunay([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0]])
+    plane = DiscreteDistribution([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5])
+    line = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
+    trunc = TruncatedLaw.centered(Normal(0, 1), -1.0)
+    for sources, target, theta, noise in [
+        (np.zeros((1, 2)), np.array([-2.0, 2.0]), np.eye(2), plane),
+        (np.zeros(1), square, 1.0, line),
+        (np.zeros((1, 2)), square, np.eye(2), trunc),
+    ]:
+        with pytest.raises(DomainError, match="Triangulation2D"):
+            dual_transition_weights(sources, target, theta, noise)
 
 
 def _image_split_oracle(xs, thetas, noise, target):
@@ -269,7 +284,7 @@ def test_one_kernel_splits_every_image_as_the_oracle_does(step, alpha):
     under a truncated noise too, so its row is the hat split of the point."""
     noise, xs, thetas, grid = step
     kernel = dual_transition_weights(xs, grid, thetas, noise)
-    assert np.abs(kernel.matrix - _image_split_oracle(xs, thetas, noise, grid)).max() <= 1e-14
+    assert kernel.matrix.tobytes() == _image_split_oracle(xs, thetas, noise, grid).tobytes()
     assert kernel.martingale_residual() <= 1e-14
     assert kernel.row_sum_residual() <= 1e-14
     still = xs[thetas == 0.0]
@@ -280,6 +295,45 @@ def test_one_kernel_splits_every_image_as_the_oracle_does(step, alpha):
         assert np.abs(row - hat).max() <= 1e-14
 
 
+def _triangle_split_oracle(xs, mats, noise, target):
+    """The 2D finite-noise kernel as it stood apart from the 1D one: every
+    image ``x_i + theta_i z_j`` located on the target triangulation, and
+    each corner of its triangle given the noise weight times the corner's
+    barycentric weight."""
+    images = xs[:, None, :] + np.einsum("idq,jq->ijd", mats, noise.points)
+    tri_idx, lam = target.locate(images.reshape(-1, 2))
+    verts = target.triangles[tri_idx]
+    pi = np.zeros((xs.shape[0], target.vertices.shape[0]))
+    w_rep = np.repeat(np.arange(xs.shape[0]), noise.n_atoms)
+    q_rep = np.tile(noise.weights, xs.shape[0])
+    for corner in range(verts.shape[1]):
+        np.add.at(pi, (w_rep, verts[:, corner]), q_rep * lam[:, corner])
+    return np.where(pi < 0.0, 0.0, pi)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("coefficient", ["constant", "per-source"])
+def test_one_kernel_splits_every_2d_image_as_the_oracle_does(seed, coefficient):
+    """Seeded grids of the 2D benchmark chain at its small size: squares of
+    24 vertices, corners included, each holding the images of the previous
+    grid with a margin; the 2D kernel is the oracle's, bit for bit."""
+    rng = np.random.default_rng([seed, 2])
+    sources = rng.uniform(-0.5, 0.5, (6, 2))
+    noise = DiscreteDistribution([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [0.25] * 4)
+    half = 0.5
+    for _ in range(2):
+        half += 1.0
+        corners = half * np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+        tri = Triangulation2D.delaunay(np.vstack([corners, rng.uniform(-half, half, (20, 2))]))
+        mats = np.broadcast_to(0.5 * np.eye(2), (len(sources), 2, 2))
+        if coefficient == "per-source":
+            mats = mats + rng.uniform(-0.1, 0.1, mats.shape)
+        kernel = dual_transition_weights(sources, tri, mats, noise)
+        oracle = _triangle_split_oracle(sources, mats, noise, tri)
+        assert kernel.matrix.tobytes() == oracle.tobytes()
+        sources = tri.vertices
+
+
 def test_finite_noise_2d_barycenter():
     src = DiscreteDistribution([[0.0, 0.0]], [1.0])
     noise = DiscreteDistribution(
@@ -287,7 +341,7 @@ def test_finite_noise_2d_barycenter():
     )
     corners = np.array([[-2.0, -2.0], [2.0, -2.0], [-2.0, 2.0], [2.0, 2.0], [0.0, 0.1]])
     tri = Triangulation2D.delaunay(corners)
-    kernel = finite_noise_transition(src, noise, np.eye(2), tri)
+    kernel = dual_transition_weights(src.points, tri, np.eye(2), noise)
     assert kernel.row_sum_residual() < 1e-12
     bary = kernel.matrix @ tri.vertices
     assert np.abs(bary - src.points).max() < 1e-9
@@ -695,7 +749,7 @@ def test_embedded_grid_ends_are_the_image_hull_bit_for_bit(make, monkeypatch):
     for k in range(arch.n_steps):
         source, target = chain.grids[k], chain.grids[k + 1]
         theta_vals = arch.thetas[k](source)
-        trunc = noises[k].truncation
+        trunc = noises[k].law
         assert target[0] == np.min(source + theta_vals * trunc.alpha)
         assert target[-1] == np.max(source + theta_vals * trunc.beta)
         exact = dual_transition_weights(source, target, theta_vals, trunc)
@@ -739,6 +793,18 @@ def test_build_chain_finite_noise_embedded():
         assert convex_order_check(tilde, chain.marginal(k + 1)).dominated
 
 
+def test_a_finite_image_law_on_its_grid_has_dual_distortion_zero():
+    """The first Euler step of 7-atom noise from three x0 atoms: its 21
+    images all lie on the 31-point dual grid, so its distortion is 0."""
+    thetas = euler_thetas(theta_affine_abs(0.4, 0.4), 1.0, 3)[:1]
+    noise = NoiseSpec.quantized_from(TruncatedLaw.centered(Normal(0, 1), -2.0), 7)
+    x0 = DiscreteDistribution([0.9, 1.0, 1.1], [0.25, 0.5, 0.25])
+    chain = build_chain(ArchSpec(thetas), [noise], x0, [3, 31])
+    images = chain.diagnostics[0]["intermediate"].points_1d
+    assert images.size == 21 and np.isin(images, chain.grids[1]).all()
+    assert chain.diagnostics[0]["dual_distortion"] == 0.0
+
+
 def test_build_chain_marginal_flow():
     trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
     chain = build_chain(
@@ -752,9 +818,17 @@ def test_build_chain_marginal_flow():
         assert np.abs(pushed - chain.marginal_weights[k + 1]).max() < 1e-12
 
 
-def test_noise_mode_is_truncated_or_quantized():
-    with pytest.raises(DomainError, match="'truncated' or 'quantized'"):
-        NoiseSpec("exact", base=Normal())
+def test_noise_spec_holds_a_truncation_or_centered_atoms():
+    """A noise steps a truncation or centered atoms, and nothing else."""
+    for law in ("exact", Normal()):
+        with pytest.raises(DomainError, match="not a TruncatedLaw or DiscreteDistribution"):
+            NoiseSpec(law, base=Normal())
+    biased = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+    for make in (NoiseSpec, NoiseSpec.quantized):
+        with pytest.raises(DomainError, match="not centered"):
+            make(biased)
+    trunc = TruncatedLaw.centered(Normal(0, 1), -2.0)
+    assert NoiseSpec.truncated(trunc) == NoiseSpec(trunc, base=trunc.base)
 
 
 def test_vanishing_theta_keeps_the_truncated_noise_and_dominates_it():

@@ -1,9 +1,13 @@
 import math
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from martquant.dual import dual_split
 from martquant.errors import DomainError, EmptyCellError
 from martquant.laws import DiscreteDistribution, Normal, PowerDensity2x, TruncatedLaw, Uniform
 from martquant.primal import (
@@ -222,3 +226,109 @@ def test_distortion_matches_per_cell_quadrature(law, n, density, lo, hi):
     parts += [w * (z - grid[_assign_1d(grid, z)]) ** 2 for z, w in zip(atoms, masses)]
     d2 = voronoi_split(grid, law)[1] ** 2
     assert abs(d2 - math.fsum(parts)) <= 1e-14 * max(1.0, law.second_moment)
+
+
+# ---------------------------------------------------------------------------
+# finite laws, split and quantized atom by atom
+
+
+def _exact_splits(z, w, grid):
+    """The dual split of the atoms ``z, w`` on ``grid`` (weights and squared
+    distortion), their Voronoi split on it (the cells of the Monte Carlo
+    projection, which end at the float midpoints) and the cell means, all
+    in exact fractions of the float inputs."""
+    z, w, t = ([Fraction(float(v)) for v in a] for a in (z, w, grid))
+    dual_w, dual_d2 = [Fraction(0)] * len(t), Fraction(0)
+    if len(t) >= 2:
+        for y, q in zip(z, w):
+            l = min(max(bisect_right(t, y) - 1, 0), len(t) - 2)
+            lam = (y - t[l]) / (t[l + 1] - t[l])
+            dual_w[l] += q * (1 - lam)
+            dual_w[l + 1] += q * lam
+            dual_d2 += q * (t[l + 1] - y) * (y - t[l])
+    mids = [Fraction(float(0.5 * (a + b))) for a, b in zip(grid[:-1], grid[1:])]
+    cells = [[] for _ in t]
+    for y, q in zip(z, w):
+        cells[sum(m < y for m in mids)].append((y, q))
+    mass = [sum(q for _, q in c) for c in cells]
+    vor_d2 = sum(q * (y - x) ** 2 for x, c in zip(t, cells) for y, q in c)
+    means = [sum(q * y for y, q in c) / m if m else None for c, m in zip(cells, mass)]
+    return dual_w, dual_d2, mass, vor_d2, means, cells
+
+
+_MICROS = st.integers(-4_000_000, 4_000_000).map(lambda k: k / 1e6)
+
+
+@st.composite
+def _finite_laws_on_grids(draw):
+    """Up to six atoms on a 1e-6 lattice of [-4, 4] (not representable, so
+    the splits round) with masses of ninths or finer, and a grid of which
+    some points are atoms; the dual grid adds the atom hull, padded or not."""
+    z = sorted(draw(st.lists(_MICROS, min_size=1, max_size=6, unique=True)))
+    q = np.array(draw(st.lists(st.integers(1, 9), min_size=len(z), max_size=len(z))))
+    law = DiscreteDistribution(z, q / q.sum())
+    on_atoms = draw(st.lists(st.sampled_from(z), max_size=4))
+    grid = np.unique(on_atoms + draw(st.lists(_MICROS, max_size=3)))
+    if grid.size == 0:
+        grid = np.array(z[:1])
+    pads = [draw(st.integers(0, 1_000_000)) / 1e6 for _ in range(2)]
+    dual_grid = np.unique([z[0] - pads[0], z[-1] + pads[1], *grid[(grid > z[0]) & (grid < z[-1])]])
+    if dual_grid.size < 2:
+        dual_grid = np.append(dual_grid, dual_grid[0] + 1.0)
+    return law, grid, dual_grid
+
+
+@given(_finite_laws_on_grids())
+@settings(max_examples=300, deadline=None)
+def test_finite_laws_split_and_quantize_as_exact_sums(case):
+    """Both splits and the Lloyd step of a finite law are its exact atom
+    sums to 1e-15, relative to the mass 1 for weights, to the distortion
+    itself, and to the largest |atom| for cell means; a distortion whose
+    exact value is 0 is 0, and a cell of one atom keeps it bit for bit."""
+    law, grid, dual_grid = case
+    z, w = law.atoms()
+    scale = float(np.abs(z).max())
+
+    def close(got, exact, rel):
+        assert abs(got - exact) <= rel * 1e-15, (got, exact)
+
+    def distortion(got, exact_d2):
+        assert (got == 0.0) == (exact_d2 == 0), (got, exact_d2)
+        close(got, math.sqrt(exact_d2), math.sqrt(exact_d2))
+
+    dual_w, dual_d2 = _exact_splits(z, w, dual_grid)[:2]
+    weights, d = dual_split(dual_grid, law)
+    for got, exact in zip(weights, dual_w):
+        close(got, exact, 1.0)
+    distortion(d, dual_d2)
+
+    _, _, mass, vor_d2, means, cells = _exact_splits(z, w, grid)
+    weights, d = voronoi_split(grid, law)
+    for got, exact in zip(weights, mass):
+        close(got, exact, 1.0)
+    distortion(d, vor_d2)
+    if not all(mass):
+        with pytest.raises(EmptyCellError):
+            _lloyd_step(law, grid)
+        return
+    for got, exact, cell in zip(_lloyd_step(law, grid), means, cells):
+        close(got, exact, scale)
+        if len(cell) == 1:
+            assert got == cell[0][0]
+
+
+def test_finite_laws_quantize_onto_their_atoms():
+    """Grids on the atoms of a finite law: its exact atoms and masses, and
+    distortion 0."""
+    atoms = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    law = DiscreteDistribution(atoms, [0.1, 0.2, 0.4, 0.2, 0.1])
+    res = lloyd_1d(law, 5)
+    assert res.grid.tolist() == atoms
+    assert res.weights.tolist() == law.weights.tolist()
+    assert res.distortion == 0.0
+    assert voronoi_split(atoms, law)[1] == 0.0
+    weights, distortion = dual_split(atoms, law)
+    assert weights.tolist() == law.weights.tolist() and distortion == 0.0
+    res = lloyd_1d(DiscreteDistribution([0.1, 0.3, 3.0], [0.1, 0.6, 0.3]), 3)
+    assert res.grid.tolist() == [0.1, 0.3, 3.0]
+    assert res.distortion == 0.0 and res.stationarity_residual == 0.0
