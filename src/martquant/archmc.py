@@ -61,20 +61,24 @@ class CoupledPathSample:
         return self.exact.shape[1]
 
 
-def _sample_x0(x0, n, gen) -> np.ndarray:
+def _sample_x0(x0, gen, out: np.ndarray) -> None:
+    """Draws of ``x0``, a number or a 1D law, into ``out``."""
     if isinstance(x0, (int, float)):
-        return np.full(n, float(x0))
-    if isinstance(x0, Law1D):
-        return x0.draw(gen, n)
-    raise DomainError("x0 must be a number or a 1D law")
+        out.fill(float(x0))
+    elif isinstance(x0, Law1D):
+        x0.draw(gen, out.size, out=out)
+    else:
+        raise DomainError("x0 must be a number or a 1D law")
 
 
-def _project_noise(z: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Base draws as draws of ``spec.law``: 0 outside any truncation, else the nearest atom."""
+def _project_noise(z: np.ndarray, spec: NoiseSpec, out=None) -> np.ndarray:
+    """Base draws as draws of ``spec.law``: 0 outside any truncation, else
+    the nearest atom; into ``out`` if it is given (``z`` itself included)."""
     if isinstance(spec.law, TruncatedLaw):
-        return spec.law.zero_outside(z)
+        return spec.law.zero_outside(z, out=out)
     atoms = spec.law.atoms()[0]
-    return atoms[_assign_1d(atoms, z)]
+    # the indices lie in range, and "clip" writes into ``out`` unbuffered
+    return np.take(atoms, _assign_1d(atoms, z), out=out, mode="clip")
 
 
 def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -83,23 +87,12 @@ def _split_sample(points: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarra
     return np.where(u < 1.0 - lam_right, points[j], points[j + 1])
 
 
-def _innovations(spec: NoiseSpec, count: int, gen) -> tuple[np.ndarray, np.ndarray]:
-    """One step's draws of the exact innovation and of its approximation."""
-    if spec.base is not None:
-        z = spec.base.draw(gen, count)
-        return z, _project_noise(z, spec)
-    # atoms without a base law: both paths ride the atoms
-    z = spec.law.draw(gen, count)
-    return z, z
-
-
-def _step(theta, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``x + theta(x) * z``, with the sum taken in place into the product.
+def _step(theta, x: np.ndarray, z: np.ndarray, prod: np.ndarray) -> None:
+    """``x += theta(x) * z`` in place, the product taken into ``prod``.
     ``theta(x)`` is not written over: a coefficient may return its
     argument, a stored array or a scalar."""
-    out = theta(x) * z
-    out += x
-    return out
+    np.multiply(theta(x), z, out=prod)
+    x += prod
 
 
 def _chunk_edges(lo: int, hi: int, n_paths: int) -> list[int]:
@@ -117,6 +110,12 @@ def _chunk_edges(lo: int, hi: int, n_paths: int) -> list[int]:
     return [lo, *sorted(inner), hi]
 
 
+def _work_arrays(edges, count: int) -> list[np.ndarray]:
+    """``count`` float arrays the size of the largest chunk between ``edges``."""
+    size = max(stop - start for start, stop in zip(edges[:-1], edges[1:]))
+    return [np.empty(size) for _ in range(count)]
+
+
 def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     """Yield ``(lo, k, exact, approx, dual)`` for one ``(index, chunk
     edges)`` block of paths, chunk by chunk: the states at k = 0, ...,
@@ -129,9 +128,12 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     so every draw depends only on ``(seed, block)``.  Each chunk takes the
     next draws of every stream, and the uniforms and ``standard_normal``
     of a stream are the same however it is sliced, so the chunks change
-    no draw; they only set the partition of the streamed sums.  The
-    yielded vectors are read-only: at k = 0 ``exact`` and ``approx`` are
-    one array.
+    no draw; they only set the partition of the streamed sums.
+
+    The block steps its chunks in place in a few work arrays sized to its
+    largest chunk, so its memory does not depend on the number of chunks.
+    The yielded vectors are views that the next step overwrites: a
+    consumer copies what it keeps, and writes into none of them.
     """
     b, edges = block
     n = arch.n_steps
@@ -141,20 +143,25 @@ def _block_steps(arch: ArchSpec, noise_specs, x0, seed: int, block, chain=None):
     if chain is not None:
         split_gens = [make_generator(seed, base + 1 + n + k) for k in range(n)]
         grids = [np.asarray(g, dtype=float) for g in chain.grids]
+    work = _work_arrays(edges, 4)
     for start, stop in zip(edges[:-1], edges[1:]):
         count = stop - start
-        x = _sample_x0(x0, count, x0_gen)
-        xb = x
+        x, xb, z, prod = (w[:count] for w in work)
+        _sample_x0(x0, x0_gen, x)
+        xb[...] = x
         xh = None if chain is None else grids[0][_assign_1d(grids[0], x)]
         yield start, 0, x, xb, xh
         for k in range(n):
-            z, zb = _innovations(noise_specs[k], count, noise_gens[k])
-            theta = arch.thetas[k]
-            x = _step(theta, x, z)
-            xb = _step(theta, xb, zb)
+            spec, theta = noise_specs[k], arch.thetas[k]
+            # without a base law both paths ride the atoms of ``spec.law``
+            (spec.law if spec.base is None else spec.base).draw(noise_gens[k], count, out=z)
+            _step(theta, x, z, prod)
+            if spec.base is not None:
+                _project_noise(z, spec, out=z)
+            _step(theta, xb, z, prod)
             if chain is not None:
-                tilde = _step(theta, xh, zb)
-                xh = _split_sample(grids[k + 1], tilde, split_gens[k].random(count))
+                _step(theta, xh, z, prod)
+                xh = _split_sample(grids[k + 1], xh, split_gens[k].random(count))
             yield start, k + 1, x, xb, xh
 
 
@@ -275,8 +282,14 @@ def coupled_gap_statistics(
     one ``np.add.reduce`` per sum.  A mean over a range of paths is the
     ``math.fsum`` of a column over the rows whose first path lies in it,
     correctly rounded, so the bits do not depend on the thread count or on
-    the order of the rows.  Memory holds one chunk of at most ``_CHUNK``
-    paths per thread and is flat in ``n_paths``.
+    the order of the rows.  Memory holds the work arrays of one block, each
+    of at most ``_CHUNK`` paths, per thread and is flat in ``n_paths``.
+
+    The Doob column keeps a running max of the squared gaps, not of
+    ``|gap|``.  Rounding is monotone, so ``|a| <= |b|`` gives ``fl(a^2) <=
+    fl(b^2)``, and the max of the squares is the square of the max of
+    ``|gap|`` bit for bit: squaring before the max changes no bit of the
+    sum.
     """
     if n_paths < 2:
         raise DomainError("a batch-means standard error needs at least 2 paths")
@@ -286,17 +299,19 @@ def coupled_gap_statistics(
     def reduce_block(block):
         """Rows ``(lo, sum gap_0^2, ..., sum gap_n^2, sum sup^2)``, one per chunk."""
         rows = []
+        gap_work, sup_work = _work_arrays(block[1], 2)
         for lo, k, x, xb, _ in _block_steps(arch, noise_specs, x0, seed, block):
-            gap = np.subtract(x, xb)
-            np.abs(gap, out=gap)
+            gap = np.subtract(x, xb, out=gap_work[: x.size])
+            np.square(gap, out=gap)
             if k == 0:
                 rows.append([lo])
-                sup = gap.copy()
+                sup = sup_work[: x.size]
+                sup[...] = gap
             else:
                 np.maximum(sup, gap, out=sup)
-            rows[-1].append(np.add.reduce(np.square(gap, out=gap)))
+            rows[-1].append(np.add.reduce(gap))
             if k == n:
-                rows[-1].append(np.add.reduce(np.square(sup, out=sup)))
+                rows[-1].append(np.add.reduce(sup))
         return rows
 
     table = np.array([row for rows in _map_blocks(reduce_block, n_paths, threads) for row in rows])

@@ -147,11 +147,16 @@ class Law1D:
         continuous laws."""
         return np.empty(0), np.empty(0)
 
-    def draw(self, gen, n: int) -> np.ndarray:
-        """``n`` draws from the generator ``gen`` by the inverse transform;
-        laws with an exact sampler of their own override it."""
-        u = gen.random(n)
-        return np.asarray(self.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
+    def draw(self, gen, n: int, out=None) -> np.ndarray:
+        """``n`` draws from the generator ``gen`` by the inverse transform,
+        written into the float array ``out`` if one is given; laws with an
+        exact sampler of their own override it."""
+        u = gen.random(n, out=out)
+        x = np.asarray(self.quantile(np.maximum(u, 1e-300, out=u)), dtype=float)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
     def _check_u(self, u):
         arr, scalar = _as_array(u)
@@ -246,13 +251,16 @@ class Normal(Law1D):
             return _ret(ndtri(u), scalar)  # 0.0 + 1.0 * z is z, as in _std
         return _ret(self.m + self.s * ndtri(u), scalar)
 
-    def draw(self, gen, n: int) -> np.ndarray:
+    def draw(self, gen, n: int, out=None) -> np.ndarray:
         """``gen.standard_normal(n)``, numpy's ziggurat (Marsaglia & Tsang
-        2000), mapped to ``m + s z`` unless the law is N(0, 1)."""
-        z = gen.standard_normal(n)
+        2000), mapped to ``m + s z`` unless the law is N(0, 1); written into
+        the float array ``out`` if one is given."""
+        z = gen.standard_normal(n, out=out)
         if self.m == 0.0 and self.s == 1.0:
             return z
-        return self.m + self.s * z
+        z *= self.s
+        z += self.m
+        return z
 
     @property
     def mean(self):
@@ -620,14 +628,17 @@ class TruncatedLaw(Law1D):
             out[above] = self.base.quantile(np.clip(u[above] - atom + fa, 1e-16, 1.0 - 1e-16))
         return _ret(np.clip(out, self.alpha, self.beta), scalar)
 
-    def zero_outside(self, z: np.ndarray) -> np.ndarray:
-        """``z`` set to 0 outside ``[alpha, beta]``: the truncation of
-        draws ``z`` of the base."""
-        return z * ((z >= self.alpha) & (z <= self.beta))
+    def zero_outside(self, z: np.ndarray, out=None) -> np.ndarray:
+        """``z`` set to 0 outside ``[alpha, beta]``, into ``out`` if it is
+        given (``z`` itself included): the truncation of draws ``z`` of the
+        base."""
+        return np.multiply(z, (z >= self.alpha) & (z <= self.beta), out=out)
 
-    def draw(self, gen, n: int) -> np.ndarray:
-        """Draws of the base from ``gen``, set to 0 outside ``[alpha, beta]``."""
-        return self.zero_outside(self.base.draw(gen, n))
+    def draw(self, gen, n: int, out=None) -> np.ndarray:
+        """Draws of the base from ``gen``, set to 0 outside ``[alpha, beta]``;
+        written into the float array ``out`` if one is given."""
+        z = self.base.draw(gen, n, out=out)
+        return self.zero_outside(z, out=z)
 
     @property
     def mean(self):

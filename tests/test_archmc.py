@@ -30,7 +30,7 @@ from martquant.laws import DiscreteDistribution, Normal, TruncatedLaw, Uniform
 from martquant.order import convex_order_check, path_max_call
 from martquant.rng import make_generator
 
-from oracles import chain_marginals, domination_rows, random_max_affine
+from oracles import chain_marginals, domination_rows, random_max_affine, replay_coupled
 
 TRUNC15 = TruncatedLaw.centered(Normal(0, 1), -1.5)
 
@@ -216,7 +216,8 @@ def test_a_truncated_finite_noise_keeps_its_zero_outside_projection():
     atoms = DiscreteDistribution([-2.0, -1.0, 0.0, 1.0, 2.0], [0.1, 0.2, 0.4, 0.2, 0.1])
     spec = NoiseSpec.truncated(TruncatedLaw.centered(atoms, -1.0))
     assert sorted(spec.finite.points_1d.tolist()) == [-1.0, 0.0, 1.0]
-    z, approx = archmc._innovations(spec, 1000, make_generator(5))
+    z = spec.base.draw(make_generator(5), 1000)
+    approx = archmc._project_noise(z, spec)
     assert set(z.tolist()) == {-2.0, -1.0, 0.0, 1.0, 2.0}
     assert approx.tolist() == np.where(np.abs(z) > 1.0, 0.0, z).tolist()
 
@@ -569,6 +570,28 @@ def test_chunk_size_changes_no_output(make_spec, threads, monkeypatch):
         np.testing.assert_allclose(gaps.empirical, want[1].empirical, rtol=1e-13, atol=0)
         np.testing.assert_allclose(gaps.standard_error, want[1].standard_error, rtol=1e-13, atol=0)
         assert gaps.doob_empirical == pytest.approx(want[1].doob_empirical, rel=1e-13)
+
+
+@_NOISES
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_paths_stepped_in_place_equal_an_allocating_replay(make_spec, threads, monkeypatch):
+    # each block steps its chunks in a few reused work arrays; a replay
+    # with a fresh array for every state and draw catches any aliasing,
+    # also with a coefficient that returns its argument
+    monkeypatch.setattr(archmc, "_BLOCK", 300)
+    spec = make_spec()
+    specs = [NoiseSpec.truncated(TRUNC15), spec, spec]
+    affine = ArchSpec([theta_affine_abs(0.3, 0.3)] * 3)
+    chain = build_chain(affine, specs, DiscreteDistribution([1.0], [1.0]), [1, 9, 9, 9])
+    identity = ArchSpec([ThetaFn(lambda x: x, 1.0, 1.0)] * 3)
+    for arch, x0, ch in ((affine, Uniform(0.9, 1.1), chain), (identity, 1.0, None)):
+        got = simulate_coupled(arch, specs, x0, CHUNKED_PATHS, seed=71, chain=ch, threads=threads)
+        want = replay_coupled(arch, specs, x0, CHUNKED_PATHS, seed=71, block=300, chain=ch)
+        assert got.exact.tobytes() == want.exact.tobytes()
+        assert got.approx.tobytes() == want.approx.tobytes()
+        assert not np.array_equal(got.exact, got.approx)
+        if ch is not None:
+            assert got.dual.tobytes() == want.dual.tobytes()
 
 
 def test_streamed_statistics_need_two_paths():

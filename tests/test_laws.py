@@ -187,6 +187,27 @@ def test_normal_draw_is_numpys_standard_normal():
     assert shifted.tobytes() == (0.4 + 2.5 * want).tobytes()
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        Normal(0.0, 1.0),
+        Normal(0.4, 2.5),
+        Uniform(-1.5, 2.0),
+        TruncatedLaw.centered(Normal(0.0, 1.0), -1.5),
+        DiscreteDistribution([-1.0, 0.25, 2.0], [0.3, 0.5, 0.2]),
+    ],
+    ids=["standard_normal", "shifted_normal", "uniform", "truncated", "atoms"],
+)
+def test_a_draw_into_out_is_the_allocating_draw(law):
+    # the coupled Monte Carlo draws each step into a work array; the bits,
+    # and where the draw leaves the stream, must not change
+    gen, fresh = make_generator(17, 2), make_generator(17, 2)
+    buf = np.full(1_000, np.nan)
+    assert law.draw(gen, 1_000, out=buf) is buf
+    assert buf.tobytes() == law.draw(fresh, 1_000).tobytes()
+    assert law.draw(gen, 300).tobytes() == law.draw(fresh, 300).tobytes()
+
+
 def test_normal_draws_do_not_depend_on_how_a_stream_is_sliced():
     pieces = (1, 127, 16_384, 7, 3)
     gen = make_generator(13, 5)
